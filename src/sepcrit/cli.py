@@ -29,7 +29,14 @@ def _open_out(out):
 def _parse_alpha(value: str) -> float:
     if value.lower() in ("inf", "infinity", "oo"):
         return math.inf
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise click.BadParameter(
+            f"{value!r} is not a number or 'inf'",
+            ctx=click.get_current_context(silent=True),
+            param_hint="'--alpha'",
+        ) from None
 
 
 def _build_criteria(map_specs, alpha, beta, kind, tol):
@@ -179,7 +186,7 @@ def choi_cmd(map_spec, part, samples, seed, tol, out):
 
 def run():
     try:
-        main(standalone_mode=False)
+        code = main(standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
     except click.ClickException as exc:
@@ -188,6 +195,7 @@ def run():
     except SepcritError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

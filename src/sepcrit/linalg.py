@@ -67,38 +67,46 @@ def hermitian_eig(A, tol: float = DEFAULT_TOL) -> HermitianEig:
     return HermitianEig(w, V)
 
 
+def clamp_psd(w: np.ndarray, scale: float,
+              tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The one clamp rule for the spectrum w (ascending) of a PSD matrix
+    with Frobenius norm `scale`.
+
+    Eigenvalues inside the +-tol*scale band become exactly zero.  Raises
+    NotPSD on an eigenvalue below the band.
+    """
+    band = tol * max(scale, 1e-300)
+    if w[0] < -band:
+        raise NotPSD(f"min eigenvalue {w[0]} < -{band}")
+    return np.where(np.abs(w) <= band, 0.0, w)
+
+
+def powered(w: np.ndarray, t: float) -> np.ndarray:
+    """w**t elementwise on a clamped spectrum, with 0**t := 0 for t > 0
+    and w**0 := 1.  Raises SingularNegativePower when t < 0 and w has a
+    zero."""
+    if t == 0:
+        return np.ones_like(w)
+    if t < 0 and not w.all():
+        raise SingularNegativePower("negative power of a singular matrix")
+    return w ** t
+
+
 def psd_power(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A**t for PSD A via eigendecomposition.
 
-    Eigenvalues inside the +-tol*||A||_F band are clamped to zero, and
-    0**t := 0 for t > 0.  Raises NotPSD on a genuinely negative
-    eigenvalue and SingularNegativePower when t < 0 on a numerically
-    singular matrix.
+    The spectrum is clamped by `clamp_psd` and raised by `powered`.
+    t = 1 returns a copy of A without an eigensolve.
     """
     A = as_matrix(A)
     if t == 1:
         return A.copy()
     w, V = hermitian_eig(A, tol)
-    scale = fro(A)
-    band = tol * max(scale, 1e-300)
-    if w[0] < -band:
-        raise NotPSD(f"min eigenvalue {w[0]} < -{band}")
-    w = np.where(np.abs(w) <= band, 0.0, w)
-    if t < 0 and np.any(w == 0.0):
-        raise SingularNegativePower("negative power of a singular matrix")
-    if t == 0:
-        fw = np.ones_like(w)
-    else:
-        fw = np.zeros_like(w)
-        pos = w > 0
-        fw[pos] = w[pos] ** t
-    return (V * fw) @ dag(V)
+    return (V * powered(clamp_psd(w, fro(A), tol), t)) @ dag(V)
 
 
 def matrix_power_psd(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """A**t, using repeated multiplication for small nonnegative integers."""
-    if float(t).is_integer() and 0 <= t <= 64:
-        return np.linalg.matrix_power(as_matrix(A), int(t))
+    """A**t for PSD A; the same as `psd_power`."""
     return psd_power(A, t, tol)
 
 

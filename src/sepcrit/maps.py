@@ -10,6 +10,7 @@ with an explicit decomposition L = L1 - L2 into two CP maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +39,18 @@ class MatrixMap:
 
     def __call__(self, X) -> np.ndarray:
         return apply_map(self, X)
+
+    @cached_property
+    def superoperator(self) -> np.ndarray:
+        """S with vec(L(X)) = vec(X) @ S for row-major vec, so that
+        S[i*d + j, k*d + l] = L(E_ij)[k, l]: the Choi matrix with its
+        block and in-block indices regrouped."""
+        d = self.d
+        S = self.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(
+            d * d, d * d
+        )
+        S.setflags(write=False)
+        return S
 
 
 @dataclass(frozen=True)
@@ -78,30 +91,29 @@ def map_from_action(d: int, action: Callable[[np.ndarray], np.ndarray],
 
 
 def apply_map(m: MatrixMap, X) -> np.ndarray:
-    """L(X) = sum_ij X_ij B_ij with B_ij the Choi blocks."""
-    X = as_matrix(X)
-    d = m.d
-    if X.shape[0] != d:
-        raise DimensionMismatch(f"operand dim {X.shape[0]} != map dim {d}")
-    blocks = m.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    return np.einsum("ij,ijkl->kl", X, blocks)
+    """L(X): the dA = 1 case of `extend_apply`."""
+    return extend_apply(m, X, 1)
 
 
 def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
-    """[I (x) L](rho): apply the map to the B-subsystem blocks of rho."""
+    """[I (x) L](rho) as one matmul.
+
+    The dA x dA grid of dB x dB blocks of rho becomes a dA^2 x dB^2
+    matrix, one flattened block per row, which the map's superoperator
+    acts on from the right.
+    """
     rho = as_matrix(rho)
     dB = m.d
-    if rho.shape[0] != dA * dB:
+    n = dA * dB
+    if rho.shape[0] != n:
         raise DimensionMismatch(
-            f"state dim {rho.shape[0]} != dA*dB = {dA * dB}"
+            f"state dim {rho.shape[0]} != dA*dB = {n}"
         )
-    out = np.empty_like(rho)
-    for i in range(dA):
-        for j in range(dA):
-            out[i * dB:(i + 1) * dB, j * dB:(j + 1) * dB] = apply_map(
-                m, rho[i * dB:(i + 1) * dB, j * dB:(j + 1) * dB]
-            )
-    return out
+    rows = rho.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(
+        dA * dA, dB * dB
+    )
+    out = rows @ m.superoperator
+    return out.reshape(dA, dA, dB, dB).transpose(0, 2, 1, 3).reshape(n, n)
 
 
 def is_cp(m: MatrixMap, tol: float = DEFAULT_TOL) -> bool:

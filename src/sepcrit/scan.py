@@ -124,7 +124,7 @@ def table1(alpha: float, beta: float = 1.0,
         raise InvalidParameters("bisect_tol must be >= 1e-6")
     dec = parse_map_spec(map_spec)
 
-    if math.isinf(alpha):
+    if alpha == math.inf:
         full = dec.map
 
         def violated(gamma: float) -> bool:

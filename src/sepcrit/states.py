@@ -3,7 +3,7 @@ entangled family of Horodecki, and seeded random ensembles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -15,11 +15,19 @@ from .linalg import as_matrix, tensor
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B."""
+    """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B.
+
+    Immutable.  `eig` is the eigendecomposition that validation computes.
+    `cache` holds per-(map, tol) spectral data; `sepcrit.criteria` owns
+    its keys and contents.
+    """
 
     matrix: np.ndarray
     dA: int
     dB: int
+    eig: linalg.HermitianEig = field(init=False, repr=False, compare=False)
+    cache: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def __post_init__(self):
         M = as_matrix(self.matrix)
@@ -31,10 +39,13 @@ class DensityMatrix:
             raise InvalidState(f"trace {np.trace(M)} != 1")
         if linalg.fro(M - linalg.dag(M)) > 1e-10 * max(1.0, linalg.fro(M)):
             raise InvalidState("matrix is not Hermitian")
-        if linalg.min_eigenvalue(M) < -1e-9:
+        eig = linalg.hermitian_eig(M)
+        if eig.eigenvalues[0] < -1e-9:
             raise InvalidState("matrix is not positive semidefinite")
+        for arr in (M, *eig):
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", M)
-        self.matrix.setflags(write=False)
+        object.__setattr__(self, "eig", eig)
 
     @property
     def dim(self) -> int:

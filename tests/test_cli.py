@@ -1,7 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from sepcrit.cli import main
+from sepcrit.errors import ParameterOutOfRange
 from sepcrit.formats import write_matrix
 
 from conftest import bell_state
@@ -123,3 +129,56 @@ def test_so3_region_to_file(tmp_path):
     ])
     assert result.exit_code == 0
     assert out.read_text().startswith("q,r,s,ppt,")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_entry_point(*args):
+    """Run the installed `sepcrit` entry point function in a subprocess."""
+    return subprocess.run(
+        [sys.executable, "-c", "from sepcrit.cli import run; run()", *args],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(SRC), "PATH": ""},
+    )
+
+
+def test_entry_point_exit_code_on_violation(tmp_path):
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(2), 2, 2)
+    args = ["check", str(path), "--map", "reduction d=2",
+            "--alpha", "1", "--beta", "2", "--kind", "I"]
+    proc = run_entry_point(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert "VIOLATED" in proc.stdout
+
+
+def test_entry_point_exit_code_clean(tmp_path):
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(4) / 4, 2, 2)
+    proc = run_entry_point("check", str(path), "--map", "reduction d=2")
+    assert proc.returncode == 0, proc.stderr
+    assert "VIOLATED" not in proc.stdout
+
+
+def test_entry_point_rejects_bad_alpha_text(tmp_path):
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(2), 2, 2)
+    proc = run_entry_point("check", str(path), "--alpha", "foo")
+    assert proc.returncode == 1
+    assert "Usage:" in proc.stderr
+    assert "Invalid value for '--alpha'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_check_rejects_non_finite_alpha(alpha, tmp_path):
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(2), 2, 2)
+    args = ["check", str(path), "--map", "reduction d=2", "--alpha", alpha]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, ParameterOutOfRange)
+    proc = run_entry_point(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "ok" not in proc.stdout.split()

@@ -104,6 +104,27 @@ class TestAlphaBetaInequality:
         with pytest.raises(ParameterOutOfRange):
             criteria.alpha_beta_inequality(bell_density(), dec, -1, 2, Kind.I)
 
+    @pytest.mark.parametrize("alpha,beta", [
+        (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+        (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, alpha, beta):
+        dec = maps.reduction_decomposition(2)
+        for kind in Kind.I, Kind.II, Kind.III, Kind.IV:
+            with pytest.raises(ParameterOutOfRange):
+                criteria.alpha_beta_inequality(
+                    bell_density(), dec, alpha, beta, kind
+                )
+
+    def test_identity_kind_three_rejects_singular_state(self):
+        # X1 = rho_A (x) 1 = 1/4 is regular; X2 = rho is a rank-one
+        # projector, so rho^(-1/2) on the right-hand side is undefined.
+        dec = maps.reduction_decomposition(2)
+        with pytest.raises(SingularOperand, match="X2"):
+            criteria.alpha_beta_inequality(
+                bell_density(), dec, 1, -0.5, Kind.III
+            )
+
     def test_identity_shortcut_matches_generic_rhs(self, rng):
         # Eq for lambda2 = identity: rhs = Tr rho^(alpha+beta)
         dec = maps.reduction_decomposition(3)
@@ -147,6 +168,11 @@ class TestEntropicInequality:
             assert abs(ent.lhs - red.lhs) <= 1e-10
             assert abs(ent.rhs - red.rhs) <= 1e-10
             assert ent.violated == red.violated
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ParameterOutOfRange):
+            criteria.entropic_inequality(bell_density(), alpha)
 
     def test_rejects_alpha_one(self):
         with pytest.raises(ParameterOutOfRange):
@@ -239,3 +265,103 @@ class TestSoundnessSample:
                     except SingularOperand:
                         continue
                     assert not res.violated, (dec.name, a, b, kind)
+
+
+def dense_reference(rho, dec, alpha, beta, kind, tol=1e-9):
+    """(violated, margin) from explicit matrix powers, as the criteria
+    were evaluated before the spectral core."""
+    M = rho.matrix
+    X1 = maps.extend_apply(dec.lambda1, M, rho.dA)
+    X2 = M if dec.lambda2_is_identity else maps.extend_apply(
+        dec.lambda2, M, rho.dA
+    )
+    rho_a = linalg.psd_power(M, alpha, tol)
+    lhs = np.trace(rho_a @ linalg.psd_power(X1, beta, tol)).real
+    if kind is Kind.IV:
+        lam = np.clip(np.linalg.eigvalsh(M)[::-1], 0, None)
+        sig = linalg.sorted_singular_values(X2)
+        rhs = np.sum(lam ** alpha * sig ** beta)
+    else:
+        rhs = np.trace(rho_a @ linalg.psd_power(X2, beta, tol)).real
+    margin = rhs - lhs if kind is Kind.III else lhs - rhs
+    return margin < -tol * max(1.0, abs(lhs), abs(rhs)), margin
+
+
+SWEEP_TRIPLES = (
+    [(a, b, Kind.I) for a in (1, 2, 5, 10) for b in (2, 3)]
+    + [(a, b, Kind.II) for a in (1, 2, 5, 10) for b in (0.5, 1)]
+    + [(a, b, Kind.IV) for a in (1, 2) for b in (1, 2)]
+    + [(a, -0.5, Kind.III) for a in (1, 2)]
+)
+
+
+class TestSpectralCore:
+    def sweep_states(self, rng):
+        for d in (3, 4):
+            for _ in range(6):
+                yield states.random_separable(d, d, 4, rng)
+                yield states.DensityMatrix(states.random_density(d * d, rng),
+                                           d, d)
+            for p in (0.1, 0.3, 0.6, 0.9):
+                yield states.DensityMatrix(
+                    p * bell_state(d) + (1 - p) * np.eye(d * d) / d ** 2,
+                    d, d,
+                )
+
+    def test_sweep_matches_dense_reference(self, rng):
+        decs = {3: [maps.reduction_decomposition(3),
+                    maps.phi_dk_decomposition(3, 1),
+                    maps.theta_decomposition(2, [1, 1, 1]),
+                    maps.transposition_decomposition(3)],
+                4: [maps.reduction_decomposition(4),
+                    maps.breuer_hall_decomposition(d=4),
+                    maps.breuer_hall_tilde_decomposition(d=4),
+                    maps.phi_dk_decomposition(4, 2),
+                    maps.tau_u_decomposition(
+                        maps.default_breuer_unitary(4))]}
+        evaluated = violated = 0
+        for rho in self.sweep_states(rng):
+            for dec in decs[rho.dA]:
+                for a, b, kind in SWEEP_TRIPLES:
+                    if kind is Kind.I and not dec.lambda2_is_identity:
+                        continue
+                    res = criteria.alpha_beta_inequality(rho, dec, a, b, kind)
+                    ref_violated, ref_margin = dense_reference(
+                        rho, dec, a, b, kind
+                    )
+                    assert res.violated == ref_violated
+                    assert abs(res.margin - ref_margin) <= 1e-12
+                    evaluated += 1
+                    violated += res.violated
+        assert evaluated == 16 * (3 * 22 + 14) + 16 * (4 * 22 + 14)
+        assert 0 < violated < evaluated
+
+    def test_cache_isolation(self, rng):
+        dec = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+        a = states.random_separable(4, 4, 4, rng)
+        b = states.random_separable(4, 4, 4, rng)
+        for rho in a, b:
+            for tol in 1e-9, 1e-12:
+                criteria.alpha_beta_inequality(rho, dec, 2, 0.5, Kind.II,
+                                               tol=tol)
+        # rho's spectrum and the two maps' entries, once per tol
+        assert len(a.cache) == len(b.cache) == 6
+        ids = {id(v) for v in a.cache.values()}
+        assert ids.isdisjoint(id(v) for v in b.cache.values())
+        for rho in a, b:
+            for tol in 1e-9, 1e-12:
+                entry = rho.cache[(id(dec.lambda2), tol)]
+                assert entry.map is dec.lambda2 and entry.tol == tol
+                assert np.array_equal(
+                    entry.X, maps.extend_apply(dec.lambda2, rho.matrix, 4)
+                )
+
+    def test_cached_result_equals_cold_result(self, rng):
+        dec = maps.phi_dk_decomposition(4, 2)
+        warm = states.random_separable(4, 4, 4, rng)
+        for a, b, kind in SWEEP_TRIPLES:
+            criteria.alpha_beta_inequality(warm, dec, a, b, kind)
+        for a, b, kind in SWEEP_TRIPLES:
+            cold = states.DensityMatrix(warm.matrix.copy(), 4, 4)
+            assert criteria.alpha_beta_inequality(warm, dec, a, b, kind) == \
+                criteria.alpha_beta_inequality(cold, dec, a, b, kind)

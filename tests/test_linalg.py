@@ -79,6 +79,11 @@ class TestPsdPower:
         with pytest.raises(NotPSD):
             linalg.psd_power(np.diag([1.0, -1.0]), 0.5)
 
+    def test_integer_power_checks_psd(self):
+        # Integer powers take the same clamp rule as fractional ones.
+        with pytest.raises(NotPSD):
+            linalg.matrix_power_psd(np.diag([1.0, -1.0]), 2)
+
     def test_rejects_singular_negative_power(self):
         with pytest.raises(SingularNegativePower):
             linalg.psd_power(np.diag([1.0, 0.0]), -0.5)

@@ -80,6 +80,56 @@ class TestExtendApply:
             assert linalg.min_eigenvalue(out) >= -1e-9, dec.name
 
 
+def extend_apply_per_block(m, rho, dA):
+    """Reference [I (x) L](rho): L applied to each dB x dB block."""
+    dB = m.d
+    out = np.empty((dA * dB, dA * dB), dtype=complex)
+    for i in range(dA):
+        for j in range(dA):
+            block = rho[i * dB:(i + 1) * dB, j * dB:(j + 1) * dB]
+            out[i * dB:(i + 1) * dB, j * dB:(j + 1) * dB] = sum(
+                block[k, l] * m.choi[k * dB:(k + 1) * dB, l * dB:(l + 1) * dB]
+                for k in range(dB) for l in range(dB)
+            )
+    return out
+
+
+class TestExtendApplyReference:
+    """The one-matmul extend_apply against the per-block loop; summation
+    order differs, so equality is to a few ulps of the operands."""
+
+    @pytest.mark.parametrize("dA", [1, 2, 3, 5])
+    def test_catalog_maps(self, dA, rng):
+        for dec in catalog():
+            for m in (dec.lambda1, dec.lambda2, dec.map):
+                G = rng.standard_normal((dA * m.d,) * 2) \
+                    + 1j * rng.standard_normal((dA * m.d,) * 2)
+                ref = extend_apply_per_block(m, G, dA)
+                bound = 1e-13 * linalg.fro(G) * max(1.0, linalg.fro(m.choi))
+                assert linalg.fro(maps.extend_apply(m, G, dA) - ref) <= bound
+
+    @pytest.mark.parametrize("dA,dB", [(2, 3), (3, 2), (4, 3), (1, 4)])
+    def test_dense_random_map(self, dA, dB, rng):
+        C = rng.standard_normal((dB * dB,) * 2) \
+            + 1j * rng.standard_normal((dB * dB,) * 2)
+        m = maps.MatrixMap(dB, C)
+        G = rng.standard_normal((dA * dB,) * 2) \
+            + 1j * rng.standard_normal((dA * dB,) * 2)
+        ref = extend_apply_per_block(m, G, dA)
+        assert linalg.fro(maps.extend_apply(m, G, dA) - ref) <= \
+            1e-13 * linalg.fro(G) * linalg.fro(C)
+
+    def test_apply_map_is_single_block_case(self, rng):
+        m = maps.phi_dk_decomposition(4, 2).map
+        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert np.array_equal(maps.apply_map(m, X), maps.extend_apply(m, X, 1))
+
+    def test_superoperator_is_cached_and_read_only(self):
+        m = maps.reduction_decomposition(3).lambda1
+        assert m.superoperator is m.superoperator
+        assert not m.superoperator.flags.writeable
+
+
 class TestIsCp:
     def test_trace_map_is_cp(self):
         dec = maps.reduction_decomposition(3)

@@ -6,7 +6,7 @@ import pytest
 
 from sepcrit import maps, scan, states
 from sepcrit.criteria import Kind
-from sepcrit.errors import InvalidParameters, ParseError
+from sepcrit.errors import InvalidParameters, ParameterOutOfRange, ParseError
 from sepcrit.formats import parse_matrix_file, write_matrix
 
 
@@ -81,6 +81,11 @@ class TestTable1:
         iv = scan.table1(math.inf, 1)
         assert not iv.upper_open and iv.upper == 5.0
         assert abs(iv.lower - 3.0) <= 5e-3
+
+    @pytest.mark.parametrize("alpha", [-math.inf, math.nan])
+    def test_rejects_other_non_finite_alpha(self, alpha):
+        with pytest.raises(ParameterOutOfRange):
+            scan.table1(alpha, 1)
 
     def test_rejects_too_fine_tol(self):
         with pytest.raises(InvalidParameters):

@@ -134,6 +134,13 @@ class TestRandomEnsembles:
 
 
 class TestDensityMatrixInvariants:
+    def test_keeps_read_only_eigendecomposition(self, rng):
+        rho = states.random_separable(3, 3, 4, rng)
+        w, V = rho.eig
+        assert np.allclose((V * w) @ V.conj().T, rho.matrix, atol=1e-14)
+        assert not (w.flags.writeable or V.flags.writeable
+                    or rho.matrix.flags.writeable)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidState):
             states.DensityMatrix(np.eye(4), 2, 2)
