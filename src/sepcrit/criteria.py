@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,14 @@ def _verdict(lhs: float, rhs: float, reversed_: bool, kind: Kind,
     )
 
 
+_BETA_OK = {
+    Kind.I: lambda beta: beta >= 1,
+    Kind.II: lambda beta: 0 <= beta <= 1,
+    Kind.III: lambda beta: -1 <= beta < 0,
+    Kind.IV: lambda beta: beta >= 0,
+}
+
+
 def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ParameterOutOfRange(
@@ -71,13 +79,7 @@ def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
         )
     if alpha < 0:
         raise ParameterOutOfRange(f"alpha={alpha} must be >= 0")
-    ok = {
-        Kind.I: beta >= 1,
-        Kind.II: 0 <= beta <= 1,
-        Kind.III: -1 <= beta < 0,
-        Kind.IV: beta >= 0,
-    }[kind]
-    if not ok:
+    if not _BETA_OK[kind](beta):
         raise ParameterOutOfRange(f"beta={beta} invalid for kind {kind.value}")
 
 
@@ -105,15 +107,14 @@ class _MapSpectrum:
     eigenbasis are computed on first use.
     """
 
-    def __init__(self, rho: DensityMatrix, m: MatrixMap, tol: float):
+    def __init__(self, m: MatrixMap, tol: float, X: np.ndarray,
+                 U: np.ndarray, weights: np.ndarray):
         # Holding m keeps its id, part of the cache key, from reuse.
         self.map = m
         self.tol = tol
-        self.X = extend_apply(m, rho.matrix, rho.dA)
-        self._U = rho.eig.eigenvectors
-        self.weights = np.einsum(
-            "ji,ji->i", self._U.conj(), self.X @ self._U
-        ).real
+        self.X = X
+        self._U = U
+        self.weights = weights
 
     @cached_property
     def eig(self) -> linalg.HermitianEig:
@@ -138,13 +139,65 @@ class _MapSpectrum:
         return float(lam_a @ self.overlap @ linalg.powered(self.mu, beta))
 
 
-def _map_spectrum(rho: DensityMatrix, m: MatrixMap,
-                  tol: float) -> _MapSpectrum:
-    key = (id(m), tol)
+# Every step of `fill_cache` is stackable, so one state's arrays need no
+# batch axis: _stacked and _per_state leave them as they are.
+
+def _stacked(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
+
+
+def _per_state(result: np.ndarray, n: int):
+    return (result,) if n == 1 else result
+
+
+def fill_cache(rhos: Sequence[DensityMatrix],
+               maps: Sequence[MatrixMap] = (), tol: float = DEFAULT_TOL,
+               marginal: Optional[str] = None, ppt: bool = False) -> None:
+    """Fill the caches of states on one C^dA (x) C^dB in one stacked pass.
+
+    Per map: X = [I (x) L](rho) and its weights (one matmul for the
+    stack).  With `marginal` ("A" or "B"): that marginal's clamped
+    spectrum (one eigensolve).  With `ppt`: the partial transpose's
+    minimum eigenvalue (one eigvalsh).  Entries a state already holds
+    are kept.  The criteria's lazy per-state fills are its one-state
+    calls.
+    """
+    dA, dB, n = rhos[0].dA, rhos[0].dB, len(rhos)
+    M = _stacked([rho.matrix for rho in rhos])
+    if maps:
+        U = _stacked([rho.eig.eigenvectors for rho in rhos])
+        Ud = U.conj()
+    for m in maps:
+        X = extend_apply(m, M, dA)
+        W = np.einsum("...ji,...ji->...i", Ud, X @ U).real
+        for rho, x, w in zip(rhos, _per_state(X, n), _per_state(W, n)):
+            rho.cache.setdefault((id(m), tol), _MapSpectrum(
+                m, tol, x, rho.eig.eigenvectors, w
+            ))
+    if marginal is not None:
+        marg = linalg.partial_trace(M, dA, dB, marginal)
+        w = linalg.clamp_psd(linalg.hermitian_eig(marg, tol).eigenvalues,
+                             linalg.fro(marg), tol)
+        for rho, v in zip(rhos, _per_state(w, n)):
+            rho.cache.setdefault(("marginal", marginal, tol), v)
+    if ppt:
+        w = linalg.min_eigenvalue(linalg.partial_transpose(M, dA, dB), tol)
+        for rho, v in zip(rhos, _per_state(w, n)):
+            rho.cache.setdefault(("ppt", tol), float(v))
+
+
+def _cached(rho: DensityMatrix, key, **what):
+    """rho's cache entry under key, filled by `fill_cache(**what)`."""
     entry = rho.cache.get(key)
     if entry is None:
-        entry = rho.cache[key] = _MapSpectrum(rho, m, tol)
+        fill_cache([rho], **what)
+        entry = rho.cache[key]
     return entry
+
+
+def _map_spectrum(rho: DensityMatrix, m: MatrixMap,
+                  tol: float) -> _MapSpectrum:
+    return _cached(rho, (id(m), tol), maps=(m,), tol=tol)
 
 
 def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
@@ -182,9 +235,9 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
         raise SingularOperand(f"X1 singular for beta={beta}") from exc
 
     if kind is Kind.IV:
-        w2 = rho.eig.eigenvalues if X2 is None else X2.eig.eigenvalues
-        sig = np.sort(np.abs(w2))  # singular values of the Hermitian X2
-        rhs = float(lam_a[::-1] @ np.power(sig, beta))
+        # singular values of the Hermitian X2, from its clamped spectrum
+        sig = np.sort(np.abs(lam if X2 is None else X2.mu))
+        rhs = float(lam_a[::-1] @ linalg.powered(sig, beta))
         return _verdict(lhs, rhs, False, kind, tol)
 
     try:
@@ -199,15 +252,17 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
 def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
                         tol: float = DEFAULT_TOL) -> CriterionResult:
     """Renyi-type inequality Tr rho_sub^a >= Tr rho^a (a > 1, reversed
-    for a < 1); violation certifies entanglement."""
+    for a < 1); violation certifies entanglement.  At a = 0 the traces
+    are ranks (0^0 := 0), so it is the rank test rank rho_sub <= rank rho.
+    """
     if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
         raise ParameterOutOfRange(
             f"alpha={alpha} must be finite, >= 0 and != 1"
         )
-    marg = rho.marginal(subsystem)
-    w = linalg.clamp_psd(
-        linalg.hermitian_eig(marg, tol).eigenvalues, linalg.fro(marg), tol
-    )
+    if subsystem not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    w = _cached(rho, ("marginal", subsystem, tol), marginal=subsystem,
+                tol=tol)
     lhs = float(np.sum(linalg.powered(w, alpha)))
     rhs = float(np.sum(linalg.powered(_rho_spectrum(rho, tol), alpha)))
     return _verdict(lhs, rhs, alpha < 1, Kind.ENTROPIC, tol)
@@ -222,9 +277,7 @@ def structural_criterion(rho: DensityMatrix, m: MatrixMap,
 
 def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """Min eigenvalue of the partial transpose; >= -tol means PPT."""
-    return linalg.min_eigenvalue(
-        linalg.partial_transpose(rho.matrix, rho.dA, rho.dB), tol
-    )
+    return _cached(rho, ("ppt", tol), ppt=True, tol=tol)
 
 
 def limit_witness(rho: DensityMatrix, m: MatrixMap,

@@ -1,11 +1,14 @@
 """Dense complex linear algebra primitives for Hermitian/PSD matrices.
 
 All matrices are square complex numpy arrays.  Dimensions stay below ~64,
-so everything is dense and eigendecomposition-based.
+so everything is dense and eigendecomposition-based.  Functions marked
+"stackable" also take a stack (..., n, n) and work matrix by matrix;
+a stack gives the same bits, matrix by matrix, as one call per matrix.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,26 +24,42 @@ DEFAULT_TOL = 1e-9
 
 
 def as_matrix(A) -> np.ndarray:
-    """Coerce to a square complex ndarray."""
+    """Coerce to a complex ndarray of square matrices (..., n, n)."""
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     return M
 
 
 def dag(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return A.conj().T
+    """Conjugate transpose (stackable)."""
+    return A.conj().mT
 
 
-def fro(A: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(A))
+def fro(A: np.ndarray):
+    """Frobenius norm (stackable).  Sums each matrix as np.linalg.norm
+    does (a BLAS dot of the real parts plus one of the imaginary parts),
+    so clamp bands do not depend on whether a matrix came in a stack."""
+    A = np.asarray(A)
+    x = A.reshape(A.shape[:-2] + (-1,))
+    if x.ndim == 1:
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def is_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(A, tol: float = DEFAULT_TOL) -> bool:
+    """True if A (every matrix of a stack) is Hermitian within tol,
+    relative to its Frobenius norm."""
     A = as_matrix(A)
-    return fro(A - dag(A)) <= tol * max(1.0, fro(A))
+    return _is_hermitian(A, dag(A), tol)
+
+
+def _is_hermitian(A: np.ndarray, Ad: np.ndarray, tol: float) -> bool:
+    # one matrix: Python floats, as numpy scalars would cost as much as
+    # the check itself
+    if A.ndim == 2:
+        return fro(A - Ad) <= tol * max(1.0, fro(A))
+    return bool((fro(A - Ad) <= tol * np.maximum(1.0, fro(A))).all())
 
 
 class HermitianEig(NamedTuple):
@@ -54,55 +73,68 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _hermitian_part(A, tol: float) -> np.ndarray:
+    A = as_matrix(A)
+    Ad = dag(A)
+    if not _is_hermitian(A, Ad, tol):
+        raise NonHermitian(f"matrix is not Hermitian within tol={tol}")
+    return (A + Ad) / 2
+
+
 def hermitian_eig(A, tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending
+    (stackable).
 
     Raises NonHermitian if A is not Hermitian within tol (relative to
     its Frobenius norm).
     """
-    A = as_matrix(A)
-    if not is_hermitian(A, tol):
-        raise NonHermitian(f"matrix is not Hermitian within tol={tol}")
-    w, V = np.linalg.eigh((A + dag(A)) / 2)
+    w, V = np.linalg.eigh(_hermitian_part(A, tol))
     return HermitianEig(w, V)
 
 
 def clamp_psd(w: np.ndarray, scale: float,
               tol: float = DEFAULT_TOL) -> np.ndarray:
     """The one clamp rule for the spectrum w (ascending) of a PSD matrix
-    with Frobenius norm `scale`.
+    with Frobenius norm `scale` (stackable: w (..., n), scale (...)).
 
     Eigenvalues inside the +-tol*scale band become exactly zero.  Raises
     NotPSD on an eigenvalue below the band.
     """
-    band = tol * max(scale, 1e-300)
-    if w[0] < -band:
+    band = tol * scale
+    if w.ndim > 1:  # one band per spectrum of the stack
+        band = np.asarray(band)[..., None]
+        if (w[..., :1] < -band).any():
+            raise NotPSD(f"an eigenvalue of the stack is below -{tol} * "
+                         "its Frobenius norm")
+    elif w[0] < -band:
         raise NotPSD(f"min eigenvalue {w[0]} < -{band}")
     return np.where(np.abs(w) <= band, 0.0, w)
 
 
 def powered(w: np.ndarray, t: float) -> np.ndarray:
-    """w**t elementwise on a clamped spectrum, with 0**t := 0 for t > 0
-    and w**0 := 1.  Raises SingularNegativePower when t < 0 and w has a
-    zero."""
+    """w**t elementwise on a clamped spectrum, with 0**t := 0 for t >= 0:
+    w**0 is the support indicator (w != 0), the t -> 0+ limit.  Raises
+    SingularNegativePower when t < 0 and w has a zero."""
     if t == 0:
-        return np.ones_like(w)
+        return (w != 0).astype(float)
     if t < 0 and not w.all():
         raise SingularNegativePower("negative power of a singular matrix")
     return w ** t
 
 
 def psd_power(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """A**t for PSD A via eigendecomposition.
+    """A**t for PSD A via eigendecomposition (stackable).
 
-    The spectrum is clamped by `clamp_psd` and raised by `powered`.
-    t = 1 returns a copy of A without an eigensolve.
+    The spectrum is clamped by `clamp_psd` and raised by `powered`, so
+    A**0 is the projector onto the support of A.  t = 1 returns a copy
+    of A without an eigensolve.
     """
     A = as_matrix(A)
     if t == 1:
         return A.copy()
     w, V = hermitian_eig(A, tol)
-    return (V * powered(clamp_psd(w, fro(A), tol), t)) @ dag(V)
+    w = powered(clamp_psd(w, fro(A), tol), t)
+    return (V * w[..., None, :]) @ dag(V)
 
 
 def matrix_power_psd(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -119,34 +151,35 @@ def tensor(*ops) -> np.ndarray:
 
 
 def _blocks(rho: np.ndarray, dA: int, dB: int) -> np.ndarray:
-    """View rho as a dA x dA grid of dB x dB blocks, axes (i, j, k, l)."""
+    """View rho as a dA x dA grid of dB x dB blocks, axes (..., i, j, k, l)."""
     rho = as_matrix(rho)
-    if rho.shape[0] != dA * dB:
+    if rho.shape[-1] != dA * dB:
         raise DimensionMismatch(
-            f"matrix dim {rho.shape[0]} != dA*dB = {dA * dB}"
+            f"matrix dim {rho.shape[-1]} != dA*dB = {dA * dB}"
         )
-    return rho.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3)
+    return rho.reshape(rho.shape[:-2] + (dA, dB, dA, dB)).swapaxes(-3, -2)
 
 
 def partial_trace(rho, dA: int, dB: int, keep: str = "A") -> np.ndarray:
-    """Trace out one subsystem of a bipartite operator on C^dA (x) C^dB.
+    """Trace out one subsystem of a bipartite operator on C^dA (x) C^dB
+    (stackable).
 
     keep selects the surviving subsystem: "A" -> dA x dA, "B" -> dB x dB.
     """
     B = _blocks(rho, dA, dB)
     if keep == "A":
-        return np.trace(B, axis1=2, axis2=3)
+        return np.trace(B, axis1=-2, axis2=-1)
     if keep == "B":
-        return np.einsum("iikl->kl", B)
+        return np.einsum("...iikl->...kl", B)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_transpose(rho, dA: int, dB: int) -> np.ndarray:
-    """Transpose subsystem B of a bipartite operator (block-wise transpose)."""
+    """Transpose subsystem B of a bipartite operator (block-wise
+    transpose; stackable)."""
     B = _blocks(rho, dA, dB)
-    return B.transpose(0, 1, 3, 2).transpose(0, 2, 1, 3).reshape(
-        dA * dB, dA * dB
-    )
+    return B.swapaxes(-1, -2).swapaxes(-3, -2).reshape(B.shape[:-4] + (
+        dA * dB, dA * dB))
 
 
 def sorted_singular_values(X) -> np.ndarray:
@@ -163,6 +196,8 @@ def commutator_norm(A, B) -> float:
     return fro(A @ B - B @ A)
 
 
-def min_eigenvalue(A, tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eig(A, tol).eigenvalues[0])
+def min_eigenvalue(A, tol: float = DEFAULT_TOL):
+    """Smallest eigenvalue of a Hermitian matrix, from eigenvalues only
+    (stackable: one per matrix)."""
+    w = np.linalg.eigvalsh(_hermitian_part(A, tol))[..., 0]
+    return w if w.ndim else float(w)

@@ -30,9 +30,9 @@ class MatrixMap:
 
     def __post_init__(self):
         C = as_matrix(self.choi)
-        if C.shape[0] != self.d * self.d:
+        if C.shape != (self.d * self.d,) * 2:
             raise DimensionMismatch(
-                f"Choi dim {C.shape[0]} != d^2 = {self.d * self.d}"
+                f"Choi shape {C.shape} != d^2 x d^2 = {self.d * self.d}"
             )
         object.__setattr__(self, "choi", C)
         self.choi.setflags(write=False)
@@ -70,8 +70,17 @@ class CPDecomposition:
         return self.lambda1.d
 
     @property
+    def cp_maps(self) -> list[MatrixMap]:
+        """The maps X1, X2 are built from: lambda1, and lambda2 unless
+        it is the identity (then X2 = rho)."""
+        if self.lambda2_is_identity:
+            return [self.lambda1]
+        return [self.lambda1, self.lambda2]
+
+    @cached_property
     def map(self) -> MatrixMap:
-        """The difference map L = L1 - L2."""
+        """The difference map L = L1 - L2, built once, so that its
+        per-state cache entries are found again."""
         return MatrixMap(
             self.d, self.lambda1.choi - self.lambda2.choi, self.name
         )
@@ -96,7 +105,7 @@ def apply_map(m: MatrixMap, X) -> np.ndarray:
 
 
 def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
-    """[I (x) L](rho) as one matmul.
+    """[I (x) L](rho) as one matmul; rho may be a stack (..., n, n).
 
     The dA x dA grid of dB x dB blocks of rho becomes a dA^2 x dB^2
     matrix, one flattened block per row, which the map's superoperator
@@ -104,16 +113,18 @@ def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
     """
     rho = as_matrix(rho)
     dB = m.d
-    n = dA * dB
-    if rho.shape[0] != n:
+    if rho.shape[-1] != dA * dB:
         raise DimensionMismatch(
-            f"state dim {rho.shape[0]} != dA*dB = {n}"
+            f"state dim {rho.shape[-1]} != dA*dB = {dA * dB}"
         )
-    rows = rho.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(
-        dA * dA, dB * dB
+    batch = rho.shape[:-2]
+    rows = rho.reshape(batch + (dA, dB, dA, dB)).swapaxes(-3, -2).reshape(
+        batch + (dA * dA, dB * dB)
     )
     out = rows @ m.superoperator
-    return out.reshape(dA, dA, dB, dB).transpose(0, 2, 1, 3).reshape(n, n)
+    return out.reshape(batch + (dA, dA, dB, dB)).swapaxes(-3, -2).reshape(
+        rho.shape
+    )
 
 
 def is_cp(m: MatrixMap, tol: float = DEFAULT_TOL) -> bool:

@@ -15,6 +15,7 @@ from .criteria import (
     Kind,
     alpha_beta_inequality,
     entropic_inequality,
+    fill_cache,
     limit_witness,
     ppt_check,
 )
@@ -22,7 +23,12 @@ from .errors import InvalidParameters, ParameterOutOfRange
 from .formats import format_float
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition
-from .states import DensityMatrix, horodecki_state, so3_state
+from .states import (
+    DensityMatrix,
+    horodecki_state,
+    horodecki_states,
+    so3_states,
+)
 
 # Verdict tolerance used when locating interval boundaries.  The default
 # criterion tolerance (1e-9, relative) is meant to suppress false
@@ -109,6 +115,22 @@ def _bisect(predicate, false_side: float, true_side: float,
     return 0.5 * (false_side + true_side)
 
 
+def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
+                   kind: Optional[Kind],
+                   rhos: list[DensityMatrix]) -> list[bool]:
+    """table1's violation test on states of the 3x3 family, with their
+    caches filled as one stack.  alpha = inf routes to the limit witness.
+    """
+    if alpha == math.inf:
+        fill_cache(rhos, [dec.map])
+        return [limit_witness(rho, dec.map) < 0 for rho in rhos]
+    kind = kind or route_kind(beta)
+    tol = BISECTION_CRITERION_TOL
+    fill_cache(rhos, dec.cp_maps, tol)
+    return [alpha_beta_inequality(rho, dec, alpha, beta, kind, tol).violated
+            for rho in rhos]
+
+
 def table1(alpha: float, beta: float = 1.0,
            map_spec: str = "phi_dk d=3 k=1",
            kind: Optional[Kind] = None,
@@ -118,29 +140,20 @@ def table1(alpha: float, beta: float = 1.0,
     from the given map is violated on the 3x3 test family.
 
     alpha = inf routes to the limit witness.  Boundaries are located on
-    a 0.01 grid and refined by bisection to bisect_tol.
+    a 0.01 grid, whose states are built and tested as one stack, and
+    refined by bisection to bisect_tol.
     """
     if bisect_tol < 1e-6:
         raise InvalidParameters("bisect_tol must be >= 1e-6")
     dec = parse_map_spec(map_spec)
 
-    if alpha == math.inf:
-        full = dec.map
-
-        def violated(gamma: float) -> bool:
-            return limit_witness(horodecki_state(gamma), full) < 0
-    else:
-        used_kind = kind or route_kind(beta)
-
-        def violated(gamma: float) -> bool:
-            return alpha_beta_inequality(
-                horodecki_state(gamma), dec, alpha, beta, used_kind,
-                tol=BISECTION_CRITERION_TOL,
-            ).violated
+    def violated(gamma: float) -> bool:
+        return gamma_verdicts(alpha, beta, dec, kind,
+                              [horodecki_state(gamma)])[0]
 
     grid = np.arange(2.0, 5.0 + grid_step / 2, grid_step)
     grid[-1] = 5.0
-    mask = [violated(g) for g in grid]
+    mask = gamma_verdicts(alpha, beta, dec, kind, horodecki_states(grid))
     if not any(mask):
         return GammaInterval(empty=True)
     i0 = mask.index(True)
@@ -191,14 +204,38 @@ class ScanRow:
     results: dict = field(default_factory=dict)  # label -> CriterionResult
 
 
-def so3_grid_count(p: float, resolution: int) -> int:
-    """Closed-form count of admissible (q, r) grid points."""
-    n = 0
+def _fill(rhos: list[DensityMatrix], criteria: list[RegionCriterion],
+          ppt_tol: float) -> None:
+    """Fill, for states of one shape, the cache entries that the criteria
+    and `ppt_check` at ppt_tol read: one `fill_cache` pass per
+    tolerance."""
+    for tol in dict.fromkeys([c.tol for c in criteria] + [ppt_tol]):
+        used = [c for c in criteria if c.tol == tol]
+        maps = {id(m): m for c in used if c.dec for m in c.dec.cp_maps}
+        fill_cache(
+            rhos, list(maps.values()), tol,
+            marginal="A" if any(c.dec is None for c in used) else None,
+            ppt=tol == ppt_tol,
+        )
+
+
+def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
+    """The admissible (q, r) grid at fixed p, one q-row at a time.
+
+    Yields (q, [(r, s), ...]) for each q with admissible points, r
+    ascending, where s = 1 - p - q - r >= -1e-12.
+    """
     for i in range(resolution + 1):
-        for j in range(resolution + 1):
-            if 1.0 - p - i / resolution - j / resolution >= -1e-12:
-                n += 1
-    return n
+        q = i / resolution
+        rs = [j / resolution for j in range(resolution + 1)]
+        row = [(r, 1.0 - p - q - r) for r in rs if 1.0 - p - q - r >= -1e-12]
+        if row:
+            yield q, row
+
+
+def so3_grid_count(p: float, resolution: int) -> int:
+    """Number of admissible (q, r) points of `so3_grid`."""
+    return sum(len(row) for _, row in so3_grid(p, resolution))
 
 
 def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
@@ -206,7 +243,8 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     """Scan the admissible (q, r) simplex at fixed p on a uniform grid.
 
     Emits rows in row-major (q outer, r inner) order; each row carries
-    the PPT flag and every criterion's verdict.
+    the PPT flag and every criterion's verdict.  Each q-row of states is
+    built, validated and cached as one stack, so memory is O(resolution).
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameters(f"p={p} outside [0,1]")
@@ -215,14 +253,10 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")
-    for i in range(resolution + 1):
-        q = i / resolution
-        for j in range(resolution + 1):
-            r = j / resolution
-            s = 1.0 - p - q - r
-            if s < -1e-12:
-                continue
-            rho = so3_state(p, q, r)
+    for q, row in so3_grid(p, resolution):
+        rhos = so3_states(p, q, [r for r, _ in row])
+        _fill(rhos, criteria, DEFAULT_TOL)
+        for rho, (r, s) in zip(rhos, row):
             ppt = ppt_check(rho) >= -tol
             results = {c.label: c.evaluate(rho) for c in criteria}
             yield ScanRow(q, r, max(s, 0.0), ppt, results)

@@ -9,7 +9,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import InvalidParameters, InvalidState
+from .errors import (
+    DimensionMismatch,
+    InvalidParameters,
+    InvalidState,
+    NonHermitian,
+)
 from .linalg import as_matrix, tensor
 
 
@@ -19,7 +24,8 @@ class DensityMatrix:
 
     Immutable.  `eig` is the eigendecomposition that validation computes.
     `cache` holds per-(map, tol) spectral data; `sepcrit.criteria` owns
-    its keys and contents.
+    its keys and contents.  `density_matrices` validates a whole stack
+    with one eigensolve; this constructor is its one-matrix case.
     """
 
     matrix: np.ndarray
@@ -31,19 +37,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         M = as_matrix(self.matrix)
-        if M.shape[0] != self.dA * self.dB:
-            raise InvalidState(
-                f"dim {M.shape[0]} != dA*dB = {self.dA * self.dB}"
-            )
-        if abs(np.trace(M) - 1.0) > 1e-10:
-            raise InvalidState(f"trace {np.trace(M)} != 1")
-        if linalg.fro(M - linalg.dag(M)) > 1e-10 * max(1.0, linalg.fro(M)):
-            raise InvalidState("matrix is not Hermitian")
-        eig = linalg.hermitian_eig(M)
-        if eig.eigenvalues[0] < -1e-9:
-            raise InvalidState("matrix is not positive semidefinite")
-        for arr in (M, *eig):
-            arr.setflags(write=False)
+        if M.ndim != 2:
+            raise DimensionMismatch(f"expected a matrix, got shape {M.shape}")
+        eig = _validated(M, self.dA, self.dB)
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "eig", eig)
 
@@ -53,6 +49,49 @@ class DensityMatrix:
 
     def marginal(self, keep: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
+
+
+def _validated(M: np.ndarray, dA: int, dB: int) -> linalg.HermitianEig:
+    """Check density matrices M (..., n, n) on C^dA (x) C^dB and return
+    their eigendecomposition.  M and the result become read-only.
+    Raises InvalidState for the first check that any matrix fails."""
+    n = dA * dB
+    if M.shape[-1] != n:
+        raise InvalidState(f"dim {M.shape[-1]} != dA*dB = {n}")
+    tr = M.trace(axis1=-2, axis2=-1)
+    bad = abs(tr - 1.0) > 1e-10
+    if np.count_nonzero(bad):
+        raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
+    try:
+        eig = linalg.hermitian_eig(M, tol=1e-10)
+    except NonHermitian:
+        raise InvalidState("matrix is not Hermitian") from None
+    if np.count_nonzero(eig.eigenvalues[..., 0] < -1e-9):
+        raise InvalidState("matrix is not positive semidefinite")
+    for arr in (M, *eig):
+        arr.setflags(write=False)
+    return eig
+
+
+def density_matrices(matrices, dA: int, dB: int) -> list[DensityMatrix]:
+    """Validate a stack (..., n, n) of matrices with one eigensolve.
+
+    Returns one read-only DensityMatrix per matrix, each holding its
+    slice of the stack and of the eigendecomposition, as
+    `DensityMatrix(matrix, dA, dB)` would.
+    """
+    M = as_matrix(matrices)
+    w, V = _validated(M, dA, dB)
+    n = dA * dB
+    out = []
+    for m, wk, Vk in zip(M.reshape(-1, n, n), w.reshape(-1, n),
+                         V.reshape(-1, n, n)):
+        # validated above, so the per-matrix __post_init__ is skipped
+        rho = object.__new__(DensityMatrix)
+        vars(rho).update(matrix=m, dA=dA, dB=dB, cache={},
+                         eig=linalg.HermitianEig(wk, Vk))
+        out.append(rho)
+    return out
 
 
 def spin_operators(j: float = 1.5):
@@ -91,19 +130,30 @@ def so3_projectors():
     return tuple(projectors)
 
 
+def so3_states(p, q, r) -> list[DensityMatrix]:
+    """`so3_state` at each point of the broadcast arrays p, q, r, built
+    and validated as one stack."""
+    p, q, r = np.broadcast_arrays(*np.atleast_1d(p, q, r))
+    weights = (p, q, r, 1.0 - p - q - r)
+    bad = np.any([(w < -1e-12) | (w > 1 + 1e-12) for w in weights], axis=0)
+    if bad.any():
+        k = bad.argmax()
+        raise InvalidParameters(
+            f"(p,q,r,s)={tuple(float(w[k]) for w in weights)} not in [0,1]"
+        )
+    P = so3_projectors()
+    rho = sum((w / (2 * J + 1))[:, None, None] * P[J]
+              for J, w in enumerate(weights))
+    return density_matrices(rho, 4, 4)
+
+
 def so3_state(p: float, q: float, r: float) -> DensityMatrix:
     """SO(3)-invariant two-spin-3/2 state p P0 + q P1/3 + r P2/5 + s P3/7.
 
     (p, q, r, s = 1-p-q-r) must be a probability vector; the projectors
     are trace-normalized so that the mixture has unit trace.
     """
-    s = 1.0 - p - q - r
-    weights = (p, q, r, s)
-    if any(w < -1e-12 or w > 1 + 1e-12 for w in weights):
-        raise InvalidParameters(f"(p,q,r,s)={weights} not in [0,1]")
-    P = so3_projectors()
-    rho = sum(w / (2 * J + 1) * P[J] for J, w in enumerate(weights))
-    return DensityMatrix(rho, 4, 4)
+    return so3_states(p, q, r)[0]
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -122,14 +172,12 @@ def max_entangled(d: int) -> np.ndarray:
     return psi
 
 
-def horodecki_state(gamma: float) -> DensityMatrix:
-    """One-parameter 3x3 family: PPT for gamma in [2,4], entangled in (3,5].
-
-    sigma_gamma = (1/7) [2 |psi+><psi+| + gamma sigma_plus
-                         + (5-gamma) sigma_minus].
-    """
-    if not 2.0 <= gamma <= 5.0:
-        raise InvalidParameters(f"gamma={gamma} outside [2, 5]")
+def horodecki_states(gammas) -> list[DensityMatrix]:
+    """`horodecki_state` at each gamma, built and validated as one stack."""
+    gamma = np.atleast_1d(np.asarray(gammas, dtype=float))
+    bad = ~((2.0 <= gamma) & (gamma <= 5.0))
+    if bad.any():
+        raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")
     psi = max_entangled(3)
     proj = np.outer(psi, psi.conj())
     sigma_plus = np.zeros((9, 9), dtype=complex)
@@ -137,8 +185,18 @@ def horodecki_state(gamma: float) -> DensityMatrix:
         sigma_plus[3 * i + j, 3 * i + j] = 1 / 3
     V = swap_operator(3)
     sigma_minus = V @ sigma_plus @ V.conj().T
-    rho = (2 * proj + gamma * sigma_plus + (5 - gamma) * sigma_minus) / 7
-    return DensityMatrix(rho, 3, 3)
+    g = gamma[:, None, None]
+    rho = (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
+    return density_matrices(rho, 3, 3)
+
+
+def horodecki_state(gamma: float) -> DensityMatrix:
+    """One-parameter 3x3 family: PPT for gamma in [2,4], entangled in (3,5].
+
+    sigma_gamma = (1/7) [2 |psi+><psi+| + gamma sigma_plus
+                         + (5-gamma) sigma_minus].
+    """
+    return horodecki_states(gamma)[0]
 
 
 def random_density(d: int, seed=0) -> np.ndarray:

@@ -178,6 +178,11 @@ class TestEntropicInequality:
         with pytest.raises(ParameterOutOfRange):
             criteria.entropic_inequality(bell_density(), 1.0)
 
+    @pytest.mark.parametrize("subsystem", ["", None, "C"])
+    def test_rejects_bad_subsystem(self, subsystem):
+        with pytest.raises(ValueError, match="must be 'A' or 'B'"):
+            criteria.entropic_inequality(bell_density(), 2, subsystem)
+
 
 class TestStructuralAndPpt:
     def test_separable_passes_reduction(self, rng):
@@ -237,6 +242,14 @@ class TestLimitWitness:
             i = j + 1
         rot = states.DensityMatrix(M, 3, 3)
         assert abs(criteria.limit_witness(rot, phi) - base) <= 1e-8
+
+    def test_difference_map_has_one_cache_entry(self):
+        dec = maps.phi_dk_decomposition(3, 1)
+        rho = states.horodecki_state(4.8)
+        first = criteria.limit_witness(rho, dec.map)
+        n = len(rho.cache)
+        assert criteria.limit_witness(rho, dec.map) == first
+        assert len(rho.cache) == n
 
     def test_all_projections_vanish(self):
         zero = maps.MatrixMap(2, np.zeros((4, 4)), "zero")
@@ -365,3 +378,99 @@ class TestSpectralCore:
             cold = states.DensityMatrix(warm.matrix.copy(), 4, 4)
             assert criteria.alpha_beta_inequality(warm, dec, a, b, kind) == \
                 criteria.alpha_beta_inequality(cold, dec, a, b, kind)
+
+
+def rank_deficient_separable(d, k, rng):
+    """Mixture of k pure product states on C^d (x) C^d (rank <= k)."""
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for w in rng.dirichlet(np.ones(k)):
+        a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                for _ in range(2))
+        psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        rho += w * np.outer(psi, psi.conj())
+    return states.DensityMatrix(rho, d, d)
+
+
+class TestZeroPower:
+    """0^0 := 0 on the clamped kernel: the t -> 0+ limit."""
+
+    def test_entropic_alpha_zero_is_rank_test(self):
+        res = criteria.entropic_inequality(bell_density(), 0)
+        assert (res.lhs, res.rhs) == (2.0, 1.0)  # rank rho_A, rank rho
+        assert res.violated
+        assert not criteria.entropic_inequality(pure_product(3, 3), 0).violated
+
+    def test_rank_deficient_separable_never_violate(self, rng):
+        catalog = {3: [maps.reduction_decomposition(3),
+                       maps.phi_dk_decomposition(3, 1),
+                       maps.theta_decomposition(2, [1, 1, 1]),
+                       maps.transposition_decomposition(3)],
+                   4: [maps.reduction_decomposition(4),
+                       maps.breuer_hall_decomposition(d=4),
+                       maps.breuer_hall_tilde_decomposition(d=4),
+                       maps.phi_dk_decomposition(4, 2),
+                       maps.tau_u_decomposition(
+                           maps.default_breuer_unitary(4))]}
+        triples = ([(0, b, Kind.I) for b in (1, 2)]
+                   + [(0, b, Kind.II) for b in (0, 0.5, 1)]
+                   + [(0, b, Kind.IV) for b in (0, 1, 2)]
+                   + [(0, -0.5, Kind.III)]
+                   + [(a, 0, kind) for a in (0.5, 1, 2, 5)
+                      for kind in (Kind.II, Kind.IV)])
+        evaluated = 0
+        for d, decs in catalog.items():
+            for k in (1, 2, 3):
+                for _ in range(4):
+                    rho = rank_deficient_separable(d, k, rng)
+                    assert not criteria.entropic_inequality(rho, 0).violated
+                    for dec in decs:
+                        for a, b, kind in triples:
+                            if kind is Kind.I and not dec.lambda2_is_identity:
+                                continue
+                            try:
+                                res = criteria.alpha_beta_inequality(
+                                    rho, dec, a, b, kind)
+                            except SingularOperand:
+                                continue
+                            assert not res.violated, (dec.name, k, a, b, kind)
+                            evaluated += 1
+        assert evaluated > 1000
+
+    def test_kind_four_uses_clamped_spectrum(self):
+        # lambda2 = identity: the singular values are rho's clamped
+        # spectrum [0, ..., 0, 1].  Kind IV pairs it ascending with rho's
+        # descending spectrum, so the pure state's weight meets an exact
+        # zero; raising the unclamped kernel (~1e-17) to beta = 0 gave 1.
+        rho = pure_product(3, 3)
+        dec = maps.reduction_decomposition(3)
+        for beta in (0, 1):
+            res = criteria.alpha_beta_inequality(rho, dec, 1, beta, Kind.IV)
+            assert res.rhs == 0.0
+
+
+class TestFillCache:
+    def test_stack_fill_equals_lazy_fill(self, rng):
+        dec = maps.breuer_hall_decomposition(d=4)
+        mats = [states.random_separable(4, 4, 4, rng).matrix
+                for _ in range(3)]
+        stacked = states.density_matrices(mats, 4, 4)
+        criteria.fill_cache(stacked, dec.cp_maps, 1e-9, marginal="B",
+                            ppt=True)
+        for rho in stacked:
+            lazy = states.DensityMatrix(rho.matrix.copy(), 4, 4)
+            for m in dec.cp_maps:
+                got = rho.cache[(id(m), 1e-9)]
+                want = criteria._map_spectrum(lazy, m, 1e-9)
+                assert np.array_equal(got.X, want.X)
+                assert np.array_equal(got.weights, want.weights)
+            assert criteria.ppt_check(rho) == criteria.ppt_check(lazy)
+            assert criteria.entropic_inequality(rho, 2, "B") == \
+                criteria.entropic_inequality(lazy, 2, "B")
+            assert len(rho.cache) == len(lazy.cache)
+
+    def test_keeps_existing_entries(self, rng):
+        dec = maps.reduction_decomposition(3)
+        rho = states.random_separable(3, 3, 4, rng)
+        entry = criteria._map_spectrum(rho, dec.lambda1, 1e-9)
+        criteria.fill_cache([rho], [dec.lambda1], 1e-9)
+        assert rho.cache[(id(dec.lambda1), 1e-9)] is entry

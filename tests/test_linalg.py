@@ -89,6 +89,58 @@ class TestPsdPower:
             linalg.psd_power(np.diag([1.0, 0.0]), -0.5)
 
 
+class TestZeroPower:
+    def test_powered_zero_is_support_indicator(self):
+        w = np.array([0.0, 0.25, 0.75])
+        assert np.array_equal(linalg.powered(w, 0), [0.0, 1.0, 1.0])
+
+    def test_psd_power_zero_is_support_projector(self):
+        psi = np.array([1.0, 1.0j]) / np.sqrt(2)
+        P = np.outer(psi, psi.conj())
+        assert np.allclose(linalg.psd_power(P, 0), P, atol=1e-14)
+        assert np.allclose(linalg.psd_power(np.eye(3) / 3, 0), np.eye(3))
+
+
+class TestStacks:
+    """Stackable functions give, matrix by matrix, the bits of one call
+    per matrix."""
+
+    def test_matches_one_call_per_matrix(self, rng):
+        A = np.array([random_hermitian(6, rng) for _ in range(4)])
+        P = np.array([random_psd(6, rng) for _ in range(4)])
+        w, V = linalg.hermitian_eig(A)
+        mins = linalg.min_eigenvalue(A)
+        norms = linalg.fro(A)
+        clamped = linalg.clamp_psd(linalg.hermitian_eig(P).eigenvalues,
+                                   linalg.fro(P))
+        for k in range(4):
+            one = linalg.hermitian_eig(A[k])
+            assert np.array_equal(w[k], one.eigenvalues)
+            assert np.array_equal(V[k], one.eigenvectors)
+            assert mins[k] == linalg.min_eigenvalue(A[k])
+            assert norms[k] == linalg.fro(A[k]) == np.linalg.norm(A[k])
+            assert np.array_equal(clamped[k], linalg.clamp_psd(
+                linalg.hermitian_eig(P[k]).eigenvalues, linalg.fro(P[k])))
+            for keep in "AB":
+                assert np.array_equal(
+                    linalg.partial_trace(A, 2, 3, keep)[k],
+                    linalg.partial_trace(A[k], 2, 3, keep))
+            assert np.array_equal(linalg.partial_transpose(A, 3, 2)[k],
+                                  linalg.partial_transpose(A[k], 3, 2))
+            assert np.array_equal(linalg.psd_power(P, 0.5)[k],
+                                  linalg.psd_power(P[k], 0.5))
+
+    def test_one_bad_member_raises(self, rng):
+        A = np.array([random_hermitian(4, rng) for _ in range(3)])
+        A[1, 0, 1] += 1.0
+        with pytest.raises(NonHermitian):
+            linalg.hermitian_eig(A)
+        P = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
+        with pytest.raises(NotPSD):
+            linalg.clamp_psd(linalg.hermitian_eig(P).eigenvalues,
+                             linalg.fro(P))
+
+
 class TestPartialTrace:
     def test_product_factorization(self, rng):
         a = random_psd(3, rng)

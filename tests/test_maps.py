@@ -113,16 +113,26 @@ class TestExtendApplyReference:
         C = rng.standard_normal((dB * dB,) * 2) \
             + 1j * rng.standard_normal((dB * dB,) * 2)
         m = maps.MatrixMap(dB, C)
-        G = rng.standard_normal((dA * dB,) * 2) \
-            + 1j * rng.standard_normal((dA * dB,) * 2)
-        ref = extend_apply_per_block(m, G, dA)
-        assert linalg.fro(maps.extend_apply(m, G, dA) - ref) <= \
-            1e-13 * linalg.fro(G) * linalg.fro(C)
+        stack = rng.standard_normal((3,) + (dA * dB,) * 2) \
+            + 1j * rng.standard_normal((3,) + (dA * dB,) * 2)
+        out = maps.extend_apply(m, stack, dA)
+        for G, X in zip(stack, out):
+            ref = extend_apply_per_block(m, G, dA)
+            assert linalg.fro(maps.extend_apply(m, G, dA) - ref) <= \
+                1e-13 * linalg.fro(G) * linalg.fro(C)
+            # a stack gives the per-matrix bits
+            assert np.array_equal(X, maps.extend_apply(m, G, dA))
 
     def test_apply_map_is_single_block_case(self, rng):
         m = maps.phi_dk_decomposition(4, 2).map
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.array_equal(maps.apply_map(m, X), maps.extend_apply(m, X, 1))
+
+    def test_difference_map_is_built_once(self):
+        dec = maps.phi_dk_decomposition(3, 1)
+        assert dec.map is dec.map
+        assert np.array_equal(dec.map.choi,
+                              dec.lambda1.choi - dec.lambda2.choi)
 
     def test_superoperator_is_cached_and_read_only(self):
         m = maps.reduction_decomposition(3).lambda1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sepcrit import maps, scan, states
+from sepcrit import criteria, maps, scan, states
 from sepcrit.criteria import Kind
 from sepcrit.errors import InvalidParameters, ParameterOutOfRange, ParseError
 from sepcrit.formats import parse_matrix_file, write_matrix
@@ -91,6 +91,23 @@ class TestTable1:
         with pytest.raises(InvalidParameters):
             scan.table1(7, 1, bisect_tol=1e-8)
 
+    @pytest.mark.parametrize("alpha", [7.0, math.inf])
+    def test_grid_verdicts_equal_fresh_states(self, alpha):
+        dec = scan.parse_map_spec("phi_dk d=3 k=1")
+        grid = np.arange(2.0, 5.005, 0.01)
+        grid[-1] = 5.0
+        stacked = scan.gamma_verdicts(alpha, 1.0, dec, None,
+                                      states.horodecki_states(grid))
+        if alpha == math.inf:
+            fresh = [criteria.limit_witness(states.horodecki_state(g),
+                                            dec.map) < 0 for g in grid]
+        else:
+            fresh = [criteria.alpha_beta_inequality(
+                states.horodecki_state(g), dec, alpha, 1.0, Kind.II,
+                tol=scan.BISECTION_CRITERION_TOL).violated for g in grid]
+        assert stacked == fresh
+        assert 0 < sum(fresh) < len(grid)
+
     def test_str_formats(self):
         assert str(scan.GammaInterval(empty=True)) == "--"
         assert str(scan.GammaInterval(3.0, 5.0, True, False)) == \
@@ -110,8 +127,48 @@ class TestSO3Region:
                                               (0.5, 0.0)]
 
     def test_grid_count_matches(self):
-        rows = list(scan.so3_region(0.1, self._criteria(), 7))
-        assert len(rows) == scan.so3_grid_count(0.1, 7)
+        # 1 - 0 - 0.8 - 0.2 rounds below zero, inside -1e-12; resolutions
+        # 10 and 30 have such points for p = 0, 0.1 and (at 30) 0.2
+        r, s = dict(scan.so3_grid(0.0, 10))[0.8][-1]
+        assert r == 0.2 and -1e-12 <= s < 0
+        assert scan.so3_grid_count(0.2, 60) == 1225
+        for p in (0.0, 0.1, 0.2, 1.0):
+            for resolution in (2, 7, 10, 30):
+                # the double loop the scan used to run, as an independent
+                # count
+                expected = sum(
+                    1.0 - p - i / resolution - j / resolution >= -1e-12
+                    for i in range(resolution + 1)
+                    for j in range(resolution + 1)
+                )
+                assert scan.so3_grid_count(p, resolution) == expected
+                if resolution <= 10:
+                    rows = list(scan.so3_region(p, self._criteria(),
+                                                resolution))
+                    assert len(rows) == expected
+
+    @pytest.mark.parametrize("p,resolution", [(0.2, 7), (0.1, 10),
+                                              (1.0, 3)])
+    def test_rows_equal_fresh_per_point_evaluation(self, p, resolution):
+        crit = [
+            scan.RegionCriterion("bh", maps.breuer_hall_decomposition(d=4),
+                                 3, 1, Kind.II),
+            scan.RegionCriterion("red", maps.reduction_decomposition(4), 2,
+                                 0.5, Kind.II),
+            scan.RegionCriterion("tau", maps.tau_u_decomposition(
+                maps.default_breuer_unitary(4)), 2, 2, Kind.IV),
+            scan.RegionCriterion("ent", None, 4),
+        ]
+        rows = list(scan.so3_region(p, crit, resolution))
+        assert len(rows) == scan.so3_grid_count(p, resolution)
+        for row in rows:
+            rho = states.so3_state(p, row.q, row.r)
+            assert row.ppt == (criteria.ppt_check(rho) >= -1e-9)
+            for c in crit:
+                fresh = c.evaluate(rho)
+                got = row.results[c.label]
+                assert (got.lhs, got.rhs, got.margin, got.violated) == \
+                    (fresh.lhs, fresh.rhs, fresh.margin, fresh.violated)
 
     def test_rows_carry_results(self):
         row = next(iter(scan.so3_region(0.2, self._criteria(), 2)))

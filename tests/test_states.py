@@ -158,3 +158,47 @@ class TestDensityMatrixInvariants:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(InvalidState):
             states.DensityMatrix(np.eye(4) / 4, 2, 3)
+
+
+class TestDensityMatrixStacks:
+    def test_stack_equals_one_by_one(self, rng):
+        mats = [states.random_separable(3, 3, 4, rng).matrix
+                for _ in range(5)]
+        stacked = states.density_matrices(mats, 3, 3)
+        for M, rho in zip(mats, stacked):
+            one = states.DensityMatrix(M.copy(), 3, 3)
+            assert (rho.dA, rho.dB, rho.cache) == (3, 3, {})
+            assert np.array_equal(rho.matrix, one.matrix)
+            for got, want in zip(rho.eig, one.eig):
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert not rho.matrix.flags.writeable
+
+    def test_families_are_the_one_state_case(self):
+        rs = [0.0, 0.1, 0.35]
+        for rho, r in zip(states.so3_states(0.2, 0.3, rs), rs):
+            assert np.array_equal(rho.matrix,
+                                  states.so3_state(0.2, 0.3, r).matrix)
+        gammas = [2.0, 3.3, 5.0]
+        for rho, g in zip(states.horodecki_states(gammas), gammas):
+            assert np.array_equal(rho.matrix,
+                                  states.horodecki_state(g).matrix)
+
+    @pytest.mark.parametrize("bad", [
+        np.eye(4) / 2,                                  # trace 2
+        np.diag([0.7, 0.5, -0.1, -0.1]),                # negative eigenvalue
+        np.eye(4) / 4 + np.diag([0.5, 0, 0], 1),       # not Hermitian
+    ])
+    def test_stack_raises_like_one_matrix(self, bad):
+        with pytest.raises(InvalidState) as one:
+            states.DensityMatrix(bad, 2, 2)
+        stack = [np.eye(4) / 4, bad, np.eye(4) / 4]
+        with pytest.raises(InvalidState) as stacked:
+            states.density_matrices(stack, 2, 2)
+        assert str(stacked.value) == str(one.value)
+
+    def test_rejects_bad_family_member(self):
+        with pytest.raises(InvalidParameters):
+            states.so3_states(0.2, 0.3, [0.1, 0.6])
+        with pytest.raises(InvalidParameters):
+            states.horodecki_states([3.0, 5.5])
