@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition, MatrixMap, extend_apply
-from .states import DensityMatrix
+from .states import HERMITIAN_TOL, DensityMatrix, stack_of
 
 
 class Kind(enum.Enum):
@@ -55,12 +55,54 @@ class CriterionResult:
         return self.kind.value
 
 
-def _verdict(lhs: float, rhs: float, reversed_: bool, kind: Kind,
-             tol: float, commutator: Optional[float] = None) -> CriterionResult:
+def _verdict(lhs: float, rhs: float, reversed_: bool,
+             tol: float) -> tuple[float, bool]:
+    """The verdict rule: the sign-adjusted margin of lhs against rhs and
+    whether it lies below -tol * max(1, |lhs|, |rhs|)."""
     margin = (rhs - lhs) if reversed_ else (lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
-    return CriterionResult(
-        lhs, rhs, margin, bool(margin < -tol * scale), kind, tol, commutator
+    return margin, bool(margin < -tol * scale)
+
+
+def _result(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
+            commutator: Optional[float] = None) -> CriterionResult:
+    """One state's CriterionResult from its kernel output."""
+    lhs, rhs = float(lhs), float(rhs)
+    margin, violated = _verdict(lhs, rhs, reversed_, tol)
+    return CriterionResult(lhs, rhs, margin, violated, kind, tol, commutator)
+
+
+class Verdicts(NamedTuple):
+    """One criterion on a stack of states: lhs, rhs, margin and violated
+    (and, for kind I with a map lambda2, the commutator norm) hold one
+    entry per state.  `result(k)` is state k's CriterionResult."""
+
+    lhs: list
+    rhs: list
+    margin: list
+    violated: list
+    kind: Kind
+    tol: float
+    commutator: Optional[list] = None
+
+    def result(self, k: int) -> CriterionResult:
+        return CriterionResult(
+            self.lhs[k], self.rhs[k], self.margin[k], self.violated[k],
+            self.kind, self.tol,
+            None if self.commutator is None else self.commutator[k],
+        )
+
+
+def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
+              commutator=None) -> Verdicts:
+    """Verdicts of a stack from its kernel output, by the verdict rule
+    state by state."""
+    lhs, rhs = np.ravel(lhs).tolist(), np.ravel(rhs).tolist()
+    rule = [_verdict(a, b, reversed_, tol) for a, b in zip(lhs, rhs)]
+    return Verdicts(
+        lhs, rhs, [margin for margin, _ in rule],
+        [violated for _, violated in rule], kind, tol,
+        None if commutator is None else np.ravel(commutator).tolist(),
     )
 
 
@@ -85,7 +127,16 @@ def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
 
 # ---------------------------------------------------------------------------
 # the spectral core: Tr rho^a X^b = sum_ij lam_i^a |<u_i|v_j>|^2 mu_j^b for
-# rho = sum_i lam_i |u_i><u_i| and X = sum_j mu_j |v_j><v_j|
+# rho = sum_i lam_i |u_i><u_i| and X = sum_j mu_j |v_j><v_j|.
+#
+# The kernels below take arrays with an optional leading batch axis, one
+# state per entry, so a stack of states and a single state go through the
+# same arithmetic; every reduction keeps the bits of a one-state call.
+
+def _clamped(w: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
+    """The clamp rule for the spectra w of A (stackable)."""
+    return linalg.clamp_psd(w, linalg.fro(A), tol)
+
 
 def _rho_spectrum(rho: DensityMatrix, tol: float) -> np.ndarray:
     """Eigenvalues of rho (ascending, columns of rho.eig.eigenvectors)
@@ -93,14 +144,13 @@ def _rho_spectrum(rho: DensityMatrix, tol: float) -> np.ndarray:
     key = (None, tol)
     lam = rho.cache.get(key)
     if lam is None:
-        lam = rho.cache[key] = linalg.clamp_psd(
-            rho.eig.eigenvalues, linalg.fro(rho.matrix), tol
-        )
+        lam = rho.cache[key] = _clamped(rho.eig.eigenvalues, rho.matrix, tol)
     return lam
 
 
 class _MapSpectrum:
-    """X = [I (x) L](rho) and its spectral data for one state, map and tol.
+    """X = [I (x) L](rho) and its spectral data for one map and tol, on one
+    state or a stack of states.
 
     The weights (U^dag X U)_ii in rho's eigenbasis U give Tr rho^a X
     without an eigensolve; X's spectrum and its overlap with rho's
@@ -123,31 +173,167 @@ class _MapSpectrum:
     @cached_property
     def mu(self) -> np.ndarray:
         """Eigenvalues of X after the clamp rule."""
-        return linalg.clamp_psd(
-            self.eig.eigenvalues, linalg.fro(self.X), self.tol
-        )
+        return _clamped(self.eig.eigenvalues, self.X, self.tol)
 
     @cached_property
     def overlap(self) -> np.ndarray:
         """|<u_i|v_j>|^2 for rho's eigenvectors u_i and X's v_j."""
         return np.abs(linalg.dag(self._U) @ self.eig.eigenvectors) ** 2
 
-    def trace_power(self, lam_a: np.ndarray, beta: float) -> float:
+    def trace_power(self, lam_a: np.ndarray, beta: float) -> np.ndarray:
         """Tr rho^a X^beta, given lam_a = powered(rho spectrum, a)."""
         if beta == 1:
-            return float(lam_a @ self.weights)
-        return float(lam_a @ self.overlap @ linalg.powered(self.mu, beta))
+            return np.vecdot(lam_a, self.weights)
+        return np.vecdot(np.vecmat(lam_a, self.overlap),
+                         linalg.powered(self.mu, beta))
 
 
-# Every step of `fill_cache` is stackable, so one state's arrays need no
-# batch axis: _stacked and _per_state leave them as they are.
+def _alpha_beta(lam: np.ndarray, M: np.ndarray, X1: _MapSpectrum,
+                X2: Optional[_MapSpectrum], alpha: float, beta: float,
+                kind: Kind, tol: float):
+    """lhs, rhs and (kind I with a map lambda2) the commutator norm of
+    the (alpha, beta)-inequality, for rho's clamped spectra lam, rho's
+    matrices M and the map spectra of lambda1 and lambda2 (None for the
+    identity)."""
+    lam_a = linalg.powered(lam, alpha)
+    commutator = None
+    if kind is Kind.I and X2 is not None:
+        commutator = linalg.commutator_norm(X2.X, M)
+        bad = np.ravel(commutator > tol * np.maximum(1.0, linalg.fro(M)))
+        if bad.any():
+            raise CommutativityViolated(
+                f"[X2, rho] norm {float(np.ravel(commutator)[bad.argmax()])}"
+                " exceeds tolerance"
+            )
 
-def _stacked(arrays: list) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.array(arrays)
+    try:
+        lhs = X1.trace_power(lam_a, beta)
+    except SingularNegativePower as exc:
+        raise SingularOperand(f"X1 singular for beta={beta}") from exc
+
+    if kind is Kind.IV:
+        # singular values of the Hermitian X2, from its clamped spectrum
+        sig = np.sort(np.abs(lam if X2 is None else X2.mu))
+        rhs = np.vecdot(lam_a[..., ::-1], linalg.powered(sig, beta))
+        return lhs, rhs, None
+
+    try:
+        rhs = (np.vecdot(lam_a, linalg.powered(lam, beta)) if X2 is None
+               else X2.trace_power(lam_a, beta))
+    except SingularNegativePower as exc:
+        raise SingularOperand(f"X2 singular for beta={beta}") from exc
+    return lhs, rhs, commutator
 
 
-def _per_state(result: np.ndarray, n: int):
-    return (result,) if n == 1 else result
+def _entropic(w: np.ndarray, lam: np.ndarray, alpha: float):
+    """lhs, rhs of the entropic inequality: Tr rho_sub^a and Tr rho^a from
+    the clamped spectra w of the marginal and lam of rho."""
+    return (linalg.powered(w, alpha).sum(-1),
+            linalg.powered(lam, alpha).sum(-1))
+
+
+def _limit(w: np.ndarray, weights: np.ndarray, M: np.ndarray,
+           tol: float) -> np.ndarray:
+    """The limit witness of each state, from rho's eigenvalues w
+    (ascending), the weights of X in rho's eigenbasis and rho's
+    matrices M.
+
+    Each state's walk takes the eigenvalue groups from the top, one
+    group per step for the whole stack.  A group is the run of
+    eigenvalues within tol * ||rho||_F below its top one; its weights
+    are summed as one slice, as a one-state walk sums them.
+    """
+    band = np.reshape(tol * np.maximum(linalg.fro(M), 1e-300), (-1, 1))
+    d = w.shape[-1]
+    w, weights = w.reshape(-1, d), weights.reshape(-1, d)
+    out = np.empty(len(w))
+    top = np.full(len(w), d - 1)  # the top eigenvalue of each next group
+    todo = np.arange(len(w))
+    while todo.size:
+        wt, i = w[todo], top[todo]
+        # w ascends, so a group starts at the count of eigenvalues below it
+        j = np.count_nonzero(
+            wt < (wt[np.arange(todo.size), i][:, None] - band[todo]), axis=-1)
+        size = i - j + 1
+        val = np.empty(todo.size)
+        for n in set(size.tolist()):
+            pick = size == n
+            val[pick] = np.take_along_axis(
+                weights[todo[pick]], j[pick, None] + np.arange(n), -1
+            ).sum(-1)
+        hit = np.abs(val) > tol
+        out[todo[hit]] = val[hit]
+        top[todo] = j - 1
+        todo = todo[~hit]
+        if (top[todo] < 0).any():
+            raise AllProjectionsVanish(
+                "Tr(X P) vanished for every eigen-group")
+    return out.reshape(M.shape[:-2])
+
+
+# ---------------------------------------------------------------------------
+# stacked spectral data and the per-state cache
+
+class Spectra:
+    """The arrays the criteria read, for states on one C^dA (x) C^dB at
+    one tol, each computed for the whole stack on first use.
+
+    `states` is a DensityStack, a list of DensityMatrix (stacked here) or
+    one DensityMatrix.  Arrays carry the states on a leading batch axis;
+    a single state gives them none.  `map(m)` holds X = [I (x) L](rho)
+    and its weights (one matmul), `marginal(keep)` that marginal's
+    clamped spectrum (one eigensolve), `ppt` the partial transpose's
+    minimum eigenvalue (one eigvalsh) and `lam` rho's clamped spectrum.
+    A stack gives each state the bits of a one-state call.
+    """
+
+    def __init__(self, states, tol: float = DEFAULT_TOL):
+        if isinstance(states, (list, tuple)):
+            states = stack_of(states)
+        self.tol = tol
+        self.dA, self.dB = states.dA, states.dB
+        self.matrix = states.matrix
+        self.eigenvalues, self._U = states.eig
+        self._Ud = self._lam = self._ppt = None
+        self._maps: dict = {}
+        self._marginals: dict = {}
+
+    @property
+    def lam(self) -> np.ndarray:
+        """rho's eigenvalues after the clamp rule."""
+        if self._lam is None:
+            self._lam = _clamped(self.eigenvalues, self.matrix, self.tol)
+        return self._lam
+
+    def map(self, m: MatrixMap) -> _MapSpectrum:
+        entry = self._maps.get(id(m))
+        if entry is None:
+            if self._Ud is None:
+                self._Ud = self._U.conj()
+            X = extend_apply(m, self.matrix, self.dA)
+            W = np.einsum("...ji,...ji->...i", self._Ud, X @ self._U).real
+            entry = self._maps[id(m)] = _MapSpectrum(m, self.tol, X, self._U,
+                                                     W)
+        return entry
+
+    def marginal(self, keep: str) -> np.ndarray:
+        w = self._marginals.get(keep)
+        if w is None:
+            marg = linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
+            w = self._marginals[keep] = _clamped(
+                linalg.hermitian_eig(marg, self.tol).eigenvalues, marg,
+                self.tol)
+        return w
+
+    @property
+    def ppt(self):
+        if self._ppt is None:
+            # The partial transpose only permutes entries, so it passes
+            # the Hermitian check wherever the validated rho does.
+            self._ppt = linalg.min_eigenvalue(
+                linalg.partial_transpose(self.matrix, self.dA, self.dB),
+                self.tol, hermitian_within=HERMITIAN_TOL)
+        return self._ppt
 
 
 def fill_cache(rhos: Sequence[DensityMatrix],
@@ -155,35 +341,28 @@ def fill_cache(rhos: Sequence[DensityMatrix],
                marginal: Optional[str] = None, ppt: bool = False) -> None:
     """Fill the caches of states on one C^dA (x) C^dB in one stacked pass.
 
-    Per map: X = [I (x) L](rho) and its weights (one matmul for the
-    stack).  With `marginal` ("A" or "B"): that marginal's clamped
-    spectrum (one eigensolve).  With `ppt`: the partial transpose's
-    minimum eigenvalue (one eigvalsh).  Entries a state already holds
-    are kept.  The criteria's lazy per-state fills are its one-state
-    calls.
+    Stores, per state, the `Spectra` arrays of each map (X and its
+    weights), of the `marginal` ("A" or "B") if given and of `ppt` if
+    set.  Entries a state already holds are kept.  The criteria's lazy
+    per-state fills are its one-state calls.
     """
-    dA, dB, n = rhos[0].dA, rhos[0].dB, len(rhos)
-    M = _stacked([rho.matrix for rho in rhos])
-    if maps:
-        U = _stacked([rho.eig.eigenvectors for rho in rhos])
-        Ud = U.conj()
+    sp = Spectra(rhos, tol)
+    n = len(rhos)
     for m in maps:
-        X = extend_apply(m, M, dA)
-        W = np.einsum("...ji,...ji->...i", Ud, X @ U).real
-        for rho, x, w in zip(rhos, _per_state(X, n), _per_state(W, n)):
-            rho.cache.setdefault((id(m), tol), _MapSpectrum(
-                m, tol, x, rho.eig.eigenvectors, w
-            ))
+        entry = sp.map(m)
+        per_state = [entry] if n == 1 else [
+            _MapSpectrum(m, tol, x, rho.eig.eigenvectors, w)
+            for rho, x, w in zip(rhos, entry.X, entry.weights)
+        ]
+        for rho, e in zip(rhos, per_state):
+            rho.cache.setdefault((id(m), tol), e)
     if marginal is not None:
-        marg = linalg.partial_trace(M, dA, dB, marginal)
-        w = linalg.clamp_psd(linalg.hermitian_eig(marg, tol).eigenvalues,
-                             linalg.fro(marg), tol)
-        for rho, v in zip(rhos, _per_state(w, n)):
+        w = sp.marginal(marginal)
+        for rho, v in zip(rhos, [w] if n == 1 else w):
             rho.cache.setdefault(("marginal", marginal, tol), v)
     if ppt:
-        w = linalg.min_eigenvalue(linalg.partial_transpose(M, dA, dB), tol)
-        for rho, v in zip(rhos, _per_state(w, n)):
-            rho.cache.setdefault(("ppt", tol), float(v))
+        for rho, v in zip(rhos, np.ravel(sp.ppt).tolist()):
+            rho.cache.setdefault(("ppt", tol), v)
 
 
 def _cached(rho: DensityMatrix, key, **what):
@@ -197,8 +376,15 @@ def _cached(rho: DensityMatrix, key, **what):
 
 def _map_spectrum(rho: DensityMatrix, m: MatrixMap,
                   tol: float) -> _MapSpectrum:
-    return _cached(rho, (id(m), tol), maps=(m,), tol=tol)
+    # the one-state criteria's hot path: a hit builds no fill arguments
+    entry = rho.cache.get((id(m), tol))
+    if entry is None:
+        entry = _cached(rho, (id(m), tol), maps=(m,), tol=tol)
+    return entry
 
+
+# ---------------------------------------------------------------------------
+# the criteria, on one state (cached on the state) and on a Spectra stack
 
 def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
                           alpha: float, beta: float, kind: Kind = Kind.II,
@@ -215,38 +401,35 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
         kind = Kind[kind]
     _validate_range(alpha, beta, kind)
     lam = _rho_spectrum(rho, tol)
-    lam_a = linalg.powered(lam, alpha)
     X1 = _map_spectrum(rho, dec.lambda1, tol)
     X2 = None if dec.lambda2_is_identity else _map_spectrum(
         rho, dec.lambda2, tol
     )
+    lhs, rhs, commutator = _alpha_beta(lam, rho.matrix, X1, X2, alpha, beta,
+                                       kind, tol)
+    return _result(lhs, rhs, kind is Kind.III, kind, tol, commutator)
 
-    commutator = None
-    if kind is Kind.I and X2 is not None:
-        commutator = linalg.commutator_norm(X2.X, rho.matrix)
-        if commutator > tol * max(1.0, linalg.fro(rho.matrix)):
-            raise CommutativityViolated(
-                f"[X2, rho] norm {commutator} exceeds tolerance"
-            )
 
-    try:
-        lhs = X1.trace_power(lam_a, beta)
-    except SingularNegativePower as exc:
-        raise SingularOperand(f"X1 singular for beta={beta}") from exc
+def alpha_beta_verdicts(sp: Spectra, dec: CPDecomposition, alpha: float,
+                        beta: float, kind: Kind = Kind.II) -> Verdicts:
+    """`alpha_beta_inequality` at sp.tol on every state of sp."""
+    if isinstance(kind, str):
+        kind = Kind[kind]
+    _validate_range(alpha, beta, kind)
+    lam, X1 = sp.lam, sp.map(dec.lambda1)
+    X2 = None if dec.lambda2_is_identity else sp.map(dec.lambda2)
+    lhs, rhs, commutator = _alpha_beta(lam, sp.matrix, X1, X2, alpha, beta,
+                                       kind, sp.tol)
+    return _verdicts(lhs, rhs, kind is Kind.III, kind, sp.tol, commutator)
 
-    if kind is Kind.IV:
-        # singular values of the Hermitian X2, from its clamped spectrum
-        sig = np.sort(np.abs(lam if X2 is None else X2.mu))
-        rhs = float(lam_a[::-1] @ linalg.powered(sig, beta))
-        return _verdict(lhs, rhs, False, kind, tol)
 
-    try:
-        rhs = (float(lam_a @ linalg.powered(lam, beta)) if X2 is None
-               else X2.trace_power(lam_a, beta))
-    except SingularNegativePower as exc:
-        raise SingularOperand(f"X2 singular for beta={beta}") from exc
-
-    return _verdict(lhs, rhs, kind is Kind.III, kind, tol, commutator)
+def _validate_entropic(alpha: float, subsystem: str) -> None:
+    if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
+        raise ParameterOutOfRange(
+            f"alpha={alpha} must be finite, >= 0 and != 1"
+        )
+    if subsystem not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
 def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
@@ -255,17 +438,19 @@ def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
     for a < 1); violation certifies entanglement.  At a = 0 the traces
     are ranks (0^0 := 0), so it is the rank test rank rho_sub <= rank rho.
     """
-    if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
-        raise ParameterOutOfRange(
-            f"alpha={alpha} must be finite, >= 0 and != 1"
-        )
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    _validate_entropic(alpha, subsystem)
     w = _cached(rho, ("marginal", subsystem, tol), marginal=subsystem,
                 tol=tol)
-    lhs = float(np.sum(linalg.powered(w, alpha)))
-    rhs = float(np.sum(linalg.powered(_rho_spectrum(rho, tol), alpha)))
-    return _verdict(lhs, rhs, alpha < 1, Kind.ENTROPIC, tol)
+    lhs, rhs = _entropic(w, _rho_spectrum(rho, tol), alpha)
+    return _result(lhs, rhs, alpha < 1, Kind.ENTROPIC, tol)
+
+
+def entropic_verdicts(sp: Spectra, alpha: float,
+                      subsystem: str = "A") -> Verdicts:
+    """`entropic_inequality` at sp.tol on every state of sp."""
+    _validate_entropic(alpha, subsystem)
+    lhs, rhs = _entropic(sp.marginal(subsystem), sp.lam, alpha)
+    return _verdicts(lhs, rhs, alpha < 1, Kind.ENTROPIC, sp.tol)
 
 
 def structural_criterion(rho: DensityMatrix, m: MatrixMap,
@@ -276,7 +461,8 @@ def structural_criterion(rho: DensityMatrix, m: MatrixMap,
 
 
 def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
-    """Min eigenvalue of the partial transpose; >= -tol means PPT."""
+    """Min eigenvalue of the partial transpose; >= -tol means PPT.
+    On a stack it is `Spectra.ppt`."""
     return _cached(rho, ("ppt", tol), ppt=True, tol=tol)
 
 
@@ -290,15 +476,9 @@ def limit_witness(rho: DensityMatrix, m: MatrixMap,
     Negative value <=> detection.
     """
     weights = _map_spectrum(rho, m, tol).weights
-    w = rho.eig.eigenvalues
-    band = tol * max(linalg.fro(rho.matrix), 1e-300)
-    i = len(w) - 1
-    while i >= 0:
-        j = i
-        while j > 0 and w[j - 1] >= w[i] - band:
-            j -= 1
-        val = float(np.sum(weights[j:i + 1]))
-        if abs(val) > tol:
-            return val
-        i = j - 1
-    raise AllProjectionsVanish("Tr(X P) vanished for every eigen-group")
+    return float(_limit(rho.eig.eigenvalues, weights, rho.matrix, tol))
+
+
+def limit_witnesses(sp: Spectra, m: MatrixMap) -> np.ndarray:
+    """`limit_witness` at sp.tol on every state of sp."""
+    return _limit(sp.eigenvalues, sp.map(m).weights, sp.matrix, sp.tol)

@@ -13,10 +13,13 @@ from . import maps
 from .criteria import (
     CriterionResult,
     Kind,
+    Spectra,
+    Verdicts,
     alpha_beta_inequality,
+    alpha_beta_verdicts,
     entropic_inequality,
-    fill_cache,
-    limit_witness,
+    entropic_verdicts,
+    limit_witnesses,
     ppt_check,
 )
 from .errors import InvalidParameters, ParameterOutOfRange
@@ -25,9 +28,10 @@ from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition
 from .states import (
     DensityMatrix,
+    DensityStack,
+    horodecki_stack,
     horodecki_state,
-    horodecki_states,
-    so3_states,
+    so3_stack,
 )
 
 # Verdict tolerance used when locating interval boundaries.  The default
@@ -117,18 +121,16 @@ def _bisect(predicate, false_side: float, true_side: float,
 
 def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
                    kind: Optional[Kind],
-                   rhos: list[DensityMatrix]) -> list[bool]:
-    """table1's violation test on states of the 3x3 family, with their
-    caches filled as one stack.  alpha = inf routes to the limit witness.
+                   rhos: DensityStack | list[DensityMatrix]) -> list[bool]:
+    """table1's violation test on states of the 3x3 family, evaluated as
+    one stack (`Spectra`; no per-state cache entries or criterion calls).
+    alpha = inf routes to the limit witness.
     """
     if alpha == math.inf:
-        fill_cache(rhos, [dec.map])
-        return [limit_witness(rho, dec.map) < 0 for rho in rhos]
+        return np.ravel(limit_witnesses(Spectra(rhos), dec.map) < 0).tolist()
     kind = kind or route_kind(beta)
-    tol = BISECTION_CRITERION_TOL
-    fill_cache(rhos, dec.cp_maps, tol)
-    return [alpha_beta_inequality(rho, dec, alpha, beta, kind, tol).violated
-            for rho in rhos]
+    sp = Spectra(rhos, BISECTION_CRITERION_TOL)
+    return alpha_beta_verdicts(sp, dec, alpha, beta, kind).violated
 
 
 def table1(alpha: float, beta: float = 1.0,
@@ -153,7 +155,7 @@ def table1(alpha: float, beta: float = 1.0,
 
     grid = np.arange(2.0, 5.0 + grid_step / 2, grid_step)
     grid[-1] = 5.0
-    mask = gamma_verdicts(alpha, beta, dec, kind, horodecki_states(grid))
+    mask = gamma_verdicts(alpha, beta, dec, kind, horodecki_stack(grid))
     if not any(mask):
         return GammaInterval(empty=True)
     i0 = mask.index(True)
@@ -194,6 +196,13 @@ class RegionCriterion:
             rho, self.dec, self.alpha, self.beta, kind, self.tol
         )
 
+    def verdicts(self, sp: Spectra) -> Verdicts:
+        """`evaluate` on every state of a stack built at self.tol."""
+        if self.dec is None:
+            return entropic_verdicts(sp, self.alpha)
+        kind = self.kind or route_kind(self.beta)
+        return alpha_beta_verdicts(sp, self.dec, self.alpha, self.beta, kind)
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -202,21 +211,6 @@ class ScanRow:
     s: float
     ppt: bool
     results: dict = field(default_factory=dict)  # label -> CriterionResult
-
-
-def _fill(rhos: list[DensityMatrix], criteria: list[RegionCriterion],
-          ppt_tol: float) -> None:
-    """Fill, for states of one shape, the cache entries that the criteria
-    and `ppt_check` at ppt_tol read: one `fill_cache` pass per
-    tolerance."""
-    for tol in dict.fromkeys([c.tol for c in criteria] + [ppt_tol]):
-        used = [c for c in criteria if c.tol == tol]
-        maps = {id(m): m for c in used if c.dec for m in c.dec.cp_maps}
-        fill_cache(
-            rhos, list(maps.values()), tol,
-            marginal="A" if any(c.dec is None for c in used) else None,
-            ppt=tol == ppt_tol,
-        )
 
 
 def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
@@ -244,7 +238,11 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
 
     Emits rows in row-major (q outer, r inner) order; each row carries
     the PPT flag and every criterion's verdict.  Each q-row of states is
-    built, validated and cached as one stack, so memory is O(resolution).
+    built, validated and evaluated as one stack (one `Spectra` per
+    criterion tol; no per-state cache entries or criterion calls), so
+    memory is O(resolution).  The row's ScanRows are built as it is
+    emitted.  An error raises when its q-row is evaluated, before that
+    q-row's first point is emitted.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameters(f"p={p} outside [0,1]")
@@ -253,13 +251,15 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")
+    tols = dict.fromkeys([c.tol for c in criteria] + [DEFAULT_TOL])
     for q, row in so3_grid(p, resolution):
-        rhos = so3_states(p, q, [r for r, _ in row])
-        _fill(rhos, criteria, DEFAULT_TOL)
-        for rho, (r, s) in zip(rhos, row):
-            ppt = ppt_check(rho) >= -tol
-            results = {c.label: c.evaluate(rho) for c in criteria}
-            yield ScanRow(q, r, max(s, 0.0), ppt, results)
+        stack = so3_stack(p, q, [r for r, _ in row])
+        spectra = {t: Spectra(stack, t) for t in tols}
+        ppt = (spectra[DEFAULT_TOL].ppt >= -tol).tolist()
+        verdicts = {c.label: c.verdicts(spectra[c.tol]) for c in criteria}
+        for k, (r, s) in enumerate(row):
+            results = {label: v.result(k) for label, v in verdicts.items()}
+            yield ScanRow(q, r, max(s, 0.0), ppt[k], results)
 
 
 def region_csv_header(labels: list[str]) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -16,6 +17,10 @@ from .errors import (
     NonHermitian,
 )
 from .linalg import as_matrix, tensor
+
+
+# Validation's Hermitian check, relative to the Frobenius norm.
+HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ def _validated(M: np.ndarray, dA: int, dB: int) -> linalg.HermitianEig:
     if np.count_nonzero(bad):
         raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
     try:
-        eig = linalg.hermitian_eig(M, tol=1e-10)
+        eig = linalg.hermitian_eig(M, tol=HERMITIAN_TOL)
     except NonHermitian:
         raise InvalidState("matrix is not Hermitian") from None
     if np.count_nonzero(eig.eigenvalues[..., 0] < -1e-9):
@@ -73,25 +78,62 @@ def _validated(M: np.ndarray, dA: int, dB: int) -> linalg.HermitianEig:
     return eig
 
 
-def density_matrices(matrices, dA: int, dB: int) -> list[DensityMatrix]:
-    """Validate a stack (..., n, n) of matrices with one eigensolve.
+class DensityStack:
+    """Density matrices on C^dA (x) C^dB validated as one stack.
 
-    Returns one read-only DensityMatrix per matrix, each holding its
-    slice of the stack and of the eigendecomposition, as
-    `DensityMatrix(matrix, dA, dB)` would.
+    Holds `matrix` (k, n, n) and its eigendecomposition `eig`, read-only,
+    as k DensityMatrix objects would hold them, with a leading batch
+    axis; `sepcrit.criteria.Spectra` evaluates the criteria on it as a
+    whole.  `split()` gives the DensityMatrix objects.
     """
+
+    __slots__ = ("matrix", "eig", "dA", "dB")
+
+    def __init__(self, matrix: np.ndarray, eig: linalg.HermitianEig,
+                 dA: int, dB: int):
+        self.matrix, self.eig, self.dA, self.dB = matrix, eig, dA, dB
+
+    def split(self) -> list[DensityMatrix]:
+        """One DensityMatrix per matrix, each holding its slices of the
+        stack, as `DensityMatrix(matrix, dA, dB)` would."""
+        out = []
+        for m, w, V in zip(self.matrix, *self.eig):
+            # validated as a stack, so the per-matrix __post_init__ is
+            # skipped
+            rho = object.__new__(DensityMatrix)
+            vars(rho).update(matrix=m, dA=self.dA, dB=self.dB, cache={},
+                             eig=linalg.HermitianEig(w, V))
+            out.append(rho)
+        return out
+
+
+def density_stack(matrices, dA: int, dB: int) -> DensityStack:
+    """Validate a stack (..., n, n) of matrices with one eigensolve; the
+    batch axes are flattened into one."""
     M = as_matrix(matrices)
     w, V = _validated(M, dA, dB)
     n = dA * dB
-    out = []
-    for m, wk, Vk in zip(M.reshape(-1, n, n), w.reshape(-1, n),
-                         V.reshape(-1, n, n)):
-        # validated above, so the per-matrix __post_init__ is skipped
-        rho = object.__new__(DensityMatrix)
-        vars(rho).update(matrix=m, dA=dA, dB=dB, cache={},
-                         eig=linalg.HermitianEig(wk, Vk))
-        out.append(rho)
-    return out
+    return DensityStack(M.reshape(-1, n, n), linalg.HermitianEig(
+        w.reshape(-1, n), V.reshape(-1, n, n)), dA, dB)
+
+
+def density_matrices(matrices, dA: int, dB: int) -> list[DensityMatrix]:
+    """`density_stack(matrices, dA, dB).split()`: one read-only
+    DensityMatrix per matrix, validated with one eigensolve."""
+    return density_stack(matrices, dA, dB).split()
+
+
+def stack_of(rhos: Sequence[DensityMatrix]):
+    """States of one shape as one DensityStack, without validating them
+    again; a single state stands for itself (no batch axis)."""
+    if len(rhos) == 1:
+        return rhos[0]
+    return DensityStack(
+        np.array([rho.matrix for rho in rhos]),
+        linalg.HermitianEig(*(np.array(arrays) for arrays in
+                              zip(*(rho.eig for rho in rhos)))),
+        rhos[0].dA, rhos[0].dB,
+    )
 
 
 def spin_operators(j: float = 1.5):
@@ -130,7 +172,7 @@ def so3_projectors():
     return tuple(projectors)
 
 
-def so3_states(p, q, r) -> list[DensityMatrix]:
+def so3_stack(p, q, r) -> DensityStack:
     """`so3_state` at each point of the broadcast arrays p, q, r, built
     and validated as one stack."""
     p, q, r = np.broadcast_arrays(*np.atleast_1d(p, q, r))
@@ -144,7 +186,12 @@ def so3_states(p, q, r) -> list[DensityMatrix]:
     P = so3_projectors()
     rho = sum((w / (2 * J + 1))[:, None, None] * P[J]
               for J, w in enumerate(weights))
-    return density_matrices(rho, 4, 4)
+    return density_stack(rho, 4, 4)
+
+
+def so3_states(p, q, r) -> list[DensityMatrix]:
+    """`so3_stack(p, q, r).split()`."""
+    return so3_stack(p, q, r).split()
 
 
 def so3_state(p: float, q: float, r: float) -> DensityMatrix:
@@ -172,12 +219,10 @@ def max_entangled(d: int) -> np.ndarray:
     return psi
 
 
-def horodecki_states(gammas) -> list[DensityMatrix]:
-    """`horodecki_state` at each gamma, built and validated as one stack."""
-    gamma = np.atleast_1d(np.asarray(gammas, dtype=float))
-    bad = ~((2.0 <= gamma) & (gamma <= 5.0))
-    if bad.any():
-        raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")
+@lru_cache(maxsize=None)
+def horodecki_operators():
+    """|psi+><psi+|, sigma_plus and sigma_minus = V sigma_plus V^dag (V the
+    swap) of the 3x3 family, built once and read-only."""
     psi = max_entangled(3)
     proj = np.outer(psi, psi.conj())
     sigma_plus = np.zeros((9, 9), dtype=complex)
@@ -185,9 +230,26 @@ def horodecki_states(gammas) -> list[DensityMatrix]:
         sigma_plus[3 * i + j, 3 * i + j] = 1 / 3
     V = swap_operator(3)
     sigma_minus = V @ sigma_plus @ V.conj().T
+    for op in (proj, sigma_plus, sigma_minus):
+        op.setflags(write=False)
+    return proj, sigma_plus, sigma_minus
+
+
+def horodecki_stack(gammas) -> DensityStack:
+    """`horodecki_state` at each gamma, built and validated as one stack."""
+    gamma = np.atleast_1d(np.asarray(gammas, dtype=float))
+    bad = ~((2.0 <= gamma) & (gamma <= 5.0))
+    if bad.any():
+        raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")
+    proj, sigma_plus, sigma_minus = horodecki_operators()
     g = gamma[:, None, None]
     rho = (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
-    return density_matrices(rho, 3, 3)
+    return density_stack(rho, 3, 3)
+
+
+def horodecki_states(gammas) -> list[DensityMatrix]:
+    """`horodecki_stack(gammas).split()`."""
+    return horodecki_stack(gammas).split()
 
 
 def horodecki_state(gamma: float) -> DensityMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -183,6 +184,30 @@ class TestSO3Region:
     def test_invalid_p(self):
         with pytest.raises(InvalidParameters):
             list(scan.so3_region(1.5, self._criteria(), 2))
+
+    def test_csv_digest_is_pinned(self):
+        # the benchmark's five criteria at p = 0.2, resolution 20: any bit
+        # of a margin that moves changes this digest
+        bh = maps.breuer_hall_decomposition(d=4)
+        bht = maps.breuer_hall_tilde_decomposition(d=4)
+        red = maps.reduction_decomposition(4)
+        tau = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+        crit = [
+            scan.RegionCriterion("bh", bh, 3, 1, Kind.II),
+            scan.RegionCriterion("tau", tau, 3, 1, Kind.II),
+            scan.RegionCriterion("bht", bht, 3, 1, Kind.II),
+            scan.RegionCriterion("red", red, 3, 1, Kind.II),
+            scan.RegionCriterion("ent", None, 4),
+        ]
+        labels = [c.label for c in crit]
+        lines = [scan.region_csv_header(labels)] + [
+            scan.region_csv_row(row, labels)
+            for row in scan.so3_region(0.2, crit, 20)
+        ]
+        text = "\n".join(lines) + "\n"
+        assert len(lines) == 1 + scan.so3_grid_count(0.2, 20) == 154
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3c00bc502a0028af73e95223c8ad02e6c2a5510e547f195a0a9eb7df1df953b5")
 
     def test_csv_roundtrip_shape(self):
         crit = self._criteria()

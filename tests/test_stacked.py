@@ -1,0 +1,320 @@
+"""Stacked evaluation (`criteria.Spectra` and the `*_verdicts` functions)
+against the one-state criteria, bit for bit, and the stacked state
+builders against the one-state ones."""
+
+import math
+
+import numpy as np
+import pytest
+
+from sepcrit import criteria, linalg, maps, scan, states
+from sepcrit.criteria import Kind
+from sepcrit.errors import (
+    AllProjectionsVanish,
+    CommutativityViolated,
+    NonHermitian,
+    NotPSD,
+    SingularOperand,
+)
+
+
+def fresh(rho):
+    """rho again, with an empty cache."""
+    return states.DensityMatrix(rho.matrix.copy(), rho.dA, rho.dB)
+
+
+def same(verdicts, results):
+    """Every state's stacked verdict has the bits of its one-state
+    result."""
+    assert len(verdicts.lhs) == len(results)
+    for k, res in enumerate(results):
+        got = verdicts.result(k)
+        assert (got.lhs, got.rhs, got.margin, got.violated,
+                got.commutator_norm) == (res.lhs, res.rhs, res.margin,
+                                         res.violated, res.commutator_norm)
+        assert (got.kind, got.tol) == (res.kind, res.tol)
+
+
+def separable_stack(d, n, rng):
+    return states.density_stack(
+        [states.random_separable(d, d, 4, rng).matrix for _ in range(n)],
+        d, d)
+
+
+def family_stacks(rng):
+    """Stacks of the three kinds the scans and the tests use, with the
+    maps to evaluate on them."""
+    bh = maps.breuer_hall_decomposition(d=4)
+    red4 = maps.reduction_decomposition(4)
+    tau = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+    red3 = maps.reduction_decomposition(3)
+    phi = maps.phi_dk_decomposition(3, 1)
+    grid = np.arange(2.0, 5.005, 0.25)
+    grid[-1] = 5.0
+    return [
+        (separable_stack(3, 6, rng), [red3, phi]),
+        (separable_stack(4, 5, rng), [red4, bh, tau]),
+        (states.so3_stack(0.2, 0.3, [0.05, 0.1, 0.2, 0.35, 0.45]),
+         [red4, bh, tau]),
+        (states.horodecki_stack(grid), [red3, phi]),
+    ]
+
+
+TRIPLES = [(1, 2, Kind.I), (2.5, 3, Kind.I),
+           (1, 1, Kind.II), (3, 0.5, Kind.II), (7, 1, Kind.II),
+           (1, -0.5, Kind.III), (2, -1, Kind.III),
+           (1, 1, Kind.IV), (2, 0, Kind.IV), (0.5, 2, Kind.IV)]
+
+
+class TestStackedEqualsOneState:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-13])
+    def test_alpha_beta_kinds(self, rng, tol):
+        for stack, decs in family_stacks(rng):
+            rhos = stack.split()
+            sp = criteria.Spectra(stack, tol)
+            for dec in decs:
+                for a, b, kind in TRIPLES:
+                    if kind is Kind.I and not dec.lambda2_is_identity:
+                        continue
+                    try:
+                        got = criteria.alpha_beta_verdicts(sp, dec, a, b,
+                                                           kind)
+                    except SingularOperand:
+                        with pytest.raises(SingularOperand):
+                            for rho in rhos:
+                                criteria.alpha_beta_inequality(
+                                    fresh(rho), dec, a, b, kind, tol)
+                        continue
+                    same(got, [criteria.alpha_beta_inequality(
+                        fresh(rho), dec, a, b, kind, tol) for rho in rhos])
+
+    def test_kind_one_commutator_on_so3_rows(self):
+        # tau_u commutes with SO(3)-invariant states, so kind I runs with
+        # a map lambda2 and reports the commutator norm
+        dec = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+        stack = states.so3_stack(0.1, [0.2, 0.3, 0.1], [0.3, 0.1, 0.6])
+        got = criteria.alpha_beta_verdicts(criteria.Spectra(stack), dec, 1,
+                                           2, Kind.I)
+        one = [criteria.alpha_beta_inequality(rho, dec, 1, 2, Kind.I)
+               for rho in stack.split()]
+        assert all(res.commutator_norm is not None for res in one)
+        same(got, one)
+
+    def test_kind_one_commutator_violation_raises_alike(self, rng):
+        dec = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+        stack = separable_stack(4, 3, rng)
+        with pytest.raises(CommutativityViolated) as one:
+            criteria.alpha_beta_inequality(stack.split()[0], dec, 1, 2,
+                                           Kind.I)
+        with pytest.raises(CommutativityViolated) as stacked:
+            criteria.alpha_beta_verdicts(criteria.Spectra(stack), dec, 1, 2,
+                                         Kind.I)
+        assert str(stacked.value) == str(one.value)
+
+    @pytest.mark.parametrize("alpha", [0, 0.5, 4])
+    def test_entropic(self, rng, alpha):
+        for stack, _ in family_stacks(rng):
+            sp = criteria.Spectra(stack)
+            for sub in "AB":
+                one = [criteria.entropic_inequality(fresh(rho), alpha, sub)
+                       for rho in stack.split()]
+                same(criteria.entropic_verdicts(sp, alpha, sub), one)
+
+    def test_ppt_and_limit_witness(self, rng):
+        for stack, decs in family_stacks(rng):
+            sp = criteria.Spectra(stack)
+            rhos = stack.split()
+            assert sp.ppt.tolist() == [criteria.ppt_check(fresh(rho))
+                                       for rho in rhos]
+            for dec in decs:
+                assert criteria.limit_witnesses(sp, dec.map).tolist() == [
+                    criteria.limit_witness(fresh(rho), dec.map)
+                    for rho in rhos]
+
+    def test_limit_witness_degenerate_groups(self):
+        # maximally mixed states make one group of every eigenvalue; the
+        # zero map vanishes on all of them
+        stack = states.density_stack([np.eye(9) / 9] * 3, 3, 3)
+        phi = maps.phi_dk_decomposition(3, 1).map
+        got = criteria.limit_witnesses(criteria.Spectra(stack), phi)
+        assert got.tolist() == [criteria.limit_witness(rho, phi)
+                                for rho in stack.split()]
+        zero = maps.MatrixMap(3, np.zeros((9, 9)), "zero")
+        with pytest.raises(AllProjectionsVanish):
+            criteria.limit_witnesses(criteria.Spectra(stack), zero)
+
+    def test_one_state_and_list_inputs(self, rng):
+        dec = maps.phi_dk_decomposition(3, 1)
+        stack = separable_stack(3, 4, rng)
+        rhos = stack.split()
+        from_list = criteria.alpha_beta_verdicts(criteria.Spectra(rhos), dec,
+                                                 2, 0.5)
+        from_stack = criteria.alpha_beta_verdicts(criteria.Spectra(stack),
+                                                  dec, 2, 0.5)
+        assert from_list == from_stack
+        for rho in rhos:
+            one = criteria.alpha_beta_verdicts(criteria.Spectra(rho), dec, 2,
+                                               0.5)
+            same(one, [criteria.alpha_beta_inequality(fresh(rho), dec, 2,
+                                                      0.5)])
+
+
+def rank_deficient(d):
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+class TestStackErrors:
+    """A stack holding one bad state raises what the state raises alone."""
+
+    def test_singular_operand(self, rng):
+        dec = maps.reduction_decomposition(3)
+        mats = [states.random_separable(3, 3, 4, rng).matrix,
+                rank_deficient(3),
+                states.random_separable(3, 3, 4, rng).matrix]
+        stack = states.density_stack(mats, 3, 3)
+        for a, b, kind in [(1, -0.5, Kind.III), (2, -1, Kind.III)]:
+            with pytest.raises(SingularOperand) as one:
+                criteria.alpha_beta_inequality(stack.split()[1], dec, a, b,
+                                               kind)
+            with pytest.raises(SingularOperand) as stacked:
+                criteria.alpha_beta_verdicts(criteria.Spectra(stack), dec,
+                                             a, b, kind)
+            assert str(stacked.value) == str(one.value)
+
+    def test_not_psd(self):
+        # validation admits eigenvalues down to -1e-9; at tol 1e-13 the
+        # clamp rule rejects this one
+        eps = 5e-10
+        bad = np.diag([1 / 8 + eps] + [1 / 8] * 7 + [-eps]).astype(complex)
+        stack = states.density_stack([np.eye(9) / 9, bad, np.eye(9) / 9],
+                                     3, 3)
+        dec = maps.reduction_decomposition(3)
+        with pytest.raises(NotPSD) as one:
+            criteria.alpha_beta_inequality(stack.split()[1], dec, 1, 1,
+                                           Kind.II, tol=1e-13)
+        with pytest.raises(NotPSD) as stacked:
+            criteria.alpha_beta_verdicts(criteria.Spectra(stack, 1e-13), dec,
+                                         1, 1, Kind.II)
+        assert str(stacked.value) == str(one.value)
+        assert "min eigenvalue" in str(one.value)
+
+
+class TestMinEigenvalueHermitianCheck:
+    """The partial transpose of a validated state skips the Hermitian
+    check at tol >= 1e-10 and keeps it below."""
+
+    def _nearly_hermitian(self, rng, rel):
+        rho = states.random_separable(3, 3, 4, rng).matrix.copy()
+        rho[0, 1] += rel * np.linalg.norm(rho)
+        return rho
+
+    def test_skipped_at_or_above_validation_tol(self, rng):
+        A = self._nearly_hermitian(rng, 1.0)  # far from Hermitian
+        with pytest.raises(NonHermitian):
+            linalg.min_eigenvalue(A, 1e-9)
+        for tol in (1e-10, 1e-9, 1e-3):
+            skipped = linalg.min_eigenvalue(
+                A, tol, hermitian_within=states.HERMITIAN_TOL)
+            assert skipped == np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
+
+    def test_kept_below_validation_tol(self, rng):
+        A = self._nearly_hermitian(rng, 5e-11)
+        rho = states.DensityMatrix(A, 3, 3)  # Hermitian within 1e-10
+        pt = linalg.partial_transpose(rho.matrix, 3, 3)
+        for tol in (1e-11, 1e-13):
+            with pytest.raises(NonHermitian):
+                linalg.min_eigenvalue(pt, tol)
+            with pytest.raises(NonHermitian):
+                linalg.min_eigenvalue(pt, tol,
+                                      hermitian_within=states.HERMITIAN_TOL)
+            with pytest.raises(NonHermitian):
+                criteria.ppt_check(fresh(rho), tol)
+        assert criteria.ppt_check(rho) == linalg.min_eigenvalue(pt)
+
+
+def horodecki_matrix(gamma):
+    """The 3x3 family from its definition, operators built afresh."""
+    psi = states.max_entangled(3)
+    proj = np.outer(psi, psi.conj())
+    sigma_plus = np.zeros((9, 9), dtype=complex)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        sigma_plus[3 * i + j, 3 * i + j] = 1 / 3
+    V = states.swap_operator(3)
+    sigma_minus = V @ sigma_plus @ V.conj().T
+    g = np.asarray(gamma, dtype=float)[..., None, None]
+    return (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
+
+
+class TestStateStacks:
+    def test_horodecki_operators_cached_read_only(self):
+        ops = states.horodecki_operators()
+        assert states.horodecki_operators() is ops
+        assert not any(op.flags.writeable for op in ops)
+
+    def test_horodecki_bits_unchanged(self):
+        grid = np.arange(2.0, 5.005, 0.01)
+        grid[-1] = 5.0
+        assert np.array_equal(states.horodecki_stack(grid).matrix,
+                              horodecki_matrix(grid))
+        for g in (2.0, 3.37, 4.5, 5.0):
+            assert np.array_equal(states.horodecki_state(g).matrix,
+                                  horodecki_matrix([g])[0])
+
+    def test_stack_split_equals_one_by_one(self):
+        rs = [0.0, 0.1, 0.35]
+        stack = states.so3_stack(0.2, 0.3, rs)
+        assert stack.matrix.shape == (3, 16, 16)
+        assert not stack.matrix.flags.writeable
+        for rho, r in zip(stack.split(), rs):
+            one = states.so3_state(0.2, 0.3, r)
+            assert np.array_equal(rho.matrix, one.matrix)
+            for got, want in zip(rho.eig, one.eig):
+                assert np.array_equal(got, want)
+
+    def test_stack_of_restacks_without_validation(self, rng):
+        stack = separable_stack(3, 3, rng)
+        again = states.stack_of(stack.split())
+        assert np.array_equal(again.matrix, stack.matrix)
+        for got, want in zip(again.eig, stack.eig):
+            assert np.array_equal(got, want)
+        rho = stack.split()[0]
+        assert states.stack_of([rho]) is rho
+
+
+class TestScansUseStacks:
+    def test_region_rows_come_from_stacked_verdicts(self):
+        # no per-state criterion call and no cache entry: the rows equal
+        # the stacked verdicts of each q-row
+        crit = [scan.RegionCriterion("red", maps.reduction_decomposition(4),
+                                     3, 1, Kind.II),
+                scan.RegionCriterion("ent", None, 0.5)]
+        rows = list(scan.so3_region(0.2, crit, 6))
+        k = 0
+        for q, row in scan.so3_grid(0.2, 6):
+            stack = states.so3_stack(0.2, q, [r for r, _ in row])
+            sp = criteria.Spectra(stack)
+            want = {c.label: c.verdicts(sp) for c in crit}
+            for j in range(len(row)):
+                assert rows[k].ppt == (sp.ppt[j] >= -1e-9)
+                for c in crit:
+                    assert rows[k].results[c.label] == \
+                        want[c.label].result(j)
+                k += 1
+        assert k == len(rows)
+
+    def test_gamma_verdicts_of_one_state(self):
+        dec = scan.parse_map_spec("phi_dk d=3 k=1")
+        for alpha in (7.0, math.inf):
+            for g in (3.1, 3.5, 4.8):
+                rho = states.horodecki_state(g)
+                got = scan.gamma_verdicts(alpha, 1.0, dec, None, [rho])
+                if alpha == math.inf:
+                    want = criteria.limit_witness(fresh(rho), dec.map) < 0
+                else:
+                    want = criteria.alpha_beta_inequality(
+                        fresh(rho), dec, alpha, 1.0, Kind.II,
+                        scan.BISECTION_CRITERION_TOL).violated
+                assert got == [want]
+                assert rho.cache == {}
