@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -138,16 +138,6 @@ def _clamped(w: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
     return linalg.clamp_psd(w, linalg.fro(A), tol)
 
 
-def _rho_spectrum(rho: DensityMatrix, tol: float) -> np.ndarray:
-    """Eigenvalues of rho (ascending, columns of rho.eig.eigenvectors)
-    after the clamp rule at tol."""
-    key = (None, tol)
-    lam = rho.cache.get(key)
-    if lam is None:
-        lam = rho.cache[key] = _clamped(rho.eig.eigenvalues, rho.matrix, tol)
-    return lam
-
-
 class _MapSpectrum:
     """X = [I (x) L](rho) and its spectral data for one map and tol, on one
     state or a stack of states.
@@ -188,13 +178,14 @@ class _MapSpectrum:
                          linalg.powered(self.mu, beta))
 
 
-def _alpha_beta(lam: np.ndarray, M: np.ndarray, X1: _MapSpectrum,
-                X2: Optional[_MapSpectrum], alpha: float, beta: float,
-                kind: Kind, tol: float):
+def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
+                beta: float, kind: Kind):
     """lhs, rhs and (kind I with a map lambda2) the commutator norm of
-    the (alpha, beta)-inequality, for rho's clamped spectra lam, rho's
-    matrices M and the map spectra of lambda1 and lambda2 (None for the
-    identity)."""
+    the (alpha, beta)-inequality on the states of sp."""
+    _validate_range(alpha, beta, kind)
+    lam, M, tol = sp.lam, sp.matrix, sp.tol
+    X1 = sp.map(dec.lambda1)
+    X2 = None if dec.lambda2_is_identity else sp.map(dec.lambda2)
     lam_a = linalg.powered(lam, alpha)
     commutator = None
     if kind is Kind.I and X2 is not None:
@@ -225,54 +216,26 @@ def _alpha_beta(lam: np.ndarray, M: np.ndarray, X1: _MapSpectrum,
     return lhs, rhs, commutator
 
 
-def _entropic(w: np.ndarray, lam: np.ndarray, alpha: float):
-    """lhs, rhs of the entropic inequality: Tr rho_sub^a and Tr rho^a from
-    the clamped spectra w of the marginal and lam of rho."""
-    return (linalg.powered(w, alpha).sum(-1),
-            linalg.powered(lam, alpha).sum(-1))
+def _validate_entropic(alpha: float, subsystem: str) -> None:
+    if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
+        raise ParameterOutOfRange(
+            f"alpha={alpha} must be finite, >= 0 and != 1"
+        )
+    if subsystem not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
-def _limit(w: np.ndarray, weights: np.ndarray, M: np.ndarray,
-           tol: float) -> np.ndarray:
-    """The limit witness of each state, from rho's eigenvalues w
-    (ascending), the weights of X in rho's eigenbasis and rho's
-    matrices M.
-
-    Each state's walk takes the eigenvalue groups from the top, one
-    group per step for the whole stack.  A group is the run of
-    eigenvalues within tol * ||rho||_F below its top one; its weights
-    are summed as one slice, as a one-state walk sums them.
-    """
-    band = np.reshape(tol * np.maximum(linalg.fro(M), 1e-300), (-1, 1))
-    d = w.shape[-1]
-    w, weights = w.reshape(-1, d), weights.reshape(-1, d)
-    out = np.empty(len(w))
-    top = np.full(len(w), d - 1)  # the top eigenvalue of each next group
-    todo = np.arange(len(w))
-    while todo.size:
-        wt, i = w[todo], top[todo]
-        # w ascends, so a group starts at the count of eigenvalues below it
-        j = np.count_nonzero(
-            wt < (wt[np.arange(todo.size), i][:, None] - band[todo]), axis=-1)
-        size = i - j + 1
-        val = np.empty(todo.size)
-        for n in set(size.tolist()):
-            pick = size == n
-            val[pick] = np.take_along_axis(
-                weights[todo[pick]], j[pick, None] + np.arange(n), -1
-            ).sum(-1)
-        hit = np.abs(val) > tol
-        out[todo[hit]] = val[hit]
-        top[todo] = j - 1
-        todo = todo[~hit]
-        if (top[todo] < 0).any():
-            raise AllProjectionsVanish(
-                "Tr(X P) vanished for every eigen-group")
-    return out.reshape(M.shape[:-2])
+def _entropic(sp: Spectra, alpha: float, subsystem: str):
+    """lhs, rhs of the entropic inequality on the states of sp:
+    Tr rho_sub^a and Tr rho^a from the clamped spectra of the marginal
+    and of rho."""
+    _validate_entropic(alpha, subsystem)
+    return (linalg.powered(sp.marginal(subsystem), alpha).sum(-1),
+            linalg.powered(sp.lam, alpha).sum(-1))
 
 
 # ---------------------------------------------------------------------------
-# stacked spectral data and the per-state cache
+# spectral data of a stack, and of one state as its cache
 
 class Spectra:
     """The arrays the criteria read, for states on one C^dA (x) C^dB at
@@ -285,6 +248,9 @@ class Spectra:
     clamped spectrum (one eigensolve), `ppt` the partial transpose's
     minimum eigenvalue (one eigvalsh) and `lam` rho's clamped spectrum.
     A stack gives each state the bits of a one-state call.
+
+    A state's cache is its Spectra: `Spectra.of(rho, tol)` is
+    rho.cache[tol], and the one-state criteria read only that.
     """
 
     def __init__(self, states, tol: float = DEFAULT_TOL):
@@ -297,6 +263,15 @@ class Spectra:
         self._Ud = self._lam = self._ppt = None
         self._maps: dict = {}
         self._marginals: dict = {}
+
+    @classmethod
+    def of(cls, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Spectra:
+        """rho's Spectra at tol, built on first use and kept in
+        rho.cache[tol]."""
+        sp = rho.cache.get(tol)
+        if sp is None:
+            sp = rho.cache[tol] = cls(rho, tol)
+        return sp
 
     @property
     def lam(self) -> np.ndarray:
@@ -336,55 +311,8 @@ class Spectra:
         return self._ppt
 
 
-def fill_cache(rhos: Sequence[DensityMatrix],
-               maps: Sequence[MatrixMap] = (), tol: float = DEFAULT_TOL,
-               marginal: Optional[str] = None, ppt: bool = False) -> None:
-    """Fill the caches of states on one C^dA (x) C^dB in one stacked pass.
-
-    Stores, per state, the `Spectra` arrays of each map (X and its
-    weights), of the `marginal` ("A" or "B") if given and of `ppt` if
-    set.  Entries a state already holds are kept.  The criteria's lazy
-    per-state fills are its one-state calls.
-    """
-    sp = Spectra(rhos, tol)
-    n = len(rhos)
-    for m in maps:
-        entry = sp.map(m)
-        per_state = [entry] if n == 1 else [
-            _MapSpectrum(m, tol, x, rho.eig.eigenvectors, w)
-            for rho, x, w in zip(rhos, entry.X, entry.weights)
-        ]
-        for rho, e in zip(rhos, per_state):
-            rho.cache.setdefault((id(m), tol), e)
-    if marginal is not None:
-        w = sp.marginal(marginal)
-        for rho, v in zip(rhos, [w] if n == 1 else w):
-            rho.cache.setdefault(("marginal", marginal, tol), v)
-    if ppt:
-        for rho, v in zip(rhos, np.ravel(sp.ppt).tolist()):
-            rho.cache.setdefault(("ppt", tol), v)
-
-
-def _cached(rho: DensityMatrix, key, **what):
-    """rho's cache entry under key, filled by `fill_cache(**what)`."""
-    entry = rho.cache.get(key)
-    if entry is None:
-        fill_cache([rho], **what)
-        entry = rho.cache[key]
-    return entry
-
-
-def _map_spectrum(rho: DensityMatrix, m: MatrixMap,
-                  tol: float) -> _MapSpectrum:
-    # the one-state criteria's hot path: a hit builds no fill arguments
-    entry = rho.cache.get((id(m), tol))
-    if entry is None:
-        entry = _cached(rho, (id(m), tol), maps=(m,), tol=tol)
-    return entry
-
-
 # ---------------------------------------------------------------------------
-# the criteria, on one state (cached on the state) and on a Spectra stack
+# the criteria, on one state (through its cached Spectra) and on a stack
 
 def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
                           alpha: float, beta: float, kind: Kind = Kind.II,
@@ -399,14 +327,8 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
     """
     if isinstance(kind, str):
         kind = Kind[kind]
-    _validate_range(alpha, beta, kind)
-    lam = _rho_spectrum(rho, tol)
-    X1 = _map_spectrum(rho, dec.lambda1, tol)
-    X2 = None if dec.lambda2_is_identity else _map_spectrum(
-        rho, dec.lambda2, tol
-    )
-    lhs, rhs, commutator = _alpha_beta(lam, rho.matrix, X1, X2, alpha, beta,
-                                       kind, tol)
+    lhs, rhs, commutator = _alpha_beta(Spectra.of(rho, tol), dec, alpha,
+                                       beta, kind)
     return _result(lhs, rhs, kind is Kind.III, kind, tol, commutator)
 
 
@@ -415,21 +337,8 @@ def alpha_beta_verdicts(sp: Spectra, dec: CPDecomposition, alpha: float,
     """`alpha_beta_inequality` at sp.tol on every state of sp."""
     if isinstance(kind, str):
         kind = Kind[kind]
-    _validate_range(alpha, beta, kind)
-    lam, X1 = sp.lam, sp.map(dec.lambda1)
-    X2 = None if dec.lambda2_is_identity else sp.map(dec.lambda2)
-    lhs, rhs, commutator = _alpha_beta(lam, sp.matrix, X1, X2, alpha, beta,
-                                       kind, sp.tol)
+    lhs, rhs, commutator = _alpha_beta(sp, dec, alpha, beta, kind)
     return _verdicts(lhs, rhs, kind is Kind.III, kind, sp.tol, commutator)
-
-
-def _validate_entropic(alpha: float, subsystem: str) -> None:
-    if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
-        raise ParameterOutOfRange(
-            f"alpha={alpha} must be finite, >= 0 and != 1"
-        )
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
 def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
@@ -438,18 +347,14 @@ def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
     for a < 1); violation certifies entanglement.  At a = 0 the traces
     are ranks (0^0 := 0), so it is the rank test rank rho_sub <= rank rho.
     """
-    _validate_entropic(alpha, subsystem)
-    w = _cached(rho, ("marginal", subsystem, tol), marginal=subsystem,
-                tol=tol)
-    lhs, rhs = _entropic(w, _rho_spectrum(rho, tol), alpha)
+    lhs, rhs = _entropic(Spectra.of(rho, tol), alpha, subsystem)
     return _result(lhs, rhs, alpha < 1, Kind.ENTROPIC, tol)
 
 
 def entropic_verdicts(sp: Spectra, alpha: float,
                       subsystem: str = "A") -> Verdicts:
     """`entropic_inequality` at sp.tol on every state of sp."""
-    _validate_entropic(alpha, subsystem)
-    lhs, rhs = _entropic(sp.marginal(subsystem), sp.lam, alpha)
+    lhs, rhs = _entropic(sp, alpha, subsystem)
     return _verdicts(lhs, rhs, alpha < 1, Kind.ENTROPIC, sp.tol)
 
 
@@ -457,13 +362,13 @@ def structural_criterion(rho: DensityMatrix, m: MatrixMap,
                          tol: float = DEFAULT_TOL) -> float:
     """Min eigenvalue of [I (x) L](rho); negative beyond tol detects
     entanglement."""
-    return float(_map_spectrum(rho, m, tol).eig.eigenvalues[0])
+    return float(Spectra.of(rho, tol).map(m).eig.eigenvalues[0])
 
 
 def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """Min eigenvalue of the partial transpose; >= -tol means PPT.
     On a stack it is `Spectra.ppt`."""
-    return _cached(rho, ("ppt", tol), ppt=True, tol=tol)
+    return Spectra.of(rho, tol).ppt
 
 
 def limit_witness(rho: DensityMatrix, m: MatrixMap,
@@ -475,10 +380,43 @@ def limit_witness(rho: DensityMatrix, m: MatrixMap,
     for the first group projector P with a non-vanishing trace.
     Negative value <=> detection.
     """
-    weights = _map_spectrum(rho, m, tol).weights
-    return float(_limit(rho.eig.eigenvalues, weights, rho.matrix, tol))
+    return float(limit_witnesses(Spectra.of(rho, tol), m))
 
 
 def limit_witnesses(sp: Spectra, m: MatrixMap) -> np.ndarray:
-    """`limit_witness` at sp.tol on every state of sp."""
-    return _limit(sp.eigenvalues, sp.map(m).weights, sp.matrix, sp.tol)
+    """`limit_witness` at sp.tol on every state of sp, from rho's
+    eigenvalues (ascending), the weights of X = [I (x) L](rho) in rho's
+    eigenbasis and rho's matrices.
+
+    Each state's walk takes the eigenvalue groups from the top, one
+    group per step for the whole stack.  A group is the run of
+    eigenvalues within tol * ||rho||_F below its top one; its weights
+    are summed as one slice, as a one-state walk sums them.
+    """
+    w, weights, M, tol = sp.eigenvalues, sp.map(m).weights, sp.matrix, sp.tol
+    band = np.reshape(tol * np.maximum(linalg.fro(M), 1e-300), (-1, 1))
+    d = w.shape[-1]
+    w, weights = w.reshape(-1, d), weights.reshape(-1, d)
+    out = np.empty(len(w))
+    top = np.full(len(w), d - 1)  # the top eigenvalue of each next group
+    todo = np.arange(len(w))
+    while todo.size:
+        wt, i = w[todo], top[todo]
+        # w ascends, so a group starts at the count of eigenvalues below it
+        j = np.count_nonzero(
+            wt < (wt[np.arange(todo.size), i][:, None] - band[todo]), axis=-1)
+        size = i - j + 1
+        val = np.empty(todo.size)
+        for n in set(size.tolist()):
+            pick = size == n
+            val[pick] = np.take_along_axis(
+                weights[todo[pick]], j[pick, None] + np.arange(n), -1
+            ).sum(-1)
+        hit = np.abs(val) > tol
+        out[todo[hit]] = val[hit]
+        top[todo] = j - 1
+        todo = todo[~hit]
+        if (top[todo] < 0).any():
+            raise AllProjectionsVanish(
+                "Tr(X P) vanished for every eigen-group")
+    return out.reshape(M.shape[:-2])

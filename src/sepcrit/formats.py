@@ -62,22 +62,25 @@ def parse_matrix_file(lines) -> tuple[np.ndarray, int, int]:
             f"got {len(rows)}"
         )
 
-    M = np.zeros((dim, dim), dtype=complex)
-    for r, (lineno, text) in enumerate(rows):
+    # re, im of every entry in row-major order, viewed as complex at the end
+    values = []
+    for lineno, text in rows:
         entries = text.split()
         if len(entries) != dim:
             raise ParseError(
                 f"line {lineno}: expected {dim} entries, got {len(entries)}"
             )
-        for c, entry in enumerate(entries):
+        for entry in entries:
             try:
                 re_s, im_s = entry.split(",")
-                M[r, c] = complex(float(re_s), float(im_s))
+                values.append(float(re_s))
+                values.append(float(im_s))
             except ValueError:
                 raise ParseError(
                     f"line {lineno}: bad entry {entry!r} "
                     "(expected 're,im')"
                 ) from None
+    M = np.array(values).view(complex).reshape(dim, dim)
     return M, dA, dB
 
 

@@ -79,8 +79,8 @@ class CPDecomposition:
 
     @cached_property
     def map(self) -> MatrixMap:
-        """The difference map L = L1 - L2, built once, so that its
-        per-state cache entries are found again."""
+        """The difference map L = L1 - L2, built once, so that a
+        `Spectra` finds its entry for it again."""
         return MatrixMap(
             self.d, self.lambda1.choi - self.lambda2.choi, self.name
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -65,8 +66,15 @@ def _parse_value(text: str):
         return float(text)
 
 
+@lru_cache(maxsize=64)
 def parse_map_spec(spec: str) -> CPDecomposition:
-    """Build a catalog decomposition from a 'family key=value ...' string."""
+    """Build a catalog decomposition from a 'family key=value ...' string.
+
+    Each spec string is parsed once (up to the 64 most recently used):
+    a repeat returns the same decomposition, whose maps keep their
+    superoperators, so treat it as read-only.  A bad spec raises on
+    every call.
+    """
     tokens = spec.split()
     if not tokens:
         raise InvalidParameters("empty map spec")

@@ -28,9 +28,10 @@ class DensityMatrix:
     """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B.
 
     Immutable.  `eig` is the eigendecomposition that validation computes.
-    `cache` holds per-(map, tol) spectral data; `sepcrit.criteria` owns
-    its keys and contents.  `density_matrices` validates a whole stack
-    with one eigensolve; this constructor is its one-matrix case.
+    `cache` maps each tol to the state's one `sepcrit.criteria.Spectra`
+    (no batch axis), which the one-state criteria fill on first use.
+    `density_matrices` validates a whole stack with one eigensolve; this
+    constructor is its one-matrix case.
     """
 
     matrix: np.ndarray

@@ -247,9 +247,11 @@ class TestLimitWitness:
         dec = maps.phi_dk_decomposition(3, 1)
         rho = states.horodecki_state(4.8)
         first = criteria.limit_witness(rho, dec.map)
-        n = len(rho.cache)
+        sp = criteria.Spectra.of(rho)
+        entry = sp.map(dec.map)
         assert criteria.limit_witness(rho, dec.map) == first
-        assert len(rho.cache) == n
+        assert list(rho.cache) == [sp.tol] and rho.cache[sp.tol] is sp
+        assert list(sp._maps.values()) == [entry]
 
     def test_all_projections_vanish(self):
         zero = maps.MatrixMap(2, np.zeros((4, 4)), "zero")
@@ -357,13 +359,16 @@ class TestSpectralCore:
             for tol in 1e-9, 1e-12:
                 criteria.alpha_beta_inequality(rho, dec, 2, 0.5, Kind.II,
                                                tol=tol)
-        # rho's spectrum and the two maps' entries, once per tol
-        assert len(a.cache) == len(b.cache) == 6
-        ids = {id(v) for v in a.cache.values()}
-        assert ids.isdisjoint(id(v) for v in b.cache.values())
+        # one Spectra per (state, tol), keyed by tol alone
+        assert set(a.cache) == set(b.cache) == {1e-9, 1e-12}
+        spectra = [rho.cache[tol] for rho in (a, b) for tol in (1e-9, 1e-12)]
+        assert len({id(sp) for sp in spectra}) == 4
+        assert len({id(sp.map(dec.lambda2).X) for sp in spectra}) == 4
         for rho in a, b:
             for tol in 1e-9, 1e-12:
-                entry = rho.cache[(id(dec.lambda2), tol)]
+                sp = criteria.Spectra.of(rho, tol)
+                assert sp is rho.cache[tol] and sp.tol == tol
+                entry = sp.map(dec.lambda2)
                 assert entry.map is dec.lambda2 and entry.tol == tol
                 assert np.array_equal(
                     entry.X, maps.extend_apply(dec.lambda2, rho.matrix, 4)
@@ -449,28 +454,41 @@ class TestZeroPower:
 
 
 class TestFillCache:
+    """A state's cache is one Spectra per tol, filled lazily by the
+    one-state criteria; a stacked Spectra holds the same bits."""
+
     def test_stack_fill_equals_lazy_fill(self, rng):
         dec = maps.breuer_hall_decomposition(d=4)
         mats = [states.random_separable(4, 4, 4, rng).matrix
                 for _ in range(3)]
         stacked = states.density_matrices(mats, 4, 4)
-        criteria.fill_cache(stacked, dec.cp_maps, 1e-9, marginal="B",
-                            ppt=True)
-        for rho in stacked:
+        sp = criteria.Spectra(stacked, 1e-9)
+        for k, rho in enumerate(stacked):
             lazy = states.DensityMatrix(rho.matrix.copy(), 4, 4)
+            criteria.alpha_beta_inequality(lazy, dec, 2, 0.5, Kind.II,
+                                           tol=1e-9)
+            criteria.entropic_inequality(lazy, 2, "B", tol=1e-9)
+            criteria.ppt_check(lazy, 1e-9)
+            one = lazy.cache[1e-9]
             for m in dec.cp_maps:
-                got = rho.cache[(id(m), 1e-9)]
-                want = criteria._map_spectrum(lazy, m, 1e-9)
-                assert np.array_equal(got.X, want.X)
-                assert np.array_equal(got.weights, want.weights)
-            assert criteria.ppt_check(rho) == criteria.ppt_check(lazy)
-            assert criteria.entropic_inequality(rho, 2, "B") == \
-                criteria.entropic_inequality(lazy, 2, "B")
-            assert len(rho.cache) == len(lazy.cache)
+                got, want = sp.map(m), one.map(m)
+                for name in ("X", "weights", "mu", "overlap"):
+                    assert np.array_equal(getattr(got, name)[k],
+                                          getattr(want, name))
+            assert np.array_equal(sp.lam[k], one.lam)
+            assert np.array_equal(sp.marginal("B")[k], one.marginal("B"))
+            assert sp.ppt[k] == one.ppt
+            assert list(lazy.cache) == [1e-9]
+        # the stacked Spectra makes no per-state entries
+        assert all(rho.cache == {} for rho in stacked)
 
     def test_keeps_existing_entries(self, rng):
         dec = maps.reduction_decomposition(3)
         rho = states.random_separable(3, 3, 4, rng)
-        entry = criteria._map_spectrum(rho, dec.lambda1, 1e-9)
-        criteria.fill_cache([rho], [dec.lambda1], 1e-9)
-        assert rho.cache[(id(dec.lambda1), 1e-9)] is entry
+        sp = criteria.Spectra.of(rho, 1e-9)
+        entry = sp.map(dec.lambda1)
+        criteria.alpha_beta_inequality(rho, dec, 2, 1, Kind.II, tol=1e-9)
+        criteria.entropic_inequality(rho, 2, tol=1e-9)
+        criteria.ppt_check(rho, 1e-9)
+        assert list(rho.cache) == [1e-9] and rho.cache[1e-9] is sp
+        assert sp.map(dec.lambda1) is entry

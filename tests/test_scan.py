@@ -54,6 +54,21 @@ class TestParseMapSpec:
         with pytest.raises(InvalidParameters):
             scan.parse_map_spec("nosuchmap d=3")
 
+    def test_same_spec_same_object(self):
+        dec = scan.parse_map_spec("phi_dk d=3 k=1")
+        assert scan.parse_map_spec("phi_dk d=3 k=1") is dec
+        assert dec.map is scan.parse_map_spec("phi_dk d=3 k=1").map
+        assert scan.parse_map_spec("reduction d=3") is not \
+            scan.parse_map_spec("reduction d=4")
+        assert scan.parse_map_spec.cache_info().maxsize == 64
+
+    def test_bad_spec_raises_on_every_call(self):
+        for _ in range(3):
+            for spec in ("", "reduction 3", "kossakowski a=1,2,3",
+                         "nosuchmap d=3"):
+                with pytest.raises(InvalidParameters):
+                    scan.parse_map_spec(spec)
+
 
 class TestTable1:
     def test_alpha_six_empty(self):
@@ -87,6 +102,25 @@ class TestTable1:
     def test_rejects_other_non_finite_alpha(self, alpha):
         with pytest.raises(ParameterOutOfRange):
             scan.table1(alpha, 1)
+
+    def test_intervals_are_pinned(self):
+        # bit-exact boundaries; each row runs twice, the second time on
+        # the parsed map spec of the first
+        expected = {
+            6: None,
+            7: (3.190664062499975, 3.9419921874999586, True, True),
+            10: (3.0157421874999786, 4.683320312499943, True, True),
+            13: (3.0019140624999787, 5.0, True, False),
+            math.inf: (3.0000390624999786, 5.0, True, False),
+        }
+        for _ in range(2):
+            for alpha, want in expected.items():
+                iv = scan.table1(alpha, 1.0, "phi_dk d=3 k=1")
+                if want is None:
+                    assert iv.empty
+                else:
+                    assert (iv.lower, iv.upper, iv.lower_open,
+                            iv.upper_open) == want
 
     def test_rejects_too_fine_tol(self):
         with pytest.raises(InvalidParameters):
@@ -239,6 +273,32 @@ class TestCheckState:
         rows = scan.check_state(rho, crit, include_ppt=True)
         assert not any(res.violated for _, res in rows)
 
+    def test_results_digest_is_pinned(self):
+        # the benchmark's check criteria on 20 seeded 3x3 states, half
+        # separable and half full-rank random: repr keeps every bit of
+        # lhs, rhs and margin, so any bit that moves changes this digest
+        crit = [
+            scan.RegionCriterion(spec.split()[0], scan.parse_map_spec(spec),
+                                 1.0, 1.0)
+            for spec in ("reduction d=3", "phi_dk d=3 k=1",
+                         "transposition d=3")
+        ] + [scan.RegionCriterion("entropic", None, 2.0)]
+        rng = np.random.default_rng(2026)
+        lines = []
+        for j in range(20):
+            if j % 2 == 0:
+                rho = states.random_separable(3, 3, 4, rng)
+            else:
+                rho = states.DensityMatrix(states.random_density(9, rng), 3,
+                                           3)
+            for label, res in scan.check_state(rho, crit, include_ppt=True):
+                lines.append(repr((label, res.lhs, res.rhs, res.margin,
+                                   res.violated)))
+        assert len(lines) == 100
+        assert any("True" in line for line in lines)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "ac8674edac9f286a95fd27f80da26f04f7fa44843970c388f691c278318c8685")
+
 
 class TestChoiDump:
     def test_reduction_not_cp(self):
@@ -284,3 +344,21 @@ class TestMatrixFormat:
             parse_matrix_file(io.StringIO("1 2\n1,0\n0,0 0,0\n"))
         with pytest.raises(ParseError):
             parse_matrix_file(io.StringIO(""))
+
+    def test_parse_is_bit_exact(self, rng):
+        specials = ["0.10000000000000001", "-0.0", "inf", "-inf", "nan",
+                    "5e-324", "-5e-324", "1.7976931348623157e+308",
+                    "2.2250738585072014e-308", "0"]
+        floats = specials + [f"{x:.17g}" for x in rng.standard_normal(22)]
+        pairs = [floats[k:k + 2] for k in range(0, 32, 2)]
+        text = "2 2\n" + "".join(
+            " ".join(f"{re},{im}" for re, im in pairs[4 * r:4 * r + 4]) + "\n"
+            for r in range(4))
+        M, dA, dB = parse_matrix_file(io.StringIO(text))
+        # the per-entry reference: one complex per entry, written in place
+        ref = np.zeros((4, 4), dtype=complex)
+        for k, (re, im) in enumerate(pairs):
+            ref[k // 4, k % 4] = complex(float(re), float(im))
+        assert (dA, dB) == (2, 2)
+        assert M.dtype == ref.dtype and M.shape == ref.shape
+        assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
