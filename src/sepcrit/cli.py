@@ -15,7 +15,7 @@ import click
 
 from . import maps, scan
 from .criteria import Kind
-from .errors import SepcritError
+from .errors import InvalidParameters, SepcritError
 from .formats import format_float, read_density_matrix, write_matrix
 from .linalg import DEFAULT_TOL
 
@@ -43,7 +43,11 @@ def _build_criteria(map_specs, alpha, beta, kind, tol):
     kind_enum = Kind[kind] if kind else None
     criteria = []
     for spec in map_specs:
-        if spec.split()[0] == "entropic":
+        tokens = spec.split()
+        if tokens[:1] == ["entropic"]:
+            if len(tokens) > 1:
+                raise InvalidParameters(
+                    f"'entropic' takes no parameters, got {spec!r}")
             criteria.append(
                 scan.RegionCriterion("entropic", None, alpha + beta, tol=tol)
             )

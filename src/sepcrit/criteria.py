@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -36,12 +35,11 @@ class Kind(enum.Enum):
     III = "III"
     IV = "IV"
     ENTROPIC = "ENTROPIC"
-    STRUCTURAL = "STRUCTURAL"
+    PPT = "PPT"
     LIMIT = "LIMIT"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     lhs: float
     rhs: float
     margin: float  # sign-adjusted: margin < 0 <=> inequality violated
@@ -55,55 +53,33 @@ class CriterionResult:
         return self.kind.value
 
 
-def _verdict(lhs: float, rhs: float, reversed_: bool,
-             tol: float) -> tuple[float, bool]:
-    """The verdict rule: the sign-adjusted margin of lhs against rhs and
-    whether it lies below -tol * max(1, |lhs|, |rhs|)."""
-    margin = (rhs - lhs) if reversed_ else (lhs - rhs)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return margin, bool(margin < -tol * scale)
-
-
 def _result(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
             commutator: Optional[float] = None) -> CriterionResult:
-    """One state's CriterionResult from its kernel output."""
+    """One state's CriterionResult from its kernel output, by the verdict
+    rule: the sign-adjusted margin of lhs against rhs is violated when it
+    lies below -tol * max(1, |lhs|, |rhs|)."""
     lhs, rhs = float(lhs), float(rhs)
-    margin, violated = _verdict(lhs, rhs, reversed_, tol)
-    return CriterionResult(lhs, rhs, margin, violated, kind, tol, commutator)
-
-
-class Verdicts(NamedTuple):
-    """One criterion on a stack of states: lhs, rhs, margin and violated
-    (and, for kind I with a map lambda2, the commutator norm) hold one
-    entry per state.  `result(k)` is state k's CriterionResult."""
-
-    lhs: list
-    rhs: list
-    margin: list
-    violated: list
-    kind: Kind
-    tol: float
-    commutator: Optional[list] = None
-
-    def result(self, k: int) -> CriterionResult:
-        return CriterionResult(
-            self.lhs[k], self.rhs[k], self.margin[k], self.violated[k],
-            self.kind, self.tol,
-            None if self.commutator is None else self.commutator[k],
-        )
+    margin = (rhs - lhs) if reversed_ else (lhs - rhs)
+    scale = max(1.0, abs(lhs), abs(rhs))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, about a
+    # third of the cost of a result; the scans build one per state
+    return tuple.__new__(CriterionResult, (
+        lhs, rhs, margin, bool(margin < -tol * scale), kind, tol, commutator))
 
 
 def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
-              commutator=None) -> Verdicts:
-    """Verdicts of a stack from its kernel output, by the verdict rule
-    state by state."""
-    lhs, rhs = np.ravel(lhs).tolist(), np.ravel(rhs).tolist()
-    rule = [_verdict(a, b, reversed_, tol) for a, b in zip(lhs, rhs)]
-    return Verdicts(
-        lhs, rhs, [margin for margin, _ in rule],
-        [violated for _, violated in rule], kind, tol,
-        None if commutator is None else np.ravel(commutator).tolist(),
-    )
+              commutator=None) -> list[CriterionResult]:
+    """Each state's CriterionResult from a kernel's output: one for output
+    with no batch axis, else one per state of the stack.  A scalar rhs
+    holds for every state."""
+    if not isinstance(lhs, np.ndarray) or lhs.ndim == 0:
+        return [_result(lhs, rhs, reversed_, kind, tol, commutator)]
+    lhs = np.ravel(lhs).tolist()
+    rhs = np.ravel(rhs).tolist() if np.ndim(rhs) else [rhs] * len(lhs)
+    commutator = ([None] * len(lhs) if commutator is None
+                  else np.ravel(commutator).tolist())
+    return [_result(a, b, reversed_, kind, tol, c)
+            for a, b, c in zip(lhs, rhs, commutator)]
 
 
 _BETA_OK = {
@@ -333,7 +309,8 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
 
 
 def alpha_beta_verdicts(sp: Spectra, dec: CPDecomposition, alpha: float,
-                        beta: float, kind: Kind = Kind.II) -> Verdicts:
+                        beta: float, kind: Kind = Kind.II
+                        ) -> list[CriterionResult]:
     """`alpha_beta_inequality` at sp.tol on every state of sp."""
     if isinstance(kind, str):
         kind = Kind[kind]
@@ -352,7 +329,7 @@ def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
 
 
 def entropic_verdicts(sp: Spectra, alpha: float,
-                      subsystem: str = "A") -> Verdicts:
+                      subsystem: str = "A") -> list[CriterionResult]:
     """`entropic_inequality` at sp.tol on every state of sp."""
     lhs, rhs = _entropic(sp, alpha, subsystem)
     return _verdicts(lhs, rhs, alpha < 1, Kind.ENTROPIC, sp.tol)

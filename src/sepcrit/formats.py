@@ -63,6 +63,24 @@ def parse_matrix_file(lines) -> tuple[np.ndarray, int, int]:
         )
 
     # re, im of every entry in row-major order, viewed as complex at the end
+    body = " ".join(text for _, text in rows)
+    tokens = body.replace(",", " ").split()
+    pairs = iter(tokens)
+    try:
+        # one pass for the written layout: dim 're,im' entries a row,
+        # separated by single spaces
+        if (body != " ".join(map(",".join, zip(pairs, pairs)))
+                or any(text.count(",") != dim for _, text in rows)):
+            raise ValueError
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        values = _parse_entries(rows, dim)
+    return values.view(complex).reshape(dim, dim), dA, dB
+
+
+def _parse_entries(rows, dim: int) -> np.ndarray:
+    """re, im of every entry, parsed entry by entry, so that a bad entry
+    raises a ParseError naming its line."""
     values = []
     for lineno, text in rows:
         entries = text.split()
@@ -80,8 +98,7 @@ def parse_matrix_file(lines) -> tuple[np.ndarray, int, int]:
                     f"line {lineno}: bad entry {entry!r} "
                     "(expected 're,im')"
                 ) from None
-    M = np.array(values).view(complex).reshape(dim, dim)
-    return M, dA, dB
+    return np.array(values)
 
 
 def read_density_matrix(path) -> DensityMatrix:

@@ -4,9 +4,8 @@ parameter-space region grids, single-state checks, and Choi dumps."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -15,18 +14,15 @@ from .criteria import (
     CriterionResult,
     Kind,
     Spectra,
-    Verdicts,
-    alpha_beta_inequality,
+    _verdicts,
     alpha_beta_verdicts,
-    entropic_inequality,
     entropic_verdicts,
     limit_witnesses,
-    ppt_check,
 )
 from .errors import InvalidParameters, ParameterOutOfRange
 from .formats import format_float
 from .linalg import DEFAULT_TOL
-from .maps import CPDecomposition
+from .maps import CPDecomposition, MatrixMap
 from .states import (
     DensityMatrix,
     DensityStack,
@@ -99,8 +95,7 @@ def parse_map_spec(spec: str) -> CPDecomposition:
 # ---------------------------------------------------------------------------
 # Table-1 style gamma intervals
 
-@dataclass(frozen=True)
-class GammaInterval:
+class GammaInterval(NamedTuple):
     lower: float = math.nan
     upper: float = math.nan
     lower_open: bool = True
@@ -131,14 +126,14 @@ def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
                    kind: Optional[Kind],
                    rhos: DensityStack | list[DensityMatrix]) -> list[bool]:
     """table1's violation test on states of the 3x3 family, evaluated as
-    one stack (`Spectra`; no per-state cache entries or criterion calls).
-    alpha = inf routes to the limit witness.
+    one stack (`Spectra`; no per-state cache entries or criterion calls)
+    by one criterion at BISECTION_CRITERION_TOL: the limit witness at
+    alpha = inf, the (alpha, beta)-inequality otherwise.
     """
-    if alpha == math.inf:
-        return np.ravel(limit_witnesses(Spectra(rhos), dec.map) < 0).tolist()
-    kind = kind or route_kind(beta)
-    sp = Spectra(rhos, BISECTION_CRITERION_TOL)
-    return alpha_beta_verdicts(sp, dec, alpha, beta, kind).violated
+    tol = BISECTION_CRITERION_TOL
+    crit = (Limit("limit", dec.map, tol) if alpha == math.inf
+            else RegionCriterion("gamma", dec, alpha, beta, kind, tol))
+    return [res.violated for res in crit.verdicts(Spectra(rhos, tol))]
 
 
 def table1(alpha: float, beta: float = 1.0,
@@ -168,26 +163,20 @@ def table1(alpha: float, beta: float = 1.0,
         return GammaInterval(empty=True)
     i0 = mask.index(True)
     i1 = len(mask) - 1 - mask[::-1].index(True)
-
-    if i0 == 0:
-        lower, lower_open = 2.0, False
-    else:
-        lower = _bisect(violated, grid[i0 - 1], grid[i0], bisect_tol)
-        lower_open = True
-    if i1 == len(grid) - 1:
-        upper, upper_open = 5.0, False
-    else:
-        upper = _bisect(violated, grid[i1 + 1], grid[i1], bisect_tol)
-        upper_open = True
+    lower_open, upper_open = i0 > 0, i1 < len(grid) - 1
+    lower = (_bisect(violated, grid[i0 - 1], grid[i0], bisect_tol)
+             if lower_open else 2.0)
+    upper = (_bisect(violated, grid[i1 + 1], grid[i1], bisect_tol)
+             if upper_open else 5.0)
     return GammaInterval(lower, upper, lower_open, upper_open)
 
 
 # ---------------------------------------------------------------------------
 # SO(3) region scans
 
-@dataclass(frozen=True)
-class RegionCriterion:
-    """One labeled criterion evaluated at each grid point."""
+class RegionCriterion(NamedTuple):
+    """One labeled (alpha, beta)-inequality, or the entropic inequality,
+    evaluated at each grid point."""
 
     label: str
     dec: Optional[CPDecomposition]  # None means the entropic inequality
@@ -197,28 +186,44 @@ class RegionCriterion:
     tol: float = DEFAULT_TOL
 
     def evaluate(self, rho: DensityMatrix) -> CriterionResult:
-        if self.dec is None:
-            return entropic_inequality(rho, self.alpha, tol=self.tol)
-        kind = self.kind or route_kind(self.beta)
-        return alpha_beta_inequality(
-            rho, self.dec, self.alpha, self.beta, kind, self.tol
-        )
+        return self.verdicts(Spectra.of(rho, self.tol))[0]
 
-    def verdicts(self, sp: Spectra) -> Verdicts:
-        """`evaluate` on every state of a stack built at self.tol."""
+    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
+        """The criterion on every state of sp, built at self.tol."""
         if self.dec is None:
             return entropic_verdicts(sp, self.alpha)
         kind = self.kind or route_kind(self.beta)
         return alpha_beta_verdicts(sp, self.dec, self.alpha, self.beta, kind)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class PPT(NamedTuple):
+    """The PPT test: the partial transpose's minimum eigenvalue against 0."""
+
+    tol: float = DEFAULT_TOL
+    label = "ppt"
+
+    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
+        return _verdicts(sp.ppt, 0.0, False, Kind.PPT, sp.tol)
+
+
+class Limit(NamedTuple):
+    """The alpha -> inf limit witness of a map against 0."""
+
+    label: str
+    map: MatrixMap
+    tol: float = DEFAULT_TOL
+
+    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
+        return _verdicts(limit_witnesses(sp, self.map), 0.0, False,
+                         Kind.LIMIT, sp.tol)
+
+
+class ScanRow(NamedTuple):
     q: float
     r: float
     s: float
     ppt: bool
-    results: dict = field(default_factory=dict)  # label -> CriterionResult
+    results: dict  # label -> CriterionResult
 
 
 def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
@@ -246,8 +251,8 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
 
     Emits rows in row-major (q outer, r inner) order; each row carries
     the PPT flag and every criterion's verdict.  Each q-row of states is
-    built, validated and evaluated as one stack (one `Spectra` per
-    criterion tol; no per-state cache entries or criterion calls), so
+    built, validated and evaluated as one stack (one `Spectra` per tol,
+    PPT's included; no per-state cache entries or criterion calls), so
     memory is O(resolution).  The row's ScanRows are built as it is
     emitted.  An error raises when its q-row is evaluated, before that
     q-row's first point is emitted.
@@ -259,15 +264,15 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")
-    tols = dict.fromkeys([c.tol for c in criteria] + [DEFAULT_TOL])
+    tols = dict.fromkeys([tol] + [c.tol for c in criteria])
     for q, row in so3_grid(p, resolution):
         stack = so3_stack(p, q, [r for r, _ in row])
         spectra = {t: Spectra(stack, t) for t in tols}
-        ppt = (spectra[DEFAULT_TOL].ppt >= -tol).tolist()
+        flags = PPT(tol).verdicts(spectra[tol])
         verdicts = {c.label: c.verdicts(spectra[c.tol]) for c in criteria}
         for k, (r, s) in enumerate(row):
-            results = {label: v.result(k) for label, v in verdicts.items()}
-            yield ScanRow(q, r, max(s, 0.0), ppt[k], results)
+            results = {label: v[k] for label, v in verdicts.items()}
+            yield ScanRow(q, r, max(s, 0.0), not flags[k].violated, results)
 
 
 def region_csv_header(labels: list[str]) -> str:
@@ -297,18 +302,13 @@ def check_state(rho: DensityMatrix,
                 criteria: list[RegionCriterion],
                 include_ppt: bool = False,
                 tol: float = DEFAULT_TOL) -> list[tuple[str, CriterionResult]]:
-    """Evaluate criteria on one state; returns (label, result) pairs."""
-    rows = []
+    """Evaluate criteria (PPT at tol first, if include_ppt) on one state
+    as a stack of one, exactly as an `so3_region` row; returns (label,
+    result) pairs."""
     if include_ppt:
-        val = ppt_check(rho, tol)
-        rows.append((
-            "ppt",
-            CriterionResult(val, 0.0, val, bool(val < -tol), Kind.STRUCTURAL,
-                            tol),
-        ))
-    for crit in criteria:
-        rows.append((crit.label, crit.evaluate(rho)))
-    return rows
+        criteria = [PPT(tol), *criteria]
+    return [(c.label, c.verdicts(Spectra.of(rho, c.tol))[0])
+            for c in criteria]
 
 
 def choi_dump(map_spec: str, part: str = "map") -> tuple[np.ndarray, int, bool, float]:

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from sepcrit.cli import main
-from sepcrit.errors import ParameterOutOfRange
+from sepcrit.errors import InvalidParameters, ParameterOutOfRange
 from sepcrit.formats import write_matrix
 
 from conftest import bell_state
@@ -182,3 +182,20 @@ def test_check_rejects_non_finite_alpha(alpha, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "ok" not in proc.stdout.split()
+
+
+@pytest.mark.parametrize("spec", ["", "   ", "entropic alpha=9"])
+@pytest.mark.parametrize("command", ["check", "so3-region"])
+def test_entry_point_rejects_bad_map_spec(command, spec, tmp_path):
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(2), 2, 2)
+    args = {"check": ["check", str(path)],
+            "so3-region": ["so3-region", "--p", "0.2", "--alpha", "3",
+                           "--resolution", "2"]}[command]
+    result = CliRunner().invoke(main, args + ["--map", spec])
+    assert isinstance(result.exception, InvalidParameters)
+    proc = run_entry_point(*args, "--map", spec)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

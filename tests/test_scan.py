@@ -122,6 +122,37 @@ class TestTable1:
                     assert (iv.lower, iv.upper, iv.lower_open,
                             iv.upper_open) == want
 
+    def test_infinite_alpha_intervals_are_pinned(self):
+        # alpha = inf is the Limit criterion at BISECTION_CRITERION_TOL;
+        # the reprs are those of the limit witness's sign at the default tol
+        nan = math.nan
+        expected = {
+            "reduction d=3": (nan, nan, True, True, True),
+            "identity d=3": (nan, nan, True, True, True),
+            "transposition d=3": (nan, nan, True, True, True),
+            "phi_dk d=3 k=1": (3.0000390624999786, 5.0, True, False, False),
+            "phi_dk d=3 k=2": (nan, nan, True, True, True),
+            "theta a=2 c=1,1,1": (3.0000390624999786, 5.0, True, False,
+                                  False),
+            "theta a=2 c=2,1,1": (3.500039062499968, 5.0, True, False, False),
+            "theta a=2.5 c=1,1,1": (4.000039062499957, 5.0, True, False,
+                                    False),
+            "theta a=2 c=0.5,1,2": (3.285742187499973, 5.0, True, False,
+                                    False),
+            "kossakowski a=0,0,1,1,0,0,0,1,0": (2.0, 3.9999609374999574,
+                                                False, True, False),
+            "kossakowski a=0,2,0,0,0,2,2,0,0": (3.0000390624999786, 5.0,
+                                                True, False, False),
+            "kossakowski a=0,1,0,0,0,1,1,0,0": (2.0, 5.0, False, False,
+                                                False),
+            "kossakowski a=0,1,1,1,0,1,1,1,0": (nan, nan, True, True, True),
+        }
+        for spec, want in expected.items():
+            iv = scan.table1(math.inf, 1.0, spec)
+            got = (float(iv.lower), float(iv.upper), iv.lower_open,
+                   iv.upper_open, iv.empty)
+            assert repr(got) == repr(want), spec
+
     def test_rejects_too_fine_tol(self):
         with pytest.raises(InvalidParameters):
             scan.table1(7, 1, bisect_tol=1e-8)
@@ -142,6 +173,22 @@ class TestTable1:
                 tol=scan.BISECTION_CRITERION_TOL).violated for g in grid]
         assert stacked == fresh
         assert 0 < sum(fresh) < len(grid)
+
+    @pytest.mark.parametrize("tol", [1e-9, scan.BISECTION_CRITERION_TOL])
+    def test_limit_verdicts_are_the_witness_sign(self, tol):
+        dec = scan.parse_map_spec("phi_dk d=3 k=1")
+        grid = np.arange(2.0, 5.005, 0.01)
+        grid[-1] = 5.0
+        sp = criteria.Spectra(states.horodecki_stack(grid), tol)
+        got = scan.Limit("limit", dec.map, tol).verdicts(sp)
+        assert len(got) == len(grid)
+        for g, res in zip(grid, got):
+            witness = criteria.limit_witness(states.horodecki_state(g),
+                                             dec.map, tol)
+            assert res.violated == (witness < 0)
+            assert (res.lhs, res.rhs, res.margin) == (witness, 0.0, witness)
+            assert (res.kind, res.tol) == (Kind.LIMIT, tol)
+        assert 0 < sum(res.violated for res in got) < len(grid)
 
     def test_str_formats(self):
         assert str(scan.GammaInterval(empty=True)) == "--"
@@ -243,6 +290,31 @@ class TestSO3Region:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "3c00bc502a0028af73e95223c8ad02e6c2a5510e547f195a0a9eb7df1df953b5")
 
+    def test_csv_digest_at_small_tol_is_pinned(self):
+        # the same scan with every criterion and the PPT flag at tol 1e-12;
+        # at resolution 20 no printed digit moves, so the digest is that of
+        # the default tol
+        tol = 1e-12
+        bh = maps.breuer_hall_decomposition(d=4)
+        bht = maps.breuer_hall_tilde_decomposition(d=4)
+        red = maps.reduction_decomposition(4)
+        tau = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+        crit = [
+            scan.RegionCriterion("bh", bh, 3, 1, Kind.II, tol),
+            scan.RegionCriterion("tau", tau, 3, 1, Kind.II, tol),
+            scan.RegionCriterion("bht", bht, 3, 1, Kind.II, tol),
+            scan.RegionCriterion("red", red, 3, 1, Kind.II, tol),
+            scan.RegionCriterion("ent", None, 4, tol=tol),
+        ]
+        labels = [c.label for c in crit]
+        lines = [scan.region_csv_header(labels)] + [
+            scan.region_csv_row(row, labels)
+            for row in scan.so3_region(0.2, crit, 20, tol)
+        ]
+        text = "\n".join(lines) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3c00bc502a0028af73e95223c8ad02e6c2a5510e547f195a0a9eb7df1df953b5")
+
     def test_csv_roundtrip_shape(self):
         crit = self._criteria()
         header = scan.region_csv_header(["red"])
@@ -299,6 +371,41 @@ class TestCheckState:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "ac8674edac9f286a95fd27f80da26f04f7fa44843970c388f691c278318c8685")
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_check_state_is_a_region_row(self, tol):
+        crit = [
+            scan.RegionCriterion("bh", maps.breuer_hall_decomposition(d=4),
+                                 3, 1, Kind.II, tol),
+            scan.RegionCriterion("red", maps.reduction_decomposition(4), 2,
+                                 0.5, Kind.II, tol),
+            scan.RegionCriterion("tau", maps.tau_u_decomposition(
+                maps.default_breuer_unitary(4)), 2, 2, Kind.IV, tol),
+            scan.RegionCriterion("ent", None, 4, tol=tol),
+        ]
+        rows = list(scan.so3_region(0.2, crit, 7, tol))
+        assert any(not row.ppt for row in rows)
+        for row in rows:
+            rho = states.so3_state(0.2, row.q, row.r)
+            got = scan.check_state(rho, crit, include_ppt=True, tol=tol)
+            assert [label for label, _ in got] == \
+                ["ppt"] + [c.label for c in crit]
+            (_, ppt), *results = got
+            assert ppt.kind is Kind.PPT and ppt.tol == tol
+            assert row.ppt is not ppt.violated
+            for (label, res), c in zip(results, crit):
+                want = row.results[c.label]
+                assert repr(tuple(res)) == repr(tuple(want)), label
+
+    def test_ppt_rhs_is_positive_zero(self, rng):
+        rho = states.random_separable(3, 3, 4, rng)
+        (label, res), = scan.check_state(rho, [], include_ppt=True)
+        assert label == "ppt" and res.kind is Kind.PPT
+        assert (res.lhs, res.margin) == (criteria.ppt_check(rho),) * 2
+        assert res.rhs == 0.0 and math.copysign(1.0, res.rhs) == 1.0
+        sp = criteria.Spectra(states.so3_stack(0.2, 0.3, [0.1, 0.4]))
+        assert [math.copysign(1.0, res.rhs)
+                for res in scan.PPT().verdicts(sp)] == [1.0, 1.0]
+
 
 class TestChoiDump:
     def test_reduction_not_cp(self):
@@ -347,18 +454,29 @@ class TestMatrixFormat:
 
     def test_parse_is_bit_exact(self, rng):
         specials = ["0.10000000000000001", "-0.0", "inf", "-inf", "nan",
-                    "5e-324", "-5e-324", "1.7976931348623157e+308",
-                    "2.2250738585072014e-308", "0"]
-        floats = specials + [f"{x:.17g}" for x in rng.standard_normal(22)]
+                    "-nan", "+inf", "Infinity", "1e400", "1e-400",
+                    "5e-324", "-5e-324", "4.9406564584124654e-324",
+                    "1.7976931348623157e+308", "2.2250738585072014e-308", "0"]
+        floats = specials + [f"{x:.17g}" for x in rng.standard_normal(16)]
         pairs = [floats[k:k + 2] for k in range(0, 32, 2)]
-        text = "2 2\n" + "".join(
-            " ".join(f"{re},{im}" for re, im in pairs[4 * r:4 * r + 4]) + "\n"
-            for r in range(4))
-        M, dA, dB = parse_matrix_file(io.StringIO(text))
         # the per-entry reference: one complex per entry, written in place
         ref = np.zeros((4, 4), dtype=complex)
         for k, (re, im) in enumerate(pairs):
             ref[k // 4, k % 4] = complex(float(re), float(im))
-        assert (dA, dB) == (2, 2)
-        assert M.dtype == ref.dtype and M.shape == ref.shape
-        assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+        # the written layout (single spaces) and one with other whitespace
+        for sep in (" ", " \t  "):
+            text = "2 2\n" + "".join(
+                sep.join(f"{re},{im}" for re, im in pairs[4 * r:4 * r + 4])
+                + "\n" for r in range(4))
+            M, dA, dB = parse_matrix_file(io.StringIO(text))
+            assert (dA, dB) == (2, 2)
+            assert M.dtype == ref.dtype and M.shape == ref.shape
+            assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("row", ["1,2,3 4", "1, 2,3", "1,2 ,3",
+                                     "1,2 3", "1,2 3,4 5,6", "1,2,3,4"])
+    def test_rejects_bad_entries_in_a_row(self, row):
+        # "1,2,3 4" has 2 commas and 2 entries, as a good row does, and
+        # "1, 2,3" two entries and three numbers; all are bad rows
+        with pytest.raises(ParseError, match="line 3"):
+            parse_matrix_file(io.StringIO(f"1 2\n1,0 0,0\n{row}\n"))

@@ -26,9 +26,9 @@ def fresh(rho):
 def same(verdicts, results):
     """Every state's stacked verdict has the bits of its one-state
     result."""
-    assert len(verdicts.lhs) == len(results)
+    assert len(verdicts) == len(results)
     for k, res in enumerate(results):
-        got = verdicts.result(k)
+        got = verdicts[k]
         assert (got.lhs, got.rhs, got.margin, got.violated,
                 got.commutator_norm) == (res.lhs, res.rhs, res.margin,
                                          res.violated, res.commutator_norm)
@@ -300,7 +300,7 @@ class TestScansUseStacks:
                 assert rows[k].ppt == (sp.ppt[j] >= -1e-9)
                 for c in crit:
                     assert rows[k].results[c.label] == \
-                        want[c.label].result(j)
+                        want[c.label][j]
                 k += 1
         assert k == len(rows)
 
