@@ -20,6 +20,9 @@ from .formats import format_float, read_density_matrix, write_matrix
 from .linalg import DEFAULT_TOL
 
 
+TOL_HELP = "Verdict threshold and clamp band, relative; at least 1e-13."
+
+
 def _open_out(out):
     if out in (None, "-", "stdout"):
         return sys.stdout, False
@@ -104,7 +107,8 @@ def table1_cmd(alpha, beta, map_spec, kind, bisect_tol, out):
               help="Map spec (repeatable); 'entropic' adds the entropic "
               "inequality at power alpha+beta.")
 @click.option("--resolution", type=int, default=100, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
+              help=TOL_HELP)
 @click.option("--out", default="-", show_default=True)
 def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
     """CSV scan of the SO(3)-invariant family over the (q, r) simplex."""
@@ -130,11 +134,13 @@ def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
 @click.option("--kind", type=click.Choice(["I", "II", "III", "IV"]),
               default=None)
 @click.option("--ppt/--no-ppt", default=True, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
+              help=TOL_HELP)
 @click.option("--out", default="-", show_default=True)
 @click.pass_context
 def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
-    """Evaluate criteria on a state read from a matrix file."""
+    """Evaluate criteria on a state read from a matrix file; with
+    --no-ppt, at least one --map is needed."""
     rho = read_density_matrix(state_file)
     criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind, tol)
     rows = scan.check_state(rho, criteria, include_ppt=ppt, tol=tol)

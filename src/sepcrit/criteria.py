@@ -213,9 +213,17 @@ def _entropic(sp: Spectra, alpha: float, subsystem: str):
 # ---------------------------------------------------------------------------
 # spectral data of a stack, and of one state as its cache
 
+# The smallest tol a Spectra accepts.  tol is both the verdict threshold
+# and the clamp band; below this floor, rounding alone decides the sign
+# of margins that are exactly 0 (the reduction inequality on pure
+# product states), so separable states come out VIOLATED.
+TOL_FLOOR = 1e-13
+
+
 class Spectra:
     """The arrays the criteria read, for states on one C^dA (x) C^dB at
-    one tol, each computed for the whole stack on first use.
+    one tol, each computed for the whole stack on first use.  A tol
+    below TOL_FLOOR (or NaN) raises ParameterOutOfRange.
 
     `states` is a DensityStack, a list of DensityMatrix (stacked here) or
     one DensityMatrix.  Arrays carry the states on a leading batch axis;
@@ -230,6 +238,8 @@ class Spectra:
     """
 
     def __init__(self, states, tol: float = DEFAULT_TOL):
+        if not tol >= TOL_FLOOR:
+            raise ParameterOutOfRange(f"tol={tol} is below {TOL_FLOOR}")
         if isinstance(states, (list, tuple)):
             states = stack_of(states)
         self.tol = tol

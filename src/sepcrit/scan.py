@@ -27,7 +27,6 @@ from .states import (
     DensityMatrix,
     DensityStack,
     horodecki_stack,
-    horodecki_state,
     so3_stack,
 )
 
@@ -146,7 +145,9 @@ def table1(alpha: float, beta: float = 1.0,
 
     alpha = inf routes to the limit witness.  Boundaries are located on
     a 0.01 grid, whose states are built and tested as one stack, and
-    refined by bisection to bisect_tol.
+    refined by bisection to bisect_tol, each midpoint a stack of one.
+    No state is diagonalized: `horodecki_stack` has its eigenvectors
+    from the family's algebra.
     """
     if bisect_tol < 1e-6:
         raise InvalidParameters("bisect_tol must be >= 1e-6")
@@ -154,7 +155,7 @@ def table1(alpha: float, beta: float = 1.0,
 
     def violated(gamma: float) -> bool:
         return gamma_verdicts(alpha, beta, dec, kind,
-                              [horodecki_state(gamma)])[0]
+                              horodecki_stack([gamma]))[0]
 
     grid = np.arange(2.0, 5.0 + grid_step / 2, grid_step)
     grid[-1] = 5.0
@@ -304,7 +305,10 @@ def check_state(rho: DensityMatrix,
                 tol: float = DEFAULT_TOL) -> list[tuple[str, CriterionResult]]:
     """Evaluate criteria (PPT at tol first, if include_ppt) on one state
     as a stack of one, exactly as an `so3_region` row; returns (label,
-    result) pairs."""
+    result) pairs.  Raises InvalidParameters when there is nothing to
+    evaluate."""
+    if not (criteria or include_ppt):
+        raise InvalidParameters("nothing to evaluate: no criterion and no PPT")
     if include_ppt:
         criteria = [PPT(tol), *criteria]
     return [(c.label, c.verdicts(Spectra.of(rho, c.tol))[0])

@@ -27,7 +27,9 @@ HERMITIAN_TOL = 1e-10
 class DensityMatrix:
     """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B.
 
-    Immutable.  `eig` is the eigendecomposition that validation computes.
+    Immutable.  `eig` is the eigendecomposition that validation computes
+    (one eigensolve), or for a state of the two paper families
+    (`so3_state`, `horodecki_state`) the one their algebra gives.
     `cache` maps each tol to the state's one `sepcrit.criteria.Spectra`
     (no batch axis), which the one-state criteria fill on first use.
     `density_matrices` validates a whole stack with one eigensolve; this
@@ -57,10 +59,13 @@ class DensityMatrix:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
 
 
-def _validated(M: np.ndarray, dA: int, dB: int) -> linalg.HermitianEig:
+def _validated(M: np.ndarray, dA: int, dB: int,
+               eig: linalg.HermitianEig | None = None) -> linalg.HermitianEig:
     """Check density matrices M (..., n, n) on C^dA (x) C^dB and return
-    their eigendecomposition.  M and the result become read-only.
-    Raises InvalidState for the first check that any matrix fails."""
+    their eigendecomposition: `eig` when given (a family's, from its
+    algebra), else one eigensolve that also checks M is Hermitian.
+    M and the result become read-only.  Raises InvalidState for the
+    first check that any matrix fails."""
     n = dA * dB
     if M.shape[-1] != n:
         raise InvalidState(f"dim {M.shape[-1]} != dA*dB = {n}")
@@ -68,10 +73,11 @@ def _validated(M: np.ndarray, dA: int, dB: int) -> linalg.HermitianEig:
     bad = abs(tr - 1.0) > 1e-10
     if np.count_nonzero(bad):
         raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
-    try:
-        eig = linalg.hermitian_eig(M, tol=HERMITIAN_TOL)
-    except NonHermitian:
-        raise InvalidState("matrix is not Hermitian") from None
+    if eig is None:
+        try:
+            eig = linalg.hermitian_eig(M, tol=HERMITIAN_TOL)
+        except NonHermitian:
+            raise InvalidState("matrix is not Hermitian") from None
     if np.count_nonzero(eig.eigenvalues[..., 0] < -1e-9):
         raise InvalidState("matrix is not positive semidefinite")
     for arr in (M, *eig):
@@ -85,7 +91,9 @@ class DensityStack:
     Holds `matrix` (k, n, n) and its eigendecomposition `eig`, read-only,
     as k DensityMatrix objects would hold them, with a leading batch
     axis; `sepcrit.criteria.Spectra` evaluates the criteria on it as a
-    whole.  `split()` gives the DensityMatrix objects.
+    whole.  `split()` gives the DensityMatrix objects.  `eig` comes from
+    one eigensolve (`density_stack`) or, for the paper families
+    (`so3_stack`, `horodecki_stack`), from their algebra.
     """
 
     __slots__ = ("matrix", "eig", "dA", "dB")
@@ -96,7 +104,7 @@ class DensityStack:
 
     def split(self) -> list[DensityMatrix]:
         """One DensityMatrix per matrix, each holding its slices of the
-        stack, as `DensityMatrix(matrix, dA, dB)` would."""
+        stack (`eig` included) and an empty cache."""
         out = []
         for m, w, V in zip(self.matrix, *self.eig):
             # validated as a stack, so the per-matrix __post_init__ is
@@ -137,6 +145,60 @@ def stack_of(rhos: Sequence[DensityMatrix]):
     )
 
 
+# ---------------------------------------------------------------------------
+# the paper families, with their eigendecomposition from their algebra
+
+# Entrywise bound of the one-time check of a family's eigenbasis.
+EIGENBASIS_TOL = 1e-14
+
+
+def check_eigenbasis(vectors, block, projectors):
+    """(vectors, block), read-only, as a family's eigenbasis: the columns
+    of `vectors` diagonalize the commuting `projectors`, column k lying
+    in the range of projector block[k].
+
+    Checks that vectors^dag vectors = 1 and, for each projector P_i,
+    vectors^dag P_i vectors = diag(block == i), entrywise within
+    EIGENBASIS_TOL; each P_i is then Hermitian to about that bound too.
+    Raises InvalidState if a check fails."""
+    V = np.array(vectors, dtype=complex)
+    block = np.array(block)
+    Vd = linalg.dag(V)
+    err = np.abs(Vd @ V - np.eye(V.shape[-1])).max()
+    if not err <= EIGENBASIS_TOL:
+        raise InvalidState(f"eigenbasis is not orthonormal: error {err:.2e}")
+    for i, P in enumerate(projectors):
+        err = np.abs(Vd @ P @ V - np.diag(block == i)).max()
+        if not err <= EIGENBASIS_TOL:
+            raise InvalidState(f"eigenbasis does not diagonalize projector "
+                               f"{i}: error {err:.2e}")
+    for arr in (V, block):
+        arr.setflags(write=False)
+    return V, block
+
+
+def _eigenbasis(projectors):
+    """The checked eigenbasis of projectors that resolve the identity,
+    from one eigensolve of sum_i i P_i."""
+    w, V = np.linalg.eigh(sum(i * P for i, P in enumerate(projectors)))
+    return check_eigenbasis(V, np.rint(w).astype(int), projectors)
+
+
+def _family_stack(M: np.ndarray, coef: np.ndarray, basis,
+                  dA: int, dB: int) -> DensityStack:
+    """The stack of M[k] = sum_i coef[k, i] P_i, with no eigensolve: the
+    eigenvalue of basis column j is coef[k, block[j]], and the columns
+    are put in ascending order per state by a stable argsort."""
+    V, block = basis
+    n = len(block)
+    vals = coef[:, block]
+    order = np.argsort(vals, axis=-1, kind="stable")
+    # V[i, order[k, j]] for each state k, gathered contiguous
+    vectors = V.ravel()[order[:, None, :] + n * np.arange(n)[:, None]]
+    eig = linalg.HermitianEig(np.take_along_axis(vals, order, -1), vectors)
+    return DensityStack(M, _validated(M, dA, dB, eig), dA, dB)
+
+
 def spin_operators(j: float = 1.5):
     """Spin matrices (Sx, Sy, Sz) in the |j,m> basis, m descending."""
     dim = int(round(2 * j + 1))
@@ -173,9 +235,21 @@ def so3_projectors():
     return tuple(projectors)
 
 
+@lru_cache(maxsize=None)
+def so3_eigenbasis():
+    """One basis that diagonalizes every P_J (block = J), built and
+    checked on first use."""
+    return _eigenbasis(so3_projectors())
+
+
 def so3_stack(p, q, r) -> DensityStack:
     """`so3_state` at each point of the broadcast arrays p, q, r, built
-    and validated as one stack."""
+    as one stack.
+
+    Its eigendecomposition comes from the algebra, not an eigensolve:
+    rho = sum_J c_J P_J has eigenvalue c_J = w_J / (2J + 1) on the
+    range of P_J, so `so3_eigenbasis` diagonalizes every state.  The
+    weights and the trace are checked."""
     p, q, r = np.broadcast_arrays(*np.atleast_1d(p, q, r))
     weights = (p, q, r, 1.0 - p - q - r)
     bad = np.any([(w < -1e-12) | (w > 1 + 1e-12) for w in weights], axis=0)
@@ -185,9 +259,9 @@ def so3_stack(p, q, r) -> DensityStack:
             f"(p,q,r,s)={tuple(float(w[k]) for w in weights)} not in [0,1]"
         )
     P = so3_projectors()
-    rho = sum((w / (2 * J + 1))[:, None, None] * P[J]
-              for J, w in enumerate(weights))
-    return density_stack(rho, 4, 4)
+    coef = [w / (2 * J + 1) for J, w in enumerate(weights)]
+    rho = sum(c[:, None, None] * P[J] for J, c in enumerate(coef))
+    return _family_stack(rho, np.stack(coef, -1), so3_eigenbasis(), 4, 4)
 
 
 def so3_states(p, q, r) -> list[DensityMatrix]:
@@ -236,8 +310,24 @@ def horodecki_operators():
     return proj, sigma_plus, sigma_minus
 
 
+@lru_cache(maxsize=None)
+def horodecki_eigenbasis():
+    """One basis that diagonalizes |psi+><psi+| (block 1), 3 sigma_plus
+    (block 2), 3 sigma_minus (block 3) and the projector onto the rest
+    (block 0), built and checked on first use."""
+    proj, sigma_plus, sigma_minus = horodecki_operators()
+    ops = (proj, 3 * sigma_plus, 3 * sigma_minus)
+    return _eigenbasis((np.eye(9) - sum(ops), *ops))
+
+
 def horodecki_stack(gammas) -> DensityStack:
-    """`horodecki_state` at each gamma, built and validated as one stack."""
+    """`horodecki_state` at each gamma, built as one stack.
+
+    Its eigendecomposition comes from the algebra, not an eigensolve:
+    sigma_gamma has eigenvalues 0 (twice), 2/7 on |psi+>, gamma/21 on
+    the range of sigma_plus and (5-gamma)/21 on that of sigma_minus
+    (three times each), so `horodecki_eigenbasis` diagonalizes every
+    state.  gamma and the trace are checked."""
     gamma = np.atleast_1d(np.asarray(gammas, dtype=float))
     bad = ~((2.0 <= gamma) & (gamma <= 5.0))
     if bad.any():
@@ -245,7 +335,9 @@ def horodecki_stack(gammas) -> DensityStack:
     proj, sigma_plus, sigma_minus = horodecki_operators()
     g = gamma[:, None, None]
     rho = (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
-    return density_stack(rho, 3, 3)
+    coef = np.stack([np.zeros_like(gamma), np.full_like(gamma, 2 / 7),
+                     gamma / 21, (5 - gamma) / 21], -1)
+    return _family_stack(rho, coef, horodecki_eigenbasis(), 3, 3)
 
 
 def horodecki_states(gammas) -> list[DensityMatrix]:

@@ -25,3 +25,19 @@ def random_psd(d, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pure_products(n, seed, d=3):
+    """n seeded random pure product states |psi_A psi_B><psi_A psi_B| on
+    C^d (x) C^d, as matrices."""
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    out = []
+    for _ in range(n):
+        psi = np.kron(unit(), unit())
+        out.append(np.outer(psi, psi.conj()))
+    return out

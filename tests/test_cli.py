@@ -10,7 +10,7 @@ from sepcrit.cli import main
 from sepcrit.errors import InvalidParameters, ParameterOutOfRange
 from sepcrit.formats import write_matrix
 
-from conftest import bell_state
+from conftest import bell_state, pure_products
 
 
 def write_state(path, matrix, dA, dB):
@@ -198,4 +198,49 @@ def test_entry_point_rejects_bad_map_spec(command, spec, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def product_file(tmp_path):
+    # on this pure product state, the reduction inequality's exact margin
+    # 0 came out -2.2e-16, VIOLATED, at --tol 1e-16 before tol had a floor
+    path = tmp_path / "prod.mat"
+    write_state(path, pure_products(16, 7)[15], 3, 3)
+    return path
+
+
+@pytest.mark.parametrize("tol", ["9e-14", "1e-15", "1e-16"])
+def test_entry_point_rejects_tol_below_floor(tol, tmp_path):
+    runs = [["check", str(product_file(tmp_path)), "--map", "reduction d=3",
+             "--alpha", "2", "--beta", "1", "--no-ppt"],
+            ["so3-region", "--p", "0.2", "--alpha", "3", "--map",
+             "reduction d=4", "--resolution", "2"]]
+    for args in runs:
+        args += ["--tol", tol]
+        result = CliRunner().invoke(main, args)
+        assert isinstance(result.exception, ParameterOutOfRange)
+        proc = run_entry_point(*args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: tol=")
+        assert "Traceback" not in proc.stderr
+        assert "VIOLATED" not in proc.stdout
+
+
+def test_entry_point_accepts_tol_at_floor(tmp_path):
+    args = ["check", str(product_file(tmp_path)), "--map", "reduction d=3",
+            "--alpha", "2", "--beta", "1", "--tol", "1e-13"]
+    proc = run_entry_point(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(" ok\n") == 2
+
+
+def test_entry_point_rejects_empty_check(tmp_path):
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(2), 2, 2)
+    args = ["check", str(path), "--no-ppt"]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, InvalidParameters)
+    proc = run_entry_point(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: nothing to evaluate")
     assert proc.stdout == ""

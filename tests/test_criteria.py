@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepcrit import criteria, linalg, maps, states
+from sepcrit import criteria, linalg, maps, scan, states
 from sepcrit.criteria import Kind
 from sepcrit.errors import (
     AllProjectionsVanish,
@@ -10,7 +10,7 @@ from sepcrit.errors import (
     SingularOperand,
 )
 
-from conftest import bell_state
+from conftest import bell_state, pure_products
 
 
 def bell_density(d=2):
@@ -206,6 +206,57 @@ class TestStructuralAndPpt:
         assert criteria.ppt_check(pure_product(2, 2)) >= -1e-12
         assert abs(criteria.ppt_check(states.horodecki_state(4.0))) <= 1e-8
         assert abs(criteria.ppt_check(bell_density()) + 0.5) <= 1e-12
+
+
+# (alpha, beta, kind) triples on which the reduction inequality is tight
+# (margin exactly 0) on every pure product state.
+PRODUCT_TRIPLES = [(1, 1, Kind.II), (2, 1, Kind.II), (2, 2, Kind.I),
+                   (1, 2, Kind.IV)]
+
+
+class TestTolFloor:
+    """tol is the verdict threshold and the clamp band; below
+    TOL_FLOOR = 1e-13 rounding alone decides zero margins, so it is
+    rejected where every criterion reads its arrays, in Spectra."""
+
+    def test_pure_products_at_and_below_the_floor(self):
+        # Without the floor, 1e-15 gave 18 and 1e-16 gave 119 false
+        # VIOLATED verdicts on these 300 x 4, and 1e-16 raised NotPSD or
+        # NonHermitian on 868 more.
+        dec = maps.reduction_decomposition(3)
+        rhos = [states.DensityMatrix(m, 3, 3) for m in pure_products(300, 7)]
+        assert criteria.TOL_FLOOR == 1e-13
+        for a, b, kind in PRODUCT_TRIPLES:
+            violated = [criteria.alpha_beta_inequality(
+                rho, dec, a, b, kind, 1e-13).violated for rho in rhos]
+            assert not any(violated)
+            for tol in (1e-14, 1e-15, 1e-16):
+                for rho in rhos:
+                    with pytest.raises(ParameterOutOfRange):
+                        criteria.alpha_beta_inequality(rho, dec, a, b, kind,
+                                                       tol)
+        assert all(rho.cache.keys() == {1e-13} for rho in rhos)
+
+    @pytest.mark.parametrize("tol", [9.9e-14, 1e-16, 0.0, -1e-9, np.nan])
+    def test_every_criterion_rejects(self, tol):
+        rho = states.horodecki_state(3.5)
+        dec = maps.phi_dk_decomposition(3, 1)
+        calls = [
+            lambda: criteria.Spectra(rho, tol),
+            lambda: criteria.Spectra(states.horodecki_stack([3.0, 4.0]), tol),
+            lambda: criteria.alpha_beta_inequality(rho, dec, 2, 1, Kind.II,
+                                                   tol),
+            lambda: criteria.entropic_inequality(rho, 2, "A", tol),
+            lambda: criteria.structural_criterion(rho, dec.map, tol),
+            lambda: criteria.ppt_check(rho, tol),
+            lambda: criteria.limit_witness(rho, dec.map, tol),
+            lambda: scan.check_state(rho, [], include_ppt=True, tol=tol),
+            lambda: next(scan.so3_region(0.2, [], 4, tol)),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterOutOfRange):
+                call()
+        assert rho.cache == {}
 
 
 class TestLimitWitness:

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sepcrit import linalg, maps, states
+from sepcrit import criteria, linalg, maps, scan, states
+from sepcrit.criteria import Kind
 from sepcrit.errors import InvalidParameters, InvalidState
 
 
@@ -202,3 +207,122 @@ class TestDensityMatrixStacks:
             states.so3_states(0.2, 0.3, [0.1, 0.6])
         with pytest.raises(InvalidParameters):
             states.horodecki_states([3.0, 5.5])
+
+
+def so3_rows(p=0.2, resolution=60):
+    """The so3_region grid's q-rows as family stacks."""
+    return [states.so3_stack(p, q, [r for r, _ in row])
+            for q, row in scan.so3_grid(p, resolution)]
+
+
+def gamma_grid():
+    grid = np.arange(2.0, 5.005, 0.01)
+    grid[-1] = 5.0
+    return grid
+
+
+# Entrywise bound for the analytic eigendecomposition against eigvalsh
+# and for the residual ||rho V - V w||_F per state; measured at most
+# 3.1e-16 and 5.0e-16 on the stacks below.
+ANALYTIC_BOUND = 2e-15
+
+
+class TestFamilyEigendecomposition:
+    """The paper families' eigendecomposition comes from their algebra;
+    eigh is the oracle."""
+
+    def assert_matches_eigh(self, stack):
+        w, V = stack.eig
+        M = stack.matrix
+        n = M.shape[-1]
+        assert np.abs(w - np.linalg.eigvalsh(M)).max() <= ANALYTIC_BOUND
+        assert (np.diff(w, axis=-1) >= 0).all()
+        residual = np.linalg.norm(M @ V - V * w[:, None, :], axis=(-2, -1))
+        assert residual.max() <= ANALYTIC_BOUND
+        assert np.abs(linalg.dag(V) @ V - np.eye(n)).max() <= ANALYTIC_BOUND
+        assert not (w.flags.writeable or V.flags.writeable)
+
+    def test_so3_rows(self):
+        for stack in so3_rows():
+            self.assert_matches_eigh(stack)
+
+    def test_gamma_grid(self):
+        self.assert_matches_eigh(states.horodecki_stack(gamma_grid()))
+
+    def test_ties(self):
+        # gamma = 2.5: gamma/21 = (5-gamma)/21, six times
+        stack = states.horodecki_stack([2.5])
+        self.assert_matches_eigh(stack)
+        assert np.array_equal(stack.eig.eigenvalues[0, 2:8],
+                              np.full(6, 2.5 / 21))
+        # (p, q, r) = (1, 3, 5)/16 is the maximally mixed state
+        stack = states.so3_stack(1 / 16, 3 / 16, 5 / 16)
+        self.assert_matches_eigh(stack)
+        assert np.array_equal(stack.eig.eigenvalues, np.full((1, 16), 1 / 16))
+
+    def test_verdicts_equal_eigh_validated_copies(self):
+        def verdicts(crits, stack):
+            sp = criteria.Spectra(stack)
+            return [[v.violated for v in c.verdicts(sp)] for c in crits]
+
+        def eigh_copy(stack):
+            return states.density_stack(stack.matrix, stack.dA, stack.dB)
+
+        crits = [scan.PPT(),
+                 scan.RegionCriterion("bh", maps.breuer_hall_decomposition(
+                     d=4), 3, 1, Kind.II),
+                 scan.RegionCriterion("tau", maps.tau_u_decomposition(
+                     maps.default_breuer_unitary(4)), 3, 1, Kind.II),
+                 scan.RegionCriterion(
+                     "bht", maps.breuer_hall_tilde_decomposition(d=4), 3, 1,
+                     Kind.II),
+                 scan.RegionCriterion("red", maps.reduction_decomposition(4),
+                                      3, 1, Kind.II),
+                 scan.RegionCriterion("ent", None, 4)]
+        for stack in so3_rows():
+            assert verdicts(crits, stack) == verdicts(crits, eigh_copy(stack))
+        dec = scan.parse_map_spec("phi_dk d=3 k=1")
+        tol = scan.BISECTION_CRITERION_TOL
+        crits = [scan.Limit("limit", dec.map, tol)] + [
+            scan.RegionCriterion("gamma", dec, a, 1.0, None, tol)
+            for a in (6.0, 7.0, 10.0, 13.0)]
+        for gammas in (gamma_grid(), [2.5]):
+            stack = states.horodecki_stack(gammas)
+            assert verdicts(crits, stack) == verdicts(crits, eigh_copy(stack))
+
+    def test_eigenbases_are_checked_and_read_only(self):
+        for V, block in (states.so3_eigenbasis(),
+                         states.horodecki_eigenbasis()):
+            assert not (V.flags.writeable or block.flags.writeable)
+        _, block = states.so3_eigenbasis()
+        assert np.bincount(block).tolist() == [1, 3, 5, 7]
+        _, block = states.horodecki_eigenbasis()
+        assert np.bincount(block).tolist() == [2, 1, 3, 3]
+
+    def test_check_rejects_a_wrong_basis(self):
+        P = states.so3_projectors()
+        V, block = states.so3_eigenbasis()
+        states.check_eigenbasis(V, block, P)
+        wrong = [
+            (np.eye(16), block),                  # does not diagonalize
+            (1.001 * V, block),                   # not orthonormal
+            (V, np.roll(block, 1)),               # wrong multiplets
+            (V[:, ::-1], block),                  # columns out of order
+        ]
+        for vectors, labels in wrong:
+            with pytest.raises(InvalidState):
+                states.check_eigenbasis(vectors, labels, P)
+        with pytest.raises(InvalidState):  # an error above the bound
+            states.check_eigenbasis(V + 1e-13, block, P)
+
+    def test_built_on_first_use(self):
+        code = ("import sepcrit.states as s; "
+                "print(s.so3_eigenbasis.cache_info().currsize, "
+                "s.horodecki_eigenbasis.cache_info().currsize); "
+                "s.horodecki_state(3.0); "
+                "print(s.horodecki_eigenbasis.cache_info().currsize)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, check=True,
+                             env={"PYTHONPATH": str(src), "PATH": ""})
+        assert out.stdout.split() == ["0", "0", "1"]
