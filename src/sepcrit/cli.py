@@ -42,7 +42,7 @@ def _parse_alpha(value: str) -> float:
         ) from None
 
 
-def _build_criteria(map_specs, alpha, beta, kind, tol):
+def _build_criteria(map_specs, alpha, beta, kind):
     kind_enum = Kind[kind] if kind else None
     criteria = []
     for spec in map_specs:
@@ -52,16 +52,14 @@ def _build_criteria(map_specs, alpha, beta, kind, tol):
                 raise InvalidParameters(
                     f"'entropic' takes no parameters, got {spec!r}")
             criteria.append(
-                scan.RegionCriterion("entropic", None, alpha + beta, tol=tol)
-            )
+                scan.RegionCriterion("entropic", None, alpha + beta))
         else:
             dec = scan.parse_map_spec(spec)
             label = dec.name
             if any(c.label == label for c in criteria):
                 label = f"{label}{sum(1 for c in criteria if c.label.startswith(dec.name)) + 1}"
             criteria.append(
-                scan.RegionCriterion(label, dec, alpha, beta, kind_enum, tol)
-            )
+                scan.RegionCriterion(label, dec, alpha, beta, kind_enum))
     return criteria
 
 
@@ -72,14 +70,15 @@ def main():
 
 @main.command("table1")
 @click.option("--alpha", required=True, help="Exponent on the state; 'inf' "
-              "routes to the limit witness.")
+              "routes to the limit witness (beta 1, kind II).")
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--map", "map_spec", default="phi_dk d=3 k=1",
               show_default=True, help="Map spec string.")
 @click.option("--kind", type=click.Choice(["I", "II", "III", "IV"]),
               default=None, help="Inequality kind (default: routed by beta).")
 @click.option("--tol", "bisect_tol", type=float, default=1e-4,
-              show_default=True, help="Bisection tolerance on gamma.")
+              show_default=True, help="Bisection tolerance on gamma; finite, "
+              "at least 1e-6.")
 @click.option("--out", default="-", show_default=True)
 def table1_cmd(alpha, beta, map_spec, kind, bisect_tol, out):
     """Gamma range of the 3x3 test family where the inequality is violated."""
@@ -112,7 +111,7 @@ def table1_cmd(alpha, beta, map_spec, kind, bisect_tol, out):
 @click.option("--out", default="-", show_default=True)
 def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
     """CSV scan of the SO(3)-invariant family over the (q, r) simplex."""
-    criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind, tol)
+    criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind)
     labels = [c.label for c in criteria]
     fh, close = _open_out(out)
     try:
@@ -142,7 +141,7 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
     """Evaluate criteria on a state read from a matrix file; with
     --no-ppt, at least one --map is needed."""
     rho = read_density_matrix(state_file)
-    criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind, tol)
+    criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind)
     rows = scan.check_state(rho, criteria, include_ppt=ppt, tol=tol)
     fh, close = _open_out(out)
     any_violated = False

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition, MatrixMap, extend_apply
-from .states import HERMITIAN_TOL, DensityMatrix, stack_of
+from .states import HERMITIAN_TOL, DensityMatrix, DensityStack
 
 
 class Kind(enum.Enum):
@@ -225,23 +225,22 @@ class Spectra:
     one tol, each computed for the whole stack on first use.  A tol
     below TOL_FLOOR (or NaN) raises ParameterOutOfRange.
 
-    `states` is a DensityStack, a list of DensityMatrix (stacked here) or
-    one DensityMatrix.  Arrays carry the states on a leading batch axis;
-    a single state gives them none.  `map(m)` holds X = [I (x) L](rho)
-    and its weights (one matmul), `marginal(keep)` that marginal's
-    clamped spectrum (one eigensolve), `ppt` the partial transpose's
-    minimum eigenvalue (one eigvalsh) and `lam` rho's clamped spectrum.
-    A stack gives each state the bits of a one-state call.
+    `states` is a DensityStack or one DensityMatrix.  Arrays carry a
+    stack's states on a leading batch axis; a single state gives them
+    none.  `map(m)` holds X = [I (x) L](rho) and its weights (one
+    matmul), `marginal(keep)` that marginal's clamped spectrum (one
+    eigensolve), `ppt` the partial transpose's minimum eigenvalue (one
+    eigvalsh) and `lam` rho's clamped spectrum.  A stack gives each
+    state the bits of a one-state call.
 
     A state's cache is its Spectra: `Spectra.of(rho, tol)` is
     rho.cache[tol], and the one-state criteria read only that.
     """
 
-    def __init__(self, states, tol: float = DEFAULT_TOL):
+    def __init__(self, states: DensityStack | DensityMatrix,
+                 tol: float = DEFAULT_TOL):
         if not tol >= TOL_FLOOR:
             raise ParameterOutOfRange(f"tol={tol} is below {TOL_FLOOR}")
-        if isinstance(states, (list, tuple)):
-            states = stack_of(states)
         self.tol = tol
         self.dA, self.dB = states.dA, states.dB
         self.matrix = states.matrix

@@ -47,13 +47,6 @@ def fro(A: np.ndarray):
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def is_hermitian(A, tol: float = DEFAULT_TOL) -> bool:
-    """True if A (every matrix of a stack) is Hermitian within tol,
-    relative to its Frobenius norm."""
-    A = as_matrix(A)
-    return _is_hermitian(A, dag(A), tol)
-
-
 def _is_hermitian(A: np.ndarray, Ad: np.ndarray, tol: float) -> bool:
     # one matrix: Python floats, as numpy scalars would cost as much as
     # the check itself

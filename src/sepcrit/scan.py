@@ -37,6 +37,9 @@ from .states import (
 # bisection uses an essentially-zero threshold instead.
 BISECTION_CRITERION_TOL = 1e-13
 
+# Spacing of table1's gamma grid on [2, 5], before bisection refines it.
+GRID_STEP = 0.01
+
 
 def route_kind(beta: float) -> Kind:
     """Default inequality kind for a given beta."""
@@ -123,41 +126,50 @@ def _bisect(predicate, false_side: float, true_side: float,
 
 def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
                    kind: Optional[Kind],
-                   rhos: DensityStack | list[DensityMatrix]) -> list[bool]:
+                   rhos: DensityStack | DensityMatrix) -> list[bool]:
     """table1's violation test on states of the 3x3 family, evaluated as
     one stack (`Spectra`; no per-state cache entries or criterion calls)
     by one criterion at BISECTION_CRITERION_TOL: the limit witness at
-    alpha = inf, the (alpha, beta)-inequality otherwise.
+    alpha = inf, the (alpha, beta)-inequality otherwise.  The limit
+    witness is the beta = 1, kind II limit, so alpha = inf with any
+    other beta or kind raises ParameterOutOfRange.
     """
-    tol = BISECTION_CRITERION_TOL
-    crit = (Limit("limit", dec.map, tol) if alpha == math.inf
-            else RegionCriterion("gamma", dec, alpha, beta, kind, tol))
-    return [res.violated for res in crit.verdicts(Spectra(rhos, tol))]
+    if alpha == math.inf:
+        if beta != 1 or kind not in (None, Kind.II):
+            got = f"beta={beta}" + (f", kind {kind.value}" if kind else "")
+            raise ParameterOutOfRange(
+                f"alpha=inf needs beta=1 and kind II, got {got}")
+        crit = Limit("limit", dec.map)
+    else:
+        crit = RegionCriterion("gamma", dec, alpha, beta, kind)
+    sp = Spectra(rhos, BISECTION_CRITERION_TOL)
+    return [res.violated for res in crit.verdicts(sp)]
 
 
 def table1(alpha: float, beta: float = 1.0,
            map_spec: str = "phi_dk d=3 k=1",
            kind: Optional[Kind] = None,
-           bisect_tol: float = 1e-4,
-           grid_step: float = 0.01) -> GammaInterval:
+           bisect_tol: float = 1e-4) -> GammaInterval:
     """Gamma range in [2, 5] where the (alpha, beta)-inequality derived
     from the given map is violated on the 3x3 test family.
 
-    alpha = inf routes to the limit witness.  Boundaries are located on
-    a 0.01 grid, whose states are built and tested as one stack, and
-    refined by bisection to bisect_tol, each midpoint a stack of one.
-    No state is diagonalized: `horodecki_stack` has its eigenvectors
-    from the family's algebra.
+    alpha = inf routes to the limit witness (beta = 1, kind II only).
+    Boundaries are located on a GRID_STEP grid, whose states are built
+    and tested as one stack, and refined by bisection to bisect_tol
+    (finite, >= 1e-6), each midpoint a stack of one.  No state is
+    diagonalized: `horodecki_stack` has its eigenvectors from the
+    family's algebra.
     """
-    if bisect_tol < 1e-6:
-        raise InvalidParameters("bisect_tol must be >= 1e-6")
+    if not (math.isfinite(bisect_tol) and bisect_tol >= 1e-6):
+        raise InvalidParameters(
+            f"bisect_tol={bisect_tol} must be finite and >= 1e-6")
     dec = parse_map_spec(map_spec)
 
     def violated(gamma: float) -> bool:
         return gamma_verdicts(alpha, beta, dec, kind,
                               horodecki_stack([gamma]))[0]
 
-    grid = np.arange(2.0, 5.0 + grid_step / 2, grid_step)
+    grid = np.arange(2.0, 5.0 + GRID_STEP / 2, GRID_STEP)
     grid[-1] = 5.0
     mask = gamma_verdicts(alpha, beta, dec, kind, horodecki_stack(grid))
     if not any(mask):
@@ -184,23 +196,22 @@ class RegionCriterion(NamedTuple):
     alpha: float
     beta: float = 1.0
     kind: Optional[Kind] = None
-    tol: float = DEFAULT_TOL
 
-    def evaluate(self, rho: DensityMatrix) -> CriterionResult:
-        return self.verdicts(Spectra.of(rho, self.tol))[0]
+    def evaluate(self, rho: DensityMatrix,
+                 tol: float = DEFAULT_TOL) -> CriterionResult:
+        return self.verdicts(Spectra.of(rho, tol))[0]
 
     def verdicts(self, sp: Spectra) -> list[CriterionResult]:
-        """The criterion on every state of sp, built at self.tol."""
+        """The criterion on every state of sp, at sp.tol."""
         if self.dec is None:
             return entropic_verdicts(sp, self.alpha)
         kind = self.kind or route_kind(self.beta)
         return alpha_beta_verdicts(sp, self.dec, self.alpha, self.beta, kind)
 
 
-class PPT(NamedTuple):
+class PPT:
     """The PPT test: the partial transpose's minimum eigenvalue against 0."""
 
-    tol: float = DEFAULT_TOL
     label = "ppt"
 
     def verdicts(self, sp: Spectra) -> list[CriterionResult]:
@@ -212,7 +223,6 @@ class Limit(NamedTuple):
 
     label: str
     map: MatrixMap
-    tol: float = DEFAULT_TOL
 
     def verdicts(self, sp: Spectra) -> list[CriterionResult]:
         return _verdicts(limit_witnesses(sp, self.map), 0.0, False,
@@ -252,10 +262,10 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
 
     Emits rows in row-major (q outer, r inner) order; each row carries
     the PPT flag and every criterion's verdict.  Each q-row of states is
-    built, validated and evaluated as one stack (one `Spectra` per tol,
-    PPT's included; no per-state cache entries or criterion calls), so
-    memory is O(resolution).  The row's ScanRows are built as it is
-    emitted.  An error raises when its q-row is evaluated, before that
+    built, validated and evaluated as one stack (one `Spectra` at tol,
+    read by PPT and every criterion; no per-state cache entries or
+    criterion calls), so memory is O(resolution).  The row's ScanRows
+    are built as it is emitted.  An error raises when its q-row is evaluated, before that
     q-row's first point is emitted.
     """
     if not 0.0 <= p <= 1.0:
@@ -265,12 +275,10 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")
-    tols = dict.fromkeys([tol] + [c.tol for c in criteria])
     for q, row in so3_grid(p, resolution):
-        stack = so3_stack(p, q, [r for r, _ in row])
-        spectra = {t: Spectra(stack, t) for t in tols}
-        flags = PPT(tol).verdicts(spectra[tol])
-        verdicts = {c.label: c.verdicts(spectra[c.tol]) for c in criteria}
+        sp = Spectra(so3_stack(p, q, [r for r, _ in row]), tol)
+        flags = PPT().verdicts(sp)
+        verdicts = {c.label: c.verdicts(sp) for c in criteria}
         for k, (r, s) in enumerate(row):
             results = {label: v[k] for label, v in verdicts.items()}
             yield ScanRow(q, r, max(s, 0.0), not flags[k].violated, results)
@@ -303,16 +311,16 @@ def check_state(rho: DensityMatrix,
                 criteria: list[RegionCriterion],
                 include_ppt: bool = False,
                 tol: float = DEFAULT_TOL) -> list[tuple[str, CriterionResult]]:
-    """Evaluate criteria (PPT at tol first, if include_ppt) on one state
-    as a stack of one, exactly as an `so3_region` row; returns (label,
-    result) pairs.  Raises InvalidParameters when there is nothing to
-    evaluate."""
+    """Evaluate criteria (PPT first, if include_ppt) on one state as a
+    stack of one, its `Spectra.of(rho, tol)`, exactly as an `so3_region`
+    row; returns (label, result) pairs.  Raises InvalidParameters when
+    there is nothing to evaluate."""
     if not (criteria or include_ppt):
         raise InvalidParameters("nothing to evaluate: no criterion and no PPT")
     if include_ppt:
-        criteria = [PPT(tol), *criteria]
-    return [(c.label, c.verdicts(Spectra.of(rho, c.tol))[0])
-            for c in criteria]
+        criteria = [PPT(), *criteria]
+    sp = Spectra.of(rho, tol)
+    return [(c.label, c.verdicts(sp)[0]) for c in criteria]
 
 
 def choi_dump(map_spec: str, part: str = "map") -> tuple[np.ndarray, int, bool, float]:

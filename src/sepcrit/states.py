@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ class DensityMatrix:
     (`so3_state`, `horodecki_state`) the one their algebra gives.
     `cache` maps each tol to the state's one `sepcrit.criteria.Spectra`
     (no batch axis), which the one-state criteria fill on first use.
-    `density_matrices` validates a whole stack with one eigensolve; this
+    `density_stack` validates a whole stack with one eigensolve; this
     constructor is its one-matrix case.
     """
 
@@ -124,25 +123,6 @@ def density_stack(matrices, dA: int, dB: int) -> DensityStack:
     n = dA * dB
     return DensityStack(M.reshape(-1, n, n), linalg.HermitianEig(
         w.reshape(-1, n), V.reshape(-1, n, n)), dA, dB)
-
-
-def density_matrices(matrices, dA: int, dB: int) -> list[DensityMatrix]:
-    """`density_stack(matrices, dA, dB).split()`: one read-only
-    DensityMatrix per matrix, validated with one eigensolve."""
-    return density_stack(matrices, dA, dB).split()
-
-
-def stack_of(rhos: Sequence[DensityMatrix]):
-    """States of one shape as one DensityStack, without validating them
-    again; a single state stands for itself (no batch axis)."""
-    if len(rhos) == 1:
-        return rhos[0]
-    return DensityStack(
-        np.array([rho.matrix for rho in rhos]),
-        linalg.HermitianEig(*(np.array(arrays) for arrays in
-                              zip(*(rho.eig for rho in rhos)))),
-        rhos[0].dA, rhos[0].dB,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +244,13 @@ def so3_stack(p, q, r) -> DensityStack:
     return _family_stack(rho, np.stack(coef, -1), so3_eigenbasis(), 4, 4)
 
 
-def so3_states(p, q, r) -> list[DensityMatrix]:
-    """`so3_stack(p, q, r).split()`."""
-    return so3_stack(p, q, r).split()
-
-
 def so3_state(p: float, q: float, r: float) -> DensityMatrix:
     """SO(3)-invariant two-spin-3/2 state p P0 + q P1/3 + r P2/5 + s P3/7.
 
     (p, q, r, s = 1-p-q-r) must be a probability vector; the projectors
     are trace-normalized so that the mixture has unit trace.
     """
-    return so3_states(p, q, r)[0]
+    return so3_stack(p, q, r).split()[0]
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -340,18 +315,13 @@ def horodecki_stack(gammas) -> DensityStack:
     return _family_stack(rho, coef, horodecki_eigenbasis(), 3, 3)
 
 
-def horodecki_states(gammas) -> list[DensityMatrix]:
-    """`horodecki_stack(gammas).split()`."""
-    return horodecki_stack(gammas).split()
-
-
 def horodecki_state(gamma: float) -> DensityMatrix:
     """One-parameter 3x3 family: PPT for gamma in [2,4], entangled in (3,5].
 
     sigma_gamma = (1/7) [2 |psi+><psi+| + gamma sigma_plus
                          + (5-gamma) sigma_minus].
     """
-    return horodecki_states(gamma)[0]
+    return horodecki_stack(gamma).split()[0]
 
 
 def random_density(d: int, seed=0) -> np.ndarray:

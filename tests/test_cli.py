@@ -244,3 +244,31 @@ def test_entry_point_rejects_empty_check(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: nothing to evaluate")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("extra", [["--beta", "7"], ["--beta", "-0.5"],
+                                   ["--kind", "IV"]])
+def test_entry_point_rejects_infinite_alpha_off_the_limit(extra):
+    # the limit witness's range=(3.0000, 5.0000] answers only beta = 1
+    # and kind II, so printing it here would be a silent wrong answer
+    args = ["table1", "--alpha", "inf", *extra]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, ParameterOutOfRange)
+    proc = run_entry_point(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: alpha=inf")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_entry_point_rejects_non_finite_bisection_tol(tol):
+    # these would skip the bisection and print the grid midpoints
+    args = ["table1", "--alpha", "7", "--tol", tol]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, InvalidParameters)
+    proc = run_entry_point(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bisect_tol=")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

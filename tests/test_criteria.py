@@ -512,8 +512,9 @@ class TestFillCache:
         dec = maps.breuer_hall_decomposition(d=4)
         mats = [states.random_separable(4, 4, 4, rng).matrix
                 for _ in range(3)]
-        stacked = states.density_matrices(mats, 4, 4)
-        sp = criteria.Spectra(stacked, 1e-9)
+        stack = states.density_stack(mats, 4, 4)
+        stacked = stack.split()
+        sp = criteria.Spectra(stack, 1e-9)
         for k, rho in enumerate(stacked):
             lazy = states.DensityMatrix(rho.matrix.copy(), 4, 4)
             criteria.alpha_beta_inequality(lazy, dec, 2, 0.5, Kind.II,

@@ -154,8 +154,26 @@ class TestTable1:
             assert repr(got) == repr(want), spec
 
     def test_rejects_too_fine_tol(self):
-        with pytest.raises(InvalidParameters):
-            scan.table1(7, 1, bisect_tol=1e-8)
+        # NaN and inf would end the bisection before its first step,
+        # giving the grid midpoints (3.1950, 3.9450)
+        for bisect_tol in (1e-8, math.nan, math.inf):
+            with pytest.raises(InvalidParameters):
+                scan.table1(7, 1, bisect_tol=bisect_tol)
+
+    @pytest.mark.parametrize("beta,kind", [(7.0, None), (-0.5, None),
+                                           (1.0, Kind.IV), (1.0, Kind.I),
+                                           (math.nan, None)])
+    def test_infinite_alpha_needs_beta_one_kind_two(self, beta, kind):
+        # the limit witness is the beta = 1, kind II limit: its range,
+        # (3.0000, 5.0000], answers no other beta or kind
+        dec = scan.parse_map_spec("phi_dk d=3 k=1")
+        with pytest.raises(ParameterOutOfRange):
+            scan.table1(math.inf, beta, kind=kind)
+        with pytest.raises(ParameterOutOfRange):
+            scan.gamma_verdicts(math.inf, beta, dec, kind,
+                                states.horodecki_stack([3.5]))
+        assert scan.table1(math.inf, 1.0, kind=Kind.II) == \
+            scan.table1(math.inf, 1.0)
 
     @pytest.mark.parametrize("alpha", [7.0, math.inf])
     def test_grid_verdicts_equal_fresh_states(self, alpha):
@@ -163,7 +181,7 @@ class TestTable1:
         grid = np.arange(2.0, 5.005, 0.01)
         grid[-1] = 5.0
         stacked = scan.gamma_verdicts(alpha, 1.0, dec, None,
-                                      states.horodecki_states(grid))
+                                      states.horodecki_stack(grid))
         if alpha == math.inf:
             fresh = [criteria.limit_witness(states.horodecki_state(g),
                                             dec.map) < 0 for g in grid]
@@ -180,7 +198,7 @@ class TestTable1:
         grid = np.arange(2.0, 5.005, 0.01)
         grid[-1] = 5.0
         sp = criteria.Spectra(states.horodecki_stack(grid), tol)
-        got = scan.Limit("limit", dec.map, tol).verdicts(sp)
+        got = scan.Limit("limit", dec.map).verdicts(sp)
         assert len(got) == len(grid)
         for g, res in zip(grid, got):
             witness = criteria.limit_witness(states.horodecki_state(g),
@@ -300,11 +318,11 @@ class TestSO3Region:
         red = maps.reduction_decomposition(4)
         tau = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
         crit = [
-            scan.RegionCriterion("bh", bh, 3, 1, Kind.II, tol),
-            scan.RegionCriterion("tau", tau, 3, 1, Kind.II, tol),
-            scan.RegionCriterion("bht", bht, 3, 1, Kind.II, tol),
-            scan.RegionCriterion("red", red, 3, 1, Kind.II, tol),
-            scan.RegionCriterion("ent", None, 4, tol=tol),
+            scan.RegionCriterion("bh", bh, 3, 1, Kind.II),
+            scan.RegionCriterion("tau", tau, 3, 1, Kind.II),
+            scan.RegionCriterion("bht", bht, 3, 1, Kind.II),
+            scan.RegionCriterion("red", red, 3, 1, Kind.II),
+            scan.RegionCriterion("ent", None, 4),
         ]
         labels = [c.label for c in crit]
         lines = [scan.region_csv_header(labels)] + [
@@ -375,12 +393,12 @@ class TestCheckState:
     def test_check_state_is_a_region_row(self, tol):
         crit = [
             scan.RegionCriterion("bh", maps.breuer_hall_decomposition(d=4),
-                                 3, 1, Kind.II, tol),
+                                 3, 1, Kind.II),
             scan.RegionCriterion("red", maps.reduction_decomposition(4), 2,
-                                 0.5, Kind.II, tol),
+                                 0.5, Kind.II),
             scan.RegionCriterion("tau", maps.tau_u_decomposition(
-                maps.default_breuer_unitary(4)), 2, 2, Kind.IV, tol),
-            scan.RegionCriterion("ent", None, 4, tol=tol),
+                maps.default_breuer_unitary(4)), 2, 2, Kind.IV),
+            scan.RegionCriterion("ent", None, 4),
         ]
         rows = list(scan.so3_region(0.2, crit, 7, tol))
         assert any(not row.ppt for row in rows)
@@ -390,7 +408,8 @@ class TestCheckState:
             assert [label for label, _ in got] == \
                 ["ppt"] + [c.label for c in crit]
             (_, ppt), *results = got
-            assert ppt.kind is Kind.PPT and ppt.tol == tol
+            assert ppt.kind is Kind.PPT
+            assert all(res.tol == tol for _, res in got)
             assert row.ppt is not ppt.violated
             for (label, res), c in zip(results, crit):
                 want = row.results[c.label]

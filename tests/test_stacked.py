@@ -156,16 +156,9 @@ class TestStackedEqualsOneState:
         with pytest.raises(AllProjectionsVanish):
             criteria.limit_witnesses(criteria.Spectra(stack), zero)
 
-    def test_one_state_and_list_inputs(self, rng):
+    def test_one_state_input(self, rng):
         dec = maps.phi_dk_decomposition(3, 1)
-        stack = separable_stack(3, 4, rng)
-        rhos = stack.split()
-        from_list = criteria.alpha_beta_verdicts(criteria.Spectra(rhos), dec,
-                                                 2, 0.5)
-        from_stack = criteria.alpha_beta_verdicts(criteria.Spectra(stack),
-                                                  dec, 2, 0.5)
-        assert from_list == from_stack
-        for rho in rhos:
+        for rho in separable_stack(3, 4, rng).split():
             one = criteria.alpha_beta_verdicts(criteria.Spectra(rho), dec, 2,
                                                0.5)
             same(one, [criteria.alpha_beta_inequality(fresh(rho), dec, 2,
@@ -286,15 +279,6 @@ class TestStateStacks:
             for got, want in zip(rho.eig, one.eig):
                 assert np.array_equal(got, want)
 
-    def test_stack_of_restacks_without_validation(self, rng):
-        stack = separable_stack(3, 3, rng)
-        again = states.stack_of(stack.split())
-        assert np.array_equal(again.matrix, stack.matrix)
-        for got, want in zip(again.eig, stack.eig):
-            assert np.array_equal(got, want)
-        rho = stack.split()[0]
-        assert states.stack_of([rho]) is rho
-
 
 class TestScansUseStacks:
     def test_region_rows_come_from_stacked_verdicts(self):
@@ -322,7 +306,7 @@ class TestScansUseStacks:
         for alpha in (7.0, math.inf):
             for g in (3.1, 3.5, 4.8):
                 rho = states.horodecki_state(g)
-                got = scan.gamma_verdicts(alpha, 1.0, dec, None, [rho])
+                got = scan.gamma_verdicts(alpha, 1.0, dec, None, rho)
                 if alpha == math.inf:
                     want = criteria.limit_witness(fresh(rho), dec.map) < 0
                 else:

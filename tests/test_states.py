@@ -169,7 +169,7 @@ class TestDensityMatrixStacks:
     def test_stack_equals_one_by_one(self, rng):
         mats = [states.random_separable(3, 3, 4, rng).matrix
                 for _ in range(5)]
-        stacked = states.density_matrices(mats, 3, 3)
+        stacked = states.density_stack(mats, 3, 3).split()
         for M, rho in zip(mats, stacked):
             one = states.DensityMatrix(M.copy(), 3, 3)
             assert (rho.dA, rho.dB, rho.cache) == (3, 3, {})
@@ -181,11 +181,11 @@ class TestDensityMatrixStacks:
 
     def test_families_are_the_one_state_case(self):
         rs = [0.0, 0.1, 0.35]
-        for rho, r in zip(states.so3_states(0.2, 0.3, rs), rs):
+        for rho, r in zip(states.so3_stack(0.2, 0.3, rs).split(), rs):
             assert np.array_equal(rho.matrix,
                                   states.so3_state(0.2, 0.3, r).matrix)
         gammas = [2.0, 3.3, 5.0]
-        for rho, g in zip(states.horodecki_states(gammas), gammas):
+        for rho, g in zip(states.horodecki_stack(gammas).split(), gammas):
             assert np.array_equal(rho.matrix,
                                   states.horodecki_state(g).matrix)
 
@@ -199,14 +199,14 @@ class TestDensityMatrixStacks:
             states.DensityMatrix(bad, 2, 2)
         stack = [np.eye(4) / 4, bad, np.eye(4) / 4]
         with pytest.raises(InvalidState) as stacked:
-            states.density_matrices(stack, 2, 2)
+            states.density_stack(stack, 2, 2)
         assert str(stacked.value) == str(one.value)
 
     def test_rejects_bad_family_member(self):
         with pytest.raises(InvalidParameters):
-            states.so3_states(0.2, 0.3, [0.1, 0.6])
+            states.so3_stack(0.2, 0.3, [0.1, 0.6])
         with pytest.raises(InvalidParameters):
-            states.horodecki_states([3.0, 5.5])
+            states.horodecki_stack([3.0, 5.5])
 
 
 def so3_rows(p=0.2, resolution=60):
@@ -261,8 +261,8 @@ class TestFamilyEigendecomposition:
         assert np.array_equal(stack.eig.eigenvalues, np.full((1, 16), 1 / 16))
 
     def test_verdicts_equal_eigh_validated_copies(self):
-        def verdicts(crits, stack):
-            sp = criteria.Spectra(stack)
+        def verdicts(crits, stack, tol=linalg.DEFAULT_TOL):
+            sp = criteria.Spectra(stack, tol)
             return [[v.violated for v in c.verdicts(sp)] for c in crits]
 
         def eigh_copy(stack):
@@ -283,12 +283,13 @@ class TestFamilyEigendecomposition:
             assert verdicts(crits, stack) == verdicts(crits, eigh_copy(stack))
         dec = scan.parse_map_spec("phi_dk d=3 k=1")
         tol = scan.BISECTION_CRITERION_TOL
-        crits = [scan.Limit("limit", dec.map, tol)] + [
-            scan.RegionCriterion("gamma", dec, a, 1.0, None, tol)
+        crits = [scan.Limit("limit", dec.map)] + [
+            scan.RegionCriterion("gamma", dec, a, 1.0, None)
             for a in (6.0, 7.0, 10.0, 13.0)]
         for gammas in (gamma_grid(), [2.5]):
             stack = states.horodecki_stack(gammas)
-            assert verdicts(crits, stack) == verdicts(crits, eigh_copy(stack))
+            assert verdicts(crits, stack, tol) == \
+                verdicts(crits, eigh_copy(stack), tol)
 
     def test_eigenbases_are_checked_and_read_only(self):
         for V, block in (states.so3_eigenbasis(),
