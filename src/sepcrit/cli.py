@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import maps, scan
-from .criteria import Kind
+from .criteria import Kind, check_tol
 from .errors import InvalidParameters, SepcritError
 from .formats import format_float, read_density_matrix, write_matrix
 from .linalg import DEFAULT_TOL
@@ -168,10 +168,13 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
               help="Also report sampled positivity over this many random "
               "pure states.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
+              help="Threshold of the sampled positivity test; at least "
+              "1e-13.")
 @click.option("--out", default="-", show_default=True)
 def choi_cmd(map_spec, part, samples, seed, tol, out):
     """Print a catalog map's Choi matrix and its CP verdict."""
+    check_tol(tol)
     choi, d, cp, min_eig = scan.choi_dump(map_spec, part)
     fh, close = _open_out(out)
     try:

@@ -220,10 +220,18 @@ def _entropic(sp: Spectra, alpha: float, subsystem: str):
 TOL_FLOOR = 1e-13
 
 
+def check_tol(tol: float) -> float:
+    """tol, if it is at least TOL_FLOOR; a smaller tol, or NaN, raises
+    ParameterOutOfRange."""
+    if not tol >= TOL_FLOOR:
+        raise ParameterOutOfRange(f"tol={tol} must be a number >= {TOL_FLOOR}")
+    return tol
+
+
 class Spectra:
     """The arrays the criteria read, for states on one C^dA (x) C^dB at
     one tol, each computed for the whole stack on first use.  A tol
-    below TOL_FLOOR (or NaN) raises ParameterOutOfRange.
+    below TOL_FLOOR (or NaN) raises ParameterOutOfRange (`check_tol`).
 
     `states` is a DensityStack or one DensityMatrix.  Arrays carry a
     stack's states on a leading batch axis; a single state gives them
@@ -239,9 +247,7 @@ class Spectra:
 
     def __init__(self, states: DensityStack | DensityMatrix,
                  tol: float = DEFAULT_TOL):
-        if not tol >= TOL_FLOOR:
-            raise ParameterOutOfRange(f"tol={tol} is below {TOL_FLOOR}")
-        self.tol = tol
+        self.tol = check_tol(tol)
         self.dA, self.dB = states.dA, states.dB
         self.matrix = states.matrix
         self.eigenvalues, self._U = states.eig

@@ -112,27 +112,43 @@ class GammaInterval(NamedTuple):
         return f"{lo}{self.lower:.4f}, {self.upper:.4f}{hi}"
 
 
-def _bisect(predicate, false_side: float, true_side: float,
-            tol: float) -> float:
-    """Boundary between a non-violating and a violating gamma."""
-    while abs(true_side - false_side) > tol:
-        mid = 0.5 * (false_side + true_side)
-        if predicate(mid):
-            true_side = mid
-        else:
-            false_side = mid
-    return 0.5 * (false_side + true_side)
+# Map specs whose table1 grid Spectra is kept, least recently used out.
+GRID_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=None)
+def _grid_stack() -> tuple[np.ndarray, DensityStack]:
+    """table1's GRID_STEP grid on [2, 5] and its Horodecki stack, built
+    once, read-only, and shared by every map spec's `_grid_spectra`."""
+    grid = np.arange(2.0, 5.0 + GRID_STEP / 2, GRID_STEP)
+    grid[-1] = 5.0
+    grid.setflags(write=False)
+    return grid, horodecki_stack(grid)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid_spectra(map_spec: str
+                  ) -> tuple[np.ndarray, CPDecomposition, Spectra]:
+    """The grid, the spec's decomposition and one Spectra of the grid's
+    stack at BISECTION_CRITERION_TOL (for the GRID_CACHE_SIZE most
+    recently used specs).  The Spectra fills its map entries on first
+    use, so a later table1 row with the spec runs only its
+    alpha-dependent kernel.  The entry keeps its own decomposition:
+    the map entries are keyed by map, and a spec that `parse_map_spec`
+    has dropped would otherwise add a second set of them."""
+    dec = parse_map_spec(map_spec)
+    grid, stack = _grid_stack()
+    return grid, dec, Spectra(stack, BISECTION_CRITERION_TOL)
 
 
 def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
-                   kind: Optional[Kind],
-                   rhos: DensityStack | DensityMatrix) -> list[bool]:
-    """table1's violation test on states of the 3x3 family, evaluated as
-    one stack (`Spectra`; no per-state cache entries or criterion calls)
-    by one criterion at BISECTION_CRITERION_TOL: the limit witness at
-    alpha = inf, the (alpha, beta)-inequality otherwise.  The limit
-    witness is the beta = 1, kind II limit, so alpha = inf with any
-    other beta or kind raises ParameterOutOfRange.
+                   kind: Optional[Kind], sp: Spectra) -> list[bool]:
+    """table1's violation test on the states of sp (states of the 3x3
+    family, at BISECTION_CRITERION_TOL), one criterion evaluated on the
+    whole stack: the limit witness at alpha = inf, the
+    (alpha, beta)-inequality otherwise.  The limit witness is the
+    beta = 1, kind II limit, so alpha = inf with any other beta or kind
+    raises ParameterOutOfRange.
     """
     if alpha == math.inf:
         if beta != 1 or kind not in (None, Kind.II):
@@ -142,7 +158,6 @@ def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
         crit = Limit("limit", dec.map)
     else:
         crit = RegionCriterion("gamma", dec, alpha, beta, kind)
-    sp = Spectra(rhos, BISECTION_CRITERION_TOL)
     return [res.violated for res in crit.verdicts(sp)]
 
 
@@ -154,33 +169,39 @@ def table1(alpha: float, beta: float = 1.0,
     from the given map is violated on the 3x3 test family.
 
     alpha = inf routes to the limit witness (beta = 1, kind II only).
-    Boundaries are located on a GRID_STEP grid, whose states are built
-    and tested as one stack, and refined by bisection to bisect_tol
-    (finite, >= 1e-6), each midpoint a stack of one.  No state is
-    diagonalized: `horodecki_stack` has its eigenvectors from the
+    Boundaries are located on a GRID_STEP grid, tested as one stack, and
+    refined by bisection to bisect_tol (finite, >= 1e-6).  The grid and
+    its Spectra are built once per map spec (`_grid_spectra`), so a
+    repeat call runs only the alpha-dependent kernel on them.  Both
+    boundaries are bisected together: each step tests the midpoints of
+    the brackets still wider than bisect_tol as one stack, and each
+    bracket gets the midpoints a bisection of it alone would.  No state
+    is diagonalized: `horodecki_stack` has its eigenvectors from the
     family's algebra.
     """
     if not (math.isfinite(bisect_tol) and bisect_tol >= 1e-6):
         raise InvalidParameters(
             f"bisect_tol={bisect_tol} must be finite and >= 1e-6")
-    dec = parse_map_spec(map_spec)
-
-    def violated(gamma: float) -> bool:
-        return gamma_verdicts(alpha, beta, dec, kind,
-                              horodecki_stack([gamma]))[0]
-
-    grid = np.arange(2.0, 5.0 + GRID_STEP / 2, GRID_STEP)
-    grid[-1] = 5.0
-    mask = gamma_verdicts(alpha, beta, dec, kind, horodecki_stack(grid))
+    grid, dec, sp = _grid_spectra(map_spec)
+    mask = gamma_verdicts(alpha, beta, dec, kind, sp)
     if not any(mask):
         return GammaInterval(empty=True)
     i0 = mask.index(True)
     i1 = len(mask) - 1 - mask[::-1].index(True)
     lower_open, upper_open = i0 > 0, i1 < len(grid) - 1
-    lower = (_bisect(violated, grid[i0 - 1], grid[i0], bisect_tol)
-             if lower_open else 2.0)
-    upper = (_bisect(violated, grid[i1 + 1], grid[i1], bisect_tol)
-             if upper_open else 5.0)
+    # each bracket is [non-violating gamma, violating gamma]
+    brackets = ([[grid[i0 - 1], grid[i0]]] if lower_open else []) + \
+        ([[grid[i1 + 1], grid[i1]]] if upper_open else [])
+    while live := [b for b in brackets if abs(b[1] - b[0]) > bisect_tol]:
+        mids = [0.5 * (b[0] + b[1]) for b in live]
+        hits = gamma_verdicts(
+            alpha, beta, dec, kind,
+            Spectra(horodecki_stack(mids), BISECTION_CRITERION_TOL))
+        for b, mid, hit in zip(live, mids, hits):
+            b[hit] = mid  # a violating midpoint replaces b[1]
+    ends = iter([0.5 * (b[0] + b[1]) for b in brackets])
+    lower = next(ends) if lower_open else 2.0
+    upper = next(ends) if upper_open else 5.0
     return GammaInterval(lower, upper, lower_open, upper_open)
 
 

@@ -234,6 +234,23 @@ def test_entry_point_accepts_tol_at_floor(tmp_path):
     assert proc.stdout.count(" ok\n") == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "1e-20", "-1"])
+def test_entry_point_choi_rejects_bad_tol(tol):
+    # these printed the Choi matrix and the CP line, then failed with
+    # "matrix is not Hermitian within tol=..." (or, with --samples 0,
+    # exited 0 without reading the tol)
+    for samples in ("0", "5"):
+        args = ["choi", "reduction d=2", "--samples", samples, "--tol", tol]
+        result = CliRunner().invoke(main, args)
+        assert isinstance(result.exception, ParameterOutOfRange)
+        assert result.stdout == ""
+    proc = run_entry_point(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: tol=")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_entry_point_rejects_empty_check(tmp_path):
     path = tmp_path / "bell.mat"
     write_state(path, bell_state(2), 2, 2)

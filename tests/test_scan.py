@@ -7,7 +7,13 @@ import pytest
 
 from sepcrit import criteria, maps, scan, states
 from sepcrit.criteria import Kind
-from sepcrit.errors import InvalidParameters, ParameterOutOfRange, ParseError
+from sepcrit.errors import (
+    DimensionMismatch,
+    InvalidParameters,
+    ParameterOutOfRange,
+    ParseError,
+    SepcritError,
+)
 from sepcrit.formats import parse_matrix_file, write_matrix
 
 
@@ -68,6 +74,147 @@ class TestParseMapSpec:
                          "nosuchmap d=3"):
                 with pytest.raises(InvalidParameters):
                     scan.parse_map_spec(spec)
+
+
+def sequential_table1(alpha, beta, map_spec, kind, bisect_tol):
+    """table1 with each boundary bisected on its own, one midpoint at a
+    time as a stack of one, on a fresh grid stack: the reference for the
+    paired bisection and the cached grid."""
+    dec = scan.parse_map_spec(map_spec)
+
+    def verdicts(gammas):
+        return scan.gamma_verdicts(alpha, beta, dec, kind, criteria.Spectra(
+            states.horodecki_stack(gammas), scan.BISECTION_CRITERION_TOL))
+
+    def bisect(false_side, true_side):
+        while abs(true_side - false_side) > bisect_tol:
+            mid = 0.5 * (false_side + true_side)
+            if verdicts([mid])[0]:
+                true_side = mid
+            else:
+                false_side = mid
+        return 0.5 * (false_side + true_side)
+
+    grid = np.arange(2.0, 5.0 + scan.GRID_STEP / 2, scan.GRID_STEP)
+    grid[-1] = 5.0
+    mask = verdicts(grid)
+    if not any(mask):
+        return scan.GammaInterval(empty=True)
+    i0 = mask.index(True)
+    i1 = len(mask) - 1 - mask[::-1].index(True)
+    lower_open, upper_open = i0 > 0, i1 < len(grid) - 1
+    lower = bisect(grid[i0 - 1], grid[i0]) if lower_open else 2.0
+    upper = bisect(grid[i1 + 1], grid[i1]) if upper_open else 5.0
+    return scan.GammaInterval(lower, upper, lower_open, upper_open)
+
+
+TABLE1_ALPHAS = (6.0, 7.0, 10.0, 13.0, math.inf)
+
+
+def outcome(call, *args):
+    """call(*args), or the type and message of the SepcritError it
+    raised."""
+    try:
+        return call(*args)
+    except SepcritError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTable1Bisection:
+    @pytest.mark.parametrize("map_spec", ["phi_dk d=3 k=1",
+                                          "theta a=2 c=1,1,1"])
+    def test_paired_equals_sequential(self, map_spec):
+        # alpha = 7, 10 bisect two boundaries, 13 and inf one, 6 none;
+        # bisect_tol = 1.0 takes no step
+        open_ends = set()
+        for alpha in TABLE1_ALPHAS:
+            for beta in (1.0, 0.5):
+                for bisect_tol in (1e-6, 1e-4, 3e-3, 1.0):
+                    args = (alpha, beta, map_spec, None, bisect_tol)
+                    got = outcome(scan.table1, *args)
+                    want = outcome(sequential_table1, *args)
+                    assert got == want and repr(got) == repr(want), args
+                    if isinstance(got, scan.GammaInterval):
+                        open_ends.add(-1 if got.empty else
+                                      got.lower_open + got.upper_open)
+        assert open_ends >= {-1, 1, 2}
+
+    def test_grid_built_once_per_process(self, monkeypatch):
+        sizes = []
+
+        def counting_stack(gammas):
+            sizes.append(len(gammas))
+            return states.horodecki_stack(gammas)
+
+        monkeypatch.setattr(scan, "horodecki_stack", counting_stack)
+        scan._grid_stack.cache_clear()
+        scan._grid_spectra.cache_clear()
+        for _ in range(2):
+            for alpha in TABLE1_ALPHAS:
+                scan.table1(alpha, 1.0, "phi_dk d=3 k=1")
+        # one grid; then at bisect_tol 1e-4 seven steps per row, the
+        # midpoints of alpha = 7 and 10 stacked in pairs
+        assert sizes == [301] + 2 * ([2] * 14 + [1] * 14)
+        assert scan._grid_spectra.cache_info().misses == 1
+        assert scan._grid_stack.cache_info().misses == 1
+
+    def test_cold_and_warm_rows_equal(self):
+        specs = ("phi_dk d=3 k=1", "theta a=2 c=2,1,1")
+        cold = {}
+        for spec in specs:
+            scan._grid_spectra.cache_clear()
+            for alpha in TABLE1_ALPHAS:
+                cold[alpha, spec] = sequential_table1(alpha, 1.0, spec, None,
+                                                      1e-4)
+                assert scan.table1(alpha, 1.0, spec) == cold[alpha, spec]
+        for alpha in reversed(TABLE1_ALPHAS):
+            for spec in specs:
+                assert repr(tuple(scan.table1(alpha, 1.0, spec))) == \
+                    repr(tuple(cold[alpha, spec]))
+
+    def test_cache_is_bounded(self):
+        specs = ["reduction d=3", "identity d=3", "transposition d=3",
+                 "phi_dk d=3 k=1", "phi_dk d=3 k=2", "theta a=2 c=1,1,1",
+                 "theta a=2 c=2,1,1", "theta a=2.5 c=1,1,1",
+                 "theta a=2 c=0.5,1,2", "kossakowski a=0,2,0,0,0,2,2,0,0",
+                 "kossakowski a=0,1,0,0,0,1,1,0,0"]
+        assert len(specs) > scan.GRID_CACHE_SIZE
+        scan._grid_spectra.cache_clear()
+        for spec in specs:
+            scan.table1(math.inf, 1.0, spec)
+            info = scan._grid_spectra.cache_info()
+            assert info.currsize <= info.maxsize == scan.GRID_CACHE_SIZE
+        assert info.currsize == scan.GRID_CACHE_SIZE
+
+    def test_entry_keeps_its_maps(self):
+        # 64 other specs push this one out of parse_map_spec's cache; the
+        # entry's Spectra still holds one map entry, not two
+        scan._grid_spectra.cache_clear()
+        scan.table1(7.0, 1.0, "phi_dk d=3 k=1")
+        _, dec, sp = scan._grid_spectra("phi_dk d=3 k=1")
+        for i in range(64):
+            scan.parse_map_spec(f"theta a=2 c=1,1,{1 + i / 100}")
+        assert scan.parse_map_spec("phi_dk d=3 k=1") is not dec
+        scan.table1(7.0, 1.0, "phi_dk d=3 k=1")
+        assert list(sp._maps) == [id(dec.lambda1)]
+
+    def test_cached_grid_is_read_only(self):
+        grid, _, sp = scan._grid_spectra("phi_dk d=3 k=1")
+        assert grid is scan._grid_stack()[0]
+        assert sp.matrix is scan._grid_stack()[1].matrix
+        for arr in (grid, sp.matrix, sp.eigenvalues):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert (grid[0], grid[-1], len(grid)) == (2.0, 5.0, 301)
+
+    def test_bad_spec_raises_every_call(self):
+        good = scan.table1(7.0, 1.0, "phi_dk d=3 k=1")
+        for _ in range(3):
+            with pytest.raises(DimensionMismatch):
+                scan.table1(7.0, 1.0, "reduction d=4")
+        assert scan.table1(7.0, 1.0, "phi_dk d=3 k=1") == good
+        assert (good.lower, good.upper) == (3.190664062499975,
+                                            3.9419921874999586)
 
 
 class TestTable1:
@@ -170,8 +317,8 @@ class TestTable1:
         with pytest.raises(ParameterOutOfRange):
             scan.table1(math.inf, beta, kind=kind)
         with pytest.raises(ParameterOutOfRange):
-            scan.gamma_verdicts(math.inf, beta, dec, kind,
-                                states.horodecki_stack([3.5]))
+            scan.gamma_verdicts(math.inf, beta, dec, kind, criteria.Spectra(
+                states.horodecki_stack([3.5]), scan.BISECTION_CRITERION_TOL))
         assert scan.table1(math.inf, 1.0, kind=Kind.II) == \
             scan.table1(math.inf, 1.0)
 
@@ -180,8 +327,8 @@ class TestTable1:
         dec = scan.parse_map_spec("phi_dk d=3 k=1")
         grid = np.arange(2.0, 5.005, 0.01)
         grid[-1] = 5.0
-        stacked = scan.gamma_verdicts(alpha, 1.0, dec, None,
-                                      states.horodecki_stack(grid))
+        stacked = scan.gamma_verdicts(alpha, 1.0, dec, None, criteria.Spectra(
+            states.horodecki_stack(grid), scan.BISECTION_CRITERION_TOL))
         if alpha == math.inf:
             fresh = [criteria.limit_witness(states.horodecki_state(g),
                                             dec.map) < 0 for g in grid]

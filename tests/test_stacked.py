@@ -306,7 +306,8 @@ class TestScansUseStacks:
         for alpha in (7.0, math.inf):
             for g in (3.1, 3.5, 4.8):
                 rho = states.horodecki_state(g)
-                got = scan.gamma_verdicts(alpha, 1.0, dec, None, rho)
+                sp = criteria.Spectra(rho, scan.BISECTION_CRITERION_TOL)
+                got = scan.gamma_verdicts(alpha, 1.0, dec, None, sp)
                 if alpha == math.inf:
                     want = criteria.limit_witness(fresh(rho), dec.map) < 0
                 else:
