@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
+from itertools import chain
 
 import click
 
@@ -43,23 +45,24 @@ def _parse_alpha(value: str) -> float:
 
 
 def _build_criteria(map_specs, alpha, beta, kind):
+    """One criterion per map spec.  The k-th with the same base name (the
+    map family, or 'entropic') is labelled <name>k for k >= 2."""
     kind_enum = Kind[kind] if kind else None
-    criteria = []
+    criteria, seen = [], Counter()
     for spec in map_specs:
         tokens = spec.split()
         if tokens[:1] == ["entropic"]:
             if len(tokens) > 1:
                 raise InvalidParameters(
                     f"'entropic' takes no parameters, got {spec!r}")
-            criteria.append(
-                scan.RegionCriterion("entropic", None, alpha + beta))
+            crit = scan.RegionCriterion("entropic", None, alpha + beta)
         else:
             dec = scan.parse_map_spec(spec)
-            label = dec.name
-            if any(c.label == label for c in criteria):
-                label = f"{label}{sum(1 for c in criteria if c.label.startswith(dec.name)) + 1}"
-            criteria.append(
-                scan.RegionCriterion(label, dec, alpha, beta, kind_enum))
+            crit = scan.RegionCriterion(dec.name, dec, alpha, beta, kind_enum)
+        seen[crit.label] += 1
+        if seen[crit.label] > 1:
+            crit = crit._replace(label=f"{crit.label}{seen[crit.label]}")
+        criteria.append(crit)
     return criteria
 
 
@@ -69,8 +72,8 @@ def main():
 
 
 @main.command("table1")
-@click.option("--alpha", required=True, help="Exponent on the state; 'inf' "
-              "routes to the limit witness (beta 1, kind II).")
+@click.option("--alpha", required=True, help="Exponent on the state; "
+              "'inf' is the limit witness (beta 1, kind II).")
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--map", "map_spec", default="phi_dk d=3 k=1",
               show_default=True, help="Map spec string.")
@@ -98,7 +101,8 @@ def table1_cmd(alpha, beta, map_spec, kind, bisect_tol, out):
 
 @main.command("so3-region")
 @click.option("--p", type=float, required=True)
-@click.option("--alpha", required=True)
+@click.option("--alpha", required=True, help="Exponent on the state; "
+              "'inf' is the limit witness (beta 1, kind II).")
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--kind", type=click.Choice(["I", "II", "III", "IV"]),
               default=None)
@@ -113,10 +117,14 @@ def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
     """CSV scan of the SO(3)-invariant family over the (q, r) simplex."""
     criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind)
     labels = [c.label for c in criteria]
+    rows = scan.so3_region(p, criteria, resolution, tol)
+    # every argument is checked, and the first q-row evaluated, by the
+    # first row (the grid always has q = r = 0), before any output
+    first = next(rows)
     fh, close = _open_out(out)
     try:
         fh.write(scan.region_csv_header(labels) + "\n")
-        for row in scan.so3_region(p, criteria, resolution, tol):
+        for row in chain([first], rows):
             fh.write(scan.region_csv_row(row, labels) + "\n")
     finally:
         if close:
@@ -128,7 +136,9 @@ def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
 @click.option("--map", "map_specs", multiple=True,
               help="Map spec (repeatable); 'entropic' adds the entropic "
               "inequality at power alpha+beta.")
-@click.option("--alpha", default="1")
+@click.option("--alpha", default="1",
+              help="Exponent on the state; 'inf' is the limit witness "
+              "(beta 1, kind II).")
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--kind", type=click.Choice(["I", "II", "III", "IV"]),
               default=None)

@@ -36,7 +36,6 @@ class Kind(enum.Enum):
     IV = "IV"
     ENTROPIC = "ENTROPIC"
     PPT = "PPT"
-    LIMIT = "LIMIT"
 
 
 class CriterionResult(NamedTuple):
@@ -91,10 +90,17 @@ _BETA_OK = {
 
 
 def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
+    """alpha = inf, the limit witness, is the beta = 1, kind II limit."""
     if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ParameterOutOfRange(
-            f"alpha={alpha} and beta={beta} must be finite"
-        )
+        if alpha != math.inf:
+            raise ParameterOutOfRange(
+                f"alpha={alpha} and beta={beta} must be finite"
+            )
+        if beta != 1 or kind is not Kind.II:
+            raise ParameterOutOfRange(
+                f"alpha=inf needs beta=1 and kind II, got beta={beta}, "
+                f"kind {kind.value}")
+        return
     if alpha < 0:
         raise ParameterOutOfRange(f"alpha={alpha} must be >= 0")
     if not _BETA_OK[kind](beta):
@@ -157,8 +163,11 @@ class _MapSpectrum:
 def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
                 beta: float, kind: Kind):
     """lhs, rhs and (kind I with a map lambda2) the commutator norm of
-    the (alpha, beta)-inequality on the states of sp."""
+    the (alpha, beta)-inequality on the states of sp; at alpha = inf,
+    the limit witness of dec.map against 0."""
     _validate_range(alpha, beta, kind)
+    if alpha == math.inf:
+        return _limit(sp, dec.map), 0.0, None
     lam, M, tol = sp.lam, sp.matrix, sp.tol
     X1 = sp.map(dec.lambda1)
     X2 = None if dec.lambda2_is_identity else sp.map(dec.lambda2)
@@ -190,6 +199,46 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
     except SingularNegativePower as exc:
         raise SingularOperand(f"X2 singular for beta={beta}") from exc
     return lhs, rhs, commutator
+
+
+def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
+    """The alpha -> inf limit of the beta = 1 inequality's lhs (see
+    `limit_witness`) at sp.tol on every state of sp, from rho's
+    eigenvalues (ascending), the weights of X = [I (x) L](rho) in rho's
+    eigenbasis and rho's matrices.
+
+    Each state's walk takes the eigenvalue groups from the top, one
+    group per step for the whole stack.  A group is the run of
+    eigenvalues within tol * ||rho||_F below its top one; its weights
+    are summed as one slice, as a one-state walk sums them.
+    """
+    w, weights, M, tol = sp.eigenvalues, sp.map(m).weights, sp.matrix, sp.tol
+    band = np.reshape(tol * np.maximum(linalg.fro(M), 1e-300), (-1, 1))
+    d = w.shape[-1]
+    w, weights = w.reshape(-1, d), weights.reshape(-1, d)
+    out = np.empty(len(w))
+    top = np.full(len(w), d - 1)  # the top eigenvalue of each next group
+    todo = np.arange(len(w))
+    while todo.size:
+        wt, i = w[todo], top[todo]
+        # w ascends, so a group starts at the count of eigenvalues below it
+        j = np.count_nonzero(
+            wt < (wt[np.arange(todo.size), i][:, None] - band[todo]), axis=-1)
+        size = i - j + 1
+        val = np.empty(todo.size)
+        for n in set(size.tolist()):
+            pick = size == n
+            val[pick] = np.take_along_axis(
+                weights[todo[pick]], j[pick, None] + np.arange(n), -1
+            ).sum(-1)
+        hit = np.abs(val) > tol
+        out[todo[hit]] = val[hit]
+        top[todo] = j - 1
+        todo = todo[~hit]
+        if (top[todo] < 0).any():
+            raise AllProjectionsVanish(
+                "Tr(X P) vanished for every eigen-group")
+    return out.reshape(M.shape[:-2])
 
 
 def _validate_entropic(alpha: float, subsystem: str) -> None:
@@ -303,7 +352,8 @@ class Spectra:
 
 
 # ---------------------------------------------------------------------------
-# the criteria, on one state (through its cached Spectra) and on a stack
+# the criteria on one state, through its cached Spectra; on a stack they
+# are `scan.RegionCriterion` and `scan.PPT`
 
 def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
                           alpha: float, beta: float, kind: Kind = Kind.II,
@@ -314,23 +364,14 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
     identity, in which case X2 = rho and the right-hand side is
     Tr rho^alpha rho^beta on rho's spectrum.  Kind III reverses the
     inequality direction; kind IV pairs descending eigenvalues of rho
-    with ascending singular values of X2.
+    with ascending singular values of X2.  alpha = inf (beta 1, kind II
+    only) is the limit witness of dec.map against 0.
     """
     if isinstance(kind, str):
         kind = Kind[kind]
     lhs, rhs, commutator = _alpha_beta(Spectra.of(rho, tol), dec, alpha,
                                        beta, kind)
     return _result(lhs, rhs, kind is Kind.III, kind, tol, commutator)
-
-
-def alpha_beta_verdicts(sp: Spectra, dec: CPDecomposition, alpha: float,
-                        beta: float, kind: Kind = Kind.II
-                        ) -> list[CriterionResult]:
-    """`alpha_beta_inequality` at sp.tol on every state of sp."""
-    if isinstance(kind, str):
-        kind = Kind[kind]
-    lhs, rhs, commutator = _alpha_beta(sp, dec, alpha, beta, kind)
-    return _verdicts(lhs, rhs, kind is Kind.III, kind, sp.tol, commutator)
 
 
 def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
@@ -341,13 +382,6 @@ def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
     """
     lhs, rhs = _entropic(Spectra.of(rho, tol), alpha, subsystem)
     return _result(lhs, rhs, alpha < 1, Kind.ENTROPIC, tol)
-
-
-def entropic_verdicts(sp: Spectra, alpha: float,
-                      subsystem: str = "A") -> list[CriterionResult]:
-    """`entropic_inequality` at sp.tol on every state of sp."""
-    lhs, rhs = _entropic(sp, alpha, subsystem)
-    return _verdicts(lhs, rhs, alpha < 1, Kind.ENTROPIC, sp.tol)
 
 
 def structural_criterion(rho: DensityMatrix, m: MatrixMap,
@@ -372,43 +406,5 @@ def limit_witness(rho: DensityMatrix, m: MatrixMap,
     for the first group projector P with a non-vanishing trace.
     Negative value <=> detection.
     """
-    return float(limit_witnesses(Spectra.of(rho, tol), m))
+    return float(_limit(Spectra.of(rho, tol), m))
 
-
-def limit_witnesses(sp: Spectra, m: MatrixMap) -> np.ndarray:
-    """`limit_witness` at sp.tol on every state of sp, from rho's
-    eigenvalues (ascending), the weights of X = [I (x) L](rho) in rho's
-    eigenbasis and rho's matrices.
-
-    Each state's walk takes the eigenvalue groups from the top, one
-    group per step for the whole stack.  A group is the run of
-    eigenvalues within tol * ||rho||_F below its top one; its weights
-    are summed as one slice, as a one-state walk sums them.
-    """
-    w, weights, M, tol = sp.eigenvalues, sp.map(m).weights, sp.matrix, sp.tol
-    band = np.reshape(tol * np.maximum(linalg.fro(M), 1e-300), (-1, 1))
-    d = w.shape[-1]
-    w, weights = w.reshape(-1, d), weights.reshape(-1, d)
-    out = np.empty(len(w))
-    top = np.full(len(w), d - 1)  # the top eigenvalue of each next group
-    todo = np.arange(len(w))
-    while todo.size:
-        wt, i = w[todo], top[todo]
-        # w ascends, so a group starts at the count of eigenvalues below it
-        j = np.count_nonzero(
-            wt < (wt[np.arange(todo.size), i][:, None] - band[todo]), axis=-1)
-        size = i - j + 1
-        val = np.empty(todo.size)
-        for n in set(size.tolist()):
-            pick = size == n
-            val[pick] = np.take_along_axis(
-                weights[todo[pick]], j[pick, None] + np.arange(n), -1
-            ).sum(-1)
-        hit = np.abs(val) > tol
-        out[todo[hit]] = val[hit]
-        top[todo] = j - 1
-        todo = todo[~hit]
-        if (top[todo] < 0).any():
-            raise AllProjectionsVanish(
-                "Tr(X P) vanished for every eigen-group")
-    return out.reshape(M.shape[:-2])

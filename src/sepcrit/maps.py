@@ -69,14 +69,6 @@ class CPDecomposition:
     def d(self) -> int:
         return self.lambda1.d
 
-    @property
-    def cp_maps(self) -> list[MatrixMap]:
-        """The maps X1, X2 are built from: lambda1, and lambda2 unless
-        it is the identity (then X2 = rho)."""
-        if self.lambda2_is_identity:
-            return [self.lambda1]
-        return [self.lambda1, self.lambda2]
-
     @cached_property
     def map(self) -> MatrixMap:
         """The difference map L = L1 - L2, built once, so that a

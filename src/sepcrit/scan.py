@@ -9,20 +9,19 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from . import maps
+from . import linalg, maps
 from .criteria import (
     CriterionResult,
     Kind,
     Spectra,
+    _alpha_beta,
+    _entropic,
     _verdicts,
-    alpha_beta_verdicts,
-    entropic_verdicts,
-    limit_witnesses,
 )
 from .errors import InvalidParameters, ParameterOutOfRange
 from .formats import format_float
 from .linalg import DEFAULT_TOL
-from .maps import CPDecomposition, MatrixMap
+from .maps import CPDecomposition
 from .states import (
     DensityMatrix,
     DensityStack,
@@ -144,20 +143,9 @@ def _grid_spectra(map_spec: str
 def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
                    kind: Optional[Kind], sp: Spectra) -> list[bool]:
     """table1's violation test on the states of sp (states of the 3x3
-    family, at BISECTION_CRITERION_TOL), one criterion evaluated on the
-    whole stack: the limit witness at alpha = inf, the
-    (alpha, beta)-inequality otherwise.  The limit witness is the
-    beta = 1, kind II limit, so alpha = inf with any other beta or kind
-    raises ParameterOutOfRange.
-    """
-    if alpha == math.inf:
-        if beta != 1 or kind not in (None, Kind.II):
-            got = f"beta={beta}" + (f", kind {kind.value}" if kind else "")
-            raise ParameterOutOfRange(
-                f"alpha=inf needs beta=1 and kind II, got {got}")
-        crit = Limit("limit", dec.map)
-    else:
-        crit = RegionCriterion("gamma", dec, alpha, beta, kind)
+    family, at BISECTION_CRITERION_TOL): the (alpha, beta)-inequality
+    evaluated on the whole stack."""
+    crit = RegionCriterion("gamma", dec, alpha, beta, kind)
     return [res.violated for res in crit.verdicts(sp)]
 
 
@@ -168,7 +156,7 @@ def table1(alpha: float, beta: float = 1.0,
     """Gamma range in [2, 5] where the (alpha, beta)-inequality derived
     from the given map is violated on the 3x3 test family.
 
-    alpha = inf routes to the limit witness (beta = 1, kind II only).
+    alpha = inf is the limit witness (beta = 1, kind II only).
     Boundaries are located on a GRID_STEP grid, tested as one stack, and
     refined by bisection to bisect_tol (finite, >= 1e-6).  The grid and
     its Spectra are built once per map spec (`_grid_spectra`), so a
@@ -209,8 +197,8 @@ def table1(alpha: float, beta: float = 1.0,
 # SO(3) region scans
 
 class RegionCriterion(NamedTuple):
-    """One labeled (alpha, beta)-inequality, or the entropic inequality,
-    evaluated at each grid point."""
+    """One labeled (alpha, beta)-inequality (at alpha = inf, the limit
+    witness), or the entropic inequality, evaluated at each grid point."""
 
     label: str
     dec: Optional[CPDecomposition]  # None means the entropic inequality
@@ -225,9 +213,12 @@ class RegionCriterion(NamedTuple):
     def verdicts(self, sp: Spectra) -> list[CriterionResult]:
         """The criterion on every state of sp, at sp.tol."""
         if self.dec is None:
-            return entropic_verdicts(sp, self.alpha)
+            lhs, rhs = _entropic(sp, self.alpha, "A")
+            return _verdicts(lhs, rhs, self.alpha < 1, Kind.ENTROPIC, sp.tol)
         kind = self.kind or route_kind(self.beta)
-        return alpha_beta_verdicts(sp, self.dec, self.alpha, self.beta, kind)
+        lhs, rhs, commutator = _alpha_beta(sp, self.dec, self.alpha,
+                                           self.beta, kind)
+        return _verdicts(lhs, rhs, kind is Kind.III, kind, sp.tol, commutator)
 
 
 class PPT:
@@ -237,17 +228,6 @@ class PPT:
 
     def verdicts(self, sp: Spectra) -> list[CriterionResult]:
         return _verdicts(sp.ppt, 0.0, False, Kind.PPT, sp.tol)
-
-
-class Limit(NamedTuple):
-    """The alpha -> inf limit witness of a map against 0."""
-
-    label: str
-    map: MatrixMap
-
-    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
-        return _verdicts(limit_witnesses(sp, self.map), 0.0, False,
-                         Kind.LIMIT, sp.tol)
 
 
 class ScanRow(NamedTuple):
@@ -353,8 +333,6 @@ def choi_dump(map_spec: str, part: str = "map") -> tuple[np.ndarray, int, bool, 
     m = {"map": dec.map, "1": dec.lambda1, "2": dec.lambda2}.get(part)
     if m is None:
         raise InvalidParameters(f"part must be 'map', '1' or '2', not {part!r}")
-    from . import linalg
-
     min_eig = linalg.min_eigenvalue(m.choi)
     cp = maps.is_cp(m)
     return np.asarray(m.choi), dec.d, cp, min_eig

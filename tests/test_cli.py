@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sepcrit import states
 from sepcrit.cli import main
 from sepcrit.errors import InvalidParameters, ParameterOutOfRange
 from sepcrit.formats import write_matrix
@@ -173,15 +174,24 @@ def test_entry_point_rejects_bad_alpha_text(tmp_path):
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_check_rejects_non_finite_alpha(alpha, tmp_path):
+    # alpha = inf at beta 1 is the limit witness, for kind II only
     path = tmp_path / "bell.mat"
     write_state(path, bell_state(2), 2, 2)
     args = ["check", str(path), "--map", "reduction d=2", "--alpha", alpha]
-    result = CliRunner().invoke(main, args)
-    assert isinstance(result.exception, ParameterOutOfRange)
-    proc = run_entry_point(*args)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ")
-    assert "ok" not in proc.stdout.split()
+    if alpha == "inf":
+        proc = run_entry_point(*args, "--no-ppt")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ("reduction: lhs=-0.5 rhs=0 margin=-0.5 "
+                               "VIOLATED\n")
+    for extra in ([["--kind", k] for k in ("I", "III", "IV")]
+                  if alpha == "inf" else [[]]):
+        result = CliRunner().invoke(main, args + extra)
+        assert isinstance(result.exception, ParameterOutOfRange)
+        proc = run_entry_point(*args, *extra)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            "error: alpha=inf" if alpha == "inf" else "error: ")
+        assert "ok" not in proc.stdout.split()
 
 
 @pytest.mark.parametrize("spec", ["", "   ", "entropic alpha=9"])
@@ -289,3 +299,67 @@ def test_entry_point_rejects_non_finite_bisection_tol(tol):
     assert proc.stderr.startswith("error: bisect_tol=")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("extra", [["--tol", "nan"], ["--p", "2"],
+                                   ["--resolution", "1"],
+                                   ["--alpha", "inf", "--beta", "0.5"]])
+def test_entry_point_so3_region_checks_before_output(extra, tmp_path):
+    # these wrote the CSV header (or created the --out file), then exited 1
+    args = ["so3-region", "--p", "0.2", "--alpha", "3", "--map",
+            "reduction d=4", "--resolution", "2", *extra]
+    proc = run_entry_point(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+    out = tmp_path / "region.csv"
+    proc = run_entry_point(*args, "--out", str(out))
+    assert proc.returncode == 1
+    assert not out.exists()
+
+
+def test_so3_region_infinite_alpha():
+    args = ["so3-region", "--p", "0.2", "--alpha", "inf", "--map",
+            "breuer_hall d=4", "--resolution", "4"]
+    proc = run_entry_point(*args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "q,r,s,ppt,breuer_hall_violated,breuer_hall_margin"
+    assert len(lines) == 1 + 10
+
+
+@pytest.mark.parametrize("gamma,code", [(4.8, 2), (2.5, 0)])
+def test_entry_point_check_infinite_alpha(gamma, code, tmp_path):
+    # table1 gives the limit witness's range as (3.0000, 5.0000]
+    path = tmp_path / "sigma.mat"
+    write_state(path, states.horodecki_state(gamma).matrix, 3, 3)
+    proc = run_entry_point("check", str(path), "--alpha", "inf", "--map",
+                           "phi_dk d=3 k=1")
+    assert proc.returncode == code, proc.stderr
+    line = proc.stdout.splitlines()[1]
+    assert line.startswith("phi_dk: ")
+    assert line.endswith(" VIOLATED" if code else " ok")
+
+
+def test_duplicate_labels_count_per_base_name(tmp_path):
+    # the k-th criterion with a base name is <name>k; 'entropic' twice
+    # printed two 'entropic:' lines in check, and breuer_hall,
+    # breuer_hall_tilde, breuer_hall labelled the third breuer_hall3
+    specs = ["breuer_hall d=4", "breuer_hall_tilde d=4", "breuer_hall d=4",
+             "entropic", "entropic", "breuer_hall d=4"]
+    args = ["--alpha", "3"] + [a for s in specs for a in ("--map", s)]
+    labels = ["breuer_hall", "breuer_hall_tilde", "breuer_hall2", "entropic",
+              "entropic2", "breuer_hall3"]
+    region = CliRunner().invoke(main, ["so3-region", "--p", "0.2",
+                                       "--resolution", "2", *args])
+    assert region.exit_code == 0, region.output
+    assert region.output.splitlines()[0] == ",".join(
+        ["q", "r", "s", "ppt"] +
+        [f"{label}_{col}" for label in labels
+         for col in ("violated", "margin")])
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(16) / 16, 4, 4)
+    check = CliRunner().invoke(main, ["check", str(path), "--no-ppt", *args])
+    assert check.exit_code == 0, check.output
+    assert [line.split(":")[0] for line in check.output.splitlines()] == \
+        labels

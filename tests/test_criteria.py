@@ -109,9 +109,21 @@ class TestAlphaBetaInequality:
         (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
     ])
     def test_non_finite_parameters_rejected(self, alpha, beta):
+        # alpha = inf at beta 1 is the limit witness, for kind II only
         dec = maps.reduction_decomposition(2)
+        limit = (alpha, beta) == (np.inf, 1.0)
         for kind in Kind.I, Kind.II, Kind.III, Kind.IV:
-            with pytest.raises(ParameterOutOfRange):
+            if limit and kind is Kind.II:
+                res = criteria.alpha_beta_inequality(
+                    bell_density(), dec, alpha, beta, kind)
+                assert res.lhs == criteria.limit_witness(bell_density(),
+                                                         dec.map)
+                assert abs(res.lhs + 0.5) <= 1e-12
+                assert (res.rhs, res.margin, res.violated, res.kind) == \
+                    (0.0, res.lhs, True, Kind.II)
+                continue
+            with pytest.raises(ParameterOutOfRange,
+                               match="^alpha=inf" if limit else None):
                 criteria.alpha_beta_inequality(
                     bell_density(), dec, alpha, beta, kind
                 )
@@ -332,6 +344,37 @@ class TestSoundnessSample:
                         continue
                     assert not res.violated, (dec.name, a, b, kind)
 
+    @pytest.mark.parametrize("tol", [1e-9, criteria.TOL_FLOOR])
+    def test_limit_witness_no_false_positives(self, tol):
+        # alpha = inf on pure products and on mixtures of 1, 2 and 4
+        # products, against the acceptance suite's map catalog; the
+        # smallest margin is 3.1e-4 at either tol
+        rng = np.random.default_rng(20240818)
+        catalog = {
+            3: [maps.reduction_decomposition(3),
+                maps.phi_dk_decomposition(3, 1),
+                maps.theta_decomposition(2, [1, 1, 1]),
+                maps.transposition_decomposition(3)],
+            4: [maps.reduction_decomposition(4),
+                maps.breuer_hall_decomposition(d=4),
+                maps.breuer_hall_tilde_decomposition(d=4),
+                maps.phi_dk_decomposition(4, 2),
+                maps.tau_u_decomposition(maps.default_breuer_unitary(4))],
+        }
+        evaluated = 0
+        for d, decs in catalog.items():
+            stacks = [pure_products(300, 7, d)] + [
+                [states.random_separable(d, d, k, rng).matrix
+                 for _ in range(100)] for k in (1, 2, 4)]
+            for mats in stacks:
+                sp = criteria.Spectra(states.density_stack(mats, d, d), tol)
+                for dec in decs:
+                    got = scan.RegionCriterion(dec.name, dec,
+                                               np.inf).verdicts(sp)
+                    assert not any(res.violated for res in got), dec.name
+                    evaluated += len(got)
+        assert evaluated == (300 + 3 * 100) * (4 + 5)
+
 
 def dense_reference(rho, dec, alpha, beta, kind, tol=1e-9):
     """(violated, margin) from explicit matrix powers, as the criteria
@@ -522,7 +565,7 @@ class TestFillCache:
             criteria.entropic_inequality(lazy, 2, "B", tol=1e-9)
             criteria.ppt_check(lazy, 1e-9)
             one = lazy.cache[1e-9]
-            for m in dec.cp_maps:
+            for m in (dec.lambda1, dec.lambda2):
                 got, want = sp.map(m), one.map(m)
                 for name in ("X", "weights", "mu", "overlap"):
                     assert np.array_equal(getattr(got, name)[k],

@@ -270,7 +270,7 @@ class TestTable1:
                             iv.upper_open) == want
 
     def test_infinite_alpha_intervals_are_pinned(self):
-        # alpha = inf is the Limit criterion at BISECTION_CRITERION_TOL;
+        # alpha = inf is the limit witness at BISECTION_CRITERION_TOL;
         # the reprs are those of the limit witness's sign at the default tol
         nan = math.nan
         expected = {
@@ -345,14 +345,14 @@ class TestTable1:
         grid = np.arange(2.0, 5.005, 0.01)
         grid[-1] = 5.0
         sp = criteria.Spectra(states.horodecki_stack(grid), tol)
-        got = scan.Limit("limit", dec.map).verdicts(sp)
+        got = scan.RegionCriterion("limit", dec, math.inf).verdicts(sp)
         assert len(got) == len(grid)
         for g, res in zip(grid, got):
             witness = criteria.limit_witness(states.horodecki_state(g),
                                              dec.map, tol)
             assert res.violated == (witness < 0)
             assert (res.lhs, res.rhs, res.margin) == (witness, 0.0, witness)
-            assert (res.kind, res.tol) == (Kind.LIMIT, tol)
+            assert (res.kind, res.tol) == (Kind.II, tol)
         assert 0 < sum(res.violated for res in got) < len(grid)
 
     def test_str_formats(self):

@@ -1,4 +1,4 @@
-"""Stacked evaluation (`criteria.Spectra` and the `*_verdicts` functions)
+"""Stacked evaluation (`criteria.Spectra` and `scan.RegionCriterion`)
 against the one-state criteria, bit for bit, and the stacked state
 builders against the one-state ones."""
 
@@ -46,6 +46,11 @@ def same(verdicts, results):
         assert (got.kind, got.tol) == (res.kind, res.tol)
 
 
+def stacked(sp, dec, alpha, beta=1.0, kind=None):
+    """The (alpha, beta)-inequality on every state of sp."""
+    return scan.RegionCriterion("c", dec, alpha, beta, kind).verdicts(sp)
+
+
 def separable_stack(d, n, rng):
     return states.density_stack(
         [states.random_separable(d, d, 4, rng).matrix for _ in range(n)],
@@ -90,8 +95,7 @@ class TestStackedEqualsOneState:
                     if kind is Kind.I and not dec.lambda2_is_identity:
                         continue
                     try:
-                        got = criteria.alpha_beta_verdicts(sp, dec, a, b,
-                                                           kind)
+                        got = stacked(sp, dec, a, b, kind)
                     except SingularOperand:
                         with pytest.raises(SingularOperand):
                             for rho in rhos:
@@ -106,8 +110,7 @@ class TestStackedEqualsOneState:
         # a map lambda2 and reports the commutator norm
         dec = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
         stack = states.so3_stack(0.1, [0.2, 0.3, 0.1], [0.3, 0.1, 0.6])
-        got = criteria.alpha_beta_verdicts(criteria.Spectra(stack), dec, 1,
-                                           2, Kind.I)
+        got = stacked(criteria.Spectra(stack), dec, 1, 2, Kind.I)
         one = [criteria.alpha_beta_inequality(rho, dec, 1, 2, Kind.I)
                for rho in stack.split()]
         assert all(res.commutator_norm is not None for res in one)
@@ -119,19 +122,24 @@ class TestStackedEqualsOneState:
         with pytest.raises(CommutativityViolated) as one:
             criteria.alpha_beta_inequality(stack.split()[0], dec, 1, 2,
                                            Kind.I)
-        with pytest.raises(CommutativityViolated) as stacked:
-            criteria.alpha_beta_verdicts(criteria.Spectra(stack), dec, 1, 2,
-                                         Kind.I)
-        assert str(stacked.value) == str(one.value)
+        with pytest.raises(CommutativityViolated) as many:
+            stacked(criteria.Spectra(stack), dec, 1, 2, Kind.I)
+        assert str(many.value) == str(one.value)
 
     @pytest.mark.parametrize("alpha", [0, 0.5, 4])
     def test_entropic(self, rng, alpha):
+        ent = scan.RegionCriterion("ent", None, alpha)
         for stack, _, ref in family_stacks(rng):
             sp = criteria.Spectra(stack)
-            for sub in "AB":
-                one = [criteria.entropic_inequality(ref(rho), alpha, sub)
-                       for rho in stack.split()]
-                same(criteria.entropic_verdicts(sp, alpha, sub), one)
+            one = [criteria.entropic_inequality(ref(rho), alpha)
+                   for rho in stack.split()]
+            same(ent.verdicts(sp), one)
+            # the kernel on subsystem B, which no region criterion reads
+            lhs, rhs = criteria._entropic(sp, alpha, "B")
+            one = [criteria.entropic_inequality(ref(rho), alpha, "B")
+                   for rho in stack.split()]
+            assert (lhs.tolist(), rhs.tolist()) == (
+                [res.lhs for res in one], [res.rhs for res in one])
 
     def test_ppt_and_limit_witness(self, rng):
         for stack, decs, ref in family_stacks(rng):
@@ -140,27 +148,30 @@ class TestStackedEqualsOneState:
             assert sp.ppt.tolist() == [criteria.ppt_check(ref(rho))
                                        for rho in rhos]
             for dec in decs:
-                assert criteria.limit_witnesses(sp, dec.map).tolist() == [
+                got = stacked(sp, dec, math.inf)
+                assert [res.lhs for res in got] == [
                     criteria.limit_witness(ref(rho), dec.map)
                     for rho in rhos]
+                same(got, [criteria.alpha_beta_inequality(
+                    ref(rho), dec, math.inf, 1, Kind.II) for rho in rhos])
 
     def test_limit_witness_degenerate_groups(self):
         # maximally mixed states make one group of every eigenvalue; the
         # zero map vanishes on all of them
         stack = states.density_stack([np.eye(9) / 9] * 3, 3, 3)
-        phi = maps.phi_dk_decomposition(3, 1).map
-        got = criteria.limit_witnesses(criteria.Spectra(stack), phi)
-        assert got.tolist() == [criteria.limit_witness(rho, phi)
-                                for rho in stack.split()]
+        phi = maps.phi_dk_decomposition(3, 1)
+        got = stacked(criteria.Spectra(stack), phi, math.inf)
+        assert [res.lhs for res in got] == [
+            criteria.limit_witness(rho, phi.map) for rho in stack.split()]
         zero = maps.MatrixMap(3, np.zeros((9, 9)), "zero")
         with pytest.raises(AllProjectionsVanish):
-            criteria.limit_witnesses(criteria.Spectra(stack), zero)
+            stacked(criteria.Spectra(stack),
+                    maps.CPDecomposition(zero, zero, False, "zero"), math.inf)
 
     def test_one_state_input(self, rng):
         dec = maps.phi_dk_decomposition(3, 1)
         for rho in separable_stack(3, 4, rng).split():
-            one = criteria.alpha_beta_verdicts(criteria.Spectra(rho), dec, 2,
-                                               0.5)
+            one = stacked(criteria.Spectra(rho), dec, 2, 0.5)
             same(one, [criteria.alpha_beta_inequality(fresh(rho), dec, 2,
                                                       0.5)])
 
@@ -184,10 +195,9 @@ class TestStackErrors:
             with pytest.raises(SingularOperand) as one:
                 criteria.alpha_beta_inequality(stack.split()[1], dec, a, b,
                                                kind)
-            with pytest.raises(SingularOperand) as stacked:
-                criteria.alpha_beta_verdicts(criteria.Spectra(stack), dec,
-                                             a, b, kind)
-            assert str(stacked.value) == str(one.value)
+            with pytest.raises(SingularOperand) as many:
+                stacked(criteria.Spectra(stack), dec, a, b, kind)
+            assert str(many.value) == str(one.value)
 
     def test_not_psd(self):
         # validation admits eigenvalues down to -1e-9; at tol 1e-13 the
@@ -200,10 +210,9 @@ class TestStackErrors:
         with pytest.raises(NotPSD) as one:
             criteria.alpha_beta_inequality(stack.split()[1], dec, 1, 1,
                                            Kind.II, tol=1e-13)
-        with pytest.raises(NotPSD) as stacked:
-            criteria.alpha_beta_verdicts(criteria.Spectra(stack, 1e-13), dec,
-                                         1, 1, Kind.II)
-        assert str(stacked.value) == str(one.value)
+        with pytest.raises(NotPSD) as many:
+            stacked(criteria.Spectra(stack, 1e-13), dec, 1, 1, Kind.II)
+        assert str(many.value) == str(one.value)
         assert "min eigenvalue" in str(one.value)
 
 

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -283,9 +284,8 @@ class TestFamilyEigendecomposition:
             assert verdicts(crits, stack) == verdicts(crits, eigh_copy(stack))
         dec = scan.parse_map_spec("phi_dk d=3 k=1")
         tol = scan.BISECTION_CRITERION_TOL
-        crits = [scan.Limit("limit", dec.map)] + [
-            scan.RegionCriterion("gamma", dec, a, 1.0, None)
-            for a in (6.0, 7.0, 10.0, 13.0)]
+        crits = [scan.RegionCriterion("gamma", dec, a, 1.0, None)
+                 for a in (6.0, 7.0, 10.0, 13.0, math.inf)]
         for gammas in (gamma_grid(), [2.5]):
             stack = states.horodecki_stack(gammas)
             assert verdicts(crits, stack, tol) == \
