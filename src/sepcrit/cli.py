@@ -25,12 +25,6 @@ from .linalg import DEFAULT_TOL
 TOL_HELP = "Verdict threshold and clamp band, relative; at least 1e-13."
 
 
-def _open_out(out):
-    if out in (None, "-", "stdout"):
-        return sys.stdout, False
-    return open(out, "w"), True
-
-
 def _parse_alpha(value: str) -> float:
     if value.lower() in ("inf", "infinity", "oo"):
         return math.inf
@@ -88,15 +82,11 @@ def table1_cmd(alpha, beta, map_spec, kind, bisect_tol, out):
     a = _parse_alpha(alpha)
     kind_enum = Kind[kind] if kind else None
     interval = scan.table1(a, beta, map_spec, kind_enum, bisect_tol)
-    fh, close = _open_out(out)
-    try:
+    with click.open_file(out, "w") as fh:
         fh.write(
             f"alpha={alpha} beta={format_float(beta, 9)} map={map_spec!r} "
             f"range={interval}\n"
         )
-    finally:
-        if close:
-            fh.close()
 
 
 @main.command("so3-region")
@@ -118,17 +108,13 @@ def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
     criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind)
     labels = [c.label for c in criteria]
     rows = scan.so3_region(p, criteria, resolution, tol)
-    # every argument is checked, and the first q-row evaluated, by the
-    # first row (the grid always has q = r = 0), before any output
+    # the first q-row is evaluated (the grid always has q = r = 0), so
+    # its errors raise too, before any output
     first = next(rows)
-    fh, close = _open_out(out)
-    try:
+    with click.open_file(out, "w") as fh:
         fh.write(scan.region_csv_header(labels) + "\n")
         for row in chain([first], rows):
             fh.write(scan.region_csv_row(row, labels) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 @main.command("check")
@@ -153,9 +139,8 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
     rho = read_density_matrix(state_file)
     criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind)
     rows = scan.check_state(rho, criteria, include_ppt=ppt, tol=tol)
-    fh, close = _open_out(out)
     any_violated = False
-    try:
+    with click.open_file(out, "w") as fh:
         for label, res in rows:
             verdict = "VIOLATED" if res.violated else "ok"
             any_violated |= res.violated
@@ -164,9 +149,6 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
                 f"rhs={format_float(res.rhs, 9)} "
                 f"margin={format_float(res.margin, 9)} {verdict}\n"
             )
-    finally:
-        if close:
-            fh.close()
     ctx.exit(2 if any_violated else 0)
 
 
@@ -186,8 +168,7 @@ def choi_cmd(map_spec, part, samples, seed, tol, out):
     """Print a catalog map's Choi matrix and its CP verdict."""
     check_tol(tol)
     choi, d, cp, min_eig = scan.choi_dump(map_spec, part)
-    fh, close = _open_out(out)
-    try:
+    with click.open_file(out, "w") as fh:
         write_matrix(fh, choi, d, d)
         fh.write(
             f"CP: {'yes' if cp else 'no'} "
@@ -201,9 +182,6 @@ def choi_cmd(map_spec, part, samples, seed, tol, out):
                 f"positive (sampled, n={samples}, seed={seed}): "
                 f"{'yes' if ok else 'no'}\n"
             )
-    finally:
-        if close:
-            fh.close()
 
 
 def run():

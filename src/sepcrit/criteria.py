@@ -81,6 +81,17 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
             for a, b, c in zip(lhs, rhs, commutator)]
 
 
+def route_kind(beta: float) -> Kind:
+    """Default inequality kind for a given beta."""
+    if beta > 1:
+        return Kind.I
+    if beta >= 0:
+        return Kind.II
+    if beta >= -1:
+        return Kind.III
+    raise ParameterOutOfRange(f"beta={beta} < -1")
+
+
 _BETA_OK = {
     Kind.I: lambda beta: beta >= 1,
     Kind.II: lambda beta: 0 <= beta <= 1,
@@ -161,13 +172,19 @@ class _MapSpectrum:
 
 
 def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
-                beta: float, kind: Kind):
-    """lhs, rhs and (kind I with a map lambda2) the commutator norm of
-    the (alpha, beta)-inequality on the states of sp; at alpha = inf,
-    the limit witness of dec.map against 0."""
+                beta: float, kind: Kind | str | None = None
+                ) -> list[CriterionResult]:
+    """The (alpha, beta)-inequality on every state of sp, at sp.tol; kind
+    None is routed by beta (`route_kind`), a str is a Kind name.  Kind III
+    reads reversed; kind I with a map lambda2 reports the commutator norm.
+    At alpha = inf it is the limit witness of dec.map against 0."""
+    if kind is None:
+        kind = route_kind(beta)
+    elif isinstance(kind, str):
+        kind = Kind[kind]
     _validate_range(alpha, beta, kind)
     if alpha == math.inf:
-        return _limit(sp, dec.map), 0.0, None
+        return _verdicts(_limit(sp, dec.map), 0.0, False, kind, sp.tol)
     lam, M, tol = sp.lam, sp.matrix, sp.tol
     X1 = sp.map(dec.lambda1)
     X2 = None if dec.lambda2_is_identity else sp.map(dec.lambda2)
@@ -191,14 +208,13 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
         # singular values of the Hermitian X2, from its clamped spectrum
         sig = np.sort(np.abs(lam if X2 is None else X2.mu))
         rhs = np.vecdot(lam_a[..., ::-1], linalg.powered(sig, beta))
-        return lhs, rhs, None
-
-    try:
-        rhs = (np.vecdot(lam_a, linalg.powered(lam, beta)) if X2 is None
-               else X2.trace_power(lam_a, beta))
-    except SingularNegativePower as exc:
-        raise SingularOperand(f"X2 singular for beta={beta}") from exc
-    return lhs, rhs, commutator
+    else:
+        try:
+            rhs = (np.vecdot(lam_a, linalg.powered(lam, beta)) if X2 is None
+                   else X2.trace_power(lam_a, beta))
+        except SingularNegativePower as exc:
+            raise SingularOperand(f"X2 singular for beta={beta}") from exc
+    return _verdicts(lhs, rhs, kind is Kind.III, kind, tol, commutator)
 
 
 def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
@@ -241,22 +257,18 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
     return out.reshape(M.shape[:-2])
 
 
-def _validate_entropic(alpha: float, subsystem: str) -> None:
+def _entropic(sp: Spectra, alpha: float,
+              subsystem: str = "A") -> list[CriterionResult]:
+    """The entropic inequality on every state of sp, at sp.tol: lhs
+    Tr rho_sub^a and rhs Tr rho^a from the clamped spectra of the
+    marginal and of rho, read reversed for a < 1."""
     if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
         raise ParameterOutOfRange(
             f"alpha={alpha} must be finite, >= 0 and != 1"
         )
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-
-
-def _entropic(sp: Spectra, alpha: float, subsystem: str):
-    """lhs, rhs of the entropic inequality on the states of sp:
-    Tr rho_sub^a and Tr rho^a from the clamped spectra of the marginal
-    and of rho."""
-    _validate_entropic(alpha, subsystem)
-    return (linalg.powered(sp.marginal(subsystem), alpha).sum(-1),
-            linalg.powered(sp.lam, alpha).sum(-1))
+    return _verdicts(linalg.powered(sp.marginal(subsystem), alpha).sum(-1),
+                     linalg.powered(sp.lam, alpha).sum(-1), alpha < 1,
+                     Kind.ENTROPIC, sp.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,6 @@ class Spectra:
         self.dA, self.dB = states.dA, states.dB
         self.matrix = states.matrix
         self.eigenvalues, self._U = states.eig
-        self._Ud = self._lam = self._ppt = None
         self._maps: dict = {}
         self._marginals: dict = {}
 
@@ -313,18 +324,18 @@ class Spectra:
             sp = rho.cache[tol] = cls(rho, tol)
         return sp
 
-    @property
+    @cached_property
     def lam(self) -> np.ndarray:
         """rho's eigenvalues after the clamp rule."""
-        if self._lam is None:
-            self._lam = _clamped(self.eigenvalues, self.matrix, self.tol)
-        return self._lam
+        return _clamped(self.eigenvalues, self.matrix, self.tol)
+
+    @cached_property
+    def _Ud(self) -> np.ndarray:
+        return self._U.conj()
 
     def map(self, m: MatrixMap) -> _MapSpectrum:
         entry = self._maps.get(id(m))
         if entry is None:
-            if self._Ud is None:
-                self._Ud = self._U.conj()
             X = extend_apply(m, self.matrix, self.dA)
             W = np.einsum("...ji,...ji->...i", self._Ud, X @ self._U).real
             entry = self._maps[id(m)] = _MapSpectrum(m, self.tol, X, self._U,
@@ -340,25 +351,57 @@ class Spectra:
                 self.tol)
         return w
 
-    @property
+    @cached_property
     def ppt(self):
-        if self._ppt is None:
-            # The partial transpose only permutes entries, so it passes
-            # the Hermitian check wherever the validated rho does.
-            self._ppt = linalg.min_eigenvalue(
-                linalg.partial_transpose(self.matrix, self.dA, self.dB),
-                self.tol, hermitian_within=HERMITIAN_TOL)
-        return self._ppt
+        # The partial transpose only permutes entries, so it passes the
+        # Hermitian check wherever the validated rho does.
+        return linalg.min_eigenvalue(
+            linalg.partial_transpose(self.matrix, self.dA, self.dB),
+            self.tol, hermitian_within=HERMITIAN_TOL)
 
 
 # ---------------------------------------------------------------------------
-# the criteria on one state, through its cached Spectra; on a stack they
-# are `scan.RegionCriterion` and `scan.PPT`
+# criterion objects: a label and `verdicts(sp)`, one result per state of sp
+
+class RegionCriterion(NamedTuple):
+    """One labeled (alpha, beta)-inequality (at alpha = inf, the limit
+    witness), or the entropic inequality, evaluated at each grid point."""
+
+    label: str
+    dec: Optional[CPDecomposition]  # None means the entropic inequality
+    alpha: float
+    beta: float = 1.0
+    kind: Optional[Kind] = None
+
+    def evaluate(self, rho: DensityMatrix,
+                 tol: float = DEFAULT_TOL) -> CriterionResult:
+        return self.verdicts(Spectra.of(rho, tol))[0]
+
+    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
+        """The criterion on every state of sp, at sp.tol."""
+        if self.dec is None:
+            return _entropic(sp, self.alpha)
+        return _alpha_beta(sp, self.dec, self.alpha, self.beta, self.kind)
+
+
+class PPT:
+    """The PPT test: the partial transpose's minimum eigenvalue against 0."""
+
+    label = "ppt"
+
+    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
+        return _verdicts(sp.ppt, 0.0, False, Kind.PPT, sp.tol)
+
+
+# ---------------------------------------------------------------------------
+# the criteria on one state, through its cached Spectra
 
 def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
-                          alpha: float, beta: float, kind: Kind = Kind.II,
+                          alpha: float, beta: float,
+                          kind: Kind | str | None = None,
                           tol: float = DEFAULT_TOL) -> CriterionResult:
-    """Evaluate one of the four (alpha, beta)-inequalities on rho.
+    """Evaluate one of the four (alpha, beta)-inequalities on rho; with
+    no kind, the one `route_kind(beta)` names.
 
     Kind I (beta >= 1) needs [X2, rho] = 0 unless lambda2 is the
     identity, in which case X2 = rho and the right-hand side is
@@ -367,11 +410,7 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
     with ascending singular values of X2.  alpha = inf (beta 1, kind II
     only) is the limit witness of dec.map against 0.
     """
-    if isinstance(kind, str):
-        kind = Kind[kind]
-    lhs, rhs, commutator = _alpha_beta(Spectra.of(rho, tol), dec, alpha,
-                                       beta, kind)
-    return _result(lhs, rhs, kind is Kind.III, kind, tol, commutator)
+    return _alpha_beta(Spectra.of(rho, tol), dec, alpha, beta, kind)[0]
 
 
 def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
@@ -380,8 +419,7 @@ def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
     for a < 1); violation certifies entanglement.  At a = 0 the traces
     are ranks (0^0 := 0), so it is the rank test rank rho_sub <= rank rho.
     """
-    lhs, rhs = _entropic(Spectra.of(rho, tol), alpha, subsystem)
-    return _result(lhs, rhs, alpha < 1, Kind.ENTROPIC, tol)
+    return _entropic(Spectra.of(rho, tol), alpha, subsystem)[0]
 
 
 def structural_criterion(rho: DensityMatrix, m: MatrixMap,

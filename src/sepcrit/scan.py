@@ -11,14 +11,15 @@ import numpy as np
 
 from . import linalg, maps
 from .criteria import (
+    PPT,
     CriterionResult,
     Kind,
+    RegionCriterion,
     Spectra,
-    _alpha_beta,
-    _entropic,
-    _verdicts,
+    check_tol,
+    route_kind,  # noqa: F401 (scan.route_kind is part of scan's API)
 )
-from .errors import InvalidParameters, ParameterOutOfRange
+from .errors import InvalidParameters
 from .formats import format_float
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition
@@ -38,17 +39,6 @@ BISECTION_CRITERION_TOL = 1e-13
 
 # Spacing of table1's gamma grid on [2, 5], before bisection refines it.
 GRID_STEP = 0.01
-
-
-def route_kind(beta: float) -> Kind:
-    """Default inequality kind for a given beta."""
-    if beta > 1:
-        return Kind.I
-    if beta >= 0:
-        return Kind.II
-    if beta >= -1:
-        return Kind.III
-    raise ParameterOutOfRange(f"beta={beta} < -1")
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +130,6 @@ def _grid_spectra(map_spec: str
     return grid, dec, Spectra(stack, BISECTION_CRITERION_TOL)
 
 
-def gamma_verdicts(alpha: float, beta: float, dec: CPDecomposition,
-                   kind: Optional[Kind], sp: Spectra) -> list[bool]:
-    """table1's violation test on the states of sp (states of the 3x3
-    family, at BISECTION_CRITERION_TOL): the (alpha, beta)-inequality
-    evaluated on the whole stack."""
-    crit = RegionCriterion("gamma", dec, alpha, beta, kind)
-    return [res.violated for res in crit.verdicts(sp)]
-
-
 def table1(alpha: float, beta: float = 1.0,
            map_spec: str = "phi_dk d=3 k=1",
            kind: Optional[Kind] = None,
@@ -171,7 +152,8 @@ def table1(alpha: float, beta: float = 1.0,
         raise InvalidParameters(
             f"bisect_tol={bisect_tol} must be finite and >= 1e-6")
     grid, dec, sp = _grid_spectra(map_spec)
-    mask = gamma_verdicts(alpha, beta, dec, kind, sp)
+    crit = RegionCriterion("gamma", dec, alpha, beta, kind)
+    mask = [res.violated for res in crit.verdicts(sp)]
     if not any(mask):
         return GammaInterval(empty=True)
     i0 = mask.index(True)
@@ -182,11 +164,10 @@ def table1(alpha: float, beta: float = 1.0,
         ([[grid[i1 + 1], grid[i1]]] if upper_open else [])
     while live := [b for b in brackets if abs(b[1] - b[0]) > bisect_tol]:
         mids = [0.5 * (b[0] + b[1]) for b in live]
-        hits = gamma_verdicts(
-            alpha, beta, dec, kind,
+        hits = crit.verdicts(
             Spectra(horodecki_stack(mids), BISECTION_CRITERION_TOL))
-        for b, mid, hit in zip(live, mids, hits):
-            b[hit] = mid  # a violating midpoint replaces b[1]
+        for b, mid, res in zip(live, mids, hits):
+            b[res.violated] = mid  # a violating midpoint replaces b[1]
     ends = iter([0.5 * (b[0] + b[1]) for b in brackets])
     lower = next(ends) if lower_open else 2.0
     upper = next(ends) if upper_open else 5.0
@@ -195,40 +176,6 @@ def table1(alpha: float, beta: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # SO(3) region scans
-
-class RegionCriterion(NamedTuple):
-    """One labeled (alpha, beta)-inequality (at alpha = inf, the limit
-    witness), or the entropic inequality, evaluated at each grid point."""
-
-    label: str
-    dec: Optional[CPDecomposition]  # None means the entropic inequality
-    alpha: float
-    beta: float = 1.0
-    kind: Optional[Kind] = None
-
-    def evaluate(self, rho: DensityMatrix,
-                 tol: float = DEFAULT_TOL) -> CriterionResult:
-        return self.verdicts(Spectra.of(rho, tol))[0]
-
-    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
-        """The criterion on every state of sp, at sp.tol."""
-        if self.dec is None:
-            lhs, rhs = _entropic(sp, self.alpha, "A")
-            return _verdicts(lhs, rhs, self.alpha < 1, Kind.ENTROPIC, sp.tol)
-        kind = self.kind or route_kind(self.beta)
-        lhs, rhs, commutator = _alpha_beta(sp, self.dec, self.alpha,
-                                           self.beta, kind)
-        return _verdicts(lhs, rhs, kind is Kind.III, kind, sp.tol, commutator)
-
-
-class PPT:
-    """The PPT test: the partial transpose's minimum eigenvalue against 0."""
-
-    label = "ppt"
-
-    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
-        return _verdicts(sp.ppt, 0.0, False, Kind.PPT, sp.tol)
-
 
 class ScanRow(NamedTuple):
     q: float
@@ -266,8 +213,9 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     built, validated and evaluated as one stack (one `Spectra` at tol,
     read by PPT and every criterion; no per-state cache entries or
     criterion calls), so memory is O(resolution).  The row's ScanRows
-    are built as it is emitted.  An error raises when its q-row is evaluated, before that
-    q-row's first point is emitted.
+    are built as it is emitted.  p, resolution, the labels and tol are
+    checked by this call; an error of a criterion raises when its q-row
+    is evaluated, before that q-row's first point is emitted.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameters(f"p={p} outside [0,1]")
@@ -276,6 +224,12 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")
+    check_tol(tol)
+    return _region_rows(p, criteria, resolution, tol)
+
+
+def _region_rows(p: float, criteria: list[RegionCriterion], resolution: int,
+                 tol: float) -> Iterator[ScanRow]:
     for q, row in so3_grid(p, resolution):
         sp = Spectra(so3_stack(p, q, [r for r, _ in row]), tol)
         flags = PPT().verdicts(sp)

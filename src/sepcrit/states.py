@@ -50,10 +50,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "eig", eig)
 
-    @property
-    def dim(self) -> int:
-        return self.dA * self.dB
-
     def marginal(self, keep: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
 

@@ -318,6 +318,22 @@ def test_entry_point_so3_region_checks_before_output(extra, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["so3-region", "--p", "0.2", "--alpha", "3", "--map", "reduction d=4",
+     "--map", "entropic", "--resolution", "4"],
+    ["choi", "theta a=2 c=1,1,1", "--samples", "5"],
+], ids=["so3-region", "choi"])
+def test_entry_point_out_file_equals_stdout(args, tmp_path):
+    out = tmp_path / "out.txt"
+    to_stdout = run_entry_point(*args)
+    assert to_stdout.returncode == 0, to_stdout.stderr
+    assert run_entry_point(*args, "--out", "-").stdout == to_stdout.stdout
+    to_file = run_entry_point(*args, "--out", str(out))
+    assert to_file.returncode == 0, to_file.stderr
+    assert to_file.stdout == ""
+    assert out.read_bytes() == to_stdout.stdout.encode()
+
+
 def test_so3_region_infinite_alpha():
     args = ["so3-region", "--p", "0.2", "--alpha", "inf", "--map",
             "breuer_hall d=4", "--resolution", "4"]

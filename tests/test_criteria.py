@@ -93,11 +93,27 @@ class TestAlphaBetaInequality:
     @pytest.mark.parametrize("kind,beta", [
         (Kind.I, 0.5), (Kind.II, 1.5), (Kind.II, -0.1),
         (Kind.III, 0.5), (Kind.III, -1.5), (Kind.IV, -0.5),
+        (None, -2.0),
     ])
     def test_parameter_ranges(self, kind, beta):
         dec = maps.reduction_decomposition(2)
         with pytest.raises(ParameterOutOfRange):
             criteria.alpha_beta_inequality(bell_density(), dec, 1, beta, kind)
+
+    @pytest.mark.parametrize("beta,kind", [(2.0, Kind.I), (1.0, Kind.II),
+                                           (0.5, Kind.II),
+                                           (-0.5, Kind.III)])
+    def test_missing_kind_is_routed_by_beta(self, rng, beta, kind):
+        # lambda2 of the reduction map is the identity, so kind I needs no
+        # commutativity; the state is full rank, so kind III is defined
+        dec = maps.reduction_decomposition(3)
+        rho = states.DensityMatrix(states.random_density(9, rng), 3, 3)
+        want = criteria.alpha_beta_inequality(rho, dec, 2, beta, kind)
+        assert want.kind is kind
+        for got in (criteria.alpha_beta_inequality(rho, dec, 2, beta),
+                    criteria.alpha_beta_inequality(rho, dec, 2, beta,
+                                                   kind.value)):
+            assert repr(tuple(got)) == repr(tuple(want))
 
     def test_negative_alpha_rejected(self):
         dec = maps.reduction_decomposition(2)

@@ -13,6 +13,7 @@ from sepcrit.errors import (
     ParameterOutOfRange,
     ParseError,
     SepcritError,
+    SingularOperand,
 )
 from sepcrit.formats import parse_matrix_file, write_matrix
 
@@ -76,6 +77,14 @@ class TestParseMapSpec:
                     scan.parse_map_spec(spec)
 
 
+def gamma_verdicts(alpha, beta, dec, kind, sp):
+    """table1's violation test on the states of sp (states of the 3x3
+    family, at BISECTION_CRITERION_TOL): the (alpha, beta)-inequality
+    evaluated on the whole stack."""
+    crit = scan.RegionCriterion("gamma", dec, alpha, beta, kind)
+    return [res.violated for res in crit.verdicts(sp)]
+
+
 def sequential_table1(alpha, beta, map_spec, kind, bisect_tol):
     """table1 with each boundary bisected on its own, one midpoint at a
     time as a stack of one, on a fresh grid stack: the reference for the
@@ -83,7 +92,7 @@ def sequential_table1(alpha, beta, map_spec, kind, bisect_tol):
     dec = scan.parse_map_spec(map_spec)
 
     def verdicts(gammas):
-        return scan.gamma_verdicts(alpha, beta, dec, kind, criteria.Spectra(
+        return gamma_verdicts(alpha, beta, dec, kind, criteria.Spectra(
             states.horodecki_stack(gammas), scan.BISECTION_CRITERION_TOL))
 
     def bisect(false_side, true_side):
@@ -317,7 +326,7 @@ class TestTable1:
         with pytest.raises(ParameterOutOfRange):
             scan.table1(math.inf, beta, kind=kind)
         with pytest.raises(ParameterOutOfRange):
-            scan.gamma_verdicts(math.inf, beta, dec, kind, criteria.Spectra(
+            gamma_verdicts(math.inf, beta, dec, kind, criteria.Spectra(
                 states.horodecki_stack([3.5]), scan.BISECTION_CRITERION_TOL))
         assert scan.table1(math.inf, 1.0, kind=Kind.II) == \
             scan.table1(math.inf, 1.0)
@@ -327,7 +336,7 @@ class TestTable1:
         dec = scan.parse_map_spec("phi_dk d=3 k=1")
         grid = np.arange(2.0, 5.005, 0.01)
         grid[-1] = 5.0
-        stacked = scan.gamma_verdicts(alpha, 1.0, dec, None, criteria.Spectra(
+        stacked = gamma_verdicts(alpha, 1.0, dec, None, criteria.Spectra(
             states.horodecki_stack(grid), scan.BISECTION_CRITERION_TOL))
         if alpha == math.inf:
             fresh = [criteria.limit_witness(states.horodecki_state(g),
@@ -430,6 +439,16 @@ class TestSO3Region:
     def test_invalid_p(self):
         with pytest.raises(InvalidParameters):
             list(scan.so3_region(1.5, self._criteria(), 2))
+
+    def test_arguments_are_checked_by_the_call(self):
+        # no row is pulled: a caller that writes before it iterates
+        # writes nothing for a bad argument
+        crit = self._criteria()
+        for args in [(2.0, crit, 4), (0.2, crit, 1), (0.2, crit * 2, 4)]:
+            with pytest.raises(InvalidParameters):
+                scan.so3_region(*args)
+        with pytest.raises(ParameterOutOfRange):
+            scan.so3_region(0.2, crit, 4, math.nan)
 
     def test_csv_digest_is_pinned(self):
         # the benchmark's five criteria at p = 0.2, resolution 20: any bit
@@ -561,6 +580,44 @@ class TestCheckState:
             for (label, res), c in zip(results, crit):
                 want = row.results[c.label]
                 assert repr(tuple(res)) == repr(tuple(want)), label
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_one_state_paths_agree_with_kind_routed(self, rng, tol):
+        # acceptance test 7's maps and (alpha, beta) pairs with no kind:
+        # the one-state function, RegionCriterion.evaluate and check_state
+        # are one path, bit for bit
+        decs3 = [maps.reduction_decomposition(3),
+                 maps.phi_dk_decomposition(3, 1),
+                 maps.theta_decomposition(2, [1, 1, 1]),
+                 maps.transposition_decomposition(3)]
+        decs4 = [maps.reduction_decomposition(4),
+                 maps.breuer_hall_decomposition(d=4),
+                 maps.breuer_hall_tilde_decomposition(d=4),
+                 maps.phi_dk_decomposition(4, 2),
+                 maps.tau_u_decomposition(maps.default_breuer_unitary(4))]
+        pairs = sorted({(a, b) for a in (1, 2, 5, 10)
+                        for b in (2, 3, 0.5, 1)} |
+                       {(a, b) for a in (1, 2) for b in (1, 2)} |
+                       {(a, -0.5) for a in (1, 2)})
+        for (dA, dB), decs in (((3, 3), decs3), ((4, 4), decs4)):
+            rho = states.random_separable(dA, dB, 4, rng)
+            for dec in decs:
+                for a, b in pairs:
+                    if scan.route_kind(b) is Kind.I and \
+                            not dec.lambda2_is_identity:
+                        continue  # commutativity hypothesis not satisfied
+                    crit = scan.RegionCriterion("c", dec, a, b)
+                    try:
+                        want = criteria.alpha_beta_inequality(rho, dec, a, b,
+                                                              tol=tol)
+                    except SingularOperand:
+                        with pytest.raises(SingularOperand):
+                            crit.evaluate(rho, tol)
+                        continue
+                    (_, row), = scan.check_state(rho, [crit], tol=tol)
+                    assert want.kind is scan.route_kind(b)
+                    for got in (crit.evaluate(rho, tol), row):
+                        assert repr(tuple(got)) == repr(tuple(want))
 
     def test_ppt_rhs_is_positive_zero(self, rng):
         rho = states.random_separable(3, 3, 4, rng)

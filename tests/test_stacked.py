@@ -51,6 +51,14 @@ def stacked(sp, dec, alpha, beta=1.0, kind=None):
     return scan.RegionCriterion("c", dec, alpha, beta, kind).verdicts(sp)
 
 
+def gamma_verdicts(alpha, beta, dec, kind, sp):
+    """table1's violation test on the states of sp (states of the 3x3
+    family, at BISECTION_CRITERION_TOL): the (alpha, beta)-inequality
+    evaluated on the whole stack."""
+    crit = scan.RegionCriterion("gamma", dec, alpha, beta, kind)
+    return [res.violated for res in crit.verdicts(sp)]
+
+
 def separable_stack(d, n, rng):
     return states.density_stack(
         [states.random_separable(d, d, 4, rng).matrix for _ in range(n)],
@@ -135,7 +143,8 @@ class TestStackedEqualsOneState:
                    for rho in stack.split()]
             same(ent.verdicts(sp), one)
             # the kernel on subsystem B, which no region criterion reads
-            lhs, rhs = criteria._entropic(sp, alpha, "B")
+            lhs, rhs = np.array([(res.lhs, res.rhs) for res in
+                                 criteria._entropic(sp, alpha, "B")]).T
             one = [criteria.entropic_inequality(ref(rho), alpha, "B")
                    for rho in stack.split()]
             assert (lhs.tolist(), rhs.tolist()) == (
@@ -316,7 +325,7 @@ class TestScansUseStacks:
             for g in (3.1, 3.5, 4.8):
                 rho = states.horodecki_state(g)
                 sp = criteria.Spectra(rho, scan.BISECTION_CRITERION_TOL)
-                got = scan.gamma_verdicts(alpha, 1.0, dec, None, sp)
+                got = gamma_verdicts(alpha, 1.0, dec, None, sp)
                 if alpha == math.inf:
                     want = criteria.limit_witness(fresh(rho), dec.map) < 0
                 else:
