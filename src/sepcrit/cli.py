@@ -192,7 +192,7 @@ def run():
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except SepcritError as exc:
+    except (SepcritError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(code)

@@ -20,13 +20,14 @@ from . import linalg
 from .errors import (
     AllProjectionsVanish,
     CommutativityViolated,
+    DimensionMismatch,
     ParameterOutOfRange,
     SingularNegativePower,
     SingularOperand,
 )
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition, MatrixMap, extend_apply
-from .states import HERMITIAN_TOL, DensityMatrix, DensityStack
+from .states import HERMITIAN_TOL, DensityMatrix
 
 
 class Kind(enum.Enum):
@@ -101,7 +102,11 @@ _BETA_OK = {
 
 
 def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
-    """alpha = inf, the limit witness, is the beta = 1, kind II limit."""
+    """kind is one of I-IV; alpha = inf, the limit witness, is the
+    beta = 1, kind II limit."""
+    beta_ok = _BETA_OK.get(kind)
+    if beta_ok is None:
+        raise ParameterOutOfRange(f"kind {kind} is not one of I, II, III, IV")
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         if alpha != math.inf:
             raise ParameterOutOfRange(
@@ -114,7 +119,7 @@ def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
         return
     if alpha < 0:
         raise ParameterOutOfRange(f"alpha={alpha} must be >= 0")
-    if not _BETA_OK[kind](beta):
+    if not beta_ok(beta):
         raise ParameterOutOfRange(f"beta={beta} invalid for kind {kind.value}")
 
 
@@ -175,13 +180,14 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
                 beta: float, kind: Kind | str | None = None
                 ) -> list[CriterionResult]:
     """The (alpha, beta)-inequality on every state of sp, at sp.tol; kind
-    None is routed by beta (`route_kind`), a str is a Kind name.  Kind III
+    None is routed by beta (`route_kind`), a str is a Kind name, and a
+    kind outside I-IV raises ParameterOutOfRange.  Kind III
     reads reversed; kind I with a map lambda2 reports the commutator norm.
     At alpha = inf it is the limit witness of dec.map against 0."""
     if kind is None:
         kind = route_kind(beta)
     elif isinstance(kind, str):
-        kind = Kind[kind]
+        kind = Kind.__members__.get(kind, kind)
     _validate_range(alpha, beta, kind)
     if alpha == math.inf:
         return _verdicts(_limit(sp, dec.map), 0.0, False, kind, sp.tol)
@@ -294,9 +300,9 @@ class Spectra:
     one tol, each computed for the whole stack on first use.  A tol
     below TOL_FLOOR (or NaN) raises ParameterOutOfRange (`check_tol`).
 
-    `states` is a DensityStack or one DensityMatrix.  Arrays carry a
-    stack's states on a leading batch axis; a single state gives them
-    none.  `map(m)` holds X = [I (x) L](rho) and its weights (one
+    `rho` is one state or a stack (a DensityMatrix either way).  Arrays
+    carry a stack's states on a leading batch axis; a single state gives
+    them none.  `map(m)` holds X = [I (x) L](rho) and its weights (one
     matmul), `marginal(keep)` that marginal's clamped spectrum (one
     eigensolve), `ppt` the partial transpose's minimum eigenvalue (one
     eigvalsh) and `lam` rho's clamped spectrum.  A stack gives each
@@ -306,21 +312,25 @@ class Spectra:
     rho.cache[tol], and the one-state criteria read only that.
     """
 
-    def __init__(self, states: DensityStack | DensityMatrix,
-                 tol: float = DEFAULT_TOL):
+    def __init__(self, rho: DensityMatrix, tol: float = DEFAULT_TOL):
         self.tol = check_tol(tol)
-        self.dA, self.dB = states.dA, states.dB
-        self.matrix = states.matrix
-        self.eigenvalues, self._U = states.eig
+        self.dA, self.dB = rho.dA, rho.dB
+        self.matrix = rho.matrix
+        self.eigenvalues, self._U = rho.eig
         self._maps: dict = {}
         self._marginals: dict = {}
 
     @classmethod
     def of(cls, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Spectra:
         """rho's Spectra at tol, built on first use and kept in
-        rho.cache[tol]."""
+        rho.cache[tol].  A stack raises DimensionMismatch: its states
+        are evaluated through `Spectra(rho, tol)`."""
         sp = rho.cache.get(tol)
         if sp is None:
+            if rho.matrix.ndim != 2:
+                raise DimensionMismatch(
+                    f"expected one state, got a stack of shape "
+                    f"{rho.matrix.shape}")
             sp = rho.cache[tol] = cls(rho, tol)
         return sp
 

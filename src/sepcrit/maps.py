@@ -9,7 +9,7 @@ with an explicit decomposition L = L1 - L2 into two CP maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -26,7 +26,6 @@ class MatrixMap:
 
     d: int
     choi: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         C = as_matrix(self.choi)
@@ -59,9 +58,7 @@ class CPDecomposition:
 
     lambda1: MatrixMap
     lambda2: MatrixMap
-    lambda2_is_identity: bool
     name: str
-    params: dict = field(default_factory=dict)
     indecomposable: Optional[bool] = None
     positivity_unverified: bool = False
 
@@ -70,16 +67,19 @@ class CPDecomposition:
         return self.lambda1.d
 
     @cached_property
+    def lambda2_is_identity(self) -> bool:
+        """Whether lambda2 is the identity map, so that X2 = rho."""
+        return np.array_equal(self.lambda2.choi, identity_map(self.d).choi)
+
+    @cached_property
     def map(self) -> MatrixMap:
         """The difference map L = L1 - L2, built once, so that a
         `Spectra` finds its entry for it again."""
-        return MatrixMap(
-            self.d, self.lambda1.choi - self.lambda2.choi, self.name
-        )
+        return MatrixMap(self.d, self.lambda1.choi - self.lambda2.choi)
 
 
-def map_from_action(d: int, action: Callable[[np.ndarray], np.ndarray],
-                    label: str = "") -> MatrixMap:
+def map_from_action(d: int,
+                    action: Callable[[np.ndarray], np.ndarray]) -> MatrixMap:
     """Build the Choi matrix by evaluating the action on the E_ij basis."""
     C = np.zeros((d * d, d * d), dtype=complex)
     E = np.zeros((d, d), dtype=complex)
@@ -88,7 +88,7 @@ def map_from_action(d: int, action: Callable[[np.ndarray], np.ndarray],
             E[i, j] = 1.0
             C[i * d:(i + 1) * d, j * d:(j + 1) * d] = action(E)
             E[i, j] = 0.0
-    return MatrixMap(d, C, label)
+    return MatrixMap(d, C)
 
 
 def apply_map(m: MatrixMap, X) -> np.ndarray:
@@ -150,11 +150,11 @@ def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
 # elementary building blocks
 
 def identity_map(d: int) -> MatrixMap:
-    return map_from_action(d, lambda X: X, f"identity(d={d})")
+    return map_from_action(d, lambda X: X)
 
 
 def transposition_map(d: int) -> MatrixMap:
-    return map_from_action(d, lambda X: X.T, f"transposition(d={d})")
+    return map_from_action(d, lambda X: X.T)
 
 
 def diagonal_pinch(X: np.ndarray) -> np.ndarray:
@@ -174,7 +174,7 @@ def modified_transposition(U: np.ndarray) -> MatrixMap:
     """tau^U(X) = U X^T U^dag."""
     U = as_matrix(U)
     d = U.shape[0]
-    return map_from_action(d, lambda X: U @ X.T @ dag(U), f"tau^U(d={d})")
+    return map_from_action(d, lambda X: U @ X.T @ dag(U))
 
 
 def default_breuer_unitary(d: int = 4) -> np.ndarray:
@@ -204,12 +204,9 @@ def _check_breuer_unitary(U: np.ndarray, tol: float) -> None:
 
 def reduction_decomposition(d: int) -> CPDecomposition:
     """R(X) = (Tr X) 1 - X, split as R1(X) = (Tr X) 1 and R2 = identity."""
-    L1 = map_from_action(
-        d, lambda X: np.trace(X) * np.eye(d), f"reduction_1(d={d})"
-    )
-    return CPDecomposition(
-        L1, identity_map(d), True, "reduction", {"d": d}, indecomposable=False
-    )
+    L1 = map_from_action(d, lambda X: np.trace(X) * np.eye(d))
+    return CPDecomposition(L1, identity_map(d), "reduction",
+                           indecomposable=False)
 
 
 def tau_u_decomposition(U: np.ndarray) -> CPDecomposition:
@@ -223,14 +220,8 @@ def tau_u_decomposition(U: np.ndarray) -> CPDecomposition:
     def t2(X):
         return 0.5 * (U @ (np.trace(X) * np.eye(d) - X).T @ dag(U))
 
-    return CPDecomposition(
-        map_from_action(d, t1, f"tau_1^U(d={d})"),
-        map_from_action(d, t2, f"tau_2^U(d={d})"),
-        False,
-        "tau_u",
-        {"d": d, "U": U},
-        indecomposable=False,
-    )
+    return CPDecomposition(map_from_action(d, t1), map_from_action(d, t2),
+                           "tau_u", indecomposable=False)
 
 
 def breuer_hall_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
@@ -245,14 +236,9 @@ def breuer_hall_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
     d = U.shape[0]
     _check_breuer_unitary(U, tol)
     L1 = map_from_action(
-        d,
-        lambda X: np.trace(X) * np.eye(d) - U @ X.T @ dag(U),
-        f"breuer_hall_1(d={d})",
-    )
-    return CPDecomposition(
-        L1, identity_map(d), True, "breuer_hall", {"d": d, "U": U},
-        indecomposable=True,
-    )
+        d, lambda X: np.trace(X) * np.eye(d) - U @ X.T @ dag(U))
+    return CPDecomposition(L1, identity_map(d), "breuer_hall",
+                           indecomposable=True)
 
 
 def breuer_hall_tilde_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
@@ -264,14 +250,9 @@ def breuer_hall_tilde_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
     d = U.shape[0]
     _check_breuer_unitary(U, tol)
     L1 = map_from_action(
-        d,
-        lambda X: np.trace(X) * np.eye(d) + U @ X.T @ dag(U),
-        f"breuer_hall_tilde_1(d={d})",
-    )
-    return CPDecomposition(
-        L1, identity_map(d), True, "breuer_hall_tilde", {"d": d, "U": U},
-        indecomposable=False,
-    )
+        d, lambda X: np.trace(X) * np.eye(d) + U @ X.T @ dag(U))
+    return CPDecomposition(L1, identity_map(d), "breuer_hall_tilde",
+                           indecomposable=False)
 
 
 def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
@@ -291,14 +272,8 @@ def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
             out = out + diagonal_pinch(Si @ X @ dag(Si))
         return out
 
-    return CPDecomposition(
-        map_from_action(d, L1, f"phi_{d},{k}^(1)"),
-        identity_map(d),
-        True,
-        "phi_dk",
-        {"d": d, "k": k},
-        indecomposable=(1 <= k <= d - 2),
-    )
+    return CPDecomposition(map_from_action(d, L1), identity_map(d), "phi_dk",
+                           indecomposable=(1 <= k <= d - 2))
 
 
 def theta_positivity(a: float, c) -> dict:
@@ -331,31 +306,22 @@ def theta_decomposition(a: float, c) -> CPDecomposition:
     def L1(X):
         return a * diagonal_pinch(X) + D @ diagonal_pinch(S @ X @ dag(S))
 
-    return CPDecomposition(
-        map_from_action(d, L1, f"theta_1[a={a}]"),
-        identity_map(d),
-        True,
-        "theta",
-        {"a": a, "c": c},
-        indecomposable=cond["indecomposable"],
-    )
+    return CPDecomposition(map_from_action(d, L1), identity_map(d), "theta",
+                           indecomposable=cond["indecomposable"])
 
 
 def identity_decomposition(d: int) -> CPDecomposition:
     """Trivial decomposition I = (2I) - I, useful for plumbing tests."""
-    two = MatrixMap(d, 2 * identity_map(d).choi, f"2*identity(d={d})")
-    return CPDecomposition(
-        two, identity_map(d), True, "identity", {"d": d}, indecomposable=False
-    )
+    two = MatrixMap(d, 2 * identity_map(d).choi)
+    return CPDecomposition(two, identity_map(d), "identity",
+                           indecomposable=False)
 
 
 def transposition_decomposition(d: int) -> CPDecomposition:
     """Plain transposition via tau^U with U = identity."""
     dec = tau_u_decomposition(np.eye(d))
-    return CPDecomposition(
-        dec.lambda1, dec.lambda2, False, "transposition", {"d": d},
-        indecomposable=False,
-    )
+    return CPDecomposition(dec.lambda1, dec.lambda2, "transposition",
+                           indecomposable=False)
 
 
 _FAMILIES = {}
@@ -396,14 +362,8 @@ def kossakowski_decomposition(a_matrix) -> CPDecomposition:
     def L1(X):
         return np.diag(np.diag(X) @ B)
 
-    return CPDecomposition(
-        map_from_action(d, L1, "kossakowski_1"),
-        identity_map(d),
-        True,
-        "kossakowski",
-        {"a_matrix": A},
-        positivity_unverified=True,
-    )
+    return CPDecomposition(map_from_action(d, L1), identity_map(d),
+                           "kossakowski", positivity_unverified=True)
 
 
 _FAMILIES.update({

@@ -23,12 +23,7 @@ from .errors import InvalidParameters
 from .formats import format_float
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition
-from .states import (
-    DensityMatrix,
-    DensityStack,
-    horodecki_stack,
-    so3_stack,
-)
+from .states import DensityMatrix, horodecki_stack, so3_stack
 
 # Verdict tolerance used when locating interval boundaries.  The default
 # criterion tolerance (1e-9, relative) is meant to suppress false
@@ -106,7 +101,7 @@ GRID_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=None)
-def _grid_stack() -> tuple[np.ndarray, DensityStack]:
+def _grid_stack() -> tuple[np.ndarray, DensityMatrix]:
     """table1's GRID_STEP grid on [2, 5] and its Horodecki stack, built
     once, read-only, and shared by every map spec's `_grid_spectra`."""
     grid = np.arange(2.0, 5.0 + GRID_STEP / 2, GRID_STEP)

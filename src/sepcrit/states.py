@@ -24,101 +24,63 @@ HERMITIAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B.
+    """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B,
+    or a stack of them: `matrix` is (n, n) or (k, n, n).
 
-    Immutable.  `eig` is the eigendecomposition that validation computes
-    (one eigensolve), or for a state of the two paper families
-    (`so3_state`, `horodecki_state`) the one their algebra gives.
-    `cache` maps each tol to the state's one `sepcrit.criteria.Spectra`
-    (no batch axis), which the one-state criteria fill on first use.
-    `density_stack` validates a whole stack with one eigensolve; this
-    constructor is its one-matrix case.
+    Immutable.  `eig` is the eigendecomposition, with the stack's batch
+    axis.  When not given, validation computes it (one eigensolve for
+    the whole stack, which also checks that each matrix is Hermitian);
+    when given, as the paper families (`so3_stack`, `horodecki_stack`)
+    give their algebra's, it is trusted, and the trace and the sign of
+    the smallest eigenvalue are still checked.  The matrix and `eig`
+    become read-only; InvalidState names the first check that any
+    matrix fails.  `rho[k]` is the k-th state of a stack, holding its
+    slices (`eig` included) and validated with no eigensolve.
+    `cache` maps each tol to one state's `sepcrit.criteria.Spectra`,
+    which the one-state criteria fill on first use; a stack is
+    evaluated through `Spectra(rho, tol)` as a whole.
     """
 
     matrix: np.ndarray
     dA: int
     dB: int
-    eig: linalg.HermitianEig = field(init=False, repr=False, compare=False)
+    eig: linalg.HermitianEig | None = field(default=None, kw_only=True,
+                                            repr=False, compare=False)
     cache: dict = field(init=False, repr=False, compare=False,
                         default_factory=dict)
 
     def __post_init__(self):
         M = as_matrix(self.matrix)
-        if M.ndim != 2:
-            raise DimensionMismatch(f"expected a matrix, got shape {M.shape}")
-        eig = _validated(M, self.dA, self.dB)
+        if M.ndim > 3:
+            raise DimensionMismatch(
+                f"expected a matrix or a stack of them, got shape {M.shape}")
+        n = self.dA * self.dB
+        if M.shape[-1] != n:
+            raise InvalidState(f"dim {M.shape[-1]} != dA*dB = {n}")
+        tr = M.trace(axis1=-2, axis2=-1)
+        bad = abs(tr - 1.0) > 1e-10
+        if np.count_nonzero(bad):
+            raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
+        eig = self.eig
+        if eig is None:
+            try:
+                eig = linalg.hermitian_eig(M, tol=HERMITIAN_TOL)
+            except NonHermitian:
+                raise InvalidState("matrix is not Hermitian") from None
+        if np.count_nonzero(eig.eigenvalues[..., 0] < -1e-9):
+            raise InvalidState("matrix is not positive semidefinite")
+        for arr in (M, *eig):
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "eig", eig)
 
+    def __getitem__(self, k) -> DensityMatrix:
+        w, V = self.eig
+        return DensityMatrix(self.matrix[k], self.dA, self.dB,
+                             eig=linalg.HermitianEig(w[k], V[k]))
+
     def marginal(self, keep: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
-
-
-def _validated(M: np.ndarray, dA: int, dB: int,
-               eig: linalg.HermitianEig | None = None) -> linalg.HermitianEig:
-    """Check density matrices M (..., n, n) on C^dA (x) C^dB and return
-    their eigendecomposition: `eig` when given (a family's, from its
-    algebra), else one eigensolve that also checks M is Hermitian.
-    M and the result become read-only.  Raises InvalidState for the
-    first check that any matrix fails."""
-    n = dA * dB
-    if M.shape[-1] != n:
-        raise InvalidState(f"dim {M.shape[-1]} != dA*dB = {n}")
-    tr = M.trace(axis1=-2, axis2=-1)
-    bad = abs(tr - 1.0) > 1e-10
-    if np.count_nonzero(bad):
-        raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
-    if eig is None:
-        try:
-            eig = linalg.hermitian_eig(M, tol=HERMITIAN_TOL)
-        except NonHermitian:
-            raise InvalidState("matrix is not Hermitian") from None
-    if np.count_nonzero(eig.eigenvalues[..., 0] < -1e-9):
-        raise InvalidState("matrix is not positive semidefinite")
-    for arr in (M, *eig):
-        arr.setflags(write=False)
-    return eig
-
-
-class DensityStack:
-    """Density matrices on C^dA (x) C^dB validated as one stack.
-
-    Holds `matrix` (k, n, n) and its eigendecomposition `eig`, read-only,
-    as k DensityMatrix objects would hold them, with a leading batch
-    axis; `sepcrit.criteria.Spectra` evaluates the criteria on it as a
-    whole.  `split()` gives the DensityMatrix objects.  `eig` comes from
-    one eigensolve (`density_stack`) or, for the paper families
-    (`so3_stack`, `horodecki_stack`), from their algebra.
-    """
-
-    __slots__ = ("matrix", "eig", "dA", "dB")
-
-    def __init__(self, matrix: np.ndarray, eig: linalg.HermitianEig,
-                 dA: int, dB: int):
-        self.matrix, self.eig, self.dA, self.dB = matrix, eig, dA, dB
-
-    def split(self) -> list[DensityMatrix]:
-        """One DensityMatrix per matrix, each holding its slices of the
-        stack (`eig` included) and an empty cache."""
-        out = []
-        for m, w, V in zip(self.matrix, *self.eig):
-            # validated as a stack, so the per-matrix __post_init__ is
-            # skipped
-            rho = object.__new__(DensityMatrix)
-            vars(rho).update(matrix=m, dA=self.dA, dB=self.dB, cache={},
-                             eig=linalg.HermitianEig(w, V))
-            out.append(rho)
-        return out
-
-
-def density_stack(matrices, dA: int, dB: int) -> DensityStack:
-    """Validate a stack (..., n, n) of matrices with one eigensolve; the
-    batch axes are flattened into one."""
-    M = as_matrix(matrices)
-    w, V = _validated(M, dA, dB)
-    n = dA * dB
-    return DensityStack(M.reshape(-1, n, n), linalg.HermitianEig(
-        w.reshape(-1, n), V.reshape(-1, n, n)), dA, dB)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +123,7 @@ def _eigenbasis(projectors):
 
 
 def _family_stack(M: np.ndarray, coef: np.ndarray, basis,
-                  dA: int, dB: int) -> DensityStack:
+                  dA: int, dB: int) -> DensityMatrix:
     """The stack of M[k] = sum_i coef[k, i] P_i, with no eigensolve: the
     eigenvalue of basis column j is coef[k, block[j]], and the columns
     are put in ascending order per state by a stable argsort."""
@@ -172,7 +134,7 @@ def _family_stack(M: np.ndarray, coef: np.ndarray, basis,
     # V[i, order[k, j]] for each state k, gathered contiguous
     vectors = V.ravel()[order[:, None, :] + n * np.arange(n)[:, None]]
     eig = linalg.HermitianEig(np.take_along_axis(vals, order, -1), vectors)
-    return DensityStack(M, _validated(M, dA, dB, eig), dA, dB)
+    return DensityMatrix(M, dA, dB, eig=eig)
 
 
 def spin_operators(j: float = 1.5):
@@ -218,7 +180,7 @@ def so3_eigenbasis():
     return _eigenbasis(so3_projectors())
 
 
-def so3_stack(p, q, r) -> DensityStack:
+def so3_stack(p, q, r) -> DensityMatrix:
     """`so3_state` at each point of the broadcast arrays p, q, r, built
     as one stack.
 
@@ -246,7 +208,7 @@ def so3_state(p: float, q: float, r: float) -> DensityMatrix:
     (p, q, r, s = 1-p-q-r) must be a probability vector; the projectors
     are trace-normalized so that the mixture has unit trace.
     """
-    return so3_stack(p, q, r).split()[0]
+    return so3_stack(p, q, r)[0]
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -291,7 +253,7 @@ def horodecki_eigenbasis():
     return _eigenbasis((np.eye(9) - sum(ops), *ops))
 
 
-def horodecki_stack(gammas) -> DensityStack:
+def horodecki_stack(gammas) -> DensityMatrix:
     """`horodecki_state` at each gamma, built as one stack.
 
     Its eigendecomposition comes from the algebra, not an eigensolve:
@@ -317,7 +279,7 @@ def horodecki_state(gamma: float) -> DensityMatrix:
     sigma_gamma = (1/7) [2 |psi+><psi+| + gamma sigma_plus
                          + (5-gamma) sigma_minus].
     """
-    return horodecki_stack(gamma).split()[0]
+    return horodecki_stack(gamma)[0]
 
 
 def random_density(d: int, seed=0) -> np.ndarray:

@@ -334,6 +334,21 @@ def test_entry_point_out_file_equals_stdout(args, tmp_path):
     assert out.read_bytes() == to_stdout.stdout.encode()
 
 
+@pytest.mark.parametrize("command", ["table1", "check"])
+def test_entry_point_unopenable_out_is_an_error(command, tmp_path):
+    # an --out path in a missing directory escaped as a traceback
+    args = ["table1", "--alpha", "7"]
+    if command == "check":
+        path = tmp_path / "mixed.mat"
+        write_state(path, np.eye(9) / 9, 3, 3)
+        args = ["check", str(path), "--map", "reduction d=3"]
+    proc = run_entry_point(*args, "--out", str(tmp_path / "nodir" / "x.txt"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_so3_region_infinite_alpha():
     args = ["so3-region", "--p", "0.2", "--alpha", "inf", "--map",
             "breuer_hall d=4", "--resolution", "4"]

@@ -94,11 +94,15 @@ class TestAlphaBetaInequality:
         (Kind.I, 0.5), (Kind.II, 1.5), (Kind.II, -0.1),
         (Kind.III, 0.5), (Kind.III, -1.5), (Kind.IV, -0.5),
         (None, -2.0),
+        ("V", 1.0), ("PPT", 1.0), (Kind.ENTROPIC, 1.0), (Kind.PPT, 1.0),
     ])
     def test_parameter_ranges(self, kind, beta):
         dec = maps.reduction_decomposition(2)
         with pytest.raises(ParameterOutOfRange):
             criteria.alpha_beta_inequality(bell_density(), dec, 1, beta, kind)
+        with pytest.raises(ParameterOutOfRange):
+            scan.RegionCriterion("c", dec, 1, beta, kind).evaluate(
+                bell_density())
 
     @pytest.mark.parametrize("beta,kind", [(2.0, Kind.I), (1.0, Kind.II),
                                            (0.5, Kind.II),
@@ -333,7 +337,7 @@ class TestLimitWitness:
         assert list(sp._maps.values()) == [entry]
 
     def test_all_projections_vanish(self):
-        zero = maps.MatrixMap(2, np.zeros((4, 4)), "zero")
+        zero = maps.MatrixMap(2, np.zeros((4, 4)))
         rho = states.DensityMatrix(np.eye(4) / 4, 2, 2)
         with pytest.raises(AllProjectionsVanish):
             criteria.limit_witness(rho, zero)
@@ -383,7 +387,7 @@ class TestSoundnessSample:
                 [states.random_separable(d, d, k, rng).matrix
                  for _ in range(100)] for k in (1, 2, 4)]
             for mats in stacks:
-                sp = criteria.Spectra(states.density_stack(mats, d, d), tol)
+                sp = criteria.Spectra(states.DensityMatrix(mats, d, d), tol)
                 for dec in decs:
                     got = scan.RegionCriterion(dec.name, dec,
                                                np.inf).verdicts(sp)
@@ -571,8 +575,8 @@ class TestFillCache:
         dec = maps.breuer_hall_decomposition(d=4)
         mats = [states.random_separable(4, 4, 4, rng).matrix
                 for _ in range(3)]
-        stack = states.density_stack(mats, 4, 4)
-        stacked = stack.split()
+        stack = states.DensityMatrix(mats, 4, 4)
+        stacked = list(stack)
         sp = criteria.Spectra(stack, 1e-9)
         for k, rho in enumerate(stacked):
             lazy = states.DensityMatrix(rho.matrix.copy(), 4, 4)

@@ -166,7 +166,7 @@ class TestIsPositiveSampled:
         assert ok
 
     def test_negation_fails_immediately(self):
-        neg = maps.MatrixMap(3, -maps.identity_map(3).choi, "negation")
+        neg = maps.MatrixMap(3, -maps.identity_map(3).choi)
         ok, witness = maps.is_positive_sampled(neg, 1, 1)
         assert not ok and witness is not None
 

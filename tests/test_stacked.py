@@ -28,10 +28,9 @@ def keep_eig(rho):
     cache: the one-state reference for a state of the paper families,
     whose eigendecomposition comes from their algebra, which an
     eigensolve does not reproduce bit for bit."""
-    return states.DensityStack(
-        rho.matrix[None].copy(),
-        linalg.HermitianEig(*(a[None].copy() for a in rho.eig)),
-        rho.dA, rho.dB).split()[0]
+    return states.DensityMatrix(
+        rho.matrix.copy(), rho.dA, rho.dB,
+        eig=linalg.HermitianEig(*(a.copy() for a in rho.eig)))
 
 
 def same(verdicts, results):
@@ -60,7 +59,7 @@ def gamma_verdicts(alpha, beta, dec, kind, sp):
 
 
 def separable_stack(d, n, rng):
-    return states.density_stack(
+    return states.DensityMatrix(
         [states.random_separable(d, d, 4, rng).matrix for _ in range(n)],
         d, d)
 
@@ -68,7 +67,7 @@ def separable_stack(d, n, rng):
 def family_stacks(rng):
     """Stacks of the three kinds the scans and the tests use, with the
     maps to evaluate on them and the one-state reference of a state:
-    `fresh` (revalidated by an eigensolve) for `density_stack` stacks,
+    `fresh` (revalidated by an eigensolve) for eigensolved stacks,
     `keep_eig` for the paper families."""
     bh = maps.breuer_hall_decomposition(d=4)
     red4 = maps.reduction_decomposition(4)
@@ -96,7 +95,7 @@ class TestStackedEqualsOneState:
     @pytest.mark.parametrize("tol", [1e-9, 1e-13])
     def test_alpha_beta_kinds(self, rng, tol):
         for stack, decs, ref in family_stacks(rng):
-            rhos = stack.split()
+            rhos = list(stack)
             sp = criteria.Spectra(stack, tol)
             for dec in decs:
                 for a, b, kind in TRIPLES:
@@ -120,7 +119,7 @@ class TestStackedEqualsOneState:
         stack = states.so3_stack(0.1, [0.2, 0.3, 0.1], [0.3, 0.1, 0.6])
         got = stacked(criteria.Spectra(stack), dec, 1, 2, Kind.I)
         one = [criteria.alpha_beta_inequality(rho, dec, 1, 2, Kind.I)
-               for rho in stack.split()]
+               for rho in stack]
         assert all(res.commutator_norm is not None for res in one)
         same(got, one)
 
@@ -128,7 +127,7 @@ class TestStackedEqualsOneState:
         dec = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
         stack = separable_stack(4, 3, rng)
         with pytest.raises(CommutativityViolated) as one:
-            criteria.alpha_beta_inequality(stack.split()[0], dec, 1, 2,
+            criteria.alpha_beta_inequality(stack[0], dec, 1, 2,
                                            Kind.I)
         with pytest.raises(CommutativityViolated) as many:
             stacked(criteria.Spectra(stack), dec, 1, 2, Kind.I)
@@ -140,20 +139,20 @@ class TestStackedEqualsOneState:
         for stack, _, ref in family_stacks(rng):
             sp = criteria.Spectra(stack)
             one = [criteria.entropic_inequality(ref(rho), alpha)
-                   for rho in stack.split()]
+                   for rho in stack]
             same(ent.verdicts(sp), one)
             # the kernel on subsystem B, which no region criterion reads
             lhs, rhs = np.array([(res.lhs, res.rhs) for res in
                                  criteria._entropic(sp, alpha, "B")]).T
             one = [criteria.entropic_inequality(ref(rho), alpha, "B")
-                   for rho in stack.split()]
+                   for rho in stack]
             assert (lhs.tolist(), rhs.tolist()) == (
                 [res.lhs for res in one], [res.rhs for res in one])
 
     def test_ppt_and_limit_witness(self, rng):
         for stack, decs, ref in family_stacks(rng):
             sp = criteria.Spectra(stack)
-            rhos = stack.split()
+            rhos = list(stack)
             assert sp.ppt.tolist() == [criteria.ppt_check(ref(rho))
                                        for rho in rhos]
             for dec in decs:
@@ -167,19 +166,19 @@ class TestStackedEqualsOneState:
     def test_limit_witness_degenerate_groups(self):
         # maximally mixed states make one group of every eigenvalue; the
         # zero map vanishes on all of them
-        stack = states.density_stack([np.eye(9) / 9] * 3, 3, 3)
+        stack = states.DensityMatrix([np.eye(9) / 9] * 3, 3, 3)
         phi = maps.phi_dk_decomposition(3, 1)
         got = stacked(criteria.Spectra(stack), phi, math.inf)
         assert [res.lhs for res in got] == [
-            criteria.limit_witness(rho, phi.map) for rho in stack.split()]
-        zero = maps.MatrixMap(3, np.zeros((9, 9)), "zero")
+            criteria.limit_witness(rho, phi.map) for rho in stack]
+        zero = maps.MatrixMap(3, np.zeros((9, 9)))
         with pytest.raises(AllProjectionsVanish):
             stacked(criteria.Spectra(stack),
-                    maps.CPDecomposition(zero, zero, False, "zero"), math.inf)
+                    maps.CPDecomposition(zero, zero, "zero"), math.inf)
 
     def test_one_state_input(self, rng):
         dec = maps.phi_dk_decomposition(3, 1)
-        for rho in separable_stack(3, 4, rng).split():
+        for rho in separable_stack(3, 4, rng):
             one = stacked(criteria.Spectra(rho), dec, 2, 0.5)
             same(one, [criteria.alpha_beta_inequality(fresh(rho), dec, 2,
                                                       0.5)])
@@ -199,10 +198,10 @@ class TestStackErrors:
         mats = [states.random_separable(3, 3, 4, rng).matrix,
                 rank_deficient(3),
                 states.random_separable(3, 3, 4, rng).matrix]
-        stack = states.density_stack(mats, 3, 3)
+        stack = states.DensityMatrix(mats, 3, 3)
         for a, b, kind in [(1, -0.5, Kind.III), (2, -1, Kind.III)]:
             with pytest.raises(SingularOperand) as one:
-                criteria.alpha_beta_inequality(stack.split()[1], dec, a, b,
+                criteria.alpha_beta_inequality(stack[1], dec, a, b,
                                                kind)
             with pytest.raises(SingularOperand) as many:
                 stacked(criteria.Spectra(stack), dec, a, b, kind)
@@ -213,11 +212,11 @@ class TestStackErrors:
         # clamp rule rejects this one
         eps = 5e-10
         bad = np.diag([1 / 8 + eps] + [1 / 8] * 7 + [-eps]).astype(complex)
-        stack = states.density_stack([np.eye(9) / 9, bad, np.eye(9) / 9],
+        stack = states.DensityMatrix([np.eye(9) / 9, bad, np.eye(9) / 9],
                                      3, 3)
         dec = maps.reduction_decomposition(3)
         with pytest.raises(NotPSD) as one:
-            criteria.alpha_beta_inequality(stack.split()[1], dec, 1, 1,
+            criteria.alpha_beta_inequality(stack[1], dec, 1, 1,
                                            Kind.II, tol=1e-13)
         with pytest.raises(NotPSD) as many:
             stacked(criteria.Spectra(stack, 1e-13), dec, 1, 1, Kind.II)
@@ -291,7 +290,7 @@ class TestStateStacks:
         stack = states.so3_stack(0.2, 0.3, rs)
         assert stack.matrix.shape == (3, 16, 16)
         assert not stack.matrix.flags.writeable
-        for rho, r in zip(stack.split(), rs):
+        for rho, r in zip(stack, rs):
             one = states.so3_state(0.2, 0.3, r)
             assert np.array_equal(rho.matrix, one.matrix)
             for got, want in zip(rho.eig, one.eig):

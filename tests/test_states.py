@@ -8,7 +8,7 @@ import pytest
 
 from sepcrit import criteria, linalg, maps, scan, states
 from sepcrit.criteria import Kind
-from sepcrit.errors import InvalidParameters, InvalidState
+from sepcrit.errors import DimensionMismatch, InvalidParameters, InvalidState
 
 
 class TestSO3Projectors:
@@ -167,10 +167,14 @@ class TestDensityMatrixInvariants:
 
 
 class TestDensityMatrixStacks:
-    def test_stack_equals_one_by_one(self, rng):
+    def test_stack_equals_one_by_one(self, rng, monkeypatch):
         mats = [states.random_separable(3, 3, 4, rng).matrix
                 for _ in range(5)]
-        stacked = states.density_stack(mats, 3, 3).split()
+        stacked = states.DensityMatrix(mats, 3, 3)
+        # rho[k] holds the stack's slices: indexing runs no eigensolve
+        monkeypatch.setattr(linalg, "hermitian_eig", None)
+        stacked = [stacked[k] for k in range(len(mats))]
+        monkeypatch.undo()
         for M, rho in zip(mats, stacked):
             one = states.DensityMatrix(M.copy(), 3, 3)
             assert (rho.dA, rho.dB, rho.cache) == (3, 3, {})
@@ -182,13 +186,41 @@ class TestDensityMatrixStacks:
 
     def test_families_are_the_one_state_case(self):
         rs = [0.0, 0.1, 0.35]
-        for rho, r in zip(states.so3_stack(0.2, 0.3, rs).split(), rs):
-            assert np.array_equal(rho.matrix,
-                                  states.so3_state(0.2, 0.3, r).matrix)
         gammas = [2.0, 3.3, 5.0]
-        for rho, g in zip(states.horodecki_stack(gammas).split(), gammas):
-            assert np.array_equal(rho.matrix,
-                                  states.horodecki_state(g).matrix)
+        for stack, ones in [
+                (states.so3_stack(0.2, 0.3, rs),
+                 [states.so3_state(0.2, 0.3, r) for r in rs]),
+                (states.horodecki_stack(gammas),
+                 [states.horodecki_state(g) for g in gammas])]:
+            for k, one in enumerate(ones):
+                rho = stack[k]
+                assert np.array_equal(rho.matrix, one.matrix)
+                # [k] keeps the algebra's eigendecomposition, bit for bit
+                for got, whole, want in zip(rho.eig, stack.eig, one.eig):
+                    assert np.array_equal(got, whole[k])
+                    assert np.array_equal(got, want)
+                    assert not got.flags.writeable
+
+    def test_one_state_paths_reject_a_stack(self):
+        stack = states.so3_stack(0.2, 0.3, [0.1, 0.2])
+        dec = maps.reduction_decomposition(4)
+        for call in (lambda: criteria.Spectra.of(stack),
+                     lambda: criteria.alpha_beta_inequality(stack, dec, 2, 1),
+                     lambda: scan.check_state(stack, [], include_ppt=True)):
+            with pytest.raises(DimensionMismatch):
+                call()
+        assert stack.cache == {}
+
+    def test_rejects_more_than_three_axes(self):
+        with pytest.raises(DimensionMismatch):
+            states.DensityMatrix(np.full((2, 2, 4, 4), np.eye(4) / 4), 2, 2)
+
+    def test_eig_is_keyword_only(self):
+        rho = states.DensityMatrix(np.eye(4) / 4, 2, 2)
+        with pytest.raises(TypeError):
+            states.DensityMatrix(rho.matrix, 2, 2, rho.eig)
+        again = states.DensityMatrix(rho.matrix, 2, 2, eig=rho.eig)
+        assert again.eig is rho.eig
 
     @pytest.mark.parametrize("bad", [
         np.eye(4) / 2,                                  # trace 2
@@ -200,7 +232,7 @@ class TestDensityMatrixStacks:
             states.DensityMatrix(bad, 2, 2)
         stack = [np.eye(4) / 4, bad, np.eye(4) / 4]
         with pytest.raises(InvalidState) as stacked:
-            states.density_stack(stack, 2, 2)
+            states.DensityMatrix(stack, 2, 2)
         assert str(stacked.value) == str(one.value)
 
     def test_rejects_bad_family_member(self):
@@ -267,7 +299,7 @@ class TestFamilyEigendecomposition:
             return [[v.violated for v in c.verdicts(sp)] for c in crits]
 
         def eigh_copy(stack):
-            return states.density_stack(stack.matrix, stack.dA, stack.dB)
+            return states.DensityMatrix(stack.matrix, stack.dA, stack.dB)
 
         crits = [scan.PPT(),
                  scan.RegionCriterion("bh", maps.breuer_hall_decomposition(
