@@ -12,7 +12,6 @@ from .criteria import (
 from .maps import (
     CPDecomposition,
     MatrixMap,
-    apply_map,
     extend_apply,
     is_cp,
     is_positive_sampled,
@@ -38,7 +37,6 @@ __all__ = [
     "structural_criterion",
     "CPDecomposition",
     "MatrixMap",
-    "apply_map",
     "extend_apply",
     "is_cp",
     "is_positive_sampled",

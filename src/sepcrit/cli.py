@@ -167,16 +167,14 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
 def choi_cmd(map_spec, part, samples, seed, tol, out):
     """Print a catalog map's Choi matrix and its CP verdict."""
     check_tol(tol)
-    choi, d, cp, min_eig = scan.choi_dump(map_spec, part)
+    m, cp, min_eig = scan.choi_dump(map_spec, part)
     with click.open_file(out, "w") as fh:
-        write_matrix(fh, choi, d, d)
+        write_matrix(fh, m.choi, m.d, m.d)
         fh.write(
             f"CP: {'yes' if cp else 'no'} "
             f"(min eigenvalue = {format_float(min_eig, 9)})\n"
         )
         if samples > 0:
-            dec = scan.parse_map_spec(map_spec)
-            m = {"map": dec.map, "1": dec.lambda1, "2": dec.lambda2}[part]
             ok, _ = maps.is_positive_sampled(m, samples, seed, tol)
             fh.write(
                 f"positive (sampled, n={samples}, seed={seed}): "

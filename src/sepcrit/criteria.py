@@ -147,7 +147,6 @@ class _MapSpectrum:
 
     def __init__(self, m: MatrixMap, tol: float, X: np.ndarray,
                  U: np.ndarray, weights: np.ndarray):
-        # Holding m keeps its id, part of the cache key, from reuse.
         self.map = m
         self.tol = tol
         self.X = X
@@ -344,12 +343,11 @@ class Spectra:
         return self._U.conj()
 
     def map(self, m: MatrixMap) -> _MapSpectrum:
-        entry = self._maps.get(id(m))
+        entry = self._maps.get(m)
         if entry is None:
             X = extend_apply(m, self.matrix, self.dA)
             W = np.einsum("...ji,...ji->...i", self._Ud, X @ self._U).real
-            entry = self._maps[id(m)] = _MapSpectrum(m, self.tol, X, self._U,
-                                                     W)
+            entry = self._maps[m] = _MapSpectrum(m, self.tol, X, self._U, W)
         return entry
 
     def marginal(self, keep: str) -> np.ndarray:

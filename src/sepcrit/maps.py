@@ -9,6 +9,8 @@ with an explicit decomposition L = L1 - L2 into two CP maps.
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -20,9 +22,10 @@ from .errors import DimensionMismatch, InvalidParameters, NotAntisymmetric
 from .linalg import DEFAULT_TOL, as_matrix, dag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixMap:
-    """Linear map on d x d matrices, held as its Choi matrix."""
+    """Linear map on d x d matrices, held as its Choi matrix.  Maps
+    compare and hash by identity."""
 
     d: int
     choi: np.ndarray
@@ -35,9 +38,6 @@ class MatrixMap:
             )
         object.__setattr__(self, "choi", C)
         self.choi.setflags(write=False)
-
-    def __call__(self, X) -> np.ndarray:
-        return apply_map(self, X)
 
     @cached_property
     def superoperator(self) -> np.ndarray:
@@ -91,13 +91,9 @@ def map_from_action(d: int,
     return MatrixMap(d, C)
 
 
-def apply_map(m: MatrixMap, X) -> np.ndarray:
-    """L(X): the dA = 1 case of `extend_apply`."""
-    return extend_apply(m, X, 1)
-
-
 def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
     """[I (x) L](rho) as one matmul; rho may be a stack (..., n, n).
+    L(X) itself is extend_apply(m, X, 1).
 
     The dA x dA grid of dB x dB blocks of rho becomes a dA^2 x dB^2
     matrix, one flattened block per row, which the map's superoperator
@@ -121,8 +117,8 @@ def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
 
 def is_cp(m: MatrixMap, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity test: the Choi matrix is PSD within tol."""
-    w = linalg.hermitian_eig(m.choi, tol).eigenvalues
-    return bool(w[0] >= -tol * max(1.0, linalg.fro(m.choi)))
+    return bool(linalg.min_eigenvalue(m.choi, tol)
+                >= -tol * max(1.0, linalg.fro(m.choi)))
 
 
 def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
@@ -140,7 +136,7 @@ def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
     for _ in range(n_samples):
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
-        out = apply_map(m, np.outer(psi, psi.conj()))
+        out = extend_apply(m, np.outer(psi, psi.conj()), 1)
         if linalg.min_eigenvalue(out, tol) < -tol:
             return False, psi
     return True, None
@@ -209,9 +205,11 @@ def reduction_decomposition(d: int) -> CPDecomposition:
                            indecomposable=False)
 
 
-def tau_u_decomposition(U: np.ndarray) -> CPDecomposition:
-    """tau^U = tau1 - tau2 with tau1 = (1/2) tau^U o R~, tau2 = (1/2) tau^U o R."""
-    U = as_matrix(U)
+def tau_u_decomposition(U: Optional[np.ndarray] = None,
+                        d: int = 4) -> CPDecomposition:
+    """tau^U = tau1 - tau2 with tau1 = (1/2) tau^U o R~ and
+    tau2 = (1/2) tau^U o R; U defaults to `default_breuer_unitary(d)`."""
+    U = as_matrix(default_breuer_unitary(d) if U is None else U)
     d = U.shape[0]
 
     def t1(X):
@@ -224,35 +222,32 @@ def tau_u_decomposition(U: np.ndarray) -> CPDecomposition:
                            "tau_u", indecomposable=False)
 
 
+def _breuer_hall(sign: float, U, d: int, tol: float, name: str,
+                 indecomposable: bool) -> CPDecomposition:
+    """(Tr X) 1 - sign U X^T U^dag - X with lambda2 = identity, U
+    defaulting to `default_breuer_unitary(d)`."""
+    U = as_matrix(default_breuer_unitary(d) if U is None else U)
+    d = U.shape[0]
+    _check_breuer_unitary(U, tol)
+    L1 = map_from_action(
+        d, lambda X: np.trace(X) * np.eye(d) - sign * (U @ X.T @ dag(U)))
+    return CPDecomposition(L1, identity_map(d), name,
+                           indecomposable=indecomposable)
+
+
 def breuer_hall_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
                               tol: float = DEFAULT_TOL) -> CPDecomposition:
     """L^U(X) = (Tr X) 1 - U X^T U^dag - X with lambda2 = identity.
 
     U must be antisymmetric with U^dag U <= 1.
     """
-    if U is None:
-        U = default_breuer_unitary(d)
-    U = as_matrix(U)
-    d = U.shape[0]
-    _check_breuer_unitary(U, tol)
-    L1 = map_from_action(
-        d, lambda X: np.trace(X) * np.eye(d) - U @ X.T @ dag(U))
-    return CPDecomposition(L1, identity_map(d), "breuer_hall",
-                           indecomposable=True)
+    return _breuer_hall(1.0, U, d, tol, "breuer_hall", True)
 
 
 def breuer_hall_tilde_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
                                     tol: float = DEFAULT_TOL) -> CPDecomposition:
     """L~^U(X) = (Tr X) 1 + U X^T U^dag - X with lambda2 = identity."""
-    if U is None:
-        U = default_breuer_unitary(d)
-    U = as_matrix(U)
-    d = U.shape[0]
-    _check_breuer_unitary(U, tol)
-    L1 = map_from_action(
-        d, lambda X: np.trace(X) * np.eye(d) + U @ X.T @ dag(U))
-    return CPDecomposition(L1, identity_map(d), "breuer_hall_tilde",
-                           indecomposable=False)
+    return _breuer_hall(-1.0, U, d, tol, "breuer_hall_tilde", False)
 
 
 def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
@@ -279,6 +274,8 @@ def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
 def theta_positivity(a: float, c) -> dict:
     """Positivity/indecomposability conditions for Theta[a; c_1..c_d]."""
     c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise InvalidParameters(f"theta c must be a list c_1,..,c_d, not {c}")
     d = len(c)
     if a <= 0 or np.any(c <= 0):
         raise InvalidParameters("a and all c_i must be positive")
@@ -293,9 +290,9 @@ def theta_decomposition(a: float, c) -> CPDecomposition:
     Theta1(X) = a eps(X) + diag(c_d, c_1, .., c_{d-1}) eps(S X S+).
     Requires the positivity conditions a >= d-1 and geomean(c) >= d-a.
     """
+    cond = theta_positivity(a, c)
     c = np.asarray(c, dtype=float)
     d = len(c)
-    cond = theta_positivity(a, c)
     if not cond["positive"]:
         raise InvalidParameters(
             "Theta positivity requires a >= d-1 and (c_1..c_d)^(1/d) >= d-a"
@@ -324,36 +321,20 @@ def transposition_decomposition(d: int) -> CPDecomposition:
                            indecomposable=False)
 
 
-_FAMILIES = {}
-
-
-def make_decomposition(family: str, **params) -> CPDecomposition:
-    """Construct a catalog decomposition by family name.
-
-    Families: reduction(d), identity(d), transposition(d), tau_u(U),
-    breuer_hall(U or d), breuer_hall_tilde(U or d), phi_dk(d, k),
-    theta(a, c), kossakowski(a_matrix).
-    """
-    try:
-        ctor = _FAMILIES[family]
-    except KeyError:
-        raise InvalidParameters(
-            f"unknown map family {family!r}; known: {sorted(_FAMILIES)}"
-        ) from None
-    return ctor(**params)
-
-
-def kossakowski_decomposition(a_matrix) -> CPDecomposition:
+def kossakowski_decomposition(a) -> CPDecomposition:
     """Diagonal Kossakowski-class map phi = phi1 - I.
 
+    a holds the d^2 entries a_ij, flat (row-major) or as a d x d matrix.
     phi1(|i><i|) = sum_j (a_ij + delta_ij) |j><j| and phi1 kills the
     off-diagonal matrix units.  CP of phi1 requires a_ij + delta_ij >= 0;
     positivity of phi itself is never certified, only sampled.
     """
-    A = np.asarray(a_matrix, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d):
-        raise InvalidParameters("a_matrix must be square")
+    A = np.asarray(a, dtype=float)
+    d = math.isqrt(A.size)
+    if A.shape not in ((d * d,), (d, d)):
+        raise InvalidParameters(f"kossakowski a must have d^2 entries, flat "
+                                f"or d x d, not shape {A.shape}")
+    A = A.reshape(d, d)
     if np.any(A + np.eye(d) < 0):
         raise InvalidParameters("require a_ij + delta_ij >= 0 for all i, j")
 
@@ -366,7 +347,10 @@ def kossakowski_decomposition(a_matrix) -> CPDecomposition:
                            "kossakowski", positivity_unverified=True)
 
 
-_FAMILIES.update({
+# ---------------------------------------------------------------------------
+# the catalog by family name, and map-spec strings such as "reduction d=3"
+
+_FAMILIES = {
     "reduction": reduction_decomposition,
     "identity": identity_decomposition,
     "transposition": transposition_decomposition,
@@ -376,4 +360,63 @@ _FAMILIES.update({
     "phi_dk": phi_dk_decomposition,
     "theta": theta_decomposition,
     "kossakowski": kossakowski_decomposition,
-})
+}
+
+
+def make_decomposition(family: str, **params) -> CPDecomposition:
+    """Construct a catalog decomposition by family name.  params are
+    exactly the family constructor's parameters: an unknown or missing
+    one raises InvalidParameters."""
+    ctor = _FAMILIES.get(family)
+    if ctor is None:
+        raise InvalidParameters(
+            f"unknown map family {family!r}; known: {sorted(_FAMILIES)}")
+    sig = inspect.signature(ctor)
+    try:
+        sig.bind_partial(**params)  # an unknown key, before a missing one
+        sig.bind(**params)
+    except TypeError as exc:
+        keys = ", ".join(sig.parameters)
+        raise InvalidParameters(
+            f"map family {family!r} ({keys}): {exc}") from None
+    return ctor(**params)
+
+
+def _spec_value(key: str, text: str):
+    """d (>= 1) and k take an integer, any other key a finite number or a
+    comma-separated list of them."""
+    try:
+        if key in ("d", "k"):
+            n = int(text)
+            if key == "k" or n >= 1:
+                return n
+        else:
+            x = [float(t) for t in text.split(",")]
+            if all(map(math.isfinite, x)):
+                return x if "," in text else x[0]
+    except ValueError:
+        pass
+    rule = {"d": "an integer >= 1", "k": "an integer"}.get(
+        key, "a finite number or a comma-separated list of them")
+    raise InvalidParameters(f"map parameter {key}={text!r} must be {rule}")
+
+
+def parse_map_spec(spec: str) -> CPDecomposition:
+    """Build a catalog decomposition from a 'family key=value ...' string
+    such as "reduction d=3", "theta a=2 c=1,1,1" or "tau_u d=4".
+
+    The keys are the family constructor's parameters (`make_decomposition`),
+    each given once.  A malformed spec raises InvalidParameters.
+    """
+    tokens = spec.split()
+    if not tokens:
+        raise InvalidParameters("empty map spec")
+    family, params = tokens[0], {}
+    for token in tokens[1:]:
+        key, eq, text = token.partition("=")
+        if not eq:
+            raise InvalidParameters(f"bad map parameter {token!r}")
+        if key in params:
+            raise InvalidParameters(f"map parameter {key!r} given twice")
+        params[key] = _spec_value(key, text)
+    return make_decomposition(family, **params)

@@ -22,7 +22,7 @@ from .criteria import (
 from .errors import InvalidParameters
 from .formats import format_float
 from .linalg import DEFAULT_TOL
-from .maps import CPDecomposition
+from .maps import CPDecomposition, MatrixMap, parse_map_spec
 from .states import DensityMatrix, horodecki_stack, so3_stack
 
 # Verdict tolerance used when locating interval boundaries.  The default
@@ -34,48 +34,6 @@ BISECTION_CRITERION_TOL = 1e-13
 
 # Spacing of table1's gamma grid on [2, 5], before bisection refines it.
 GRID_STEP = 0.01
-
-
-# ---------------------------------------------------------------------------
-# map-spec strings, e.g. "reduction d=3", "theta a=2 c=1,1,1"
-
-def _parse_value(text: str):
-    if "," in text:
-        return [float(t) for t in text.split(",")]
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-@lru_cache(maxsize=64)
-def parse_map_spec(spec: str) -> CPDecomposition:
-    """Build a catalog decomposition from a 'family key=value ...' string.
-
-    Each spec string is parsed once (up to the 64 most recently used):
-    a repeat returns the same decomposition, whose maps keep their
-    superoperators, so treat it as read-only.  A bad spec raises on
-    every call.
-    """
-    tokens = spec.split()
-    if not tokens:
-        raise InvalidParameters("empty map spec")
-    family, kv = tokens[0], {}
-    for token in tokens[1:]:
-        if "=" not in token:
-            raise InvalidParameters(f"bad map parameter {token!r}")
-        key, value = token.split("=", 1)
-        kv[key] = _parse_value(value)
-    if family == "tau_u":
-        kv.setdefault("d", 4)
-        kv = {"U": maps.default_breuer_unitary(int(kv["d"]))}
-    if family == "kossakowski":
-        flat = np.asarray(kv.pop("a"), dtype=float)
-        d = int(round(math.sqrt(flat.size)))
-        if d * d != flat.size:
-            raise InvalidParameters("kossakowski a must have d^2 entries")
-        kv["a_matrix"] = flat.reshape(d, d)
-    return maps.make_decomposition(family, **kv)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +75,7 @@ def _grid_spectra(map_spec: str
     stack at BISECTION_CRITERION_TOL (for the GRID_CACHE_SIZE most
     recently used specs).  The Spectra fills its map entries on first
     use, so a later table1 row with the spec runs only its
-    alpha-dependent kernel.  The entry keeps its own decomposition:
-    the map entries are keyed by map, and a spec that `parse_map_spec`
-    has dropped would otherwise add a second set of them."""
+    alpha-dependent kernel."""
     dec = parse_map_spec(map_spec)
     grid, stack = _grid_stack()
     return grid, dec, Spectra(stack, BISECTION_CRITERION_TOL)
@@ -273,15 +229,12 @@ def check_state(rho: DensityMatrix,
     return [(c.label, c.verdicts(sp)[0]) for c in criteria]
 
 
-def choi_dump(map_spec: str, part: str = "map") -> tuple[np.ndarray, int, bool, float]:
-    """Choi matrix of a catalog map (or of one CP half) plus CP verdict.
-
-    Returns (choi, d, is_cp, min_eigenvalue).
-    """
+def choi_dump(map_spec: str, part: str = "map"
+              ) -> tuple[MatrixMap, bool, float]:
+    """A catalog map (part "map") or one CP half ("1" or "2"), its CP
+    verdict and its Choi matrix's smallest eigenvalue."""
     dec = parse_map_spec(map_spec)
     m = {"map": dec.map, "1": dec.lambda1, "2": dec.lambda2}.get(part)
     if m is None:
         raise InvalidParameters(f"part must be 'map', '1' or '2', not {part!r}")
-    min_eig = linalg.min_eigenvalue(m.choi)
-    cp = maps.is_cp(m)
-    return np.asarray(m.choi), dec.d, cp, min_eig
+    return m, maps.is_cp(m), linalg.min_eigenvalue(m.choi)

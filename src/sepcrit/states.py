@@ -181,14 +181,20 @@ def so3_eigenbasis():
 
 
 def so3_stack(p, q, r) -> DensityMatrix:
-    """`so3_state` at each point of the broadcast arrays p, q, r, built
-    as one stack.
+    """`so3_state` at each point of p, q, r (scalars or 1-D arrays,
+    broadcast together), built as one stack.
 
     Its eigendecomposition comes from the algebra, not an eigensolve:
     rho = sum_J c_J P_J has eigenvalue c_J = w_J / (2J + 1) on the
     range of P_J, so `so3_eigenbasis` diagonalizes every state.  The
     weights and the trace are checked."""
-    p, q, r = np.broadcast_arrays(*np.atleast_1d(p, q, r))
+    p, q, r = np.atleast_1d(p, q, r)
+    shapes = {x.shape for x in (p, q, r)} - {(1,)}
+    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+        raise InvalidParameters(
+            f"p, q, r must be scalars or 1-D arrays of one length, got "
+            f"shapes {p.shape}, {q.shape}, {r.shape}")
+    p, q, r = np.broadcast_arrays(p, q, r)
     weights = (p, q, r, 1.0 - p - q - r)
     bad = np.any([(w < -1e-12) | (w > 1 + 1e-12) for w in weights], axis=0)
     if bad.any():
@@ -254,7 +260,8 @@ def horodecki_eigenbasis():
 
 
 def horodecki_stack(gammas) -> DensityMatrix:
-    """`horodecki_state` at each gamma, built as one stack.
+    """`horodecki_state` at each gamma (a scalar or a 1-D array), built
+    as one stack.
 
     Its eigendecomposition comes from the algebra, not an eigensolve:
     sigma_gamma has eigenvalues 0 (twice), 2/7 on |psi+>, gamma/21 on
@@ -262,6 +269,8 @@ def horodecki_stack(gammas) -> DensityMatrix:
     (three times each), so `horodecki_eigenbasis` diagonalizes every
     state.  gamma and the trace are checked."""
     gamma = np.atleast_1d(np.asarray(gammas, dtype=float))
+    if gamma.ndim > 1:
+        raise InvalidParameters(f"gammas must be 1-D, got shape {gamma.shape}")
     bad = ~((2.0 <= gamma) & (gamma <= 5.0))
     if bad.any():
         raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")

@@ -211,6 +211,32 @@ def test_entry_point_rejects_bad_map_spec(command, spec, tmp_path):
     assert proc.stdout == ""
 
 
+# map specs that once escaped as a TypeError, ValueError or IndexError
+# traceback, or dropped a key silently
+MALFORMED_SPECS = [
+    "reduction x=3", "identity", "tau_u d=4 x=1", "reduction d=3 d=4",
+    "reduction d=3.5", "phi_dk d=3 k=1.5", "reduction d=1e9",
+    "reduction d=0", "reduction d=-2", "theta a=x c=1,1,1", "reduction d=",
+    "breuer_hall d=4 tol=x", "theta a=2 c=1",
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS)
+@pytest.mark.parametrize("command", ["choi", "check"])
+def test_entry_point_rejects_malformed_spec(command, spec, tmp_path):
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(3), 3, 3)
+    args = {"choi": ["choi", spec],
+            "check": ["check", str(path), "--map", spec]}[command]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, InvalidParameters)
+    proc = run_entry_point(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def product_file(tmp_path):
     # on this pure product state, the reduction inequality's exact margin
     # 0 came out -2.2e-16, VIOLATED, at --tol 1e-16 before tol had a floor

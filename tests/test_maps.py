@@ -32,22 +32,22 @@ def catalog():
 class TestApplyMap:
     def test_identity(self, rng):
         X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(maps.apply_map(maps.identity_map(3), X), X)
+        assert np.allclose(maps.extend_apply(maps.identity_map(3), X, 1), X)
 
     def test_reduction_on_identity(self):
         R = maps.reduction_decomposition(3).map
-        assert np.allclose(maps.apply_map(R, np.eye(3)), 2 * np.eye(3))
+        assert np.allclose(maps.extend_apply(R, np.eye(3), 1), 2 * np.eye(3))
 
     def test_choi_map_on_matrix_unit(self):
         phi = maps.phi_dk_decomposition(3, 1).map
         E00 = np.zeros((3, 3))
         E00[0, 0] = 1
         expected = np.diag([1.0, 1.0, 0.0])
-        assert np.allclose(maps.apply_map(phi, E00), expected)
+        assert np.allclose(maps.extend_apply(phi, E00, 1), expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            maps.apply_map(maps.identity_map(3), np.eye(4))
+            maps.extend_apply(maps.identity_map(3), np.eye(4), 1)
 
 
 class TestExtendApply:
@@ -122,11 +122,6 @@ class TestExtendApplyReference:
                 1e-13 * linalg.fro(G) * linalg.fro(C)
             # a stack gives the per-matrix bits
             assert np.array_equal(X, maps.extend_apply(m, G, dA))
-
-    def test_apply_map_is_single_block_case(self, rng):
-        m = maps.phi_dk_decomposition(4, 2).map
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(maps.apply_map(m, X), maps.extend_apply(m, X, 1))
 
     def test_difference_map_is_built_once(self):
         dec = maps.phi_dk_decomposition(3, 1)

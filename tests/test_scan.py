@@ -61,20 +61,95 @@ class TestParseMapSpec:
         with pytest.raises(InvalidParameters):
             scan.parse_map_spec("nosuchmap d=3")
 
-    def test_same_spec_same_object(self):
+    def test_same_spec_same_maps(self):
+        # every parse builds a new decomposition, with the same bits
         dec = scan.parse_map_spec("phi_dk d=3 k=1")
-        assert scan.parse_map_spec("phi_dk d=3 k=1") is dec
-        assert dec.map is scan.parse_map_spec("phi_dk d=3 k=1").map
-        assert scan.parse_map_spec("reduction d=3") is not \
-            scan.parse_map_spec("reduction d=4")
-        assert scan.parse_map_spec.cache_info().maxsize == 64
+        again = scan.parse_map_spec("phi_dk d=3 k=1")
+        assert again is not dec and again.map is not dec.map
+        assert dec.map is dec.map
+        for part in ("lambda1", "lambda2", "map"):
+            assert np.array_equal(getattr(again, part).choi,
+                                  getattr(dec, part).choi)
+
+    def test_parser_is_the_maps_parser(self):
+        assert scan.parse_map_spec is maps.parse_map_spec
+
+    @pytest.mark.parametrize("spec,direct", [
+        ("reduction d=3", lambda: maps.reduction_decomposition(3)),
+        ("reduction d=4", lambda: maps.reduction_decomposition(4)),
+        ("identity d=3", lambda: maps.identity_decomposition(3)),
+        ("transposition d=3", lambda: maps.transposition_decomposition(3)),
+        ("tau_u d=4", lambda: maps.tau_u_decomposition(
+            maps.default_breuer_unitary(4))),
+        ("tau_u d=6", lambda: maps.tau_u_decomposition(
+            maps.default_breuer_unitary(6))),
+        ("tau_u", lambda: maps.tau_u_decomposition(
+            maps.default_breuer_unitary(4))),
+        ("breuer_hall d=4", lambda: maps.breuer_hall_decomposition(d=4)),
+        ("breuer_hall d=6 tol=1e-6",
+         lambda: maps.breuer_hall_decomposition(d=6, tol=1e-6)),
+        ("breuer_hall_tilde d=4",
+         lambda: maps.breuer_hall_tilde_decomposition(d=4)),
+        ("phi_dk d=3 k=1", lambda: maps.phi_dk_decomposition(3, 1)),
+        ("phi_dk d=4 k=2", lambda: maps.phi_dk_decomposition(4, 2)),
+        ("theta a=2 c=1,1,1", lambda: maps.theta_decomposition(2, [1, 1, 1])),
+        ("theta a=2.5 c=0.5,1,2",
+         lambda: maps.theta_decomposition(2.5, [0.5, 1, 2])),
+        ("kossakowski a=0,2,0,0,0,2,2,0,0",
+         lambda: maps.kossakowski_decomposition([[0, 2, 0], [0, 0, 2],
+                                                 [2, 0, 0]])),
+    ])
+    def test_spec_matches_constructor(self, spec, direct):
+        # the spec's keys are the constructor's parameters, and its maps
+        # are the direct call's, bit for bit
+        dec, ref = scan.parse_map_spec(spec), direct()
+        assert (dec.name, dec.d, dec.indecomposable,
+                dec.positivity_unverified) == (
+            ref.name, ref.d, ref.indecomposable, ref.positivity_unverified)
+        for part in ("lambda1", "lambda2", "map"):
+            assert np.array_equal(getattr(dec, part).choi,
+                                  getattr(ref, part).choi), (spec, part)
+
+    # malformed specs: none may escape as a bare TypeError, ValueError or
+    # IndexError, or drop a key silently
+    BAD_SPECS = (
+        "", "reduction 3", "kossakowski a=1,2,3", "nosuchmap d=3",
+        # unknown or missing keys (bound against the constructor)
+        "reduction x=3", "identity", "tau_u d=4 x=1", "phi_dk d=3",
+        "theta a=2", "kossakowski",
+        # duplicate keys
+        "reduction d=3 d=4", "theta a=2 a=3 c=1,1,1",
+        # d and k are integers, d >= 1
+        "reduction d=3.5", "phi_dk d=3 k=1.5", "reduction d=1e9",
+        "reduction d=0", "reduction d=-2", "phi_dk d=3 k=x",
+        # values that are not finite numbers
+        "theta a=x c=1,1,1", "reduction d=", "breuer_hall d=4 tol=x",
+        "theta a=2 c=1,,1", "theta a=inf c=1,1,1", "theta a=nan c=1,1,1",
+        # theta's c is a list
+        "theta a=2 c=1", "kossakowski a=1",
+    )
 
     def test_bad_spec_raises_on_every_call(self):
         for _ in range(3):
-            for spec in ("", "reduction 3", "kossakowski a=1,2,3",
-                         "nosuchmap d=3"):
+            for spec in self.BAD_SPECS:
                 with pytest.raises(InvalidParameters):
                     scan.parse_map_spec(spec)
+
+    def test_spec_matrix_needs_its_shape(self):
+        # U is a constructor parameter, but a list is not a matrix
+        with pytest.raises(DimensionMismatch):
+            scan.parse_map_spec("breuer_hall U=0,1,-1,0")
+
+    @pytest.mark.parametrize("spec,key", [
+        ("reduction x=3", "'x'"), ("identity", "'d'"),
+        ("tau_u d=4 x=1", "'x'"), ("reduction d=3 d=4", "'d'"),
+        ("reduction d=3.5", "d="), ("phi_dk d=3 k=1.5", "k="),
+        ("reduction d=0", "d="), ("theta a=x c=1,1,1", "a="),
+        ("breuer_hall d=4 tol=x", "tol="), ("theta a=2 c=1", "c "),
+    ])
+    def test_bad_spec_error_names_the_key(self, spec, key):
+        with pytest.raises(InvalidParameters, match=key):
+            scan.parse_map_spec(spec)
 
 
 def gamma_verdicts(alpha, beta, dec, kind, sp):
@@ -196,8 +271,8 @@ class TestTable1Bisection:
         assert info.currsize == scan.GRID_CACHE_SIZE
 
     def test_entry_keeps_its_maps(self):
-        # 64 other specs push this one out of parse_map_spec's cache; the
-        # entry's Spectra still holds one map entry, not two
+        # other parses of the spec build other maps; the entry's Spectra
+        # still holds one map entry, not two
         scan._grid_spectra.cache_clear()
         scan.table1(7.0, 1.0, "phi_dk d=3 k=1")
         _, dec, sp = scan._grid_spectra("phi_dk d=3 k=1")
@@ -205,7 +280,7 @@ class TestTable1Bisection:
             scan.parse_map_spec(f"theta a=2 c=1,1,{1 + i / 100}")
         assert scan.parse_map_spec("phi_dk d=3 k=1") is not dec
         scan.table1(7.0, 1.0, "phi_dk d=3 k=1")
-        assert list(sp._maps) == [id(dec.lambda1)]
+        assert list(sp._maps) == [dec.lambda1]
 
     def test_cached_grid_is_read_only(self):
         grid, _, sp = scan._grid_spectra("phi_dk d=3 k=1")
@@ -632,17 +707,17 @@ class TestCheckState:
 
 class TestChoiDump:
     def test_reduction_not_cp(self):
-        _, d, cp, min_eig = scan.choi_dump("reduction d=3")
-        assert d == 3 and not cp
+        m, cp, min_eig = scan.choi_dump("reduction d=3")
+        assert m.d == 3 and not cp
         assert abs(min_eig + 2.0) <= 1e-12
 
     def test_identity_cp(self):
-        _, _, cp, _ = scan.choi_dump("identity d=3")
+        _, cp, _ = scan.choi_dump("identity d=3")
         assert cp
 
     def test_theta_parts(self):
-        _, _, cp_full, _ = scan.choi_dump("theta a=2 c=1,1,1", "map")
-        _, _, cp_one, _ = scan.choi_dump("theta a=2 c=1,1,1", "1")
+        _, cp_full, _ = scan.choi_dump("theta a=2 c=1,1,1", "map")
+        _, cp_one, _ = scan.choi_dump("theta a=2 c=1,1,1", "1")
         assert not cp_full and cp_one
 
     def test_bad_part(self):

@@ -241,6 +241,25 @@ class TestDensityMatrixStacks:
         with pytest.raises(InvalidParameters):
             states.horodecki_stack([3.0, 5.5])
 
+    @pytest.mark.parametrize("call", [
+        lambda: states.so3_stack(0.2, [[0.1, 0.2]], [[0.1], [0.2]]),
+        lambda: states.so3_stack([[0.2]], 0.1, 0.1),
+        lambda: states.so3_stack(0.2, [0.1, 0.2], [0.1, 0.2, 0.3]),
+        lambda: states.horodecki_stack([[2.5, 3.0]]),
+        lambda: states.horodecki_stack([[2.5], [3.0]]),
+    ])
+    def test_family_parameters_are_1d(self, call):
+        # a 2-D grid (or lengths that do not broadcast) is a typed error,
+        # not a numpy broadcast error
+        with pytest.raises(InvalidParameters):
+            call()
+
+    def test_family_scalar_and_length_one_broadcast(self):
+        rho = states.so3_stack(0.2, [0.3], [0.1, 0.2])
+        assert rho.matrix.shape == (2, 16, 16)
+        assert np.array_equal(rho[1].matrix,
+                              states.so3_stack(0.2, 0.3, 0.2)[0].matrix)
+
 
 def so3_rows(p=0.2, resolution=60):
     """The so3_region grid's q-rows as family stacks."""
