@@ -8,7 +8,6 @@ criterion was violated, 1 error.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import Counter
 from itertools import chain
@@ -16,32 +15,28 @@ from itertools import chain
 import click
 
 from . import maps, scan
-from .criteria import Kind, check_tol
+from .criteria import TOL_FLOOR, check_tol
 from .errors import InvalidParameters, SepcritError
 from .formats import format_float, read_density_matrix, write_matrix
 from .linalg import DEFAULT_TOL
 
 
-TOL_HELP = "Verdict threshold and clamp band, relative; at least 1e-13."
+TOL_HELP = ("Verdict threshold and clamp band, relative; at least "
+            f"{TOL_FLOOR:g}.")
 
+ALPHA_HELP = ("Exponent on the state; 'inf' is the limit witness (beta 1, "
+              "kind II).")
 
-def _parse_alpha(value: str) -> float:
-    if value.lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        return float(value)
-    except ValueError:
-        raise click.BadParameter(
-            f"{value!r} is not a number or 'inf'",
-            ctx=click.get_current_context(silent=True),
-            param_hint="'--alpha'",
-        ) from None
+# the one --kind option: a name of I-IV goes as it is to the criteria,
+# which route a missing one by beta
+kind_option = click.option(
+    "--kind", type=click.Choice(["I", "II", "III", "IV"]), default=None,
+    help="Inequality kind (default: routed by beta).")
 
 
 def _build_criteria(map_specs, alpha, beta, kind):
     """One criterion per map spec.  The k-th with the same base name (the
     map family, or 'entropic') is labelled <name>k for k >= 2."""
-    kind_enum = Kind[kind] if kind else None
     criteria, seen = [], Counter()
     for spec in map_specs:
         tokens = spec.split()
@@ -52,7 +47,7 @@ def _build_criteria(map_specs, alpha, beta, kind):
             crit = scan.RegionCriterion("entropic", None, alpha + beta)
         else:
             dec = scan.parse_map_spec(spec)
-            crit = scan.RegionCriterion(dec.name, dec, alpha, beta, kind_enum)
+            crit = scan.RegionCriterion(dec.name, dec, alpha, beta, kind)
         seen[crit.label] += 1
         if seen[crit.label] > 1:
             crit = crit._replace(label=f"{crit.label}{seen[crit.label]}")
@@ -66,36 +61,30 @@ def main():
 
 
 @main.command("table1")
-@click.option("--alpha", required=True, help="Exponent on the state; "
-              "'inf' is the limit witness (beta 1, kind II).")
+@click.option("--alpha", type=float, required=True, help=ALPHA_HELP)
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--map", "map_spec", default="phi_dk d=3 k=1",
               show_default=True, help="Map spec string.")
-@click.option("--kind", type=click.Choice(["I", "II", "III", "IV"]),
-              default=None, help="Inequality kind (default: routed by beta).")
+@kind_option
 @click.option("--tol", "bisect_tol", type=float, default=1e-4,
               show_default=True, help="Bisection tolerance on gamma; finite, "
               "at least 1e-6.")
 @click.option("--out", default="-", show_default=True)
 def table1_cmd(alpha, beta, map_spec, kind, bisect_tol, out):
     """Gamma range of the 3x3 test family where the inequality is violated."""
-    a = _parse_alpha(alpha)
-    kind_enum = Kind[kind] if kind else None
-    interval = scan.table1(a, beta, map_spec, kind_enum, bisect_tol)
+    interval = scan.table1(alpha, beta, map_spec, kind, bisect_tol)
     with click.open_file(out, "w") as fh:
         fh.write(
-            f"alpha={alpha} beta={format_float(beta, 9)} map={map_spec!r} "
-            f"range={interval}\n"
+            f"alpha={format_float(alpha, 9)} beta={format_float(beta, 9)} "
+            f"map={map_spec!r} range={interval}\n"
         )
 
 
 @main.command("so3-region")
 @click.option("--p", type=float, required=True)
-@click.option("--alpha", required=True, help="Exponent on the state; "
-              "'inf' is the limit witness (beta 1, kind II).")
+@click.option("--alpha", type=float, required=True, help=ALPHA_HELP)
 @click.option("--beta", type=float, default=1.0, show_default=True)
-@click.option("--kind", type=click.Choice(["I", "II", "III", "IV"]),
-              default=None)
+@kind_option
 @click.option("--map", "map_specs", multiple=True, required=True,
               help="Map spec (repeatable); 'entropic' adds the entropic "
               "inequality at power alpha+beta.")
@@ -105,7 +94,7 @@ def table1_cmd(alpha, beta, map_spec, kind, bisect_tol, out):
 @click.option("--out", default="-", show_default=True)
 def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
     """CSV scan of the SO(3)-invariant family over the (q, r) simplex."""
-    criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind)
+    criteria = _build_criteria(map_specs, alpha, beta, kind)
     labels = [c.label for c in criteria]
     rows = scan.so3_region(p, criteria, resolution, tol)
     # the first q-row is evaluated (the grid always has q = r = 0), so
@@ -122,12 +111,10 @@ def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
 @click.option("--map", "map_specs", multiple=True,
               help="Map spec (repeatable); 'entropic' adds the entropic "
               "inequality at power alpha+beta.")
-@click.option("--alpha", default="1",
-              help="Exponent on the state; 'inf' is the limit witness "
-              "(beta 1, kind II).")
+@click.option("--alpha", type=float, default=1.0, show_default=True,
+              help=ALPHA_HELP)
 @click.option("--beta", type=float, default=1.0, show_default=True)
-@click.option("--kind", type=click.Choice(["I", "II", "III", "IV"]),
-              default=None)
+@kind_option
 @click.option("--ppt/--no-ppt", default=True, show_default=True)
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
               help=TOL_HELP)
@@ -137,7 +124,7 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
     """Evaluate criteria on a state read from a matrix file; with
     --no-ppt, at least one --map is needed."""
     rho = read_density_matrix(state_file)
-    criteria = _build_criteria(map_specs, _parse_alpha(alpha), beta, kind)
+    criteria = _build_criteria(map_specs, alpha, beta, kind)
     rows = scan.check_state(rho, criteria, include_ppt=ppt, tol=tol)
     any_violated = False
     with click.open_file(out, "w") as fh:
@@ -162,7 +149,7 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
               help="Threshold of the sampled positivity test; at least "
-              "1e-13.")
+              f"{TOL_FLOOR:g}.")
 @click.option("--out", default="-", show_default=True)
 def choi_cmd(map_spec, part, samples, seed, tol, out):
     """Print a catalog map's Choi matrix and its CP verdict."""

@@ -48,10 +48,6 @@ class CriterionResult(NamedTuple):
     tol: float
     commutator_norm: Optional[float] = None
 
-    @property
-    def label(self) -> str:
-        return self.kind.value
-
 
 def _result(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
             commutator: Optional[float] = None) -> CriterionResult:
@@ -82,23 +78,21 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
             for a, b, c in zip(lhs, rhs, commutator)]
 
 
-def route_kind(beta: float) -> Kind:
-    """Default inequality kind for a given beta."""
-    if beta > 1:
-        return Kind.I
-    if beta >= 0:
-        return Kind.II
-    if beta >= -1:
-        return Kind.III
-    raise ParameterOutOfRange(f"beta={beta} < -1")
-
-
 _BETA_OK = {
     Kind.I: lambda beta: beta >= 1,
     Kind.II: lambda beta: 0 <= beta <= 1,
     Kind.III: lambda beta: -1 <= beta < 0,
     Kind.IV: lambda beta: beta >= 0,
 }
+
+
+def route_kind(beta: float) -> Kind:
+    """Default inequality kind for a given beta: the first of II, I and
+    III whose range (`_BETA_OK`) holds it."""
+    for kind in (Kind.II, Kind.I, Kind.III):
+        if _BETA_OK[kind](beta):
+            return kind
+    raise ParameterOutOfRange(f"beta={beta} < -1")
 
 
 def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
@@ -379,7 +373,7 @@ class RegionCriterion(NamedTuple):
     dec: Optional[CPDecomposition]  # None means the entropic inequality
     alpha: float
     beta: float = 1.0
-    kind: Optional[Kind] = None
+    kind: Kind | str | None = None  # a str is a Kind name
 
     def evaluate(self, rho: DensityMatrix,
                  tol: float = DEFAULT_TOL) -> CriterionResult:

@@ -382,13 +382,17 @@ def make_decomposition(family: str, **params) -> CPDecomposition:
     return ctor(**params)
 
 
+# The largest d a map spec takes: a 1024 x 1024 Choi matrix.
+MAX_SPEC_D = 32
+
+
 def _spec_value(key: str, text: str):
-    """d (>= 1) and k take an integer, any other key a finite number or a
-    comma-separated list of them."""
+    """d (1 to MAX_SPEC_D) and k take an integer, any other key a finite
+    number or a comma-separated list of them."""
     try:
         if key in ("d", "k"):
             n = int(text)
-            if key == "k" or n >= 1:
+            if key == "k" or 1 <= n <= MAX_SPEC_D:
                 return n
         else:
             x = [float(t) for t in text.split(",")]
@@ -396,7 +400,7 @@ def _spec_value(key: str, text: str):
                 return x if "," in text else x[0]
     except ValueError:
         pass
-    rule = {"d": "an integer >= 1", "k": "an integer"}.get(
+    rule = {"d": f"an integer from 1 to {MAX_SPEC_D}", "k": "an integer"}.get(
         key, "a finite number or a comma-separated list of them")
     raise InvalidParameters(f"map parameter {key}={text!r} must be {rule}")
 

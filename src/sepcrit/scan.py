@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -83,12 +83,13 @@ def _grid_spectra(map_spec: str
 
 def table1(alpha: float, beta: float = 1.0,
            map_spec: str = "phi_dk d=3 k=1",
-           kind: Optional[Kind] = None,
+           kind: Kind | str | None = None,
            bisect_tol: float = 1e-4) -> GammaInterval:
     """Gamma range in [2, 5] where the (alpha, beta)-inequality derived
     from the given map is violated on the 3x3 test family.
 
-    alpha = inf is the limit witness (beta = 1, kind II only).
+    kind None is routed by beta (`route_kind`), and a str is a Kind
+    name.  alpha = inf is the limit witness (beta = 1, kind II only).
     Boundaries are located on a GRID_STEP grid, tested as one stack, and
     refined by bisection to bisect_tol (finite, >= 1e-6).  The grid and
     its Spectra are built once per map spec (`_grid_spectra`), so a

@@ -22,14 +22,15 @@ from .linalg import as_matrix, tensor
 HERMITIAN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B,
     or a stack of them: `matrix` is (n, n) or (k, n, n).
 
-    Immutable.  `eig` is the eigendecomposition, with the stack's batch
-    axis.  When not given, validation computes it (one eigensolve for
-    the whole stack, which also checks that each matrix is Hermitian);
+    Immutable, and compared and hashed by identity.  `eig` is the
+    eigendecomposition, with the stack's batch axis.  When not given,
+    validation computes it (one eigensolve for the whole stack, which
+    also checks that each matrix is Hermitian);
     when given, as the paper families (`so3_stack`, `horodecki_stack`)
     give their algebra's, it is trusted, and the trace and the sign of
     the smallest eigenvalue are still checked.  The matrix and `eig`
@@ -45,9 +46,8 @@ class DensityMatrix:
     dA: int
     dB: int
     eig: linalg.HermitianEig | None = field(default=None, kw_only=True,
-                                            repr=False, compare=False)
-    cache: dict = field(init=False, repr=False, compare=False,
-                        default_factory=dict)
+                                            repr=False)
+    cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         M = as_matrix(self.matrix)

@@ -172,6 +172,39 @@ def test_entry_point_rejects_bad_alpha_text(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("alpha,echo", [("inf", "inf"), ("Infinity", "inf"),
+                                        ("7.0", "7")])
+def test_entry_point_alpha_takes_any_float_spelling(alpha, echo):
+    # --alpha is a float: the line echoes alpha as it echoes beta
+    want = {"inf": "range=(3.0000, 5.0000]", "7": "range=(3.1907, 3.9420)"}
+    proc = run_entry_point("table1", "--alpha", alpha)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (f"alpha={echo} beta=1 map='phi_dk d=3 k=1' "
+                           f"{want[echo]}\n")
+
+
+@pytest.mark.parametrize("alpha", ["oo", "x", "nan"])
+def test_entry_point_table1_rejects_bad_alpha(alpha):
+    proc = run_entry_point("table1", "--alpha", alpha)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_entry_point_kind_name_is_the_routed_kind(tmp_path):
+    # at beta = 1 a missing --kind is routed to II
+    path = tmp_path / "sigma.mat"
+    write_state(path, states.horodecki_state(4.8).matrix, 3, 3)
+    args = ["check", str(path), "--map", "reduction d=3", "--map",
+            "phi_dk d=3 k=1", "--map", "entropic", "--alpha", "2"]
+    routed = run_entry_point(*args)
+    named = run_entry_point(*args, "--kind", "II")
+    assert routed.returncode == named.returncode == 2, routed.stderr
+    assert named.stdout == routed.stdout
+    assert len(routed.stdout.splitlines()) == 4
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_check_rejects_non_finite_alpha(alpha, tmp_path):
     # alpha = inf at beta 1 is the limit witness, for kind II only
@@ -212,12 +245,13 @@ def test_entry_point_rejects_bad_map_spec(command, spec, tmp_path):
 
 
 # map specs that once escaped as a TypeError, ValueError or IndexError
-# traceback, or dropped a key silently
+# traceback, or dropped a key silently, and a d just above the bound
 MALFORMED_SPECS = [
     "reduction x=3", "identity", "tau_u d=4 x=1", "reduction d=3 d=4",
     "reduction d=3.5", "phi_dk d=3 k=1.5", "reduction d=1e9",
     "reduction d=0", "reduction d=-2", "theta a=x c=1,1,1", "reduction d=",
-    "breuer_hall d=4 tol=x", "theta a=2 c=1",
+    "breuer_hall d=4 tol=x", "theta a=2 c=1", "reduction d=100000",
+    "reduction d=33",
 ]
 
 

@@ -24,10 +24,14 @@ class TestKindRouting:
         assert scan.route_kind(1.0) is Kind.II
         assert scan.route_kind(0.5) is Kind.II
         assert scan.route_kind(-0.5) is Kind.III
+        assert scan.route_kind(0.0) is Kind.II
+        assert scan.route_kind(-1.0) is Kind.III
+        assert scan.route_kind(math.inf) is Kind.I
 
     def test_out_of_range(self):
-        with pytest.raises(Exception):
-            scan.route_kind(-2.0)
+        for beta in (-2.0, -math.inf, math.nan):
+            with pytest.raises(ParameterOutOfRange, match="< -1"):
+                scan.route_kind(beta)
 
 
 class TestParseMapSpec:

@@ -147,6 +147,18 @@ class TestDensityMatrixInvariants:
         assert not (w.flags.writeable or V.flags.writeable
                     or rho.matrix.flags.writeable)
 
+    def test_compares_and_hashes_by_identity(self):
+        # the generated == compared the ndarray field and raised, and
+        # the generated __hash__ raised on the dict field
+        a = states.random_separable(3, 3, 4, 0)
+        b = states.random_separable(3, 3, 4, 0)
+        assert np.array_equal(a.matrix, b.matrix)
+        assert a == a and a != b
+        assert a in [a] and b not in [a]
+        assert len({a, b, a}) == 2
+        stack = states.horodecki_stack([2.0, 3.0])
+        assert stack[0] != stack[0]
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidState):
             states.DensityMatrix(np.eye(4), 2, 2)
