@@ -92,6 +92,8 @@ def route_kind(beta: float) -> Kind:
     for kind in (Kind.II, Kind.I, Kind.III):
         if _BETA_OK[kind](beta):
             return kind
+    if math.isnan(beta):
+        raise ParameterOutOfRange(f"beta={beta} is not a number")
     raise ParameterOutOfRange(f"beta={beta} < -1")
 
 
@@ -130,22 +132,58 @@ def _clamped(w: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
     return linalg.clamp_psd(w, linalg.fro(A), tol)
 
 
+def _weights(X, U, Ud) -> np.ndarray:
+    """(U^dag X U)_ii (stackable), with Ud = U.conj()."""
+    return np.einsum("...ji,...ji->...i", Ud, X @ U).real
+
+
+def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_i coef[..., i] table[i], elementwise: a matmul's BLAS kernel,
+    and so a state's bits, would depend on the stack size."""
+    out = coef[..., 0, None] * table[0]
+    for i in range(1, len(table)):
+        out = out + coef[..., i, None] * table[i]
+    return out
+
+
+def _family_table(m: MatrixMap, family) -> np.ndarray:
+    """D[i, j] = Re(V^dag [I (x) L](O_i) V)_jj for the family's O_i and
+    basis V, kept in m.cache: by linearity, sum_i c_i D[i] are the
+    weights of [I (x) L](sum_i c_i O_i) in V, for any map."""
+    D = m.cache.get(family)
+    if D is None:
+        V = family.vectors
+        X = extend_apply(m, np.stack(family.operators), family.dA)
+        D = m.cache[family] = _weights(X, V, V.conj())
+        D.setflags(write=False)
+    return D
+
+
 class _MapSpectrum:
     """X = [I (x) L](rho) and its spectral data for one map and tol, on one
     state or a stack of states.
 
     The weights (U^dag X U)_ii in rho's eigenbasis U give Tr rho^a X
-    without an eigensolve; X's spectrum and its overlap with rho's
-    eigenbasis are computed on first use.
+    without an eigensolve; on a paper family they come from the map's
+    `_family_table`, and X is built only when read.  X's spectrum and
+    its overlap with rho's eigenbasis are computed on first use.
     """
 
-    def __init__(self, m: MatrixMap, tol: float, X: np.ndarray,
-                 U: np.ndarray, weights: np.ndarray):
+    def __init__(self, m: MatrixMap, sp: Spectra):
         self.map = m
-        self.tol = tol
-        self.X = X
-        self._U = U
-        self.weights = weights
+        self.tol = sp.tol
+        self._rho, self._dA, self._U = sp.matrix, sp.dA, sp._U
+        if sp.family is None:
+            self.X = extend_apply(m, sp.matrix, sp.dA)
+            self.weights = _weights(self.X, self._U, sp._Ud)
+        else:
+            family, coef, order = sp.family
+            self.weights = np.take_along_axis(
+                _combine(coef, _family_table(m, family)), order, -1)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        return extend_apply(self.map, self._rho, self._dA)
 
     @cached_property
     def eig(self) -> linalg.HermitianEig:
@@ -296,10 +334,11 @@ class Spectra:
     `rho` is one state or a stack (a DensityMatrix either way).  Arrays
     carry a stack's states on a leading batch axis; a single state gives
     them none.  `map(m)` holds X = [I (x) L](rho) and its weights (one
-    matmul), `marginal(keep)` that marginal's clamped spectrum (one
-    eigensolve), `ppt` the partial transpose's minimum eigenvalue (one
-    eigvalsh) and `lam` rho's clamped spectrum.  A stack gives each
-    state the bits of a one-state call.
+    matmul; on a paper family, a table), `marginal(keep)` that
+    marginal's clamped spectrum (one eigensolve), `ppt` the partial
+    transpose's minimum eigenvalue (one eigvalsh, or `Family.pt_table`)
+    and `lam` rho's clamped spectrum.  A stack gives each state the bits
+    of a one-state call.
 
     A state's cache is its Spectra: `Spectra.of(rho, tol)` is
     rho.cache[tol], and the one-state criteria read only that.
@@ -310,6 +349,7 @@ class Spectra:
         self.dA, self.dB = rho.dA, rho.dB
         self.matrix = rho.matrix
         self.eigenvalues, self._U = rho.eig
+        self.family = rho.family
         self._maps: dict = {}
         self._marginals: dict = {}
 
@@ -339,9 +379,7 @@ class Spectra:
     def map(self, m: MatrixMap) -> _MapSpectrum:
         entry = self._maps.get(m)
         if entry is None:
-            X = extend_apply(m, self.matrix, self.dA)
-            W = np.einsum("...ji,...ji->...i", self._Ud, X @ self._U).real
-            entry = self._maps[m] = _MapSpectrum(m, self.tol, X, self._U, W)
+            entry = self._maps[m] = _MapSpectrum(m, self)
         return entry
 
     def marginal(self, keep: str) -> np.ndarray:
@@ -355,6 +393,10 @@ class Spectra:
 
     @cached_property
     def ppt(self):
+        E = None if self.family is None else self.family[0].pt_table
+        if E is not None:
+            w = _combine(self.family[1], E).min(-1)
+            return w if w.ndim else float(w)
         # The partial transpose only permutes entries, so it passes the
         # Hermitian check wherever the validated rho does.
         return linalg.min_eigenvalue(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -25,10 +25,12 @@ from .linalg import DEFAULT_TOL, as_matrix, dag
 @dataclass(frozen=True, eq=False)
 class MatrixMap:
     """Linear map on d x d matrices, held as its Choi matrix.  Maps
-    compare and hash by identity."""
+    compare and hash by identity.  `cache` holds tables computed from
+    the map, so that they go with it."""
 
     d: int
     choi: np.ndarray
+    cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         C = as_matrix(self.choi)
@@ -385,10 +387,14 @@ def make_decomposition(family: str, **params) -> CPDecomposition:
 # The largest d a map spec takes: a 1024 x 1024 Choi matrix.
 MAX_SPEC_D = 32
 
+# theta's c sets d by its length, kossakowski's a holds d^2 entries.
+_D_POWER = {"c": 1, "a": 2}
+
 
 def _spec_value(key: str, text: str):
     """d (1 to MAX_SPEC_D) and k take an integer, any other key a finite
-    number or a comma-separated list of them."""
+    number or a comma-separated list of them (for c and a, of a d up to
+    MAX_SPEC_D)."""
     try:
         if key in ("d", "k"):
             n = int(text)
@@ -396,6 +402,11 @@ def _spec_value(key: str, text: str):
                 return n
         else:
             x = [float(t) for t in text.split(",")]
+            power = _D_POWER.get(key)
+            if power and len(x) > MAX_SPEC_D ** power:
+                raise InvalidParameters(
+                    f"map parameter {key} has {len(x)} entries, more than "
+                    f"the {MAX_SPEC_D ** power} of d = {MAX_SPEC_D}")
             if all(map(math.isfinite, x)):
                 return x if "," in text else x[0]
     except ValueError:

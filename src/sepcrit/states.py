@@ -4,7 +4,7 @@ entangled family of Horodecki, and seeded random ensembles."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,8 +35,11 @@ class DensityMatrix:
     give their algebra's, it is trusted, and the trace and the sign of
     the smallest eigenvalue are still checked.  The matrix and `eig`
     become read-only; InvalidState names the first check that any
-    matrix fails.  `rho[k]` is the k-th state of a stack, holding its
-    slices (`eig` included) and validated with no eigensolve.
+    matrix fails.  A paper family's `family` is (Family, coef, order),
+    trusted as `eig` is: rho = sum_i coef[..., i] O_i, and its
+    eigenvectors are the Family's basis columns `order`.  `rho[k]` is
+    the k-th state of a stack, holding its slices (`eig` and `family`
+    included) and validated with no eigensolve.
     `cache` maps each tol to one state's `sepcrit.criteria.Spectra`,
     which the one-state criteria fill on first use; a stack is
     evaluated through `Spectra(rho, tol)` as a whole.
@@ -47,6 +50,7 @@ class DensityMatrix:
     dB: int
     eig: linalg.HermitianEig | None = field(default=None, kw_only=True,
                                             repr=False)
+    family: tuple | None = field(default=None, kw_only=True, repr=False)
     cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -76,8 +80,12 @@ class DensityMatrix:
 
     def __getitem__(self, k) -> DensityMatrix:
         w, V = self.eig
+        family = self.family
+        if family is not None:
+            family = (family[0], family[1][k], family[2][k])
         return DensityMatrix(self.matrix[k], self.dA, self.dB,
-                             eig=linalg.HermitianEig(w[k], V[k]))
+                             eig=linalg.HermitianEig(w[k], V[k]),
+                             family=family)
 
     def marginal(self, keep: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
@@ -115,26 +123,52 @@ def check_eigenbasis(vectors, block, projectors):
     return V, block
 
 
-def _eigenbasis(projectors):
-    """The checked eigenbasis of projectors that resolve the identity,
-    from one eigensolve of sum_i i P_i."""
-    w, V = np.linalg.eigh(sum(i * P for i, P in enumerate(projectors)))
-    return check_eigenbasis(V, np.rint(w).astype(int), projectors)
+class Family:
+    """Projectors O_i on C^dA (x) C^dB that resolve the identity, and
+    their checked joint eigenbasis from one eigensolve of sum_i i O_i
+    (unpacks as (vectors, block)).  Hashed by identity."""
+
+    def __init__(self, projectors, dA: int, dB: int):
+        self.operators, self.dA, self.dB = tuple(projectors), dA, dB
+        w, V = np.linalg.eigh(sum(i * P for i, P in enumerate(projectors)))
+        self.vectors, self.block = check_eigenbasis(
+            V, np.rint(w).astype(int), self.operators)
+
+    def __iter__(self):
+        return iter((self.vectors, self.block))
+
+    @cached_property
+    def pt_table(self) -> np.ndarray | None:
+        """E[i, j], the spectra of the partial transposes of the O_i in
+        the eigenbasis of sum_i i O_i^(T_B), or None if that basis does
+        not diagonalize each of them within EIGENBASIS_TOL."""
+        G = linalg.partial_transpose(np.stack(self.operators), self.dA,
+                                     self.dB)
+        W = np.linalg.eigh(sum(i * g for i, g in enumerate(G)))[1]
+        G = linalg.dag(W) @ G @ W
+        E = np.diagonal(G, axis1=-2, axis2=-1).real.copy()
+        if np.abs(G - E[..., None] * np.eye(len(W))).max() > EIGENBASIS_TOL:
+            return None
+        E.setflags(write=False)
+        return E
 
 
-def _family_stack(M: np.ndarray, coef: np.ndarray, basis,
-                  dA: int, dB: int) -> DensityMatrix:
-    """The stack of M[k] = sum_i coef[k, i] P_i, with no eigensolve: the
+def _family_stack(M: np.ndarray, coef: np.ndarray,
+                  family: Family) -> DensityMatrix:
+    """The stack of M[k] = sum_i coef[k, i] O_i, with no eigensolve: the
     eigenvalue of basis column j is coef[k, block[j]], and the columns
     are put in ascending order per state by a stable argsort."""
-    V, block = basis
+    V, block = family.vectors, family.block
     n = len(block)
     vals = coef[:, block]
     order = np.argsort(vals, axis=-1, kind="stable")
     # V[i, order[k, j]] for each state k, gathered contiguous
     vectors = V.ravel()[order[:, None, :] + n * np.arange(n)[:, None]]
     eig = linalg.HermitianEig(np.take_along_axis(vals, order, -1), vectors)
-    return DensityMatrix(M, dA, dB, eig=eig)
+    for arr in (coef, order):
+        arr.setflags(write=False)
+    return DensityMatrix(M, family.dA, family.dB, eig=eig,
+                         family=(family, coef, order))
 
 
 def spin_operators(j: float = 1.5):
@@ -174,10 +208,9 @@ def so3_projectors():
 
 
 @lru_cache(maxsize=None)
-def so3_eigenbasis():
-    """One basis that diagonalizes every P_J (block = J), built and
-    checked on first use."""
-    return _eigenbasis(so3_projectors())
+def so3_eigenbasis() -> Family:
+    """The P_J as a Family (block = J), built on first use."""
+    return Family(so3_projectors(), 4, 4)
 
 
 def so3_stack(p, q, r) -> DensityMatrix:
@@ -205,7 +238,7 @@ def so3_stack(p, q, r) -> DensityMatrix:
     P = so3_projectors()
     coef = [w / (2 * J + 1) for J, w in enumerate(weights)]
     rho = sum(c[:, None, None] * P[J] for J, c in enumerate(coef))
-    return _family_stack(rho, np.stack(coef, -1), so3_eigenbasis(), 4, 4)
+    return _family_stack(rho, np.stack(coef, -1), so3_eigenbasis())
 
 
 def so3_state(p: float, q: float, r: float) -> DensityMatrix:
@@ -250,13 +283,13 @@ def horodecki_operators():
 
 
 @lru_cache(maxsize=None)
-def horodecki_eigenbasis():
-    """One basis that diagonalizes |psi+><psi+| (block 1), 3 sigma_plus
-    (block 2), 3 sigma_minus (block 3) and the projector onto the rest
-    (block 0), built and checked on first use."""
+def horodecki_eigenbasis() -> Family:
+    """|psi+><psi+| (block 1), 3 sigma_plus (block 2), 3 sigma_minus
+    (block 3) and the projector onto the rest (block 0) as a Family,
+    built on first use."""
     proj, sigma_plus, sigma_minus = horodecki_operators()
     ops = (proj, 3 * sigma_plus, 3 * sigma_minus)
-    return _eigenbasis((np.eye(9) - sum(ops), *ops))
+    return Family((np.eye(9) - sum(ops), *ops), 3, 3)
 
 
 def horodecki_stack(gammas) -> DensityMatrix:
@@ -279,7 +312,7 @@ def horodecki_stack(gammas) -> DensityMatrix:
     rho = (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
     coef = np.stack([np.zeros_like(gamma), np.full_like(gamma, 2 / 7),
                      gamma / 21, (5 - gamma) / 21], -1)
-    return _family_stack(rho, coef, horodecki_eigenbasis(), 3, 3)
+    return _family_stack(rho, coef, horodecki_eigenbasis())
 
 
 def horodecki_state(gamma: float) -> DensityMatrix:

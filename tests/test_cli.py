@@ -192,6 +192,13 @@ def test_entry_point_table1_rejects_bad_alpha(alpha):
     assert "Traceback" not in proc.stderr
 
 
+def test_entry_point_table1_names_a_nan_beta():
+    proc = run_entry_point("table1", "--alpha", "7", "--beta", "nan")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: beta=nan is not a number\n"
+
+
 def test_entry_point_kind_name_is_the_routed_kind(tmp_path):
     # at beta = 1 a missing --kind is routed to II
     path = tmp_path / "sigma.mat"

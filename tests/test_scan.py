@@ -29,9 +29,11 @@ class TestKindRouting:
         assert scan.route_kind(math.inf) is Kind.I
 
     def test_out_of_range(self):
-        for beta in (-2.0, -math.inf, math.nan):
+        for beta in (-2.0, -math.inf):
             with pytest.raises(ParameterOutOfRange, match="< -1"):
                 scan.route_kind(beta)
+        with pytest.raises(ParameterOutOfRange, match="not a number"):
+            scan.route_kind(math.nan)
 
 
 class TestParseMapSpec:
@@ -153,6 +155,22 @@ class TestParseMapSpec:
     ])
     def test_bad_spec_error_names_the_key(self, spec, key):
         with pytest.raises(InvalidParameters, match=key):
+            scan.parse_map_spec(spec)
+
+    @pytest.mark.parametrize("spec,key", [
+        ("theta a=40 c=" + ",".join(["1"] * 33), "c"),
+        ("kossakowski a=" + ",".join(["0"] * 33 ** 2), "a"),
+    ])
+    def test_length_keys_bound_d(self, spec, key, monkeypatch):
+        # c and a set d by their length: d = 33 exceeds MAX_SPEC_D, and
+        # the spec is rejected before any Choi matrix is built
+        def no_choi(*args):
+            raise AssertionError("a Choi matrix was built")
+
+        monkeypatch.setattr(maps, "map_from_action", no_choi)
+        assert maps.MAX_SPEC_D == 32
+        with pytest.raises(InvalidParameters,
+                           match=f"map parameter {key} has"):
             scan.parse_map_spec(spec)
 
 

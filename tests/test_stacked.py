@@ -24,13 +24,16 @@ def fresh(rho):
 
 
 def keep_eig(rho):
-    """rho again, with a copy of its own eigendecomposition and an empty
-    cache: the one-state reference for a state of the paper families,
-    whose eigendecomposition comes from their algebra, which an
-    eigensolve does not reproduce bit for bit."""
+    """rho again, with a copy of its own eigendecomposition and family
+    and an empty cache: the one-state reference for a state of the paper
+    families, whose eigendecomposition comes from their algebra, which
+    an eigensolve does not reproduce bit for bit, and whose map weights
+    and PPT come from per-family tables."""
+    family, coef, order = rho.family
     return states.DensityMatrix(
         rho.matrix.copy(), rho.dA, rho.dB,
-        eig=linalg.HermitianEig(*(a.copy() for a in rho.eig)))
+        eig=linalg.HermitianEig(*(a.copy() for a in rho.eig)),
+        family=(family, coef.copy(), order.copy()))
 
 
 def same(verdicts, results):
