@@ -22,7 +22,7 @@ from .linalg import DEFAULT_TOL
 
 
 TOL_HELP = ("Verdict threshold and clamp band, relative; at least "
-            f"{TOL_FLOOR:g}.")
+            f"{TOL_FLOOR:g} and below 1.")
 
 ALPHA_HELP = ("Exponent on the state; 'inf' is the limit witness (beta 1, "
               "kind II).")
@@ -149,7 +149,7 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
               help="Threshold of the sampled positivity test; at least "
-              f"{TOL_FLOOR:g}.")
+              f"{TOL_FLOOR:g} and below 1.")
 @click.option("--out", default="-", show_default=True)
 def choi_cmd(map_spec, part, samples, seed, tol, out):
     """Print a catalog map's Choi matrix and its CP verdict."""

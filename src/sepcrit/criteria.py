@@ -298,12 +298,20 @@ def _entropic(sp: Spectra, alpha: float,
               subsystem: str = "A") -> list[CriterionResult]:
     """The entropic inequality on every state of sp, at sp.tol: lhs
     Tr rho_sub^a and rhs Tr rho^a from the clamped spectra of the
-    marginal and of rho, read reversed for a < 1."""
+    marginal and of rho, read reversed for a < 1.  There the mass the
+    clamp takes from rho's spectrum is cut off the bottom of the
+    marginal's too: that keeps a separable rho's spectrum majorized by
+    its marginal's (Nielsen and Kempe, PRL 86, 5184 (2001)), so the
+    clamp cannot read it VIOLATED."""
     if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
         raise ParameterOutOfRange(
             f"alpha={alpha} must be finite, >= 0 and != 1"
         )
-    return _verdicts(linalg.powered(sp.marginal(subsystem), alpha).sum(-1),
+    marg = sp.marginal(subsystem)
+    if alpha < 1:
+        m = np.maximum((sp.eigenvalues - sp.lam).sum(-1), 0.0)[..., None]
+        marg = np.minimum(np.maximum(np.cumsum(marg, -1) - m, 0.0), marg)
+    return _verdicts(linalg.powered(marg, alpha).sum(-1),
                      linalg.powered(sp.lam, alpha).sum(-1), alpha < 1,
                      Kind.ENTROPIC, sp.tol)
 
@@ -319,17 +327,18 @@ TOL_FLOOR = 1e-13
 
 
 def check_tol(tol: float) -> float:
-    """tol, if it is at least TOL_FLOOR; a smaller tol, or NaN, raises
-    ParameterOutOfRange."""
-    if not tol >= TOL_FLOOR:
-        raise ParameterOutOfRange(f"tol={tol} must be a number >= {TOL_FLOOR}")
+    """tol, if TOL_FLOOR <= tol < 1, else ParameterOutOfRange: from 1 up
+    the clamp band tol ||rho||_F >= lambda_max zeroes every spectrum."""
+    if not TOL_FLOOR <= tol < 1:
+        raise ParameterOutOfRange(
+            f"tol={tol} must be a number >= {TOL_FLOOR} and < 1")
     return tol
 
 
 class Spectra:
     """The arrays the criteria read, for states on one C^dA (x) C^dB at
     one tol, each computed for the whole stack on first use.  A tol
-    below TOL_FLOOR (or NaN) raises ParameterOutOfRange (`check_tol`).
+    outside [TOL_FLOOR, 1) raises ParameterOutOfRange (`check_tol`).
 
     `rho` is one state or a stack (a DensityMatrix either way).  Arrays
     carry a stack's states on a leading batch axis; a single state gives

@@ -12,6 +12,7 @@ import numpy as np
 from . import linalg, maps
 from .criteria import (
     PPT,
+    TOL_FLOOR,
     CriterionResult,
     Kind,
     RegionCriterion,
@@ -29,8 +30,8 @@ from .states import DensityMatrix, horodecki_stack, so3_stack
 # criterion tolerance (1e-9, relative) is meant to suppress false
 # positives on single verdicts; for root bracketing it would bias the
 # located boundary wherever margins are small (large alpha), so the
-# bisection uses an essentially-zero threshold instead.
-BISECTION_CRITERION_TOL = 1e-13
+# bisection uses the smallest threshold a Spectra accepts instead.
+BISECTION_CRITERION_TOL = TOL_FLOOR
 
 # Spacing of table1's gamma grid on [2, 5], before bisection refines it.
 GRID_STEP = 0.01
@@ -58,27 +59,19 @@ class GammaInterval(NamedTuple):
 GRID_CACHE_SIZE = 8
 
 
-@lru_cache(maxsize=None)
-def _grid_stack() -> tuple[np.ndarray, DensityMatrix]:
-    """table1's GRID_STEP grid on [2, 5] and its Horodecki stack, built
-    once, read-only, and shared by every map spec's `_grid_spectra`."""
-    grid = np.arange(2.0, 5.0 + GRID_STEP / 2, GRID_STEP)
-    grid[-1] = 5.0
-    grid.setflags(write=False)
-    return grid, horodecki_stack(grid)
-
-
 @lru_cache(maxsize=GRID_CACHE_SIZE)
 def _grid_spectra(map_spec: str
                   ) -> tuple[np.ndarray, CPDecomposition, Spectra]:
-    """The grid, the spec's decomposition and one Spectra of the grid's
-    stack at BISECTION_CRITERION_TOL (for the GRID_CACHE_SIZE most
-    recently used specs).  The Spectra fills its map entries on first
-    use, so a later table1 row with the spec runs only its
-    alpha-dependent kernel."""
+    """table1's GRID_STEP grid on [2, 5] (read-only), the spec's
+    decomposition and one Spectra of the grid's Horodecki stack at
+    BISECTION_CRITERION_TOL (for the GRID_CACHE_SIZE most recently used
+    specs).  The Spectra fills its map entries on first use, so a later
+    table1 row with the spec runs only its alpha-dependent kernel."""
     dec = parse_map_spec(map_spec)
-    grid, stack = _grid_stack()
-    return grid, dec, Spectra(stack, BISECTION_CRITERION_TOL)
+    grid = np.arange(2.0, 5.0 + GRID_STEP / 2, GRID_STEP)
+    grid[-1] = 5.0
+    grid.setflags(write=False)
+    return grid, dec, Spectra(horodecki_stack(grid), BISECTION_CRITERION_TOL)
 
 
 def table1(alpha: float, beta: float = 1.0,

@@ -32,14 +32,14 @@ class DensityMatrix:
     validation computes it (one eigensolve for the whole stack, which
     also checks that each matrix is Hermitian);
     when given, as the paper families (`so3_stack`, `horodecki_stack`)
-    give their algebra's, it is trusted, and the trace and the sign of
-    the smallest eigenvalue are still checked.  The matrix and `eig`
-    become read-only; InvalidState names the first check that any
-    matrix fails.  A paper family's `family` is (Family, coef, order),
-    trusted as `eig` is: rho = sum_i coef[..., i] O_i, and its
-    eigenvectors are the Family's basis columns `order`.  `rho[k]` is
-    the k-th state of a stack, holding its slices (`eig` and `family`
-    included) and validated with no eigensolve.
+    give their algebra's, it is trusted, and the entries' finiteness,
+    the trace and the sign of the smallest eigenvalue are still checked.
+    The matrix and `eig` become read-only; InvalidState names the first
+    check that any matrix fails.  A paper family's `family` is (Family,
+    coef, order), trusted as `eig` is: rho = sum_i coef[..., i] O_i,
+    and its eigenvectors are the Family's basis columns `order`.
+    `rho[k]` is the k-th state of a stack, holding its slices (`eig` and
+    `family` included) and validated with no eigensolve.
     `cache` maps each tol to one state's `sepcrit.criteria.Spectra`,
     which the one-state criteria fill on first use; a stack is
     evaluated through `Spectra(rho, tol)` as a whole.
@@ -61,6 +61,8 @@ class DensityMatrix:
         n = self.dA * self.dB
         if M.shape[-1] != n:
             raise InvalidState(f"dim {M.shape[-1]} != dA*dB = {n}")
+        if not np.isfinite(M).all():
+            raise InvalidState("matrix has a non-finite entry (nan or inf)")
         tr = M.trace(axis1=-2, axis2=-1)
         bad = abs(tr - 1.0) > 1e-10
         if np.count_nonzero(bad):
@@ -94,63 +96,55 @@ class DensityMatrix:
 # ---------------------------------------------------------------------------
 # the paper families, with their eigendecomposition from their algebra
 
-# Entrywise bound of the one-time check of a family's eigenbasis.
+# Entrywise bound of the one-time check of a joint eigenbasis.
 EIGENBASIS_TOL = 1e-14
 
 
-def check_eigenbasis(vectors, block, projectors):
-    """(vectors, block), read-only, as a family's eigenbasis: the columns
-    of `vectors` diagonalize the commuting `projectors`, column k lying
-    in the range of projector block[k].
-
-    Checks that vectors^dag vectors = 1 and, for each projector P_i,
-    vectors^dag P_i vectors = diag(block == i), entrywise within
-    EIGENBASIS_TOL; each P_i is then Hermitian to about that bound too.
-    Raises InvalidState if a check fails."""
-    V = np.array(vectors, dtype=complex)
-    block = np.array(block)
-    Vd = linalg.dag(V)
-    err = np.abs(Vd @ V - np.eye(V.shape[-1])).max()
+def joint_eigenbasis(operators):
+    """(W, E), read-only, for commuting Hermitian `operators` O_i: W is
+    the eigenvectors of sum_i i O_i and E[i, j] = Re(W^dag O_i W)_jj, the
+    eigenvalue of O_i on column j.  None unless W^dag W = 1 and each
+    W^dag O_i W = diag(E[i]), entrywise within EIGENBASIS_TOL."""
+    W = np.linalg.eigh(sum(i * O for i, O in enumerate(operators)))[1]
+    Wd, eye = linalg.dag(W), np.eye(len(W))
+    G = Wd @ np.stack(operators) @ W
+    E = np.diagonal(G, axis1=-2, axis2=-1).real.copy()
+    err = max(np.abs(Wd @ W - eye).max(),
+              np.abs(G - E[..., None] * eye).max())
     if not err <= EIGENBASIS_TOL:
-        raise InvalidState(f"eigenbasis is not orthonormal: error {err:.2e}")
-    for i, P in enumerate(projectors):
-        err = np.abs(Vd @ P @ V - np.diag(block == i)).max()
-        if not err <= EIGENBASIS_TOL:
-            raise InvalidState(f"eigenbasis does not diagonalize projector "
-                               f"{i}: error {err:.2e}")
-    for arr in (V, block):
+        return None
+    for arr in (W, E):
         arr.setflags(write=False)
-    return V, block
+    return W, E
 
 
 class Family:
     """Projectors O_i on C^dA (x) C^dB that resolve the identity, and
-    their checked joint eigenbasis from one eigensolve of sum_i i O_i
-    (unpacks as (vectors, block)).  Hashed by identity."""
+    their `joint_eigenbasis`, column k of `vectors` in the range of
+    O_block[k]; InvalidState unless each O_i is 1 on its columns and 0
+    on the rest within EIGENBASIS_TOL.  Hashed by identity."""
 
     def __init__(self, projectors, dA: int, dB: int):
         self.operators, self.dA, self.dB = tuple(projectors), dA, dB
-        w, V = np.linalg.eigh(sum(i * P for i, P in enumerate(projectors)))
-        self.vectors, self.block = check_eigenbasis(
-            V, np.rint(w).astype(int), self.operators)
-
-    def __iter__(self):
-        return iter((self.vectors, self.block))
+        basis = joint_eigenbasis(self.operators)
+        if basis is None:
+            raise InvalidState("operators have no joint eigenbasis within "
+                               f"{EIGENBASIS_TOL}")
+        self.vectors, E = basis
+        self.block = E.argmax(0)
+        one_hot = self.block == np.arange(len(E))[:, None]
+        if not np.abs(E - one_hot).max() <= EIGENBASIS_TOL:
+            raise InvalidState("operators are not projectors resolving the "
+                               f"identity within {EIGENBASIS_TOL}")
+        self.block.setflags(write=False)
 
     @cached_property
     def pt_table(self) -> np.ndarray | None:
-        """E[i, j], the spectra of the partial transposes of the O_i in
-        the eigenbasis of sum_i i O_i^(T_B), or None if that basis does
-        not diagonalize each of them within EIGENBASIS_TOL."""
-        G = linalg.partial_transpose(np.stack(self.operators), self.dA,
-                                     self.dB)
-        W = np.linalg.eigh(sum(i * g for i, g in enumerate(G)))[1]
-        G = linalg.dag(W) @ G @ W
-        E = np.diagonal(G, axis1=-2, axis2=-1).real.copy()
-        if np.abs(G - E[..., None] * np.eye(len(W))).max() > EIGENBASIS_TOL:
-            return None
-        E.setflags(write=False)
-        return E
+        """E of the partial transposes of the O_i (`joint_eigenbasis`),
+        or None if they have no joint eigenbasis."""
+        basis = joint_eigenbasis(linalg.partial_transpose(
+            np.stack(self.operators), self.dA, self.dB))
+        return None if basis is None else basis[1]
 
 
 def _family_stack(M: np.ndarray, coef: np.ndarray,

@@ -55,3 +55,97 @@ def test_horodecki_separable_range_is_never_violated(tol):
     assert violated == 0
     assert evaluated == 201 * 124
     assert skipped == 5 * 2
+
+
+def decompositions_4x4():
+    return [maps.reduction_decomposition(4),
+            maps.breuer_hall_decomposition(d=4),
+            maps.breuer_hall_tilde_decomposition(d=4),
+            maps.phi_dk_decomposition(4, 2),
+            maps.tau_u_decomposition(maps.default_breuer_unitary(4))]
+
+
+def separable_classes(d, rng, per_class=20):
+    """name -> stack of separable states on C^d (x) C^d, per_class each
+    (the maximally mixed state alone)."""
+    n = d * d
+
+    def unit():
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    def unitary():
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return np.linalg.qr(G)[0]
+
+    def product():
+        psi = np.kron(unit(), unit())
+        return np.outer(psi, psi.conj())
+
+    def mixture(rank):
+        return sum(w * product() for w in rng.dirichlet(np.ones(rank)))
+
+    def degenerate(m):
+        # equal mixture of |kk>, k < m, under a random local unitary
+        U = np.kron(unitary(), unitary())
+        D = np.diag(np.isin(np.arange(n), np.arange(m) * (d + 1)) / m)
+        return U @ D @ U.conj().T
+
+    classes = {
+        "pure product": [product() for _ in range(per_class)],
+        "rank-2 mixture": [mixture(2) for _ in range(per_class)],
+        "rank-3 mixture": [mixture(3) for _ in range(per_class)],
+        # from well inside the separable set to within rounding of a
+        # pure product
+        "near pure": [(1 - eps) * product() + eps * np.eye(n) / n
+                      for eps in np.geomspace(1e-1, 3e-12, per_class)],
+        "degenerate": [degenerate(m) for m in np.resize((1, 2, 3, d),
+                                                        per_class)],
+        "maximally mixed": [np.eye(n) / n],
+    }
+    return {name: states.DensityMatrix(np.stack(ms), d, d)
+            for name, ms in classes.items()}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9])
+def test_separable_classes_are_never_violated(d, tol):
+    decs = decompositions_3x3() if d == 3 else decompositions_4x4()
+    # alpha close to 1 from below too: there the mass the clamp takes
+    # decides the verdict
+    criteria = [RegionCriterion("entropic", None, a)
+                for a in ENTROPIC_ALPHAS + (0.9, 0.99)]
+    for dec in decs:
+        for alpha, beta, kind in TRIPLES:
+            if kind is Kind.I and not dec.lambda2_is_identity:
+                continue  # commutativity hypothesis not satisfied
+            criteria.append(RegionCriterion(dec.name, dec, alpha, beta, kind))
+    rng = np.random.default_rng(7)
+    for name, stack in separable_classes(d, rng).items():
+        sp = Spectra(stack, tol)
+        count = len(stack.matrix)
+        evaluated = violated = skipped = 0
+        for crit in criteria:
+            try:
+                results = crit.verdicts(sp)
+            except SingularOperand:
+                # some state's operand is singular: evaluate one by one
+                assert crit.kind is Kind.III, (name, crit.label)
+                results = []
+                for k in range(count):
+                    one = Spectra(stack[k], tol)
+                    try:
+                        results += crit.verdicts(one)
+                    except SingularOperand:
+                        # rho^beta has no value on a rank-deficient state
+                        assert one.lam.min() == 0, (name, k, crit.label)
+                        skipped += 1
+            evaluated += len(results)
+            violated += sum(res.violated for res in results)
+        assert violated == 0, name
+        assert evaluated + skipped == count * len(criteria), name
+        if name in ("pure product", "rank-2 mixture", "rank-3 mixture"):
+            assert skipped  # kind III skips rank-deficient states
+        if name == "maximally mixed" or (name == "near pure" and
+                                         tol == TOL_FLOOR):
+            assert skipped == 0, name

@@ -461,3 +461,38 @@ def test_duplicate_labels_count_per_base_name(tmp_path):
     assert check.exit_code == 0, check.output
     assert [line.split(":")[0] for line in check.output.splitlines()] == \
         labels
+
+
+@pytest.mark.parametrize("tol", ["inf", "1"])
+def test_entry_point_rejects_vacuous_tol(tol, tmp_path):
+    # from tol 1 up the clamp band covers every eigenvalue: the check of
+    # |psi+> printed two ' ok' lines and exited 0, and so3-region wrote
+    # all-zero margins
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(3), 3, 3)
+    runs = [["check", str(path), "--map", "reduction d=3", "--alpha", "2"],
+            ["so3-region", "--p", "0.2", "--alpha", "3", "--map",
+             "reduction d=4", "--resolution", "2"],
+            ["choi", "reduction d=2", "--samples", "5"]]
+    for args in runs:
+        proc = run_entry_point(*args, "--tol", tol)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: tol=")
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entries", [[(0, 0, "nan")],
+                                     [(0, 1, "inf"), (1, 0, "inf")]])
+def test_entry_point_names_a_non_finite_entry(entries, tmp_path):
+    # a nan read as "matrix is not Hermitian" (and passed the trace
+    # check); a symmetric inf pair also printed numpy's RuntimeWarning
+    M = np.eye(9, dtype=complex) / 9
+    for i, j, value in entries:
+        M[i, j] = float(value)
+    path = tmp_path / "bad.mat"
+    write_state(path, M, 3, 3)
+    proc = run_entry_point("check", str(path), "--map", "reduction d=3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: matrix has a non-finite entry (nan or inf)\n"

@@ -519,6 +519,21 @@ class TestZeroPower:
         assert res.violated
         assert not criteria.entropic_inequality(pure_product(3, 3), 0).violated
 
+    def test_entropic_below_one_cuts_the_clamped_mass(self):
+        # at tol 1e-9 rho's 15 eigenvalues 6.25e-10 clamp to 0 and the
+        # marginal's three 2.5e-9 do not: rank 4 read against rank 1
+        psi = np.kron(np.eye(4)[0], np.eye(4)[1]).astype(complex)
+        rho = states.DensityMatrix(
+            (1 - 1e-8) * np.outer(psi, psi) + 1e-8 * np.eye(16) / 16, 4, 4)
+        res = criteria.entropic_inequality(rho, 0, tol=1e-9)
+        assert (res.lhs, res.rhs) == (1.0, 1.0)
+        for alpha in (0.5, 0.9, 0.99):
+            assert not criteria.entropic_inequality(rho, alpha,
+                                                    tol=1e-9).violated
+        # at tol 1e-11 nothing clamps: the ranks are 4 and 16
+        res = criteria.entropic_inequality(rho, 0, tol=1e-11)
+        assert (res.lhs, res.rhs) == (4.0, 16.0)
+
     def test_rank_deficient_separable_never_violate(self, rng):
         catalog = {3: [maps.reduction_decomposition(3),
                        maps.phi_dk_decomposition(3, 1),

@@ -253,16 +253,14 @@ class TestTable1Bisection:
             return states.horodecki_stack(gammas)
 
         monkeypatch.setattr(scan, "horodecki_stack", counting_stack)
-        scan._grid_stack.cache_clear()
         scan._grid_spectra.cache_clear()
         for _ in range(2):
             for alpha in TABLE1_ALPHAS:
                 scan.table1(alpha, 1.0, "phi_dk d=3 k=1")
-        # one grid; then at bisect_tol 1e-4 seven steps per row, the
-        # midpoints of alpha = 7 and 10 stacked in pairs
+        # one grid for the spec; then at bisect_tol 1e-4 seven steps per
+        # row, the midpoints of alpha = 7 and 10 stacked in pairs
         assert sizes == [301] + 2 * ([2] * 14 + [1] * 14)
         assert scan._grid_spectra.cache_info().misses == 1
-        assert scan._grid_stack.cache_info().misses == 1
 
     def test_cold_and_warm_rows_equal(self):
         specs = ("phi_dk d=3 k=1", "theta a=2 c=2,1,1")
@@ -306,8 +304,7 @@ class TestTable1Bisection:
 
     def test_cached_grid_is_read_only(self):
         grid, _, sp = scan._grid_spectra("phi_dk d=3 k=1")
-        assert grid is scan._grid_stack()[0]
-        assert sp.matrix is scan._grid_stack()[1].matrix
+        assert np.array_equal(sp.matrix, states.horodecki_stack(grid).matrix)
         for arr in (grid, sp.matrix, sp.eigenvalues):
             with pytest.raises(ValueError):
                 arr[0] = 0

@@ -169,6 +169,18 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidState):
             states.DensityMatrix(M, 2, 2)
 
+    def test_rejects_non_finite_entries(self):
+        # a nan passed the trace check (abs(nan - 1) > 1e-10 is False)
+        # and was then reported as not Hermitian
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        for value, (k, i, j) in ((np.nan, (0, 0, 0)), (np.inf, (2, 0, 1)),
+                                 (-np.inf, (1, 3, 3))):
+            M = stack.copy()
+            M[k, i, j] = value
+            for matrix in (M, M[k]):
+                with pytest.raises(InvalidState, match="non-finite entry"):
+                    states.DensityMatrix(matrix, 2, 2)
+
     def test_rejects_negative(self):
         with pytest.raises(InvalidState):
             states.DensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]), 2, 2)
@@ -355,29 +367,36 @@ class TestFamilyEigendecomposition:
                 verdicts(crits, eigh_copy(stack), tol)
 
     def test_eigenbases_are_checked_and_read_only(self):
-        for V, block in (states.so3_eigenbasis(),
-                         states.horodecki_eigenbasis()):
-            assert not (V.flags.writeable or block.flags.writeable)
-        _, block = states.so3_eigenbasis()
-        assert np.bincount(block).tolist() == [1, 3, 5, 7]
-        _, block = states.horodecki_eigenbasis()
-        assert np.bincount(block).tolist() == [2, 1, 3, 3]
+        for family in (states.so3_eigenbasis(), states.horodecki_eigenbasis()):
+            assert not (family.vectors.flags.writeable or
+                        family.block.flags.writeable)
+        assert np.bincount(states.so3_eigenbasis().block).tolist() == \
+            [1, 3, 5, 7]
+        assert np.bincount(states.horodecki_eigenbasis().block).tolist() == \
+            [2, 1, 3, 3]
 
     def test_check_rejects_a_wrong_basis(self):
         P = states.so3_projectors()
-        V, block = states.so3_eigenbasis()
-        states.check_eigenbasis(V, block, P)
+        V, E = states.joint_eigenbasis(P)
+        assert np.array_equal(V, states.so3_eigenbasis().vectors)
+        assert not (V.flags.writeable or E.flags.writeable)
+        bump = np.zeros((16, 16))
+        bump[0, 1] = 1e-13
         wrong = [
-            (np.eye(16), block),                  # does not diagonalize
-            (1.001 * V, block),                   # not orthonormal
-            (V, np.roll(block, 1)),               # wrong multiplets
-            (V[:, ::-1], block),                  # columns out of order
+            [2 * p for p in P],                   # not projectors
+            [P[0] + 1e-13, *P[1:]],               # an error above the bound
+            [P[0] + bump + bump.T, *P[1:]],       # off-diagonal, above it
+            [P[0], P[1] + bump, *P[2:]],          # not Hermitian
+            P[:3],                                # do not resolve 1
         ]
-        for vectors, labels in wrong:
+        for ops in wrong:
             with pytest.raises(InvalidState):
-                states.check_eigenbasis(vectors, labels, P)
-        with pytest.raises(InvalidState):  # an error above the bound
-            states.check_eigenbasis(V + 1e-13, block, P)
+                states.Family(ops, 4, 4)
+        assert states.joint_eigenbasis([P[0] + 1e-13, *P[1:]]) is None
+        # the partial transposes of the 3x3 family do not commute
+        fam = states.horodecki_eigenbasis()
+        G = linalg.partial_transpose(np.stack(fam.operators), 3, 3)
+        assert states.joint_eigenbasis(G) is None
 
     def test_built_on_first_use(self):
         code = ("import sepcrit.states as s; "

@@ -36,6 +36,11 @@ def so3_rows(resolution=60):
         yield states.so3_stack(0.2, q, [r for r, _ in row])
 
 
+def table1_grid_stack():
+    grid = scan._grid_spectra("phi_dk d=3 k=1")[0]
+    return states.horodecki_stack(grid)
+
+
 def all_maps(specs):
     for spec in specs:
         dec = scan.parse_map_spec(spec)
@@ -68,7 +73,7 @@ class TestTablesMatchGeneric:
             assert_tables_match(stack, SO3_SPECS, linalg.DEFAULT_TOL)
 
     def test_table1_grid(self):
-        _, stack = scan._grid_stack()
+        stack = table1_grid_stack()
         assert_tables_match(stack, HORODECKI_SPECS,
                             scan.BISECTION_CRITERION_TOL)
 
@@ -82,7 +87,7 @@ class TestTablesMatchGeneric:
         # the partial transposes of the 3x3 family do not commute, so its
         # PPT stays one eigvalsh per state
         assert states.horodecki_eigenbasis().pt_table is None
-        _, stack = scan._grid_stack()
+        stack = table1_grid_stack()
         want = np.linalg.eigvalsh(linalg.partial_transpose(
             stack.matrix, 3, 3))[..., 0]
         assert np.array_equal(criteria.Spectra(stack).ppt, want)
