@@ -15,14 +15,14 @@ from itertools import chain
 import click
 
 from . import maps, scan
-from .criteria import TOL_FLOOR, check_tol
+from .criteria import TOL_CEILING, TOL_FLOOR, check_tol
 from .errors import InvalidParameters, SepcritError
 from .formats import format_float, read_density_matrix, write_matrix
 from .linalg import DEFAULT_TOL
 
 
-TOL_HELP = ("Verdict threshold and clamp band, relative; at least "
-            f"{TOL_FLOOR:g} and below 1.")
+TOL_HELP = ("Verdict threshold and clamp band, relative; from "
+            f"{TOL_FLOOR:g} to {TOL_CEILING:g}.")
 
 ALPHA_HELP = ("Exponent on the state; 'inf' is the limit witness (beta 1, "
               "kind II).")
@@ -148,8 +148,8 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
               "pure states.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
-              help="Threshold of the sampled positivity test; at least "
-              f"{TOL_FLOOR:g} and below 1.")
+              help="Threshold of the sampled positivity test; from "
+              f"{TOL_FLOOR:g} to {TOL_CEILING:g}.")
 @click.option("--out", default="-", show_default=True)
 def choi_cmd(map_spec, part, samples, seed, tol, out):
     """Print a catalog map's Choi matrix and its CP verdict."""

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition, MatrixMap, extend_apply
-from .states import HERMITIAN_TOL, DensityMatrix
+from .states import DensityMatrix
 
 
 class Kind(enum.Enum):
@@ -187,7 +187,7 @@ class _MapSpectrum:
 
     @cached_property
     def eig(self) -> linalg.HermitianEig:
-        return linalg.hermitian_eig(self.X, self.tol)
+        return linalg.hermitian_eig(self.X)
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -325,20 +325,24 @@ def _entropic(sp: Spectra, alpha: float,
 # product states), so separable states come out VIOLATED.
 TOL_FLOOR = 1e-13
 
+# The largest tol a Spectra accepts.  The clamp band tol ||A||_F can be
+# sqrt(rank A) tol lambda_max, so a large tol reads separable states
+# VIOLATED: on the boundary suite's classes none up to 0.1, 30 at 0.2.
+TOL_CEILING = 1e-3
+
 
 def check_tol(tol: float) -> float:
-    """tol, if TOL_FLOOR <= tol < 1, else ParameterOutOfRange: from 1 up
-    the clamp band tol ||rho||_F >= lambda_max zeroes every spectrum."""
-    if not TOL_FLOOR <= tol < 1:
+    """tol, if TOL_FLOOR <= tol <= TOL_CEILING, else ParameterOutOfRange."""
+    if not TOL_FLOOR <= tol <= TOL_CEILING:
         raise ParameterOutOfRange(
-            f"tol={tol} must be a number >= {TOL_FLOOR} and < 1")
+            f"tol={tol} must be a number from {TOL_FLOOR} to {TOL_CEILING}")
     return tol
 
 
 class Spectra:
     """The arrays the criteria read, for states on one C^dA (x) C^dB at
     one tol, each computed for the whole stack on first use.  A tol
-    outside [TOL_FLOOR, 1) raises ParameterOutOfRange (`check_tol`).
+    outside [TOL_FLOOR, TOL_CEILING] raises ParameterOutOfRange.
 
     `rho` is one state or a stack (a DensityMatrix either way).  Arrays
     carry a stack's states on a leading batch axis; a single state gives
@@ -396,8 +400,7 @@ class Spectra:
         if w is None:
             marg = linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
             w = self._marginals[keep] = _clamped(
-                linalg.hermitian_eig(marg, self.tol).eigenvalues, marg,
-                self.tol)
+                linalg.hermitian_eig(marg).eigenvalues, marg, self.tol)
         return w
 
     @cached_property
@@ -406,11 +409,8 @@ class Spectra:
         if E is not None:
             w = _combine(self.family[1], E).min(-1)
             return w if w.ndim else float(w)
-        # The partial transpose only permutes entries, so it passes the
-        # Hermitian check wherever the validated rho does.
         return linalg.min_eigenvalue(
-            linalg.partial_transpose(self.matrix, self.dA, self.dB),
-            self.tol, hermitian_within=HERMITIAN_TOL)
+            linalg.partial_transpose(self.matrix, self.dA, self.dB))
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,16 @@ a stack gives the same bits, matrix by matrix, as one call per matrix.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonHermitian,
-    NotPSD,
-    SingularNegativePower,
-)
+from .errors import DimensionMismatch, NotPSD, SingularNegativePower
 
 DEFAULT_TOL = 1e-9
+
+# The one Hermitian check's tol, relative to the Frobenius norm.
+HERMITIAN_TOL = 1e-10
 
 
 def as_matrix(A) -> np.ndarray:
@@ -47,7 +45,12 @@ def fro(A: np.ndarray):
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _is_hermitian(A: np.ndarray, Ad: np.ndarray, tol: float) -> bool:
+def is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
+    """Whether each matrix of A (stackable) has ||A - A^dag||_F <= tol *
+    max(1, ||A||_F): the one check, of a state at validation and of a
+    map's Choi matrix at construction."""
+    A = as_matrix(A)
+    Ad = dag(A)
     # one matrix: Python floats, as numpy scalars would cost as much as
     # the check itself
     if A.ndim == 2:
@@ -66,22 +69,16 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _hermitian_part(A, tol: float, checked: bool = False) -> np.ndarray:
+def _hermitian_part(A) -> np.ndarray:
     A = as_matrix(A)
-    Ad = dag(A)
-    if not checked and not _is_hermitian(A, Ad, tol):
-        raise NonHermitian(f"matrix is not Hermitian within tol={tol}")
-    return (A + Ad) / 2
+    return (A + dag(A)) / 2
 
 
-def hermitian_eig(A, tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending
-    (stackable).
-
-    Raises NonHermitian if A is not Hermitian within tol (relative to
-    its Frobenius norm).
-    """
-    w, V = np.linalg.eigh(_hermitian_part(A, tol))
+def hermitian_eig(A) -> HermitianEig:
+    """Eigendecomposition of the Hermitian part (A + A^dag) / 2 of A,
+    eigenvalues ascending (stackable), with no Hermitian check: each
+    matrix the package solves comes from a validated state and map."""
+    w, V = np.linalg.eigh(_hermitian_part(A))
     return HermitianEig(w, V)
 
 
@@ -119,14 +116,14 @@ def powered(w: np.ndarray, t: float) -> np.ndarray:
 def psd_power(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A**t for PSD A via eigendecomposition (stackable).
 
-    The spectrum is clamped by `clamp_psd` and raised by `powered`, so
-    A**0 is the projector onto the support of A.  t = 1 returns a copy
-    of A without an eigensolve.
+    The Hermitian part's spectrum is clamped by `clamp_psd` (tol's only
+    use) and raised by `powered`, so A**0 is the projector onto the
+    support of A.  t = 1 returns a copy of A without an eigensolve.
     """
     A = as_matrix(A)
     if t == 1:
         return A.copy()
-    w, V = hermitian_eig(A, tol)
+    w, V = hermitian_eig(A)
     w = powered(clamp_psd(w, fro(A), tol), t)
     return (V * w[..., None, :]) @ dag(V)
 
@@ -190,16 +187,9 @@ def commutator_norm(A, B) -> float:
     return fro(A @ B - B @ A)
 
 
-def min_eigenvalue(A, tol: float = DEFAULT_TOL,
-                   hermitian_within: Optional[float] = None):
-    """Smallest eigenvalue of a Hermitian matrix, from eigenvalues only
-    (stackable: one per matrix).
-
-    Raises NonHermitian if A is not Hermitian within tol.  A caller that
-    knows A to be Hermitian within `hermitian_within` (the partial
-    transpose of a validated state keeps both norms of the check) skips
-    the check for any tol >= hermitian_within.
-    """
-    checked = hermitian_within is not None and tol >= hermitian_within
-    w = np.linalg.eigvalsh(_hermitian_part(A, tol, checked))[..., 0]
+def min_eigenvalue(A):
+    """Smallest eigenvalue of the Hermitian part of A, from eigenvalues
+    only (stackable: one per matrix), with no Hermitian check, as in
+    `hermitian_eig`."""
+    w = np.linalg.eigvalsh(_hermitian_part(A))[..., 0]
     return w if w.ndim else float(w)

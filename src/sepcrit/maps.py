@@ -18,15 +18,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidParameters, NotAntisymmetric
-from .linalg import DEFAULT_TOL, as_matrix, dag
+from .errors import DimensionMismatch, InvalidParameters, NonHermitian
+from .errors import NotAntisymmetric
+from .linalg import DEFAULT_TOL, HERMITIAN_TOL, as_matrix, dag
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixMap:
-    """Linear map on d x d matrices, held as its Choi matrix.  Maps
-    compare and hash by identity.  `cache` holds tables computed from
-    the map, so that they go with it."""
+    """Linear map on d x d matrices that preserves Hermiticity, held as
+    its Choi matrix, which is then Hermitian (tested once, here, by
+    `linalg.is_hermitian`).  Maps compare and hash by identity.  `cache`
+    holds tables computed from the map, so that they go with it."""
 
     d: int
     choi: np.ndarray
@@ -38,6 +40,10 @@ class MatrixMap:
             raise DimensionMismatch(
                 f"Choi shape {C.shape} != d^2 x d^2 = {self.d * self.d}"
             )
+        if not linalg.is_hermitian(C):
+            raise NonHermitian(
+                f"Choi matrix is not Hermitian within tol={HERMITIAN_TOL}: "
+                "the map does not preserve Hermiticity")
         object.__setattr__(self, "choi", C)
         self.choi.setflags(write=False)
 
@@ -119,7 +125,7 @@ def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
 
 def is_cp(m: MatrixMap, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity test: the Choi matrix is PSD within tol."""
-    return bool(linalg.min_eigenvalue(m.choi, tol)
+    return bool(linalg.min_eigenvalue(m.choi)
                 >= -tol * max(1.0, linalg.fro(m.choi)))
 
 
@@ -139,7 +145,7 @@ def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
         out = extend_apply(m, np.outer(psi, psi.conj()), 1)
-        if linalg.min_eigenvalue(out, tol) < -tol:
+        if linalg.min_eigenvalue(out) < -tol:
             return False, psi
     return True, None
 

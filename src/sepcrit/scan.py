@@ -211,10 +211,10 @@ def check_state(rho: DensityMatrix,
                 criteria: list[RegionCriterion],
                 include_ppt: bool = False,
                 tol: float = DEFAULT_TOL) -> list[tuple[str, CriterionResult]]:
-    """Evaluate criteria (PPT first, if include_ppt) on one state as a
-    stack of one, its `Spectra.of(rho, tol)`, exactly as an `so3_region`
-    row; returns (label, result) pairs.  Raises InvalidParameters when
-    there is nothing to evaluate."""
+    """Evaluate criteria (PPT first, if include_ppt) on one state's
+    `Spectra.of(rho, tol)`, with each criterion's `verdicts` as an
+    `so3_region` row does; returns (label, result) pairs.  Raises
+    InvalidParameters when there is nothing to evaluate."""
     if not (criteria or include_ppt):
         raise InvalidParameters("nothing to evaluate: no criterion and no PPT")
     if include_ppt:

@@ -9,17 +9,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    InvalidParameters,
-    InvalidState,
-    NonHermitian,
-)
+from .errors import DimensionMismatch, InvalidParameters, InvalidState
+from .linalg import HERMITIAN_TOL  # noqa: F401 (part of states' API)
 from .linalg import as_matrix, tensor
-
-
-# Validation's Hermitian check, relative to the Frobenius norm.
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +21,8 @@ class DensityMatrix:
 
     Immutable, and compared and hashed by identity.  `eig` is the
     eigendecomposition, with the stack's batch axis.  When not given,
-    validation computes it (one eigensolve for the whole stack, which
-    also checks that each matrix is Hermitian);
+    validation checks that each matrix is Hermitian (`linalg.is_hermitian`
+    at HERMITIAN_TOL) and computes it, one eigensolve for the whole stack;
     when given, as the paper families (`so3_stack`, `horodecki_stack`)
     give their algebra's, it is trusted, and the entries' finiteness,
     the trace and the sign of the smallest eigenvalue are still checked.
@@ -69,10 +61,9 @@ class DensityMatrix:
             raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
         eig = self.eig
         if eig is None:
-            try:
-                eig = linalg.hermitian_eig(M, tol=HERMITIAN_TOL)
-            except NonHermitian:
-                raise InvalidState("matrix is not Hermitian") from None
+            if not linalg.is_hermitian(M):
+                raise InvalidState("matrix is not Hermitian")
+            eig = linalg.hermitian_eig(M)
         if np.count_nonzero(eig.eigenvalues[..., 0] < -1e-9):
             raise InvalidState("matrix is not positive semidefinite")
         for arr in (M, *eig):

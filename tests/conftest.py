@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sepcrit import states
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -41,3 +43,14 @@ def pure_products(n, seed, d=3):
         psi = np.kron(unit(), unit())
         out.append(np.outer(psi, psi.conj()))
     return out
+
+
+def nearly_hermitian_state(rng):
+    """A random separable 3x3 state plus an anti-Hermitian part, as a
+    matrix: it validates, but is Hermitian only to about 1e-10."""
+    rho = states.random_separable(3, 3, 4, rng).matrix
+    rho = (rho + rho.conj().T) / 2
+    E = np.zeros((9, 9), complex)
+    E[[0, 1, 2], [3, 4, 5]] = 1j
+    E -= E.conj().T
+    return rho + 0.9e-10 * np.linalg.norm(rho) / np.linalg.norm(E) * E

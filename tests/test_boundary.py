@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from sepcrit import maps, states
-from sepcrit.criteria import TOL_FLOOR, Kind, RegionCriterion, Spectra
+from sepcrit.criteria import (
+    PPT,
+    TOL_CEILING,
+    TOL_FLOOR,
+    Kind,
+    RegionCriterion,
+    Spectra,
+)
 from sepcrit.errors import SingularOperand
 
 # acceptance test 7's (alpha, beta, kind) triples, and the limit witness
@@ -29,7 +36,7 @@ def decompositions_3x3():
             maps.transposition_decomposition(3)]
 
 
-@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9])
+@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9, TOL_CEILING])
 def test_horodecki_separable_range_is_never_violated(tol):
     # sigma_gamma is separable for gamma in [2, 3] (Horodecki, Horodecki
     # and Horodecki, PRL 82, 1056 (1999)); its rank-deficiency makes the
@@ -108,7 +115,7 @@ def separable_classes(d, rng, per_class=20):
 
 
 @pytest.mark.parametrize("d", [3, 4])
-@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9])
+@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9, TOL_CEILING])
 def test_separable_classes_are_never_violated(d, tol):
     decs = decompositions_3x3() if d == 3 else decompositions_4x4()
     # alpha close to 1 from below too: there the mass the clamp takes
@@ -149,3 +156,60 @@ def test_separable_classes_are_never_violated(d, tol):
         if name == "maximally mixed" or (name == "near pure" and
                                          tol == TOL_FLOOR):
             assert skipped == 0, name
+
+
+def twirled_products(rng, n_products=50, n_mixtures=12):
+    """SO(3) states (`so3_stack`) that are separable: the U (x) U twirl
+    over SU(2) is a mixture of local unitaries, and 3/2 (x) 3/2 is
+    multiplicity-free, so it takes a product |a>|b> to `so3_state` with
+    weights w_J = <ab|P_J|ab> (Breuer, PRA 71, 062330 (2005)).  Random
+    products, mixtures of three of them and the 16 basis products."""
+    P = states.so3_projectors()
+
+    def unit():
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return v / np.linalg.norm(v)
+
+    def weights(v):
+        return [np.vdot(v, PJ @ v).real for PJ in P]
+
+    products = [weights(np.kron(unit(), unit())) for _ in range(n_products)]
+    mixtures = [rng.dirichlet(np.ones(3)) @ np.array(products[i:i + 3])
+                for i in range(0, 3 * n_mixtures, 3)]
+    basis = [weights(np.kron(a, b)) for a in np.eye(4) for b in np.eye(4)]
+    w = np.array(products + mixtures + basis)
+    return states.so3_stack(w[:, 0], w[:, 1], w[:, 2])
+
+
+@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9, TOL_CEILING])
+def test_so3_separable_states_are_never_violated(tol):
+    # the family-table path of so3_region: map weights from
+    # MatrixMap.cache, PPT from Family.pt_table
+    stack = twirled_products(np.random.default_rng(7))
+    count = len(stack.matrix)
+    sp = Spectra(stack, tol)
+    assert not any(res.violated for res in PPT().verdicts(sp))
+    criteria = [RegionCriterion("entropic", None, a)
+                for a in ENTROPIC_ALPHAS + (0.9, 0.99)]
+    for dec in decompositions_4x4():
+        for alpha, beta, kind in TRIPLES:
+            if kind is Kind.I and not dec.lambda2_is_identity:
+                continue  # commutativity hypothesis not satisfied
+            criteria.append(RegionCriterion(dec.name, dec, alpha, beta, kind))
+    evaluated = violated = skipped = 0
+    for crit in criteria:
+        try:
+            results = crit.verdicts(sp)
+        except SingularOperand:
+            # some state's operand is singular: evaluate one by one
+            assert crit.kind is Kind.III, crit.label
+            results = []
+            for k in range(count):
+                try:
+                    results += crit.verdicts(Spectra(stack[k], tol))
+                except SingularOperand:
+                    skipped += 1
+        evaluated += len(results)
+        violated += sum(res.violated for res in results)
+    assert violated == 0
+    assert evaluated + skipped == count * len(criteria)

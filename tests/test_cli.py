@@ -11,7 +11,7 @@ from sepcrit.cli import main
 from sepcrit.errors import InvalidParameters, ParameterOutOfRange
 from sepcrit.formats import write_matrix
 
-from conftest import bell_state, pure_products
+from conftest import bell_state, nearly_hermitian_state, pure_products
 
 
 def write_state(path, matrix, dA, dB):
@@ -496,3 +496,44 @@ def test_entry_point_names_a_non_finite_entry(entries, tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: matrix has a non-finite entry (nan or inf)\n"
+
+
+@pytest.mark.parametrize("tol", ["1e-13", "1e-10", "1e-9"])
+def test_entry_point_checks_a_state_once(tol, tmp_path):
+    # the state is checked at validation only: at --tol 1e-10 the entropic
+    # and the beta 2 kind I runs exited 1 with "matrix is not Hermitian
+    # within tol=1e-10" (the marginal and X were checked again), and at
+    # 1e-13 every run did (PPT too)
+    path = tmp_path / "asym.mat"
+    write_state(path, nearly_hermitian_state(np.random.default_rng(5)), 3, 3)
+    for extra in ([], ["--beta", "2", "--kind", "I"]):
+        proc = run_entry_point("check", str(path), "--map", "entropic",
+                               "--map", "reduction d=3", "--alpha", "2",
+                               "--tol", tol, *extra)
+        assert proc.returncode == 0, proc.stderr
+        assert "error:" not in proc.stderr
+        assert [line.split(":")[0] for line in proc.stdout.splitlines()] \
+            == ["ppt", "entropic", "reduction"]
+        assert proc.stdout.count(" ok\n") == 3
+
+
+@pytest.mark.parametrize("tol, code", [("1e-3", 0), ("2e-3", 1), ("0.5", 1)])
+def test_entry_point_tol_ceiling(tol, code, tmp_path):
+    # tols up to 1 were accepted, and at --tol 0.7 the check of |00><00|
+    # printed "reduction: ... VIOLATED" and exited 2
+    path = tmp_path / "00.mat"
+    write_state(path, np.diag(np.eye(9)[0]), 3, 3)
+    runs = [["check", str(path), "--map", "reduction d=3", "--alpha", "1",
+             "--beta", "2", "--kind", "I"],
+            ["so3-region", "--p", "0.2", "--alpha", "3", "--map",
+             "reduction d=4", "--resolution", "2"],
+            ["choi", "reduction d=2", "--samples", "5"]]
+    for args in runs:
+        proc = run_entry_point(*args, "--tol", tol)
+        assert proc.returncode == code, (args, proc.stderr)
+        if code:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: tol=")
+            assert "Traceback" not in proc.stderr
+        else:
+            assert "VIOLATED" not in proc.stdout

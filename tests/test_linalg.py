@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sepcrit import linalg
+from sepcrit import linalg, maps, states
 from sepcrit.errors import (
     DimensionMismatch,
+    InvalidState,
     NonHermitian,
     NotPSD,
     SingularNegativePower,
@@ -26,8 +27,15 @@ class TestHermitianEig:
         assert np.allclose(w, [-1, 1])
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitian):
-            linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        # eigensolves take the Hermitian part unchecked; a state is
+        # checked at validation and a map at construction
+        A = np.array([[0, 1], [0, 0]], dtype=complex)
+        assert not linalg.is_hermitian(A)
+        assert linalg.is_hermitian(A + A.T)
+        with pytest.raises(InvalidState, match="not Hermitian"):
+            states.DensityMatrix(np.eye(2) / 2 + A, 2, 1)
+        with pytest.raises(NonHermitian, match="does not preserve Herm"):
+            maps.MatrixMap(2, np.kron(A, np.eye(2)))
 
     @pytest.mark.parametrize("d", [4, 9, 16])
     def test_residual_and_unitarity(self, d, rng):
@@ -132,9 +140,16 @@ class TestStacks:
 
     def test_one_bad_member_raises(self, rng):
         A = np.array([random_hermitian(4, rng) for _ in range(3)])
+        P = np.array([random_psd(4, rng) for _ in range(3)])
+        P /= np.trace(P, axis1=1, axis2=2)[:, None, None]
+        assert linalg.is_hermitian(A) and linalg.is_hermitian(P)
+        states.DensityMatrix(P.copy(), 2, 2)
         A[1, 0, 1] += 1.0
-        with pytest.raises(NonHermitian):
-            linalg.hermitian_eig(A)
+        P[1, 0, 1] += 1.0
+        assert not linalg.is_hermitian(A)
+        assert not linalg.is_hermitian(P)
+        with pytest.raises(InvalidState, match="not Hermitian"):
+            states.DensityMatrix(P, 2, 2)
         P = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
         with pytest.raises(NotPSD):
             linalg.clamp_psd(linalg.hermitian_eig(P).eigenvalues,

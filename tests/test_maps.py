@@ -5,6 +5,7 @@ from sepcrit import linalg, maps
 from sepcrit.errors import (
     DimensionMismatch,
     InvalidParameters,
+    NonHermitian,
     NotAntisymmetric,
 )
 from sepcrit.states import random_separable
@@ -112,6 +113,7 @@ class TestExtendApplyReference:
     def test_dense_random_map(self, dA, dB, rng):
         C = rng.standard_normal((dB * dB,) * 2) \
             + 1j * rng.standard_normal((dB * dB,) * 2)
+        C = C + C.conj().T  # a map must preserve Hermiticity
         m = maps.MatrixMap(dB, C)
         stack = rng.standard_normal((3,) + (dA * dB,) * 2) \
             + 1j * rng.standard_normal((3,) + (dA * dB,) * 2)
@@ -273,3 +275,39 @@ def test_make_decomposition_dispatch():
     assert dec.name == "phi_dk"
     assert dec.lambda2_is_identity
     assert maps.make_decomposition("reduction", d=3).indecomposable is False
+
+
+# parameters building each catalog family (the rest take their defaults)
+FAMILY_PARAMS = {
+    "reduction": {"d": 3}, "identity": {"d": 3}, "transposition": {"d": 3},
+    "tau_u": {}, "breuer_hall": {}, "breuer_hall_tilde": {},
+    "phi_dk": {"d": 3, "k": 1}, "theta": {"a": 2, "c": [1, 1, 1]},
+    "kossakowski": {"a": np.zeros((3, 3))},
+}
+
+
+class TestOneHermitianCheckPerMap:
+    """A map's Choi matrix is checked once, when the MatrixMap is built:
+    it is Hermitian exactly when the map preserves Hermiticity."""
+
+    def test_non_hermitian_choi_is_rejected(self):
+        C = maps.reduction_decomposition(3).lambda1.choi.copy()
+        C[0, 1] += 0.3
+        with pytest.raises(NonHermitian, match="does not preserve Herm"):
+            maps.MatrixMap(3, C)
+        # nor can a CP decomposition hold one
+        with pytest.raises(NonHermitian):
+            maps.CPDecomposition(maps.MatrixMap(3, C),
+                                 maps.identity_map(3), "bad")
+
+    def test_hermitian_within_tol_is_accepted(self):
+        C = maps.reduction_decomposition(3).lambda1.choi.copy()
+        C[0, 1] += 0.5e-10
+        assert linalg.is_hermitian(maps.MatrixMap(3, C).choi)
+
+    @pytest.mark.parametrize("family", sorted(maps._FAMILIES))
+    def test_every_family_builds(self, family):
+        assert FAMILY_PARAMS.keys() == maps._FAMILIES.keys()
+        dec = maps.make_decomposition(family, **FAMILY_PARAMS[family])
+        for m in (dec.lambda1, dec.lambda2, dec.map):
+            assert linalg.is_hermitian(m.choi)

@@ -12,10 +12,11 @@ from sepcrit.criteria import Kind
 from sepcrit.errors import (
     AllProjectionsVanish,
     CommutativityViolated,
-    NonHermitian,
     NotPSD,
     SingularOperand,
 )
+
+from conftest import nearly_hermitian_state
 
 
 def fresh(rho):
@@ -227,37 +228,26 @@ class TestStackErrors:
         assert "min eigenvalue" in str(one.value)
 
 
-class TestMinEigenvalueHermitianCheck:
-    """The partial transpose of a validated state skips the Hermitian
-    check at tol >= 1e-10 and keeps it below."""
+class TestOneHermitianCheckPerState:
+    """A state is checked once, at validation; its partial transpose,
+    marginal and X are solved as their Hermitian parts, unchecked, at
+    every tol."""
 
-    def _nearly_hermitian(self, rng, rel):
-        rho = states.random_separable(3, 3, 4, rng).matrix.copy()
-        rho[0, 1] += rel * np.linalg.norm(rho)
-        return rho
-
-    def test_skipped_at_or_above_validation_tol(self, rng):
-        A = self._nearly_hermitian(rng, 1.0)  # far from Hermitian
-        with pytest.raises(NonHermitian):
-            linalg.min_eigenvalue(A, 1e-9)
-        for tol in (1e-10, 1e-9, 1e-3):
-            skipped = linalg.min_eigenvalue(
-                A, tol, hermitian_within=states.HERMITIAN_TOL)
-            assert skipped == np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
-
-    def test_kept_below_validation_tol(self, rng):
-        A = self._nearly_hermitian(rng, 5e-11)
-        rho = states.DensityMatrix(A, 3, 3)  # Hermitian within 1e-10
-        pt = linalg.partial_transpose(rho.matrix, 3, 3)
-        for tol in (1e-11, 1e-13):
-            with pytest.raises(NonHermitian):
-                linalg.min_eigenvalue(pt, tol)
-            with pytest.raises(NonHermitian):
-                linalg.min_eigenvalue(pt, tol,
-                                      hermitian_within=states.HERMITIAN_TOL)
-            with pytest.raises(NonHermitian):
-                criteria.ppt_check(fresh(rho), tol)
-        assert criteria.ppt_check(rho) == linalg.min_eigenvalue(pt)
+    def test_hermitian_only_within_validation_tol(self, rng):
+        M = nearly_hermitian_state(rng)
+        assert linalg.is_hermitian(M)
+        assert not linalg.is_hermitian(M, 1e-11)
+        rho = states.DensityMatrix(M, 3, 3)
+        pt = linalg.partial_transpose(M, 3, 3)
+        want = np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0]
+        dec = maps.reduction_decomposition(3)
+        for tol in (criteria.TOL_FLOOR, 1e-11, 1e-10, 1e-9,
+                    criteria.TOL_CEILING):
+            assert criteria.ppt_check(rho, tol) == want
+            criteria.entropic_inequality(rho, 2, "A", tol)
+            criteria.entropic_inequality(rho, 2, "B", tol)
+            criteria.alpha_beta_inequality(rho, dec, 2, 2, Kind.I, tol)
+            criteria.structural_criterion(rho, dec.lambda1, tol)
 
 
 def horodecki_matrix(gamma):
