@@ -12,6 +12,7 @@ from sepcrit.criteria import Kind
 from sepcrit.errors import (
     AllProjectionsVanish,
     CommutativityViolated,
+    InvalidState,
     NotPSD,
     SingularOperand,
 )
@@ -228,26 +229,42 @@ class TestStackErrors:
         assert "min eigenvalue" in str(one.value)
 
 
-class TestOneHermitianCheckPerState:
-    """A state is checked once, at validation; its partial transpose,
-    marginal and X are solved as their Hermitian parts, unchecked, at
-    every tol."""
+class TestMinEigenvalueHermitianCheck:
+    """A state is checked for Hermiticity once, at validation, whatever
+    the tol: below the validation tol of 1e-10 that check is kept and
+    the eigensolves add none, at or above it they skip theirs too.  The
+    partial transpose, marginal and X are solved as their Hermitian
+    parts, unchecked."""
 
-    def test_hermitian_only_within_validation_tol(self, rng):
+    def _solved_unchecked(self, rng, tols):
         M = nearly_hermitian_state(rng)
         assert linalg.is_hermitian(M)
         assert not linalg.is_hermitian(M, 1e-11)
         rho = states.DensityMatrix(M, 3, 3)
         pt = linalg.partial_transpose(M, 3, 3)
         want = np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0]
+        assert linalg.min_eigenvalue(pt) == want
         dec = maps.reduction_decomposition(3)
-        for tol in (criteria.TOL_FLOOR, 1e-11, 1e-10, 1e-9,
-                    criteria.TOL_CEILING):
+        for tol in tols:
             assert criteria.ppt_check(rho, tol) == want
             criteria.entropic_inequality(rho, 2, "A", tol)
             criteria.entropic_inequality(rho, 2, "B", tol)
             criteria.alpha_beta_inequality(rho, dec, 2, 2, Kind.I, tol)
             criteria.structural_criterion(rho, dec.lambda1, tol)
+
+    def test_kept_below_validation_tol(self, rng):
+        rho = states.random_separable(3, 3, 4, rng).matrix.copy()
+        rho[0, 1] += 1e-9 * np.linalg.norm(rho)
+        with pytest.raises(InvalidState, match="not Hermitian"):
+            states.DensityMatrix(rho, 3, 3)
+        self._solved_unchecked(rng, (criteria.TOL_FLOOR, 1e-11))
+
+    def test_skipped_at_or_above_validation_tol(self, rng):
+        A = states.random_separable(3, 3, 4, rng).matrix.copy()
+        A[0, 1] += np.linalg.norm(A)  # far from Hermitian
+        assert linalg.min_eigenvalue(A) == \
+            np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
+        self._solved_unchecked(rng, (1e-10, 1e-9, criteria.TOL_CEILING))
 
 
 def horodecki_matrix(gamma):
