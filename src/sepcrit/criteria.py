@@ -174,7 +174,6 @@ class _MapSpectrum:
         self.tol = sp.tol
         self._rho, self._dA, self._U = sp.matrix, sp.dA, sp._U
         if sp.family is None:
-            self.X = extend_apply(m, sp.matrix, sp.dA)
             self.weights = _weights(self.X, self._U, sp._Ud)
         else:
             family, coef, order = sp.family

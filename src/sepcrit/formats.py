@@ -2,9 +2,9 @@
 
 Matrix file layout: first non-comment line holds "dA dB"; the next
 dA*dB non-comment lines each hold dA*dB complex entries written as
-"re,im" pairs separated by single spaces.  Lines starting with '#' are
-comments.  Doubles are written with 17 significant digits so values
-round-trip exactly.
+"re,im" pairs separated by any whitespace (written with single spaces).
+Lines starting with '#' are comments.  Doubles are written with 17
+significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -63,25 +63,7 @@ def parse_matrix_file(lines) -> tuple[np.ndarray, int, int]:
         )
 
     # re, im of every entry in row-major order, viewed as complex at the end
-    body = " ".join(text for _, text in rows)
-    tokens = body.replace(",", " ").split()
-    pairs = iter(tokens)
-    try:
-        # one pass for the written layout: dim 're,im' entries a row,
-        # separated by single spaces
-        if (body != " ".join(map(",".join, zip(pairs, pairs)))
-                or any(text.count(",") != dim for _, text in rows)):
-            raise ValueError
-        values = np.array(tokens, dtype=float)
-    except ValueError:
-        values = _parse_entries(rows, dim)
-    return values.view(complex).reshape(dim, dim), dA, dB
-
-
-def _parse_entries(rows, dim: int) -> np.ndarray:
-    """re, im of every entry, parsed entry by entry, so that a bad entry
-    raises a ParseError naming its line."""
-    values = []
+    tokens = []
     for lineno, text in rows:
         entries = text.split()
         if len(entries) != dim:
@@ -89,16 +71,26 @@ def _parse_entries(rows, dim: int) -> np.ndarray:
                 f"line {lineno}: expected {dim} entries, got {len(entries)}"
             )
         for entry in entries:
+            pair = entry.split(",")
+            if len(pair) != 2:
+                raise _bad_entry(lineno, entry)
+            tokens += pair
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        # numpy converts by float()'s rules: name the first token it rejects
+        for k, token in enumerate(tokens):
             try:
-                re_s, im_s = entry.split(",")
-                values.append(float(re_s))
-                values.append(float(im_s))
+                float(token)
             except ValueError:
-                raise ParseError(
-                    f"line {lineno}: bad entry {entry!r} "
-                    "(expected 're,im')"
-                ) from None
-    return np.array(values)
+                entry = ",".join(tokens[k - k % 2:k - k % 2 + 2])
+                raise _bad_entry(rows[k // (2 * dim)][0], entry) from None
+        raise
+    return values.view(complex).reshape(dim, dim), dA, dB
+
+
+def _bad_entry(lineno: int, entry: str) -> ParseError:
+    return ParseError(f"line {lineno}: bad entry {entry!r} (expected 're,im')")
 
 
 def read_density_matrix(path) -> DensityMatrix:

@@ -45,17 +45,17 @@ def fro(A: np.ndarray):
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
-    """Whether each matrix of A (stackable) has ||A - A^dag||_F <= tol *
-    max(1, ||A||_F): the one check, of a state at validation and of a
-    map's Choi matrix at construction."""
+def is_hermitian(A) -> bool:
+    """Whether each matrix of A (stackable) has ||A - A^dag||_F <=
+    HERMITIAN_TOL * max(1, ||A||_F): the one check, of a state at
+    validation and of a map's Choi matrix at construction."""
     A = as_matrix(A)
     Ad = dag(A)
     # one matrix: Python floats, as numpy scalars would cost as much as
     # the check itself
     if A.ndim == 2:
-        return fro(A - Ad) <= tol * max(1.0, fro(A))
-    return bool((fro(A - Ad) <= tol * np.maximum(1.0, fro(A))).all())
+        return fro(A - Ad) <= HERMITIAN_TOL * max(1.0, fro(A))
+    return bool((fro(A - Ad) <= HERMITIAN_TOL * np.maximum(1.0, fro(A))).all())
 
 
 class HermitianEig(NamedTuple):
@@ -88,7 +88,7 @@ def clamp_psd(w: np.ndarray, scale: float,
     with Frobenius norm `scale` (stackable: w (..., n), scale (...)).
 
     Eigenvalues inside the +-tol*scale band become exactly zero.  Raises
-    NotPSD on an eigenvalue below the band.
+    NotPSD, naming tol, on an eigenvalue below the band.
     """
     band = tol * scale
     if w.ndim > 1:  # one band per spectrum of the stack
@@ -98,7 +98,8 @@ def clamp_psd(w: np.ndarray, scale: float,
             clamp_psd(w[k], np.broadcast_to(scale, low.shape)[k], tol)
         band = np.asarray(band)[..., None]
     elif w[0] < -band:
-        raise NotPSD(f"min eigenvalue {w[0]} < -{band}")
+        raise NotPSD(f"min eigenvalue {w[0]} < -{band}, the band "
+                     f"tol*||A||_F at tol={tol}")
     return np.where(np.abs(w) <= band, 0.0, w)
 
 

@@ -194,12 +194,12 @@ def default_breuer_unitary(d: int = 4) -> np.ndarray:
     return V
 
 
-def _check_breuer_unitary(U: np.ndarray, tol: float) -> None:
+def _check_breuer_unitary(U: np.ndarray) -> None:
     U = as_matrix(U)
-    if linalg.fro(U.T + U) > tol * max(1.0, linalg.fro(U)):
+    if linalg.fro(U.T + U) > DEFAULT_TOL * max(1.0, linalg.fro(U)):
         raise NotAntisymmetric("U^T != -U")
     gap = linalg.min_eigenvalue(np.eye(U.shape[0]) - dag(U) @ U)
-    if gap < -tol:
+    if gap < -DEFAULT_TOL:
         raise InvalidParameters(f"U^dag U exceeds identity (gap {gap})")
 
 
@@ -230,32 +230,32 @@ def tau_u_decomposition(U: Optional[np.ndarray] = None,
                            "tau_u", indecomposable=False)
 
 
-def _breuer_hall(sign: float, U, d: int, tol: float, name: str,
+def _breuer_hall(sign: float, U, d: int, name: str,
                  indecomposable: bool) -> CPDecomposition:
     """(Tr X) 1 - sign U X^T U^dag - X with lambda2 = identity, U
     defaulting to `default_breuer_unitary(d)`."""
     U = as_matrix(default_breuer_unitary(d) if U is None else U)
     d = U.shape[0]
-    _check_breuer_unitary(U, tol)
+    _check_breuer_unitary(U)
     L1 = map_from_action(
         d, lambda X: np.trace(X) * np.eye(d) - sign * (U @ X.T @ dag(U)))
     return CPDecomposition(L1, identity_map(d), name,
                            indecomposable=indecomposable)
 
 
-def breuer_hall_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
-                              tol: float = DEFAULT_TOL) -> CPDecomposition:
+def breuer_hall_decomposition(U: Optional[np.ndarray] = None,
+                              d: int = 4) -> CPDecomposition:
     """L^U(X) = (Tr X) 1 - U X^T U^dag - X with lambda2 = identity.
 
     U must be antisymmetric with U^dag U <= 1.
     """
-    return _breuer_hall(1.0, U, d, tol, "breuer_hall", True)
+    return _breuer_hall(1.0, U, d, "breuer_hall", True)
 
 
-def breuer_hall_tilde_decomposition(U: Optional[np.ndarray] = None, d: int = 4,
-                                    tol: float = DEFAULT_TOL) -> CPDecomposition:
+def breuer_hall_tilde_decomposition(U: Optional[np.ndarray] = None,
+                                    d: int = 4) -> CPDecomposition:
     """L~^U(X) = (Tr X) 1 + U X^T U^dag - X with lambda2 = identity."""
-    return _breuer_hall(-1.0, U, d, tol, "breuer_hall_tilde", False)
+    return _breuer_hall(-1.0, U, d, "breuer_hall_tilde", False)
 
 
 def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
@@ -334,8 +334,9 @@ def kossakowski_decomposition(a) -> CPDecomposition:
 
     a holds the d^2 entries a_ij, flat (row-major) or as a d x d matrix.
     phi1(|i><i|) = sum_j (a_ij + delta_ij) |j><j| and phi1 kills the
-    off-diagonal matrix units.  CP of phi1 requires a_ij + delta_ij >= 0;
-    positivity of phi itself is never certified, only sampled.
+    off-diagonal matrix units.  CP of phi1 requires a_ij + delta_ij >= 0.
+    Positivity of phi is never certified (positivity_unverified), only
+    sampled, by `make_decomposition` and so by every map spec.
     """
     A = np.asarray(a, dtype=float)
     d = math.isqrt(A.size)
@@ -374,7 +375,8 @@ _FAMILIES = {
 def make_decomposition(family: str, **params) -> CPDecomposition:
     """Construct a catalog decomposition by family name.  params are
     exactly the family constructor's parameters: an unknown or missing
-    one raises InvalidParameters."""
+    one raises InvalidParameters, as does a map whose positivity is
+    unverified and which `is_positive_sampled` (its defaults) refutes."""
     ctor = _FAMILIES.get(family)
     if ctor is None:
         raise InvalidParameters(
@@ -387,7 +389,12 @@ def make_decomposition(family: str, **params) -> CPDecomposition:
         keys = ", ".join(sig.parameters)
         raise InvalidParameters(
             f"map family {family!r} ({keys}): {exc}") from None
-    return ctor(**params)
+    dec = ctor(**params)
+    if dec.positivity_unverified and not is_positive_sampled(dec.map)[0]:
+        raise InvalidParameters(
+            f"the {family} map is not positive: it maps a sampled pure "
+            "state out of the PSD cone")
+    return dec
 
 
 # The largest d a map spec takes: a 1024 x 1024 Choi matrix.

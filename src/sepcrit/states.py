@@ -10,7 +10,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidParameters, InvalidState
-from .linalg import HERMITIAN_TOL  # noqa: F401 (part of states' API)
 from .linalg import as_matrix, tensor
 
 

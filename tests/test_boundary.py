@@ -213,3 +213,84 @@ def test_so3_separable_states_are_never_violated(tol):
         violated += sum(res.violated for res in results)
     assert violated == 0
     assert evaluated + skipped == count * len(criteria)
+
+
+def soundness_catalog():
+    """d -> the soundness sweep's maps (acceptance test 7): four 3x3 and
+    five 4x4."""
+    return {3: [maps.reduction_decomposition(3),
+                maps.phi_dk_decomposition(3, 1),
+                maps.theta_decomposition(2, [1, 1, 1]),
+                maps.transposition_decomposition(3)],
+            4: decompositions_4x4()}
+
+
+def product_mixtures(d, a, b, logits):
+    """The stack of sum_k w_k |a_k b_k><a_k b_k|, one state per row of a,
+    b (rows (k, d), normalized here) and logits (w = softmax(logits))."""
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    psi = (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (d * d,))
+    w = np.exp(logits - logits.max(-1, keepdims=True))
+    w /= w.sum(-1, keepdims=True)
+    rho = np.einsum("ck,cki,ckj->cij", w, psi, psi.conj())
+    return states.DensityMatrix(rho, d, d)
+
+
+@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9, TOL_CEILING])
+def test_hill_climb_finds_no_violation(tol):
+    # a seeded random-step descent on each state's smallest relative
+    # margin, margin / max(1, |lhs|, |rhs|), over rank-1 and rank-2
+    # mixtures of product vectors: VIOLATED means it fell below -tol
+    rng = np.random.default_rng(7)
+    steps, per_rank = 30, 4
+    n = 2 * per_rank
+
+    def normal(shape, complex_=True):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    def smallest_margin(criteria, stack):
+        sp = Spectra(stack, tol)
+        low = np.full(n, np.inf)
+        violated = 0
+        for crit in criteria:
+            try:
+                results = crit.verdicts(sp)
+            except SingularOperand:
+                # X2 of a rank-deficient state is singular
+                assert crit.kind is Kind.III, crit.label
+                continue
+            low = np.minimum(low, [r.margin / max(1.0, abs(r.lhs), abs(r.rhs))
+                                   for r in results])
+            violated += sum(r.violated for r in results)
+        return low, violated
+
+    violated, lows = 0, []
+    for d, decs in soundness_catalog().items():
+        for dec in decs:
+            criteria = [RegionCriterion(dec.name, dec, alpha, beta, kind)
+                        for alpha, beta, kind in TRIPLES
+                        if kind is not Kind.I or dec.lambda2_is_identity]
+            # the first per_rank states are rank 1: weight 0 on product 2
+            params = [normal((n, 2, d)), normal((n, 2, d)),
+                      normal((n, 2), False)]
+            params[2][:per_rank, 1] = -np.inf
+            low, bad = smallest_margin(criteria, product_mixtures(d, *params))
+            violated += bad
+            for sigma in np.geomspace(0.5, 1e-3, steps):
+                trial = [p + sigma * normal(p.shape, np.iscomplexobj(p))
+                         for p in params]
+                trial[2][:per_rank, 1] = -np.inf
+                got, bad = smallest_margin(criteria,
+                                           product_mixtures(d, *trial))
+                violated += bad
+                better = got < low
+                for p, t in zip(params, trial):
+                    p[better] = t[better]
+                low = np.where(better, got, low)
+            lows.append(low.min())
+    assert violated == 0
+    # the descent reaches the edge of the verdict rule: the reduction and
+    # Breuer-Hall margins vanish on product states
+    assert min(lows) < 1e-13

@@ -258,7 +258,7 @@ MALFORMED_SPECS = [
     "reduction d=3.5", "phi_dk d=3 k=1.5", "reduction d=1e9",
     "reduction d=0", "reduction d=-2", "theta a=x c=1,1,1", "reduction d=",
     "breuer_hall d=4 tol=x", "theta a=2 c=1", "reduction d=100000",
-    "reduction d=33",
+    "reduction d=33", "breuer_hall d=4 tol=1e-6",
 ]
 
 
@@ -537,3 +537,41 @@ def test_entry_point_tol_ceiling(tol, code, tmp_path):
             assert "Traceback" not in proc.stderr
         else:
             assert "VIOLATED" not in proc.stdout
+
+
+def assert_fails(proc):
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_entry_point_refuses_a_map_that_is_not_positive(tmp_path):
+    # |+><+| (x) |+><+| is separable; kossakowski a=0,0,0,0 is eps - I,
+    # which maps |+><+| out of the PSD cone, and its inequality reads
+    # VIOLATED on this state (margin -0.5)
+    path = tmp_path / "pp.mat"
+    write_state(path, np.full((4, 4), 0.25), 2, 2)
+    proc = run_entry_point("check", str(path), "--map",
+                           "kossakowski a=0,0,0,0")
+    assert_fails(proc)
+    assert "not positive" in proc.stderr
+    # the reduction map, in the same class, is positive
+    proc = run_entry_point("check", str(path), "--map",
+                           "kossakowski a=0,1,1,0")
+    assert proc.returncode == 0, proc.stderr
+    assert "VIOLATED" not in proc.stdout
+
+
+def test_entry_point_not_psd_names_the_tol(tmp_path):
+    # validation admits eigenvalues down to -1e-9, the clamp only down
+    # to -tol * ||rho||_F, here -3.5e-10 at the default tol
+    path = tmp_path / "neg.mat"
+    write_state(path, np.diag([1 / 8 + 5e-10] + [1 / 8] * 7 + [-5e-10]),
+                3, 3)
+    args = ["check", str(path), "--map", "reduction d=3"]
+    proc = run_entry_point(*args)
+    assert_fails(proc)
+    assert "tol=1e-09" in proc.stderr and "tol*||A||_F" in proc.stderr
+    proc = run_entry_point(*args, "--tol", "1e-3")
+    assert proc.returncode == 0, proc.stderr

@@ -282,7 +282,7 @@ FAMILY_PARAMS = {
     "reduction": {"d": 3}, "identity": {"d": 3}, "transposition": {"d": 3},
     "tau_u": {}, "breuer_hall": {}, "breuer_hall_tilde": {},
     "phi_dk": {"d": 3, "k": 1}, "theta": {"a": 2, "c": [1, 1, 1]},
-    "kossakowski": {"a": np.zeros((3, 3))},
+    "kossakowski": {"a": np.ones((3, 3)) - np.eye(3)},
 }
 
 

@@ -53,8 +53,25 @@ class TestParseMapSpec:
         dec = scan.parse_map_spec("tau_u d=4")
         assert not dec.lambda2_is_identity
 
+    @pytest.mark.parametrize("a", [
+        "0,0,0,0", "0,0,1,1,0,0,0,1,0", "0,2,0,0,0,2,2,0,0",
+        "0,1,0,0,0,1,1,0,0", "1,0.5,0,0,1,0.5,0.5,0,1"])
+    def test_kossakowski_refuted_by_sampling(self, a):
+        # phi1 is CP, but phi = phi1 - I maps a sampled pure state out of
+        # the PSD cone; a verdict of such a map need not be sound
+        dec = maps.kossakowski_decomposition([float(x) for x in a.split(",")])
+        assert not maps.is_positive_sampled(dec.map)[0]
+        with pytest.raises(InvalidParameters, match="not positive"):
+            scan.parse_map_spec(f"kossakowski a={a}")
+
+    def test_breuer_hall_takes_no_tol(self):
+        for ctor in (maps.breuer_hall_decomposition,
+                     maps.breuer_hall_tilde_decomposition):
+            with pytest.raises(TypeError):
+                ctor(d=4, tol=1e-6)
+
     def test_kossakowski_square(self):
-        dec = scan.parse_map_spec("kossakowski a=0,0,0,0,0,0,0,0,0")
+        dec = scan.parse_map_spec("kossakowski a=0,1,1,1,0,1,1,1,0")
         assert dec.positivity_unverified
 
     def test_errors(self):
@@ -92,8 +109,7 @@ class TestParseMapSpec:
         ("tau_u", lambda: maps.tau_u_decomposition(
             maps.default_breuer_unitary(4))),
         ("breuer_hall d=4", lambda: maps.breuer_hall_decomposition(d=4)),
-        ("breuer_hall d=6 tol=1e-6",
-         lambda: maps.breuer_hall_decomposition(d=6, tol=1e-6)),
+        ("breuer_hall d=6", lambda: maps.breuer_hall_decomposition(d=6)),
         ("breuer_hall_tilde d=4",
          lambda: maps.breuer_hall_tilde_decomposition(d=4)),
         ("phi_dk d=3 k=1", lambda: maps.phi_dk_decomposition(3, 1)),
@@ -101,9 +117,9 @@ class TestParseMapSpec:
         ("theta a=2 c=1,1,1", lambda: maps.theta_decomposition(2, [1, 1, 1])),
         ("theta a=2.5 c=0.5,1,2",
          lambda: maps.theta_decomposition(2.5, [0.5, 1, 2])),
-        ("kossakowski a=0,2,0,0,0,2,2,0,0",
-         lambda: maps.kossakowski_decomposition([[0, 2, 0], [0, 0, 2],
-                                                 [2, 0, 0]])),
+        ("kossakowski a=1,1,0,0,1,1,1,0,1",
+         lambda: maps.kossakowski_decomposition([[1, 1, 0], [0, 1, 1],
+                                                 [1, 0, 1]])),
     ])
     def test_spec_matches_constructor(self, spec, direct):
         # the spec's keys are the constructor's parameters, and its maps
@@ -152,6 +168,8 @@ class TestParseMapSpec:
         ("reduction d=3.5", "d="), ("phi_dk d=3 k=1.5", "k="),
         ("reduction d=0", "d="), ("theta a=x c=1,1,1", "a="),
         ("breuer_hall d=4 tol=x", "tol="), ("theta a=2 c=1", "c "),
+        ("breuer_hall d=4 tol=1e-6", "'tol'"),
+        ("breuer_hall_tilde d=4 tol=1e-6", "'tol'"),
     ])
     def test_bad_spec_error_names_the_key(self, spec, key):
         with pytest.raises(InvalidParameters, match=key):
@@ -280,8 +298,8 @@ class TestTable1Bisection:
         specs = ["reduction d=3", "identity d=3", "transposition d=3",
                  "phi_dk d=3 k=1", "phi_dk d=3 k=2", "theta a=2 c=1,1,1",
                  "theta a=2 c=2,1,1", "theta a=2.5 c=1,1,1",
-                 "theta a=2 c=0.5,1,2", "kossakowski a=0,2,0,0,0,2,2,0,0",
-                 "kossakowski a=0,1,0,0,0,1,1,0,0"]
+                 "theta a=2 c=0.5,1,2", "kossakowski a=0,1,1,1,0,1,1,1,0",
+                 "kossakowski a=1,1,0,0,1,1,1,0,1"]
         assert len(specs) > scan.GRID_CACHE_SIZE
         scan._grid_spectra.cache_clear()
         for spec in specs:
@@ -389,12 +407,6 @@ class TestTable1:
                                     False),
             "theta a=2 c=0.5,1,2": (3.285742187499973, 5.0, True, False,
                                     False),
-            "kossakowski a=0,0,1,1,0,0,0,1,0": (2.0, 3.9999609374999574,
-                                                False, True, False),
-            "kossakowski a=0,2,0,0,0,2,2,0,0": (3.0000390624999786, 5.0,
-                                                True, False, False),
-            "kossakowski a=0,1,0,0,0,1,1,0,0": (2.0, 5.0, False, False,
-                                                False),
             "kossakowski a=0,1,1,1,0,1,1,1,0": (nan, nan, True, True, True),
         }
         for spec, want in expected.items():
@@ -402,6 +414,12 @@ class TestTable1:
             got = (float(iv.lower), float(iv.upper), iv.lower_open,
                    iv.upper_open, iv.empty)
             assert repr(got) == repr(want), spec
+        # maps that sampling shows are not positive give no range
+        for spec in ("kossakowski a=0,0,1,1,0,0,0,1,0",
+                     "kossakowski a=0,2,0,0,0,2,2,0,0",
+                     "kossakowski a=0,1,0,0,0,1,1,0,0"):
+            with pytest.raises(InvalidParameters, match="not positive"):
+                scan.table1(math.inf, 1.0, spec)
 
     def test_rejects_too_fine_tol(self):
         # NaN and inf would end the bisection before its first step,
@@ -797,3 +815,59 @@ class TestMatrixFormat:
         # "1, 2,3" two entries and three numbers; all are bad rows
         with pytest.raises(ParseError, match="line 3"):
             parse_matrix_file(io.StringIO(f"1 2\n1,0 0,0\n{row}\n"))
+
+    def test_any_whitespace_is_bit_exact(self):
+        # seeded files as the benchmark writes them, each written again
+        # with tabs, double spaces, trailing spaces and comment lines
+        for j in range(20):
+            rng = np.random.default_rng([3, j])
+            if j % 2 == 0:
+                matrix = states.random_separable(3, 3, 4, rng).matrix
+            else:
+                matrix = states.random_density(9, rng)
+            buf = io.StringIO()
+            write_matrix(buf, matrix, 3, 3)
+            text = buf.getvalue()
+            lines = text.splitlines()
+            seps = ["\t", "  ", " \t "]
+            other = "# rewritten\n" + "".join(
+                "\t" * (k % 2) + seps[k % 3].join(line.split(" "))
+                + " " * (k % 4) + "\n" + "# row\n" * (k % 3 == 0)
+                for k, line in enumerate(lines))
+            want, _, _ = parse_matrix_file(io.StringIO(text))
+            got, dA, dB = parse_matrix_file(io.StringIO(other))
+            assert (dA, dB) == (3, 3)
+            assert np.array_equal(want, matrix)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("text,message", [
+        ("bogus header\n",
+         "line 1: expected header 'dA dB', got 'bogus header'"),
+        ("1 2\n1,0 0,0\n0,0 bad\n",
+         "line 3: bad entry 'bad' (expected 're,im')"),
+        ("1 2\n1,0\n0,0 0,0\n", "line 2: expected 2 entries, got 1"),
+        ("", "line 1: empty file"),
+        ("1 2\n1,0 0,0\n1,2,3 4\n",
+         "line 3: bad entry '1,2,3' (expected 're,im')"),
+        ("1 2\n1,0 0,0\n1, 2,3\n",
+         "line 3: bad entry '1,' (expected 're,im')"),
+        ("1 2\n1,0 0,0\n1,2 ,3\n",
+         "line 3: bad entry ',3' (expected 're,im')"),
+        ("1 2\n1,0 0,0\n1,2 3\n",
+         "line 3: bad entry '3' (expected 're,im')"),
+        ("1 2\n1,0 0,0\n1,2 3,4 5,6\n", "line 3: expected 2 entries, got 3"),
+        ("1 2\n1,0 0,0\n1,2,3,4\n", "line 3: expected 2 entries, got 1"),
+        # the first token in file order that float() rejects
+        ("1 2\n1,0 0,y\nx,0 0,0\n",
+         "line 2: bad entry '0,y' (expected 're,im')"),
+        ("1 2\n1,0\t0,z\n0,0 0,0\n",
+         "line 2: bad entry '0,z' (expected 're,im')"),
+        ("# c\n\n1 1\n 1,e \n", "line 4: bad entry '1,e' (expected 're,im')"),
+        ("1 2\n1,0 0,0\n0,0 1,\n",
+         "line 3: bad entry '1,' (expected 're,im')"),
+        ("1 2\n1,0 0,0\n", "line 2: expected 2 matrix rows, got 1"),
+    ])
+    def test_parse_error_text(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_matrix_file(io.StringIO(text))
+        assert str(err.value) == message
