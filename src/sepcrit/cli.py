@@ -143,7 +143,8 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
 @click.argument("map_spec")
 @click.option("--part", type=click.Choice(["map", "1", "2"]), default="map",
               show_default=True, help="Full map or one CP half.")
-@click.option("--samples", type=int, default=0, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=0,
+              show_default=True,
               help="Also report sampled positivity over this many random "
               "pure states.")
 @click.option("--seed", type=int, default=0, show_default=True)

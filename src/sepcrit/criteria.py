@@ -350,7 +350,8 @@ class Spectra:
     marginal's clamped spectrum (one eigensolve), `ppt` the partial
     transpose's minimum eigenvalue (one eigvalsh, or `Family.pt_table`)
     and `lam` rho's clamped spectrum.  A stack gives each state the bits
-    of a one-state call.
+    of a one-state call.  A map whose d is not dB raises
+    DimensionMismatch when its entry is first built.
 
     A state's cache is its Spectra: `Spectra.of(rho, tol)` is
     rho.cache[tol], and the one-state criteria read only that.
@@ -391,6 +392,9 @@ class Spectra:
     def map(self, m: MatrixMap) -> _MapSpectrum:
         entry = self._maps.get(m)
         if entry is None:
+            if m.d != self.dB:
+                raise DimensionMismatch(
+                    f"map d={m.d} != state dB = {self.dB}")
             entry = self._maps[m] = _MapSpectrum(m, self)
         return entry
 

@@ -74,6 +74,24 @@ def _grid_spectra(map_spec: str
     return grid, dec, Spectra(horodecki_stack(grid), BISECTION_CRITERION_TOL)
 
 
+# Bisection levels whose midpoints table1 tests as one stack.
+TREE_DEPTH = 4
+
+
+def _midpoint_tree(x, y, depth: int) -> list:
+    """The midpoints of the first `depth` levels of bisecting the
+    bracket [x, y], heap-ordered: node k splits its span (x, y) at
+    m = 0.5 * (x + y), node 2k+1 is the span (x, m) and node 2k+2 the
+    span (m, y)."""
+    spans, mids = [(x, y)], []
+    for k in range(2 ** depth - 1):
+        x, y = spans[k]
+        m = 0.5 * (x + y)
+        mids.append(m)
+        spans += [(x, m), (m, y)]
+    return mids
+
+
 def table1(alpha: float, beta: float = 1.0,
            map_spec: str = "phi_dk d=3 k=1",
            kind: Kind | str | None = None,
@@ -86,12 +104,21 @@ def table1(alpha: float, beta: float = 1.0,
     Boundaries are located on a GRID_STEP grid, tested as one stack, and
     refined by bisection to bisect_tol (finite, >= 1e-6).  The grid and
     its Spectra are built once per map spec (`_grid_spectra`), so a
-    repeat call runs only the alpha-dependent kernel on them.  Both
-    boundaries are bisected together: each step tests the midpoints of
-    the brackets still wider than bisect_tol as one stack, and each
-    bracket gets the midpoints a bisection of it alone would.  No state
-    is diagonalized: `horodecki_stack` has its eigenvectors from the
-    family's algebra.
+    repeat call runs only the alpha-dependent kernel on them.
+
+    Both boundaries are bisected together, several levels per stack.
+    Each bracket still wider than bisect_tol gives the midpoints of its
+    next `depth` bisection levels (`_midpoint_tree`): every midpoint a
+    bisection of that bracket alone could visit, computed from the same
+    operands, so with the same bits.  `depth` is the number of halvings
+    the widest such bracket still needs, at most TREE_DEPTH, so a stack
+    holds at most 2 x 15 states.  The trees of all these brackets are
+    tested as one stack, and each bracket then walks its own tree from
+    the root, taking the child its midpoint's verdict picks, while it is
+    wider than bisect_tol.  A stack gives each state the bits of a
+    one-state call, so every bracket ends where a bisection of it alone
+    does.  No state is diagonalized: `horodecki_stack` has its
+    eigenvectors from the family's algebra.
     """
     if not (math.isfinite(bisect_tol) and bisect_tol >= 1e-6):
         raise InvalidParameters(
@@ -108,11 +135,20 @@ def table1(alpha: float, beta: float = 1.0,
     brackets = ([[grid[i0 - 1], grid[i0]]] if lower_open else []) + \
         ([[grid[i1 + 1], grid[i1]]] if upper_open else [])
     while live := [b for b in brackets if abs(b[1] - b[0]) > bisect_tol]:
-        mids = [0.5 * (b[0] + b[1]) for b in live]
-        hits = crit.verdicts(
-            Spectra(horodecki_stack(mids), BISECTION_CRITERION_TOL))
-        for b, mid, res in zip(live, mids, hits):
-            b[res.violated] = mid  # a violating midpoint replaces b[1]
+        width = max(abs(b[1] - b[0]) for b in live)
+        depth = 1
+        while depth < TREE_DEPTH and width * 0.5 ** depth > bisect_tol:
+            depth += 1
+        trees = [_midpoint_tree(b[0], b[1], depth) for b in live]
+        hits = [res.violated for res in crit.verdicts(Spectra(
+            horodecki_stack([m for mids in trees for m in mids]),
+            BISECTION_CRITERION_TOL))]
+        n = 2 ** depth - 1
+        for i, (b, mids) in enumerate(zip(live, trees)):
+            k, tree_hits = 0, hits[i * n:(i + 1) * n]
+            while k < n and abs(b[1] - b[0]) > bisect_tol:
+                b[tree_hits[k]] = mids[k]  # a violating midpoint replaces b[1]
+                k = 2 * k + 2 - tree_hits[k]
     ends = iter([0.5 * (b[0] + b[1]) for b in brackets])
     lower = next(ends) if lower_open else 2.0
     upper = next(ends) if upper_open else 5.0

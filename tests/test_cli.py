@@ -575,3 +575,32 @@ def test_entry_point_not_psd_names_the_tol(tmp_path):
     assert "tol=1e-09" in proc.stderr and "tol*||A||_F" in proc.stderr
     proc = run_entry_point(*args, "--tol", "1e-3")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command,dim,d,dB", [
+    ("table1", 3, 4, 3), ("so3-region", 4, 3, 4), ("check", 2, 3, 2)])
+def test_entry_point_names_the_map_d_on_a_mismatch(command, dim, d, dB,
+                                                   tmp_path):
+    # these said "state dim 9 != dA*dB = 12", naming neither the map nor
+    # the state's dB
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(dim * dim) / dim ** 2, dim, dim)
+    args = {"table1": ["table1", "--alpha", "7"],
+            "so3-region": ["so3-region", "--p", "0.2", "--alpha", "2",
+                           "--resolution", "4"],
+            "check": ["check", str(path)]}[command]
+    proc = run_entry_point(*args, "--map", f"reduction d={d}")
+    assert_fails(proc)
+    assert proc.stderr == f"error: map d={d} != state dB = {dB}\n"
+
+
+def test_entry_point_choi_rejects_negative_samples():
+    # --samples -3 exited 0 and skipped the sampled positivity test
+    proc = run_entry_point("choi", "reduction d=2", "--samples", "-3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Invalid value for '--samples'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run_entry_point("choi", "reduction d=2", "--samples", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert "positive (sampled" not in proc.stdout

@@ -263,6 +263,38 @@ class TestTable1Bisection:
                                       got.lower_open + got.upper_open)
         assert open_ends >= {-1, 1, 2}
 
+    def test_tree_equals_sequential(self):
+        # bisect_tol 6e-3 to 1e-6 takes 1 to 14 levels, so trees of every
+        # depth up to TREE_DEPTH; kinds I-IV, and transposition's
+        # lambda2 is not the identity.  Midpoints a one-bracket
+        # bisection would not visit never raise where it returns.
+        seen = set()
+        for map_spec in ("phi_dk d=3 k=1", "transposition d=3"):
+            for alpha in (7.0, 10.0, 13.0, math.inf):
+                for beta in (-0.5, 0.5, 1.0, 2.0):
+                    for kind in ("I", "II", "III", "IV"):
+                        for bisect_tol in (6e-3, 3e-3, 1e-3, 1e-4, 1e-5,
+                                           1e-6):
+                            args = (alpha, beta, map_spec, kind, bisect_tol)
+                            got = outcome(scan.table1, *args)
+                            want = outcome(sequential_table1, *args)
+                            assert repr(got) == repr(want), args
+                            seen.add(got.split(":")[0] if isinstance(got, str)
+                                     else -1 if got.empty else
+                                     got.lower_open + got.upper_open)
+        assert seen >= {-1, 1, 2, "CommutativityViolated",
+                        "ParameterOutOfRange"}
+
+    @pytest.mark.parametrize("width", ["0x1.47ae147ae0000p-12",
+                                       "0x1.47ae147ac0000p-17"])
+    def test_each_bracket_stops_at_its_own_width(self, width):
+        # at alpha = 7, width is the upper bracket's width after 5 (10)
+        # levels, a level inside a tree, where the lower bracket is wider
+        # by a few ulps: at bisect_tol = width the upper one stops inside
+        # the tree while the lower one takes one more level
+        args = (7.0, 1.0, "phi_dk d=3 k=1", None, float.fromhex(width))
+        assert repr(scan.table1(*args)) == repr(sequential_table1(*args))
+
     def test_grid_built_once_per_process(self, monkeypatch):
         sizes = []
 
@@ -275,9 +307,10 @@ class TestTable1Bisection:
         for _ in range(2):
             for alpha in TABLE1_ALPHAS:
                 scan.table1(alpha, 1.0, "phi_dk d=3 k=1")
-        # one grid for the spec; then at bisect_tol 1e-4 seven steps per
-        # row, the midpoints of alpha = 7 and 10 stacked in pairs
-        assert sizes == [301] + 2 * ([2] * 14 + [1] * 14)
+        # one grid for the spec; then at bisect_tol 1e-4 seven levels per
+        # row, as a tree of 4 levels (15 midpoints per bracket) and one
+        # of 3 (7), the trees of alpha = 7 and 10 stacked in pairs
+        assert sizes == [301] + 2 * ([30, 14] * 2 + [15, 7] * 2)
         assert scan._grid_spectra.cache_info().misses == 1
 
     def test_cold_and_warm_rows_equal(self):
