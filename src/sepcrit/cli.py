@@ -97,7 +97,7 @@ def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
     criteria = _build_criteria(map_specs, alpha, beta, kind)
     labels = [c.label for c in criteria]
     rows = scan.so3_region(p, criteria, resolution, tol)
-    # the first q-row is evaluated (the grid always has q = r = 0), so
+    # the first stack is evaluated (the grid always has q = r = 0), so
     # its errors raise too, before any output
     first = next(rows)
     with click.open_file(out, "w") as fh:

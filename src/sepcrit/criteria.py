@@ -63,19 +63,63 @@ def _result(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
         lhs, rhs, margin, bool(margin < -tol * scale), kind, tol, commutator))
 
 
+class ResultStack:
+    """One criterion's results on a stack of states.  `lhs`, `rhs`,
+    `margin`, `violated` and `commutator_norm` are lists with one entry
+    per state (Python floats and bools; commutator norms are None where
+    none is reported); `kind` and `tol` hold for every state.
+
+    `res[k]` (k an int) is state k's CriterionResult, with the bits of
+    its one-state call, and iteration yields them in order; nothing is
+    built per state until it is read.  Two stacks are equal when every
+    field is."""
+
+    __slots__ = ("lhs", "rhs", "margin", "violated", "kind", "tol",
+                 "commutator_norm")
+
+    def __init__(self, lhs, rhs, margin, violated, kind, tol,
+                 commutator_norm):
+        self.lhs, self.rhs, self.margin = lhs, rhs, margin
+        self.violated, self.kind, self.tol = violated, kind, tol
+        self.commutator_norm = commutator_norm
+
+    def __len__(self) -> int:
+        return len(self.margin)
+
+    def __getitem__(self, k: int) -> CriterionResult:
+        return tuple.__new__(CriterionResult, (
+            self.lhs[k], self.rhs[k], self.margin[k], self.violated[k],
+            self.kind, self.tol, self.commutator_norm[k]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultStack):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
+
+
 def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
-              commutator=None) -> list[CriterionResult]:
-    """Each state's CriterionResult from a kernel's output: one for output
-    with no batch axis, else one per state of the stack.  A scalar rhs
-    holds for every state."""
+              commutator=None) -> list[CriterionResult] | ResultStack:
+    """The results of a kernel's output: a list of one CriterionResult
+    for output with no batch axis (`_result`), else one ResultStack.  A
+    scalar rhs holds for every state.  On a stack the margins and scales
+    are array arithmetic, and the verdict rule is applied to each state's
+    floats, as `_result` applies it."""
     if not isinstance(lhs, np.ndarray) or lhs.ndim == 0:
         return [_result(lhs, rhs, reversed_, kind, tol, commutator)]
-    lhs = np.ravel(lhs).tolist()
-    rhs = np.ravel(rhs).tolist() if np.ndim(rhs) else [rhs] * len(lhs)
-    commutator = ([None] * len(lhs) if commutator is None
+    lhs = np.ravel(lhs)
+    rhs = np.broadcast_to(np.ravel(rhs), lhs.shape)
+    margins = ((rhs - lhs) if reversed_ else (lhs - rhs)).tolist()
+    scales = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0).tolist()
+    violated = [bool(margin < -tol * scale)
+                for margin, scale in zip(margins, scales)]
+    commutator = ([None] * len(margins) if commutator is None
                   else np.ravel(commutator).tolist())
-    return [_result(a, b, reversed_, kind, tol, c)
-            for a, b, c in zip(lhs, rhs, commutator)]
+    return ResultStack(lhs.tolist(), rhs.tolist(), margins, violated, kind,
+                       tol, commutator)
 
 
 _BETA_OK = {
@@ -208,12 +252,15 @@ class _MapSpectrum:
 
 def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
                 beta: float, kind: Kind | str | None = None
-                ) -> list[CriterionResult]:
+                ) -> list[CriterionResult] | ResultStack:
     """The (alpha, beta)-inequality on every state of sp, at sp.tol; kind
     None is routed by beta (`route_kind`), a str is a Kind name, and a
     kind outside I-IV raises ParameterOutOfRange.  Kind III
     reads reversed; kind I with a map lambda2 reports the commutator norm.
-    At alpha = inf it is the limit witness of dec.map against 0."""
+    At alpha = inf it is the limit witness of dec.map against 0.  A map
+    that sampling shows is not positive (`CPDecomposition.check_positive`)
+    raises InvalidParameters: its verdicts would not be sound."""
+    dec.check_positive()
     if kind is None:
         kind = route_kind(beta)
     elif isinstance(kind, str):
@@ -294,7 +341,7 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
 
 
 def _entropic(sp: Spectra, alpha: float,
-              subsystem: str = "A") -> list[CriterionResult]:
+              subsystem: str = "A") -> list[CriterionResult] | ResultStack:
     """The entropic inequality on every state of sp, at sp.tol: lhs
     Tr rho_sub^a and rhs Tr rho^a from the clamped spectra of the
     marginal and of rho, read reversed for a < 1.  There the mass the
@@ -418,6 +465,7 @@ class Spectra:
 
 # ---------------------------------------------------------------------------
 # criterion objects: a label and `verdicts(sp)`, one result per state of sp
+# (a list of one on a single state, a ResultStack on a stack)
 
 class RegionCriterion(NamedTuple):
     """One labeled (alpha, beta)-inequality (at alpha = inf, the limit
@@ -433,7 +481,7 @@ class RegionCriterion(NamedTuple):
                  tol: float = DEFAULT_TOL) -> CriterionResult:
         return self.verdicts(Spectra.of(rho, tol))[0]
 
-    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
+    def verdicts(self, sp: Spectra) -> list[CriterionResult] | ResultStack:
         """The criterion on every state of sp, at sp.tol."""
         if self.dec is None:
             return _entropic(sp, self.alpha)
@@ -445,7 +493,7 @@ class PPT:
 
     label = "ppt"
 
-    def verdicts(self, sp: Spectra) -> list[CriterionResult]:
+    def verdicts(self, sp: Spectra) -> list[CriterionResult] | ResultStack:
         return _verdicts(sp.ppt, 0.0, False, Kind.PPT, sp.tol)
 
 
@@ -481,7 +529,12 @@ def entropic_inequality(rho: DensityMatrix, alpha: float, subsystem: str = "A",
 def structural_criterion(rho: DensityMatrix, m: MatrixMap,
                          tol: float = DEFAULT_TOL) -> float:
     """Min eigenvalue of [I (x) L](rho); negative beyond tol detects
-    entanglement."""
+    entanglement.
+
+    m is a bare MatrixMap, which carries no positivity record, so this
+    call cannot refuse a map that is not positive: the value certifies
+    entanglement only for a positive m.  For a decomposition's map, call
+    `dec.check_positive()` first, as the (alpha, beta) criteria do."""
     return float(Spectra.of(rho, tol).map(m).eig.eigenvalues[0])
 
 
@@ -499,6 +552,12 @@ def limit_witness(rho: DensityMatrix, m: MatrixMap,
     (grouping within tol * ||rho||_F) and returns Tr([I (x) L](rho) P)
     for the first group projector P with a non-vanishing trace.
     Negative value <=> detection.
+
+    m is a bare MatrixMap, which carries no positivity record, so this
+    call cannot refuse a map that is not positive, and a negative value
+    certifies entanglement only for a positive m.  `alpha_beta_inequality`
+    at alpha = inf is the same witness of a decomposition's map, and it
+    refuses one that sampling refutes.
     """
     return float(_limit(Spectra.of(rho, tol), m))
 

@@ -85,6 +85,25 @@ class CPDecomposition:
         `Spectra` finds its entry for it again."""
         return MatrixMap(self.d, self.lambda1.choi - self.lambda2.choi)
 
+    @cached_property
+    def refutation(self) -> Optional[np.ndarray]:
+        """A pure state |psi> that the map takes out of the PSD cone, or
+        None.  Only a map whose positivity is unverified is sampled
+        (`is_positive_sampled` with its defaults), once per
+        decomposition."""
+        if not self.positivity_unverified:
+            return None
+        return is_positive_sampled(self.map)[1]
+
+    def check_positive(self) -> None:
+        """Raise InvalidParameters if sampling refutes the map's
+        positivity (`refutation`): a verdict of a map that is not
+        positive need not be sound."""
+        if self.refutation is not None:
+            raise InvalidParameters(
+                f"the {self.name} map is not positive: it maps a sampled "
+                "pure state out of the PSD cone")
+
 
 def map_from_action(d: int,
                     action: Callable[[np.ndarray], np.ndarray]) -> MatrixMap:
@@ -336,7 +355,9 @@ def kossakowski_decomposition(a) -> CPDecomposition:
     phi1(|i><i|) = sum_j (a_ij + delta_ij) |j><j| and phi1 kills the
     off-diagonal matrix units.  CP of phi1 requires a_ij + delta_ij >= 0.
     Positivity of phi is never certified (positivity_unverified), only
-    sampled, by `make_decomposition` and so by every map spec.
+    sampled, once per decomposition (`CPDecomposition.refutation`): a
+    map spec and the first inequality evaluated with it raise
+    InvalidParameters if sampling refutes it.
     """
     A = np.asarray(a, dtype=float)
     d = math.isqrt(A.size)
@@ -376,7 +397,7 @@ def make_decomposition(family: str, **params) -> CPDecomposition:
     """Construct a catalog decomposition by family name.  params are
     exactly the family constructor's parameters: an unknown or missing
     one raises InvalidParameters, as does a map whose positivity is
-    unverified and which `is_positive_sampled` (its defaults) refutes."""
+    unverified and which sampling refutes (`CPDecomposition.check_positive`)."""
     ctor = _FAMILIES.get(family)
     if ctor is None:
         raise InvalidParameters(
@@ -390,10 +411,7 @@ def make_decomposition(family: str, **params) -> CPDecomposition:
         raise InvalidParameters(
             f"map family {family!r} ({keys}): {exc}") from None
     dec = ctor(**params)
-    if dec.positivity_unverified and not is_positive_sampled(dec.map)[0]:
-        raise InvalidParameters(
-            f"the {family} map is not positive: it maps a sampled pure "
-            "state out of the PSD cone")
+    dec.check_positive()
     return dec
 
 

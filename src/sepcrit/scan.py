@@ -4,7 +4,9 @@ parameter-space region grids, single-state checks, and Choi dumps."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -16,12 +18,12 @@ from .criteria import (
     CriterionResult,
     Kind,
     RegionCriterion,
+    ResultStack,
     Spectra,
     check_tol,
     route_kind,  # noqa: F401 (scan.route_kind is part of scan's API)
 )
 from .errors import InvalidParameters
-from .formats import format_float
 from .linalg import DEFAULT_TOL
 from .maps import CPDecomposition, MatrixMap, parse_map_spec
 from .states import DensityMatrix, horodecki_stack, so3_stack
@@ -125,7 +127,7 @@ def table1(alpha: float, beta: float = 1.0,
             f"bisect_tol={bisect_tol} must be finite and >= 1e-6")
     grid, dec, sp = _grid_spectra(map_spec)
     crit = RegionCriterion("gamma", dec, alpha, beta, kind)
-    mask = [res.violated for res in crit.verdicts(sp)]
+    mask = crit.verdicts(sp).violated
     if not any(mask):
         return GammaInterval(empty=True)
     i0 = mask.index(True)
@@ -140,9 +142,9 @@ def table1(alpha: float, beta: float = 1.0,
         while depth < TREE_DEPTH and width * 0.5 ** depth > bisect_tol:
             depth += 1
         trees = [_midpoint_tree(b[0], b[1], depth) for b in live]
-        hits = [res.violated for res in crit.verdicts(Spectra(
+        hits = crit.verdicts(Spectra(
             horodecki_stack([m for mids in trees for m in mids]),
-            BISECTION_CRITERION_TOL))]
+            BISECTION_CRITERION_TOL)).violated
         n = 2 ** depth - 1
         for i, (b, mids) in enumerate(zip(live, trees)):
             k, tree_hits = 0, hits[i * n:(i + 1) * n]
@@ -158,12 +160,38 @@ def table1(alpha: float, beta: float = 1.0,
 # ---------------------------------------------------------------------------
 # SO(3) region scans
 
+class RegionResults(Mapping):
+    """A region row's results, read-only: label -> CriterionResult,
+    built on access from the ResultStack of each criterion on the row's
+    stack (`so3_region`)."""
+
+    __slots__ = ("_stacks", "_k")
+
+    def __init__(self, stacks: dict[str, ResultStack], k: int):
+        self._stacks, self._k = stacks, k
+
+    def __getitem__(self, label: str) -> CriterionResult:
+        return self._stacks[label][self._k]
+
+    def __iter__(self):
+        return iter(self._stacks)
+
+    def __len__(self) -> int:
+        return len(self._stacks)
+
+    def cells(self, labels: list[str]) -> list:
+        """violated, margin of each label in turn, read from the stacks."""
+        k, stacks = self._k, self._stacks
+        return [x for label in labels
+                for x in (stacks[label].violated[k], stacks[label].margin[k])]
+
+
 class ScanRow(NamedTuple):
     q: float
     r: float
     s: float
     ppt: bool
-    results: dict  # label -> CriterionResult
+    results: RegionResults  # label -> CriterionResult
 
 
 def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
@@ -185,18 +213,29 @@ def so3_grid_count(p: float, resolution: int) -> int:
     return sum(len(row) for _, row in so3_grid(p, resolution))
 
 
+# Grid points that so3_region evaluates as one stack (the last stack of
+# a scan holds the rest).  The arrays of one stack bound a scan's memory
+# (5 MiB with five criteria); from 128 to 512 the time per point is
+# flat, and at 64 it is about 1.5x.
+STACK_STATES = 256
+
+
 def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
                tol: float = DEFAULT_TOL) -> Iterator[ScanRow]:
     """Scan the admissible (q, r) simplex at fixed p on a uniform grid.
 
     Emits rows in row-major (q outer, r inner) order; each row carries
-    the PPT flag and every criterion's verdict.  Each q-row of states is
-    built, validated and evaluated as one stack (one `Spectra` at tol,
-    read by PPT and every criterion; no per-state cache entries or
-    criterion calls), so memory is O(resolution).  The row's ScanRows
-    are built as it is emitted.  p, resolution, the labels and tol are
-    checked by this call; an error of a criterion raises when its q-row
-    is evaluated, before that q-row's first point is emitted.
+    the PPT flag and every criterion's verdict.  The grid's points are
+    built, validated and evaluated STACK_STATES at a time as one stack
+    (one `so3_stack` and one `Spectra` at tol, read by PPT and every
+    criterion; no per-state cache entries or criterion calls), so a
+    q-row may span two stacks and memory is bounded by STACK_STATES,
+    whatever the resolution.  Each criterion gives one ResultStack per
+    stack; a row's `results` is a RegionResults view of them, and its
+    CriterionResults are built only when read.  p, resolution, the
+    labels and tol are checked by this call; an error of a criterion
+    raises when its stack is evaluated: after every point of the earlier
+    stacks, before that stack's first point is emitted.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameters(f"p={p} outside [0,1]")
@@ -211,13 +250,16 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
 
 def _region_rows(p: float, criteria: list[RegionCriterion], resolution: int,
                  tol: float) -> Iterator[ScanRow]:
-    for q, row in so3_grid(p, resolution):
-        sp = Spectra(so3_stack(p, q, [r for r, _ in row]), tol)
-        flags = PPT().verdicts(sp)
-        verdicts = {c.label: c.verdicts(sp) for c in criteria}
-        for k, (r, s) in enumerate(row):
-            results = {label: v[k] for label, v in verdicts.items()}
-            yield ScanRow(q, r, max(s, 0.0), not flags[k].violated, results)
+    points = ((q, r, s) for q, row in so3_grid(p, resolution)
+              for r, s in row)
+    while chunk := list(islice(points, STACK_STATES)):
+        qs, rs, _ = zip(*chunk)
+        sp = Spectra(so3_stack(p, qs, rs), tol)
+        ppt = PPT().verdicts(sp).violated
+        stacks = {c.label: c.verdicts(sp) for c in criteria}
+        for k, (q, r, s) in enumerate(chunk):
+            yield ScanRow(q, r, max(s, 0.0), not ppt[k],
+                          RegionResults(stacks, k))
 
 
 def region_csv_header(labels: list[str]) -> str:
@@ -228,16 +270,11 @@ def region_csv_header(labels: list[str]) -> str:
 
 
 def region_csv_row(row: ScanRow, labels: list[str]) -> str:
-    cols = [
-        format_float(row.q, 9),
-        format_float(row.r, 9),
-        format_float(row.s, 9),
-        str(int(row.ppt)),
-    ]
-    for label in labels:
-        res = row.results[label]
-        cols += [str(int(res.violated)), format_float(res.margin, 9)]
-    return ",".join(cols)
+    """row's CSV line: q, r, s and each float to 9 significant digits
+    (the text of `formats.format_float(x, 9)`), the PPT flag and each
+    label's verdict as 0 or 1."""
+    return ("%.9g,%.9g,%.9g,%d" + ",%d,%.9g" * len(labels)) % (
+        row.q, row.r, row.s, row.ppt, *row.results.cells(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -604,3 +604,14 @@ def test_entry_point_choi_rejects_negative_samples():
     proc = run_entry_point("choi", "reduction d=2", "--samples", "0")
     assert proc.returncode == 0, proc.stderr
     assert "positive (sampled" not in proc.stdout
+
+
+def test_entry_point_so3_region_error_of_a_stack():
+    # tau_u's X1 is singular at one grid point of the scan's one stack
+    proc = run_entry_point("so3-region", "--p", "0.2", "--alpha", "1",
+                           "--beta", "-0.5", "--kind", "III", "--map",
+                           "tau_u d=4", "--resolution", "20")
+    assert proc.returncode == 1
+    assert "X1 singular for beta=-0.5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -6,6 +6,7 @@ from sepcrit.criteria import Kind
 from sepcrit.errors import (
     AllProjectionsVanish,
     CommutativityViolated,
+    InvalidParameters,
     ParameterOutOfRange,
     SingularOperand,
 )
@@ -622,3 +623,43 @@ class TestFillCache:
         criteria.ppt_check(rho, 1e-9)
         assert list(rho.cache) == [1e-9] and rho.cache[1e-9] is sp
         assert sp.map(dec.lambda1) is entry
+
+
+class TestRefutedMapThroughTheApi:
+    def plus_plus(self):
+        # |+>|+>, a separable 2x2 state
+        return states.DensityMatrix(np.full((4, 4), 0.25), 2, 2)
+
+    def test_refuted_kossakowski_gives_no_verdict(self):
+        # eps - I maps a sampled pure state out of the PSD cone; its
+        # inequality read this separable state VIOLATED (margin -0.5)
+        dec = maps.kossakowski_decomposition(np.zeros((2, 2)))
+        assert dec.refutation is not None
+        for _ in range(2):
+            with pytest.raises(InvalidParameters, match="not positive"):
+                criteria.alpha_beta_inequality(self.plus_plus(), dec, 1, 1)
+        with pytest.raises(InvalidParameters, match="not positive"):
+            scan.RegionCriterion("k", dec, np.inf).evaluate(
+                self.plus_plus())
+
+    def test_refutation_is_sampled_once(self, monkeypatch):
+        dec = maps.kossakowski_decomposition(np.zeros((2, 2)))
+        calls = []
+        sample = maps.is_positive_sampled
+        monkeypatch.setattr(maps, "is_positive_sampled",
+                            lambda m: calls.append(m) or sample(m))
+        for _ in range(3):
+            with pytest.raises(InvalidParameters):
+                dec.check_positive()
+        assert calls == [dec.map]
+
+    def test_unrefuted_kossakowski_is_evaluated(self):
+        dec = maps.kossakowski_decomposition([[1, 1, 0], [0, 1, 1],
+                                              [1, 0, 1]])
+        assert dec.positivity_unverified and dec.refutation is None
+        rho = states.DensityMatrix(np.eye(9) / 9, 3, 3)
+        assert not criteria.alpha_beta_inequality(rho, dec, 2, 1).violated
+
+    def test_certified_maps_are_not_sampled(self):
+        dec = maps.reduction_decomposition(3)
+        assert not dec.positivity_unverified and dec.refutation is None

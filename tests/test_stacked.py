@@ -16,6 +16,7 @@ from sepcrit.errors import (
     NotPSD,
     SingularOperand,
 )
+from sepcrit.formats import format_float
 
 from conftest import nearly_hermitian_state
 
@@ -343,3 +344,95 @@ class TestScansUseStacks:
                         scan.BISECTION_CRITERION_TOL).violated
                 assert got == [want]
                 assert rho.cache == {}
+
+
+def reference_csv_row(q, r, s, checked):
+    """A region CSV line from one state's `check_state` results (PPT
+    first), formatted cell by cell."""
+    (_, ppt), *results = checked
+    cells = [format_float(x, 9) for x in (q, r, s)]
+    cells.append(str(int(not ppt.violated)))
+    for _, res in results:
+        cells += [str(int(res.violated)), format_float(res.margin, 9)]
+    return ",".join(cells)
+
+
+class TestRegionStacks:
+    def test_rows_across_stack_boundaries_equal_one_state_checks(self):
+        # a grid of three stacks, whose q-rows straddle stack boundaries
+        p, resolution, tol = 0.2, 40, linalg.DEFAULT_TOL
+        red = maps.reduction_decomposition(4)
+        bh = maps.breuer_hall_decomposition(d=4)
+        tau = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+        assert red.lambda2_is_identity
+        crit = [scan.RegionCriterion("red1", red, 2, 2, Kind.I),
+                scan.RegionCriterion("bh2", bh, 2, 0.5, Kind.II),
+                scan.RegionCriterion("tau4", tau, 2, 2, Kind.IV),
+                scan.RegionCriterion("ent05", None, 0.5),
+                scan.RegionCriterion("ent4", None, 4),
+                scan.RegionCriterion("inf", bh, math.inf)]
+        labels = [c.label for c in crit]
+        count = scan.so3_grid_count(p, resolution)
+        assert count > 2 * scan.STACK_STATES
+        starts, k = [], 0
+        for _, row in scan.so3_grid(p, resolution):
+            starts.append(k)
+            k += len(row)
+        assert any(start % scan.STACK_STATES for start in starts)
+        # some q-row's first and last points lie in different stacks
+        assert any(start // scan.STACK_STATES
+                   != (end - 1) // scan.STACK_STATES
+                   for start, end in zip(starts, starts[1:] + [count]))
+        rows = list(scan.so3_region(p, crit, resolution, tol))
+        assert len(rows) == count
+        for row in rows:
+            checked = scan.check_state(states.so3_state(p, row.q, row.r),
+                                       crit, include_ppt=True, tol=tol)
+            (_, ppt), *results = checked
+            assert row.ppt is (not ppt.violated)
+            assert list(row.results) == labels
+            for label, res in results:
+                assert repr(tuple(row.results[label])) == repr(tuple(res))
+            assert scan.region_csv_row(row, labels) == \
+                reference_csv_row(row.q, row.r, row.s, checked)
+
+    def test_error_raises_before_its_stack(self):
+        # tau_u's X1 is singular at (q, r) = (0, 1 - p) alone; at this
+        # resolution that point opens the grid's second stack
+        p, stack = 0.2, scan.STACK_STATES
+        resolution = stack * 5 // 4
+        crit = [scan.RegionCriterion("t", maps.parse_map_spec("tau_u d=4"),
+                                     1, -0.5, Kind.III)]
+        emitted = []
+        with pytest.raises(SingularOperand, match="X1 singular for beta=-0.5"):
+            for row in scan.so3_region(p, crit, resolution):
+                emitted.append((row.q, row.r))
+        assert emitted == [(0.0, j / resolution) for j in range(stack)]
+
+    def test_result_stack_reads_like_one_state_results(self):
+        dec = maps.breuer_hall_decomposition(d=4)
+        stack = states.so3_stack(0.2, [0.0, 0.3, 0.6], [0.1, 0.4, 0.1])
+        crit = scan.RegionCriterion("bh", dec, 3)
+        got = crit.verdicts(criteria.Spectra(stack))
+        assert isinstance(got, criteria.ResultStack)
+        assert len(got) == 3
+        one = [crit.evaluate(keep_eig(rho)) for rho in stack]
+        assert [repr(tuple(res)) for res in got] == \
+            [repr(tuple(res)) for res in one]
+        assert [got[k] for k in range(3)] == list(got)
+        assert got.violated == [res.violated for res in one]
+        assert all(type(v) is bool for v in got.violated)
+        assert got == crit.verdicts(criteria.Spectra(stack))
+        assert got != scan.RegionCriterion("bh", dec, 4).verdicts(
+            criteria.Spectra(stack))
+
+    def test_region_results_is_a_read_only_view(self):
+        crit = [scan.RegionCriterion("red", maps.reduction_decomposition(4),
+                                     3),
+                scan.RegionCriterion("ent", None, 4)]
+        row = next(iter(scan.so3_region(0.2, crit, 4)))
+        assert dict(row.results) == {c.label: c.evaluate(
+            states.so3_state(0.2, row.q, row.r)) for c in crit}
+        assert len(row.results) == 2 and "red" in row.results
+        with pytest.raises(TypeError):
+            row.results["red"] = None
