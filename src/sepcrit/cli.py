@@ -3,14 +3,14 @@
 Subcommands: table1, so3-region, check, choi.  Map arguments take
 'family key=value ...' strings, e.g. "reduction d=3" or
 "theta a=2 c=1,1,1".  Exit codes for `check`: 0 no violation, 2 a
-criterion was violated, 1 error.
+criterion was violated, 1 error.  Every subcommand computes its whole
+output before it opens --out, so a run that fails writes nothing.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import chain
 
 import click
 
@@ -96,14 +96,11 @@ def so3_region_cmd(p, alpha, beta, kind, map_specs, resolution, tol, out):
     """CSV scan of the SO(3)-invariant family over the (q, r) simplex."""
     criteria = _build_criteria(map_specs, alpha, beta, kind)
     labels = [c.label for c in criteria]
-    rows = scan.so3_region(p, criteria, resolution, tol)
-    # the first stack is evaluated (the grid always has q = r = 0), so
-    # its errors raise too, before any output
-    first = next(rows)
+    lines = [scan.region_csv_header(labels)]
+    lines += (scan.region_csv_row(row, labels)
+              for row in scan.so3_region(p, criteria, resolution, tol))
     with click.open_file(out, "w") as fh:
-        fh.write(scan.region_csv_header(labels) + "\n")
-        for row in chain([first], rows):
-            fh.write(scan.region_csv_row(row, labels) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 @main.command("check")
@@ -147,7 +144,8 @@ def check_cmd(ctx, state_file, map_specs, alpha, beta, kind, ppt, tol, out):
               show_default=True,
               help="Also report sampled positivity over this many random "
               "pure states.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
               help="Threshold of the sampled positivity test; from "
               f"{TOL_FLOOR:g} to {TOL_CEILING:g}.")
@@ -156,6 +154,7 @@ def choi_cmd(map_spec, part, samples, seed, tol, out):
     """Print a catalog map's Choi matrix and its CP verdict."""
     check_tol(tol)
     m, cp, min_eig = scan.choi_dump(map_spec, part)
+    ok = samples > 0 and maps.is_positive_sampled(m, samples, seed, tol)[0]
     with click.open_file(out, "w") as fh:
         write_matrix(fh, m.choi, m.d, m.d)
         fh.write(
@@ -163,7 +162,6 @@ def choi_cmd(map_spec, part, samples, seed, tol, out):
             f"(min eigenvalue = {format_float(min_eig, 9)})\n"
         )
         if samples > 0:
-            ok, _ = maps.is_positive_sampled(m, samples, seed, tol)
             fh.write(
                 f"positive (sampled, n={samples}, seed={seed}): "
                 f"{'yes' if ok else 'no'}\n"

@@ -1,4 +1,4 @@
-"""Text formats: the bipartite matrix file and CSV helpers.
+"""Text formats: the bipartite matrix file (CSV rows are built in `scan`).
 
 Matrix file layout: first non-comment line holds "dA dB"; the next
 dA*dB non-comment lines each hold dA*dB complex entries written as

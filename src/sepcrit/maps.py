@@ -158,6 +158,8 @@ def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
     """
     if n_samples < 1:
         raise InvalidParameters("n_samples must be >= 1")
+    if seed < 0:
+        raise InvalidParameters(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     d = m.d
     for _ in range(n_samples):

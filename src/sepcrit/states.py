@@ -312,7 +312,7 @@ def random_density(d: int, seed=0) -> np.ndarray:
     """Full-rank random density matrix G G^dag / Tr(G G^dag), Ginibre G."""
     if d < 2:
         raise InvalidParameters("d must be >= 2")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
@@ -322,7 +322,7 @@ def random_separable(dA: int, dB: int, k: int = 4, seed=0) -> DensityMatrix:
     """Convex mixture of k random product states, separable by construction."""
     if k < 1:
         raise InvalidParameters("k must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
     rho = np.zeros((dA * dB, dA * dB), dtype=complex)
     for w in weights:

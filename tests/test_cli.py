@@ -615,3 +615,27 @@ def test_entry_point_so3_region_error_of_a_stack():
     assert "X1 singular for beta=-0.5" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_entry_point_choi_rejects_negative_seed():
+    # --seed -1 printed the Choi matrix and the CP line, then numpy's
+    # ValueError traceback
+    proc = run_entry_point("choi", "reduction d=2", "--samples", "3",
+                           "--seed", "-1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Invalid value for '--seed'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_entry_point_so3_region_error_of_a_later_stack(tmp_path):
+    # at resolution 320 the singular grid point lies in the second stack:
+    # the first stack's 256 rows are computed, and not written
+    out = tmp_path / "r320.csv"
+    args = ["so3-region", "--p", "0.2", "--alpha", "1", "--beta", "-0.5",
+            "--kind", "III", "--map", "tau_u d=4", "--resolution", "320"]
+    for proc in (run_entry_point(*args),
+                 run_entry_point(*args, "--out", str(out))):
+        assert_fails(proc)
+        assert "X1 singular for beta=-0.5" in proc.stderr
+    assert not out.exists()

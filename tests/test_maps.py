@@ -24,9 +24,10 @@ def catalog():
         maps.phi_dk_decomposition(3, 1),
         maps.phi_dk_decomposition(4, 2),
         maps.theta_decomposition(2, [1, 1, 1]),
-        maps.kossakowski_decomposition(np.array([[1.0, 0.5, 0.0],
-                                                 [0.0, 1.0, 0.5],
-                                                 [0.5, 0.0, 1.0]])),
+        # the Choi map in Kossakowski form
+        maps.kossakowski_decomposition(np.array([[1.0, 1.0, 0.0],
+                                                 [0.0, 1.0, 1.0],
+                                                 [1.0, 0.0, 1.0]])),
     ]
 
 
@@ -75,8 +76,7 @@ class TestExtendApply:
         for dec in catalog():
             d = dec.d
             rho = random_separable(d, d, 4, rng)
-            if dec.positivity_unverified:
-                continue
+            assert dec.refutation is None, dec.name
             out = maps.extend_apply(dec.map, rho.matrix, d)
             assert linalg.min_eigenvalue(out) >= -1e-9, dec.name
 
@@ -166,6 +166,11 @@ class TestIsPositiveSampled:
         neg = maps.MatrixMap(3, -maps.identity_map(3).choi)
         ok, witness = maps.is_positive_sampled(neg, 1, 1)
         assert not ok and witness is not None
+
+    def test_negative_seed_is_a_typed_error(self):
+        # numpy's default_rng raised a bare ValueError
+        with pytest.raises(InvalidParameters, match="seed must be >= 0"):
+            maps.is_positive_sampled(maps.identity_map(3), 3, -1)
 
 
 class TestCatalogInvariants:
