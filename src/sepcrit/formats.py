@@ -94,6 +94,11 @@ def _bad_entry(lineno: int, entry: str) -> ParseError:
 
 
 def read_density_matrix(path) -> DensityMatrix:
-    with open(path) as fh:
-        M, dA, dB = parse_matrix_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            M, dA, dB = parse_matrix_file(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x})"
+        ) from None
     return DensityMatrix(M, dA, dB)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sepcrit import states
+from sepcrit.formats import format_float
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -54,3 +55,14 @@ def nearly_hermitian_state(rng):
     E[[0, 1, 2], [3, 4, 5]] = 1j
     E -= E.conj().T
     return rho + 0.9e-10 * np.linalg.norm(rho) / np.linalg.norm(E) * E
+
+
+def reference_csv_row(q, r, s, checked):
+    """A region CSV line from one state's `check_state` results (PPT
+    first), formatted cell by cell."""
+    (_, ppt), *results = checked
+    cells = [format_float(x, 9) for x in (q, r, s)]
+    cells.append(str(int(not ppt.violated)))
+    for _, res in results:
+        cells += [str(int(res.violated)), format_float(res.margin, 9)]
+    return ",".join(cells)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,12 +7,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sepcrit import states
+import sepcrit
+from sepcrit import scan, states
 from sepcrit.cli import main
 from sepcrit.errors import InvalidParameters, ParameterOutOfRange
 from sepcrit.formats import write_matrix
 
-from conftest import bell_state, nearly_hermitian_state, pure_products
+from conftest import (
+    bell_state,
+    nearly_hermitian_state,
+    pure_products,
+    reference_csv_row,
+)
 
 
 def write_state(path, matrix, dA, dB):
@@ -132,16 +139,34 @@ def test_so3_region_to_file(tmp_path):
     assert out.read_text().startswith("q,r,s,ppt,")
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def run_entry_point(*args):
-    """Run the installed `sepcrit` entry point function in a subprocess."""
+    """Run the `sepcrit` entry point function in a subprocess, from the
+    package this process imported: the source tree, or an installed
+    copy when pytest runs outside the checkout."""
     return subprocess.run(
         [sys.executable, "-c", "from sepcrit.cli import run; run()", *args],
         capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        env={"PYTHONPATH": str(Path(sepcrit.__file__).parents[1]),
+             "PATH": ""},
     )
+
+
+def assert_fails(proc):
+    """A `SepcritError` or an `OSError`: one `error: ...` line."""
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def assert_usage_error(proc, option):
+    """A bad option value: click's `Usage:` block, ending in an `Error:`
+    line that names the option."""
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert "Usage:" in proc.stderr
+    assert f"Invalid value for '{option}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_entry_point_exit_code_on_violation(tmp_path):
@@ -166,10 +191,7 @@ def test_entry_point_rejects_bad_alpha_text(tmp_path):
     path = tmp_path / "bell.mat"
     write_state(path, bell_state(2), 2, 2)
     proc = run_entry_point("check", str(path), "--alpha", "foo")
-    assert proc.returncode == 1
-    assert "Usage:" in proc.stderr
-    assert "Invalid value for '--alpha'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_usage_error(proc, "--alpha")
 
 
 @pytest.mark.parametrize("alpha,echo", [("inf", "inf"), ("Infinity", "inf"),
@@ -185,11 +207,12 @@ def test_entry_point_alpha_takes_any_float_spelling(alpha, echo):
 
 @pytest.mark.parametrize("alpha", ["oo", "x", "nan"])
 def test_entry_point_table1_rejects_bad_alpha(alpha):
+    # a non-number is a usage error, NaN a SepcritError
     proc = run_entry_point("table1", "--alpha", alpha)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr
-    assert "Traceback" not in proc.stderr
+    if alpha == "nan":
+        assert_fails(proc)
+    else:
+        assert_usage_error(proc, "--alpha")
 
 
 def test_entry_point_table1_names_a_nan_beta():
@@ -385,12 +408,18 @@ def test_entry_point_so3_region_checks_before_output(extra, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["so3-region", "--p", "0.2", "--alpha", "3", "--map", "reduction d=4",
-     "--map", "entropic", "--resolution", "4"],
-    ["choi", "theta a=2 c=1,1,1", "--samples", "5"],
-], ids=["so3-region", "choi"])
-def test_entry_point_out_file_equals_stdout(args, tmp_path):
+@pytest.mark.parametrize("command", ["so3-region", "choi", "table1",
+                                     "check"])
+def test_entry_point_out_file_equals_stdout(command, tmp_path):
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(9) / 9, 3, 3)
+    args = {"so3-region": ["so3-region", "--p", "0.2", "--alpha", "3",
+                           "--map", "reduction d=4", "--map", "entropic",
+                           "--resolution", "4"],
+            "choi": ["choi", "theta a=2 c=1,1,1", "--samples", "5"],
+            "table1": ["table1", "--alpha", "7"],
+            "check": ["check", str(path), "--map", "reduction d=3",
+                      "--alpha", "2"]}[command]
     out = tmp_path / "out.txt"
     to_stdout = run_entry_point(*args)
     assert to_stdout.returncode == 0, to_stdout.stderr
@@ -539,13 +568,6 @@ def test_entry_point_tol_ceiling(tol, code, tmp_path):
             assert "VIOLATED" not in proc.stdout
 
 
-def assert_fails(proc):
-    assert proc.returncode == 1, proc.stdout
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
-
-
 def test_entry_point_refuses_a_map_that_is_not_positive(tmp_path):
     # |+><+| (x) |+><+| is separable; kossakowski a=0,0,0,0 is eps - I,
     # which maps |+><+| out of the PSD cone, and its inequality reads
@@ -597,10 +619,7 @@ def test_entry_point_names_the_map_d_on_a_mismatch(command, dim, d, dB,
 def test_entry_point_choi_rejects_negative_samples():
     # --samples -3 exited 0 and skipped the sampled positivity test
     proc = run_entry_point("choi", "reduction d=2", "--samples", "-3")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Invalid value for '--samples'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_usage_error(proc, "--samples")
     proc = run_entry_point("choi", "reduction d=2", "--samples", "0")
     assert proc.returncode == 0, proc.stderr
     assert "positive (sampled" not in proc.stdout
@@ -622,10 +641,7 @@ def test_entry_point_choi_rejects_negative_seed():
     # ValueError traceback
     proc = run_entry_point("choi", "reduction d=2", "--samples", "3",
                            "--seed", "-1")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Invalid value for '--seed'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_usage_error(proc, "--seed")
 
 
 def test_entry_point_so3_region_error_of_a_later_stack(tmp_path):
@@ -639,3 +655,78 @@ def test_entry_point_so3_region_error_of_a_later_stack(tmp_path):
         assert_fails(proc)
         assert "X1 singular for beta=-0.5" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,interval", [
+    (["--alpha", "13"], "(3.0019, 5.0000]"),
+    # 14 bisection levels, tested as several midpoint trees
+    (["--alpha", "7", "--tol", "1e-6"], "(3.1907, 3.9420)"),
+    # two live brackets in every tree
+    (["--alpha", "10", "--tol", "1e-6"], "(3.0157, 4.6834)"),
+], ids=["alpha13", "alpha7-tol1e-6", "alpha10-tol1e-6"])
+def test_entry_point_table1_line(args, interval):
+    proc = run_entry_point("table1", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (f"alpha={args[1]} beta=1 map='phi_dk d=3 k=1' "
+                           f"range={interval}\n")
+
+
+def test_entry_point_so3_region_lazy_x():
+    # beta 0.5 on a family stack: X is built only where it is read
+    proc = run_entry_point("so3-region", "--p", "0.2", "--alpha", "2",
+                           "--beta", "0.5", "--map", "transposition d=4",
+                           "--map", "breuer_hall d=4", "--resolution", "8")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == ("q,r,s,ppt,transposition_violated,transposition_margin,"
+                      "breuer_hall_violated,breuer_hall_margin")
+    assert len(rows) == scan.so3_grid_count(0.2, 8)
+    for row in rows:
+        assert re.match(r"[0-9.]*,[0-9.]*,[0-9.]*,[01],[01],[^,]+,[01],",
+                        row), row
+
+
+def test_entry_point_so3_region_over_several_stacks():
+    # 561 grid points: three stacks, with q-rows that straddle them; the
+    # CSV equals the one built one state at a time
+    specs = ["breuer_hall d=4", "reduction d=4", "entropic"]
+    proc = run_entry_point("so3-region", "--p", "0.2", "--alpha", "3",
+                           *(a for s in specs for a in ("--map", s)),
+                           "--resolution", "40")
+    assert proc.returncode == 0, proc.stderr
+    crit = [scan.RegionCriterion("breuer_hall",
+                                 scan.parse_map_spec(specs[0]), 3.0),
+            scan.RegionCriterion("reduction",
+                                 scan.parse_map_spec(specs[1]), 3.0),
+            scan.RegionCriterion("entropic", None, 4.0)]
+    want = [scan.region_csv_header([c.label for c in crit])]
+    for q, row in scan.so3_grid(0.2, 40):
+        for r, s in row:
+            checked = scan.check_state(states.so3_state(0.2, q, r), crit,
+                                       include_ppt=True)
+            want.append(reference_csv_row(q, r, max(s, 0.0), checked))
+    assert len(want) == 1 + 561 > 1 + 2 * scan.STACK_STATES
+    assert proc.stdout == "".join(line + "\n" for line in want)
+
+
+def test_entry_point_reads_tab_separated_entries(tmp_path):
+    # any whitespace between entries reads the same bits
+    spaces, tabs = tmp_path / "spaces.mat", tmp_path / "tabs.mat"
+    write_state(spaces, np.eye(9) / 9, 3, 3)
+    tabs.write_text(spaces.read_text().replace(" ", "\t"))
+    args = ["--map", "reduction d=3", "--alpha", "2"]
+    want = run_entry_point("check", str(spaces), *args)
+    assert want.returncode == 0, want.stderr
+    assert want.stdout.count(" ok\n") == 2
+    got = run_entry_point("check", str(tabs), *args)
+    assert (got.returncode, got.stdout) == (0, want.stdout)
+
+
+def test_entry_point_names_a_file_that_is_not_utf8(tmp_path):
+    # a stray byte (here a UTF-16 byte-order mark) ended in a
+    # UnicodeDecodeError traceback
+    path = tmp_path / "bom.mat"
+    path.write_bytes(b"\xff\xfe2 2\n")
+    proc = run_entry_point("check", str(path))
+    assert_fails(proc)
+    assert proc.stderr == f"error: {path}: not UTF-8 text (byte 0xff)\n"

@@ -16,9 +16,7 @@ from sepcrit.errors import (
     NotPSD,
     SingularOperand,
 )
-from sepcrit.formats import format_float
-
-from conftest import nearly_hermitian_state
+from conftest import nearly_hermitian_state, reference_csv_row
 
 
 def fresh(rho):
@@ -344,17 +342,6 @@ class TestScansUseStacks:
                         scan.BISECTION_CRITERION_TOL).violated
                 assert got == [want]
                 assert rho.cache == {}
-
-
-def reference_csv_row(q, r, s, checked):
-    """A region CSV line from one state's `check_state` results (PPT
-    first), formatted cell by cell."""
-    (_, ppt), *results = checked
-    cells = [format_float(x, 9) for x in (q, r, s)]
-    cells.append(str(int(not ppt.violated)))
-    for _, res in results:
-        cells += [str(int(res.violated)), format_float(res.margin, 9)]
-    return ",".join(cells)
 
 
 class TestRegionStacks:
