@@ -15,7 +15,7 @@ from collections import Counter
 import click
 
 from . import maps, scan
-from .criteria import TOL_CEILING, TOL_FLOOR, check_tol
+from .criteria import TOL_CEILING, TOL_FLOOR, check_entropic_alpha, check_tol
 from .errors import InvalidParameters, SepcritError
 from .formats import format_float, read_density_matrix, write_matrix
 from .linalg import DEFAULT_TOL
@@ -36,7 +36,9 @@ kind_option = click.option(
 
 def _build_criteria(map_specs, alpha, beta, kind):
     """One criterion per map spec.  The k-th with the same base name (the
-    map family, or 'entropic') is labelled <name>k for k >= 2."""
+    map family, or 'entropic') is labelled <name>k for k >= 2.  The
+    entropic inequality's power is alpha + beta, and an error names it
+    so."""
     criteria, seen = [], Counter()
     for spec in map_specs:
         tokens = spec.split()
@@ -44,7 +46,8 @@ def _build_criteria(map_specs, alpha, beta, kind):
             if len(tokens) > 1:
                 raise InvalidParameters(
                     f"'entropic' takes no parameters, got {spec!r}")
-            crit = scan.RegionCriterion("entropic", None, alpha + beta)
+            power = check_entropic_alpha(alpha + beta, "alpha+beta")
+            crit = scan.RegionCriterion("entropic", None, power)
         else:
             dec = scan.parse_map_spec(spec)
             crit = scan.RegionCriterion(dec.name, dec, alpha, beta, kind)

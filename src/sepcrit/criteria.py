@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -176,6 +177,15 @@ def _clamped(w: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
     return linalg.clamp_psd(w, linalg.fro(A), tol)
 
 
+def _spectral_fro(w: np.ndarray):
+    """sqrt(sum w**2) of each spectrum w (stackable): the Frobenius norm
+    of a Hermitian matrix with spectrum w, one dot per spectrum, so a
+    state's bits do not depend on its stack."""
+    if w.ndim == 1:
+        return math.sqrt(w.dot(w))
+    return np.sqrt(np.vecdot(w, w))
+
+
 def _weights(X, U, Ud) -> np.ndarray:
     """(U^dag X U)_ii (stackable), with Ud = U.conj()."""
     return np.einsum("...ji,...ji->...i", Ud, X @ U).real
@@ -216,9 +226,9 @@ class _MapSpectrum:
     def __init__(self, m: MatrixMap, sp: Spectra):
         self.map = m
         self.tol = sp.tol
-        self._rho, self._dA, self._U = sp.matrix, sp.dA, sp._U
+        self._src, self._dA = sp._src, sp.dA
         if sp.family is None:
-            self.weights = _weights(self.X, self._U, sp._Ud)
+            self.weights = _weights(self.X, sp._U, sp._Ud)
         else:
             family, coef, order = sp.family
             self.weights = np.take_along_axis(
@@ -226,7 +236,7 @@ class _MapSpectrum:
 
     @cached_property
     def X(self) -> np.ndarray:
-        return extend_apply(self.map, self._rho, self._dA)
+        return extend_apply(self.map, self._src.matrix, self._dA)
 
     @cached_property
     def eig(self) -> linalg.HermitianEig:
@@ -240,7 +250,8 @@ class _MapSpectrum:
     @cached_property
     def overlap(self) -> np.ndarray:
         """|<u_i|v_j>|^2 for rho's eigenvectors u_i and X's v_j."""
-        return np.abs(linalg.dag(self._U) @ self.eig.eigenvectors) ** 2
+        U = self._src.eig.eigenvectors
+        return np.abs(linalg.dag(U) @ self.eig.eigenvectors) ** 2
 
     def trace_power(self, lam_a: np.ndarray, beta: float) -> np.ndarray:
         """Tr rho^a X^beta, given lam_a = powered(rho spectrum, a)."""
@@ -268,14 +279,14 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
     _validate_range(alpha, beta, kind)
     if alpha == math.inf:
         return _verdicts(_limit(sp, dec.map), 0.0, False, kind, sp.tol)
-    lam, M, tol = sp.lam, sp.matrix, sp.tol
+    lam, tol = sp.lam, sp.tol
     X1 = sp.map(dec.lambda1)
     X2 = None if dec.lambda2_is_identity else sp.map(dec.lambda2)
     lam_a = linalg.powered(lam, alpha)
     commutator = None
     if kind is Kind.I and X2 is not None:
-        commutator = linalg.commutator_norm(X2.X, M)
-        bad = np.ravel(commutator > tol * np.maximum(1.0, linalg.fro(M)))
+        commutator = linalg.commutator_norm(X2.X, sp.matrix)
+        bad = np.ravel(commutator > tol * np.maximum(1.0, sp.fro))
         if bad.any():
             raise CommutativityViolated(
                 f"[X2, rho] norm {float(np.ravel(commutator)[bad.argmax()])}"
@@ -304,16 +315,16 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
     """The alpha -> inf limit of the beta = 1 inequality's lhs (see
     `limit_witness`) at sp.tol on every state of sp, from rho's
     eigenvalues (ascending), the weights of X = [I (x) L](rho) in rho's
-    eigenbasis and rho's matrices.
+    eigenbasis and ||rho||_F (`Spectra.fro`).
 
     Each state's walk takes the eigenvalue groups from the top, one
     group per step for the whole stack.  A group is the run of
     eigenvalues within tol * ||rho||_F below its top one; its weights
     are summed as one slice, as a one-state walk sums them.
     """
-    w, weights, M, tol = sp.eigenvalues, sp.map(m).weights, sp.matrix, sp.tol
-    band = np.reshape(tol * np.maximum(linalg.fro(M), 1e-300), (-1, 1))
-    d = w.shape[-1]
+    w, weights, tol = sp.eigenvalues, sp.map(m).weights, sp.tol
+    band = np.reshape(tol * np.maximum(sp.fro, 1e-300), (-1, 1))
+    shape, d = w.shape[:-1], w.shape[-1]
     w, weights = w.reshape(-1, d), weights.reshape(-1, d)
     out = np.empty(len(w))
     top = np.full(len(w), d - 1)  # the top eigenvalue of each next group
@@ -337,7 +348,16 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
         if (top[todo] < 0).any():
             raise AllProjectionsVanish(
                 "Tr(X P) vanished for every eigen-group")
-    return out.reshape(M.shape[:-2])
+    return out.reshape(shape)
+
+
+def check_entropic_alpha(alpha: float, name: str = "alpha") -> float:
+    """alpha, if it is an entropic power (finite, >= 0 and != 1), else
+    ParameterOutOfRange naming it as `name`."""
+    if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
+        raise ParameterOutOfRange(
+            f"{name}={alpha} must be finite, >= 0 and != 1")
+    return alpha
 
 
 def _entropic(sp: Spectra, alpha: float,
@@ -349,10 +369,7 @@ def _entropic(sp: Spectra, alpha: float,
     marginal's too: that keeps a separable rho's spectrum majorized by
     its marginal's (Nielsen and Kempe, PRL 86, 5184 (2001)), so the
     clamp cannot read it VIOLATED."""
-    if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
-        raise ParameterOutOfRange(
-            f"alpha={alpha} must be finite, >= 0 and != 1"
-        )
+    check_entropic_alpha(alpha)
     marg = sp.marginal(subsystem)
     if alpha < 1:
         m = np.maximum((sp.eigenvalues - sp.lam).sum(-1), 0.0)[..., None]
@@ -394,11 +411,14 @@ class Spectra:
     carry a stack's states on a leading batch axis; a single state gives
     them none.  `map(m)` holds X = [I (x) L](rho) and its weights (one
     matmul; on a paper family, a table), `marginal(keep)` that
-    marginal's clamped spectrum (one eigensolve), `ppt` the partial
-    transpose's minimum eigenvalue (one eigvalsh, or `Family.pt_table`)
-    and `lam` rho's clamped spectrum.  A stack gives each state the bits
-    of a one-state call.  A map whose d is not dB raises
-    DimensionMismatch when its entry is first built.
+    marginal's clamped spectrum (one eigensolve, or
+    `Family.marginal_table`), `ppt` the partial transpose's minimum
+    eigenvalue (one eigvalsh, or `Family.pt_table`), `fro` ||rho||_F and
+    `lam` rho's clamped spectrum.  rho's matrix and eigenvectors are
+    read from rho only where a criterion needs them, so a paper family's
+    stack builds them only then.  A stack gives each state the bits of a
+    one-state call.  A map whose d is not dB raises DimensionMismatch
+    when its entry is first built.
 
     A state's cache is its Spectra: `Spectra.of(rho, tol)` is
     rho.cache[tol], and the one-state criteria read only that.
@@ -406,9 +426,14 @@ class Spectra:
 
     def __init__(self, rho: DensityMatrix, tol: float = DEFAULT_TOL):
         self.tol = check_tol(tol)
+        # where rho's matrix and eig are read: rho itself when it builds
+        # them on first read (a family state), else the arrays alone, so
+        # that a dense state's cache does not refer back to the state
+        # and the state is freed with its last reference
+        self._src = (rho if rho.formula is not None
+                     else SimpleNamespace(matrix=rho.matrix, eig=rho.eig))
         self.dA, self.dB = rho.dA, rho.dB
-        self.matrix = rho.matrix
-        self.eigenvalues, self._U = rho.eig
+        self.eigenvalues = rho.eigenvalues
         self.family = rho.family
         self._maps: dict = {}
         self._marginals: dict = {}
@@ -420,17 +445,34 @@ class Spectra:
         are evaluated through `Spectra(rho, tol)`."""
         sp = rho.cache.get(tol)
         if sp is None:
-            if rho.matrix.ndim != 2:
+            if rho.eigenvalues.ndim != 1:
                 raise DimensionMismatch(
-                    f"expected one state, got a stack of shape "
-                    f"{rho.matrix.shape}")
+                    f"expected one state, got a stack of shape {rho.shape}")
             sp = rho.cache[tol] = cls(rho, tol)
         return sp
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._src.matrix
+
+    @cached_property
+    def fro(self):
+        """||rho||_F, the scale of the clamp band, of the limit witness's
+        groups and of kind I's commutator threshold: on a paper family
+        sqrt(sum w**2) of its spectrum (`_spectral_fro`), else
+        `linalg.fro` of the matrix."""
+        if self.family is None:
+            return linalg.fro(self.matrix)
+        return _spectral_fro(self.eigenvalues)
 
     @cached_property
     def lam(self) -> np.ndarray:
         """rho's eigenvalues after the clamp rule."""
-        return _clamped(self.eigenvalues, self.matrix, self.tol)
+        return linalg.clamp_psd(self.eigenvalues, self.fro, self.tol)
+
+    @property
+    def _U(self) -> np.ndarray:
+        return self._src.eig.eigenvectors
 
     @cached_property
     def _Ud(self) -> np.ndarray:
@@ -446,11 +488,22 @@ class Spectra:
         return entry
 
     def marginal(self, keep: str) -> np.ndarray:
+        """The clamped spectrum of the marginal keeping `keep`.  On a
+        family with a `Family.marginal_table` E it is sum_i coef_i E[i],
+        sorted, clamped in the band of its own `_spectral_fro`."""
         w = self._marginals.get(keep)
         if w is None:
-            marg = linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
-            w = self._marginals[keep] = _clamped(
-                linalg.hermitian_eig(marg).eigenvalues, marg, self.tol)
+            E = (None if self.family is None
+                 else self.family[0].marginal_table(keep))
+            if E is None:
+                marg = linalg.partial_trace(self.matrix, self.dA, self.dB,
+                                            keep)
+                w = _clamped(linalg.hermitian_eig(marg).eigenvalues, marg,
+                             self.tol)
+            else:
+                w = np.sort(_combine(self.family[1], E), -1)
+                w = linalg.clamp_psd(w, _spectral_fro(w), self.tol)
+            self._marginals[keep] = w
         return w
 
     @cached_property

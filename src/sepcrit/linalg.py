@@ -135,10 +135,16 @@ def matrix_power_psd(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def tensor(*ops) -> np.ndarray:
-    """Kronecker product of the given matrices (row-major |ij> ordering)."""
+    """Kronecker product of the given matrices (row-major |ij> ordering),
+    bit for bit np.kron's: each entry is one product a[i, j] b[k, l],
+    formed by one broadcast multiply instead of np.kron's general
+    n-dimensional path."""
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        b = np.asarray(op, dtype=complex)
+        (m, n), (p, q) = out.shape, b.shape
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(
+            m * p, n * q)
     return out
 
 

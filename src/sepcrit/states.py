@@ -3,7 +3,6 @@ entangled family of Horodecki, and seeded random ensembles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -13,39 +12,60 @@ from .errors import DimensionMismatch, InvalidParameters, InvalidState
 from .linalg import as_matrix, tensor
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Bipartite density matrix on C^dA (x) C^dB, |ij> = |i>_A (x) |j>_B,
     or a stack of them: `matrix` is (n, n) or (k, n, n).
 
-    Immutable, and compared and hashed by identity.  `eig` is the
-    eigendecomposition, with the stack's batch axis.  When not given,
-    validation checks that each matrix is Hermitian (`linalg.is_hermitian`
-    at HERMITIAN_TOL) and computes it, one eigensolve for the whole stack;
-    when given, as the paper families (`so3_stack`, `horodecki_stack`)
-    give their algebra's, it is trusted, and the entries' finiteness,
-    the trace and the sign of the smallest eigenvalue are still checked.
-    The matrix and `eig` become read-only; InvalidState names the first
-    check that any matrix fails.  A paper family's `family` is (Family,
-    coef, order), trusted as `eig` is: rho = sum_i coef[..., i] O_i,
-    and its eigenvectors are the Family's basis columns `order`.
-    `rho[k]` is the k-th state of a stack, holding its slices (`eig` and
-    `family` included) and validated with no eigensolve.
-    `cache` maps each tol to one state's `sepcrit.criteria.Spectra`,
-    which the one-state criteria fill on first use; a stack is
-    evaluated through `Spectra(rho, tol)` as a whole.
+    Immutable, and compared and hashed by identity.  `eigenvalues` are
+    ascending, with the stack's batch axis, and `eig` is the
+    eigendecomposition.  When `eig` is not given, validation checks that
+    each matrix is Hermitian (`linalg.is_hermitian` at HERMITIAN_TOL)
+    and computes it, one eigensolve for the whole stack; when given, it
+    is trusted, and the entries' finiteness, the trace and the sign of
+    the smallest eigenvalue are still checked.  The matrix and `eig`
+    become read-only; InvalidState names the first check that any
+    matrix fails.
+
+    A paper family's `family` is (Family, coef, order), trusted as
+    `eig` is: rho = sum_i coef[..., i] O_i, and its eigenvectors are
+    the Family's basis columns `order`.  The family builders
+    (`so3_stack`, `horodecki_stack`) pass no matrix but a `formula`
+    (f, x), with x on the stack's batch axis: the matrix is f(x), built
+    on first read, and `eig` is gathered from the basis on first read.
+    Such a state is validated from coef alone: the coefficients'
+    finiteness, the trace coef @ Family.ranks and the smallest
+    eigenvalue, coef[..., block] in `order`.
+
+    `rho[k]` is the k-th state of a stack, holding its slices (`family`,
+    `formula` and whatever of `matrix` and `eig` is built) and validated
+    with no eigensolve.  `cache` maps each tol to one state's
+    `sepcrit.criteria.Spectra`, which the one-state criteria fill on
+    first use; a stack is evaluated through `Spectra(rho, tol)` as a
+    whole.
     """
 
-    matrix: np.ndarray
-    dA: int
-    dB: int
-    eig: linalg.HermitianEig | None = field(default=None, kw_only=True,
-                                            repr=False)
-    family: tuple | None = field(default=None, kw_only=True, repr=False)
-    cache: dict = field(init=False, repr=False, default_factory=dict)
+    def __init__(self, matrix, dA: int, dB: int, *,
+                 eig: linalg.HermitianEig | None = None,
+                 family: tuple | None = None,
+                 formula: tuple | None = None):
+        fields = self.__dict__
+        fields.update(dA=dA, dB=dB, family=family, formula=formula,
+                      cache={})
+        if matrix is not None:
+            fields["matrix"] = matrix
+        if eig is not None:
+            fields["eig"] = eig
+        self.__post_init__()
 
     def __post_init__(self):
-        M = as_matrix(self.matrix)
+        if self.formula is None:
+            self._validate_matrix()
+        else:
+            self._validate_family()
+
+    def _validate_matrix(self):
+        fields = self.__dict__
+        M = as_matrix(fields.get("matrix"))
         if M.ndim > 3:
             raise DimensionMismatch(
                 f"expected a matrix or a stack of them, got shape {M.shape}")
@@ -53,34 +73,99 @@ class DensityMatrix:
         if M.shape[-1] != n:
             raise InvalidState(f"dim {M.shape[-1]} != dA*dB = {n}")
         if not np.isfinite(M).all():
-            raise InvalidState("matrix has a non-finite entry (nan or inf)")
+            raise InvalidState(_NON_FINITE)
         tr = M.trace(axis1=-2, axis2=-1)
         bad = abs(tr - 1.0) > 1e-10
         if np.count_nonzero(bad):
             raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
-        eig = self.eig
+        eig = fields.get("eig")
         if eig is None:
             if not linalg.is_hermitian(M):
                 raise InvalidState("matrix is not Hermitian")
             eig = linalg.hermitian_eig(M)
-        if np.count_nonzero(eig.eigenvalues[..., 0] < -1e-9):
-            raise InvalidState("matrix is not positive semidefinite")
+        _check_psd(eig.eigenvalues)
         for arr in (M, *eig):
             arr.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "eig", eig)
+        fields.update(matrix=M, eig=eig, eigenvalues=eig.eigenvalues)
+
+    def _validate_family(self):
+        family, coef, order = self.family
+        if not np.isfinite(coef).all():
+            raise InvalidState(_NON_FINITE)
+        tr = np.asarray(coef @ family.ranks)
+        bad = abs(tr - 1.0) > 1e-10
+        if np.count_nonzero(bad):
+            # named as the trace of the matrix is named
+            raise InvalidState(f"trace {complex(tr.flat[bad.argmax()])} != 1")
+        w = np.take_along_axis(coef[..., family.block], order, -1)
+        _check_psd(w)
+        for arr in (coef, order, self.formula[1], w):
+            arr.setflags(write=False)
+        self.__dict__["eigenvalues"] = w
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DensityMatrix is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"DensityMatrix is immutable: cannot delete {name}")
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(dA={self.dA}, dB={self.dB}, shape={self.shape})"
+
+    @property
+    def shape(self) -> tuple:
+        """The shape of `matrix`, read without building it."""
+        w = self.eigenvalues
+        return w.shape + w.shape[-1:]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """A family state's f(x), for `formula` (f, x), read-only."""
+        f, x = self.formula
+        M = f(x)
+        M.setflags(write=False)
+        return M
+
+    @cached_property
+    def eig(self) -> linalg.HermitianEig:
+        """A family state's eigenvalues and basis columns `order`."""
+        V, order = self.family[0].vectors, self.family[2]
+        n = len(V)
+        # V[i, order[..., j]], gathered contiguous
+        vectors = V.ravel()[order[..., None, :] + n * np.arange(n)[:, None]]
+        vectors.setflags(write=False)
+        return linalg.HermitianEig(self.eigenvalues, vectors)
 
     def __getitem__(self, k) -> DensityMatrix:
-        w, V = self.eig
-        family = self.family
+        if self.eigenvalues.ndim < 2:
+            raise DimensionMismatch(
+                f"expected a stack of states, got shape {self.shape}")
+        w = self.eigenvalues[k]
+        fields, family, formula = self.__dict__, self.family, self.formula
+        M, eig = fields.get("matrix"), fields.get("eig")
         if family is not None:
             family = (family[0], family[1][k], family[2][k])
-        return DensityMatrix(self.matrix[k], self.dA, self.dB,
-                             eig=linalg.HermitianEig(w[k], V[k]),
-                             family=family)
+        if formula is not None:
+            formula = (formula[0], formula[1][k])
+        return DensityMatrix(
+            None if M is None else M[k], self.dA, self.dB,
+            eig=None if eig is None else linalg.HermitianEig(
+                w, eig.eigenvectors[k]),
+            family=family, formula=formula)
 
     def marginal(self, keep: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
+
+
+_NON_FINITE = "matrix has a non-finite entry (nan or inf)"
+
+
+def _check_psd(w: np.ndarray) -> None:
+    """InvalidState unless the smallest of each ascending spectrum w is
+    at least -1e-9."""
+    if np.count_nonzero(w[..., 0] < -1e-9):
+        raise InvalidState("matrix is not positive semidefinite")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +211,11 @@ class Family:
         if not np.abs(E - one_hot).max() <= EIGENBASIS_TOL:
             raise InvalidState("operators are not projectors resolving the "
                                f"identity within {EIGENBASIS_TOL}")
-        self.block.setflags(write=False)
+        # the rank of each O_i: Tr sum_i c_i O_i = c @ ranks
+        self.ranks = one_hot.sum(1).astype(float)
+        for arr in (self.block, self.ranks):
+            arr.setflags(write=False)
+        self._marginal_tables: dict = {}
 
     @cached_property
     def pt_table(self) -> np.ndarray | None:
@@ -136,23 +225,28 @@ class Family:
             np.stack(self.operators), self.dA, self.dB))
         return None if basis is None else basis[1]
 
+    def marginal_table(self, keep: str) -> np.ndarray | None:
+        """E of the marginals (`linalg.partial_trace`, keeping subsystem
+        `keep`) of the O_i (`joint_eigenbasis`), or None if they have no
+        joint eigenbasis; checked once per keep."""
+        tables = self._marginal_tables
+        if keep not in tables:
+            basis = joint_eigenbasis(linalg.partial_trace(
+                np.stack(self.operators), self.dA, self.dB, keep))
+            tables[keep] = None if basis is None else basis[1]
+        return tables[keep]
 
-def _family_stack(M: np.ndarray, coef: np.ndarray,
-                  family: Family) -> DensityMatrix:
-    """The stack of M[k] = sum_i coef[k, i] O_i, with no eigensolve: the
-    eigenvalue of basis column j is coef[k, block[j]], and the columns
-    are put in ascending order per state by a stable argsort."""
-    V, block = family.vectors, family.block
-    n = len(block)
-    vals = coef[:, block]
-    order = np.argsort(vals, axis=-1, kind="stable")
-    # V[i, order[k, j]] for each state k, gathered contiguous
-    vectors = V.ravel()[order[:, None, :] + n * np.arange(n)[:, None]]
-    eig = linalg.HermitianEig(np.take_along_axis(vals, order, -1), vectors)
-    for arr in (coef, order):
-        arr.setflags(write=False)
-    return DensityMatrix(M, family.dA, family.dB, eig=eig,
-                         family=(family, coef, order))
+
+def _family_stack(coef: np.ndarray, family: Family, formula,
+                  params: np.ndarray) -> DensityMatrix:
+    """The stack of sum_i coef[k, i] O_i, with no eigensolve and no
+    matrix: the eigenvalue of basis column j is coef[k, block[j]], and
+    the columns are put in ascending order per state by a stable
+    argsort.  formula(params) is the matrix, built on first read."""
+    order = np.argsort(coef[:, family.block], axis=-1, kind="stable")
+    return DensityMatrix(None, family.dA, family.dB,
+                         family=(family, coef, order),
+                         formula=(formula, params))
 
 
 def spin_operators(j: float = 1.5):
@@ -219,10 +313,14 @@ def so3_stack(p, q, r) -> DensityMatrix:
         raise InvalidParameters(
             f"(p,q,r,s)={tuple(float(w[k]) for w in weights)} not in [0,1]"
         )
+    coef = np.stack([w / (2 * J + 1) for J, w in enumerate(weights)], -1)
+    return _family_stack(coef, so3_eigenbasis(), _so3_matrix, coef)
+
+
+def _so3_matrix(coef: np.ndarray) -> np.ndarray:
+    """sum_J coef[..., J] P_J."""
     P = so3_projectors()
-    coef = [w / (2 * J + 1) for J, w in enumerate(weights)]
-    rho = sum(c[:, None, None] * P[J] for J, c in enumerate(coef))
-    return _family_stack(rho, np.stack(coef, -1), so3_eigenbasis())
+    return sum(coef[..., J, None, None] * P[J] for J in range(len(P)))
 
 
 def so3_state(p: float, q: float, r: float) -> DensityMatrix:
@@ -285,18 +383,23 @@ def horodecki_stack(gammas) -> DensityMatrix:
     the range of sigma_plus and (5-gamma)/21 on that of sigma_minus
     (three times each), so `horodecki_eigenbasis` diagonalizes every
     state.  gamma and the trace are checked."""
-    gamma = np.atleast_1d(np.asarray(gammas, dtype=float))
+    gamma = np.array(gammas, dtype=float, ndmin=1)
     if gamma.ndim > 1:
         raise InvalidParameters(f"gammas must be 1-D, got shape {gamma.shape}")
     bad = ~((2.0 <= gamma) & (gamma <= 5.0))
     if bad.any():
         raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")
-    proj, sigma_plus, sigma_minus = horodecki_operators()
-    g = gamma[:, None, None]
-    rho = (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
     coef = np.stack([np.zeros_like(gamma), np.full_like(gamma, 2 / 7),
                      gamma / 21, (5 - gamma) / 21], -1)
-    return _family_stack(rho, coef, horodecki_eigenbasis())
+    return _family_stack(coef, horodecki_eigenbasis(), _horodecki_matrix,
+                         gamma)
+
+
+def _horodecki_matrix(gamma: np.ndarray) -> np.ndarray:
+    """sigma_gamma at each gamma."""
+    proj, sigma_plus, sigma_minus = horodecki_operators()
+    g = gamma[..., None, None]
+    return (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
 
 
 def horodecki_state(gamma: float) -> DensityMatrix:

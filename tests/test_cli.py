@@ -730,3 +730,21 @@ def test_entry_point_names_a_file_that_is_not_utf8(tmp_path):
     proc = run_entry_point("check", str(path))
     assert_fails(proc)
     assert proc.stderr == f"error: {path}: not UTF-8 text (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("command", ["so3-region", "check"])
+@pytest.mark.parametrize("alpha,beta,power", [
+    ("0", "1", "1.0"), ("inf", "1", "inf"), ("-3", "1", "-2.0")])
+def test_entry_point_names_the_entropic_power(command, alpha, beta, power,
+                                              tmp_path):
+    # the entropic inequality runs at alpha + beta: an error named an
+    # alpha that was not given (alpha=1.0 for --alpha 0)
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(4) / 4, 2, 2)
+    where = (["--p", "0.2", "--resolution", "4"] if command == "so3-region"
+             else [str(path)])
+    proc = run_entry_point(command, *where, "--alpha", alpha, "--beta", beta,
+                           "--map", "entropic")
+    assert_fails(proc)
+    assert proc.stderr == (f"error: alpha+beta={power} must be finite, "
+                           ">= 0 and != 1\n")

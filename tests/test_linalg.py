@@ -156,6 +156,25 @@ class TestStacks:
                              linalg.fro(P))
 
 
+class TestTensor:
+    @pytest.mark.parametrize("shapes", [
+        [(3, 3), (3, 3)], [(4, 4), (4, 4)], [(2, 3), (4, 5)],
+        [(1, 4), (3, 1)], [(2, 2), (3, 1), (1, 2)]])
+    def test_kron_bits(self, shapes, rng):
+        ops = [rng.standard_normal(s) + 1j * rng.standard_normal(s)
+               for s in shapes]
+        want = ops[0]
+        for op in ops[1:]:
+            want = np.kron(want, op)
+        got = linalg.tensor(*ops)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_real_operands_are_complex(self):
+        got = linalg.tensor(np.eye(2), [[0, 1], [1, 0]])
+        assert got.dtype == complex
+        assert np.array_equal(got, np.kron(np.eye(2), [[0, 1], [1, 0]]))
+
+
 class TestPartialTrace:
     def test_product_factorization(self, rng):
         a = random_psd(3, rng)
