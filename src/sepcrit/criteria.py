@@ -12,12 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import linalg
+from . import linalg, states
 from .errors import (
     AllProjectionsVanish,
     CommutativityViolated,
@@ -26,7 +25,8 @@ from .errors import (
     SingularNegativePower,
     SingularOperand,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
+from .linalg import TOL_CEILING, TOL_FLOOR  # noqa: F401 (criteria's API)
 from .maps import CPDecomposition, MatrixMap, extend_apply
 from .states import DensityMatrix
 
@@ -172,32 +172,9 @@ def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
 # state per entry, so a stack of states and a single state go through the
 # same arithmetic; every reduction keeps the bits of a one-state call.
 
-def _clamped(w: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
-    """The clamp rule for the spectra w of A (stackable)."""
-    return linalg.clamp_psd(w, linalg.fro(A), tol)
-
-
-def _spectral_fro(w: np.ndarray):
-    """sqrt(sum w**2) of each spectrum w (stackable): the Frobenius norm
-    of a Hermitian matrix with spectrum w, one dot per spectrum, so a
-    state's bits do not depend on its stack."""
-    if w.ndim == 1:
-        return math.sqrt(w.dot(w))
-    return np.sqrt(np.vecdot(w, w))
-
-
 def _weights(X, U, Ud) -> np.ndarray:
     """(U^dag X U)_ii (stackable), with Ud = U.conj()."""
     return np.einsum("...ji,...ji->...i", Ud, X @ U).real
-
-
-def _combine(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_i coef[..., i] table[i], elementwise: a matmul's BLAS kernel,
-    and so a state's bits, would depend on the stack size."""
-    out = coef[..., 0, None] * table[0]
-    for i in range(1, len(table)):
-        out = out + coef[..., i, None] * table[i]
-    return out
 
 
 def _family_table(m: MatrixMap, family) -> np.ndarray:
@@ -224,19 +201,18 @@ class _MapSpectrum:
     """
 
     def __init__(self, m: MatrixMap, sp: Spectra):
-        self.map = m
-        self.tol = sp.tol
-        self._src, self._dA = sp._src, sp.dA
+        self.map, self.tol, self._dA = m, sp.tol, sp.dA
+        self._matrix, self._vectors = sp._matrix, sp._vectors
         if sp.family is None:
-            self.weights = _weights(self.X, sp._U, sp._Ud)
+            self.weights = _weights(self.X, self._vectors(), sp._Ud)
         else:
             family, coef, order = sp.family
             self.weights = np.take_along_axis(
-                _combine(coef, _family_table(m, family)), order, -1)
+                linalg.combine(coef, _family_table(m, family)), order, -1)
 
     @cached_property
     def X(self) -> np.ndarray:
-        return extend_apply(self.map, self._src.matrix, self._dA)
+        return extend_apply(self.map, self._matrix(), self._dA)
 
     @cached_property
     def eig(self) -> linalg.HermitianEig:
@@ -245,12 +221,12 @@ class _MapSpectrum:
     @cached_property
     def mu(self) -> np.ndarray:
         """Eigenvalues of X after the clamp rule."""
-        return _clamped(self.eig.eigenvalues, self.X, self.tol)
+        return linalg.clamp_psd(self.eig.eigenvalues, self.tol)
 
     @cached_property
     def overlap(self) -> np.ndarray:
         """|<u_i|v_j>|^2 for rho's eigenvectors u_i and X's v_j."""
-        U = self._src.eig.eigenvectors
+        U = self._vectors()
         return np.abs(linalg.dag(U) @ self.eig.eigenvectors) ** 2
 
     def trace_power(self, lam_a: np.ndarray, beta: float) -> np.ndarray:
@@ -382,24 +358,15 @@ def _entropic(sp: Spectra, alpha: float,
 # ---------------------------------------------------------------------------
 # spectral data of a stack, and of one state as its cache
 
-# The smallest tol a Spectra accepts.  tol is both the verdict threshold
-# and the clamp band; below this floor, rounding alone decides the sign
-# of margins that are exactly 0 (the reduction inequality on pure
-# product states), so separable states come out VIOLATED.
-TOL_FLOOR = 1e-13
+def _built_once(build, family):
+    """build(family) as a function of no argument, built on first call."""
+    built = []
 
-# The largest tol a Spectra accepts.  The clamp band tol ||A||_F can be
-# sqrt(rank A) tol lambda_max, so a large tol reads separable states
-# VIOLATED: on the boundary suite's classes none up to 0.1, 30 at 0.2.
-TOL_CEILING = 1e-3
-
-
-def check_tol(tol: float) -> float:
-    """tol, if TOL_FLOOR <= tol <= TOL_CEILING, else ParameterOutOfRange."""
-    if not TOL_FLOOR <= tol <= TOL_CEILING:
-        raise ParameterOutOfRange(
-            f"tol={tol} must be a number from {TOL_FLOOR} to {TOL_CEILING}")
-    return tol
+    def read():
+        if not built:
+            built.append(build(family))
+        return built[0]
+    return read
 
 
 class Spectra:
@@ -415,8 +382,9 @@ class Spectra:
     `Family.marginal_table`), `ppt` the partial transpose's minimum
     eigenvalue (one eigvalsh, or `Family.pt_table`), `fro` ||rho||_F and
     `lam` rho's clamped spectrum.  rho's matrix and eigenvectors are
-    read from rho only where a criterion needs them, so a paper family's
-    stack builds them only then.  A stack gives each state the bits of a
+    read only where a criterion needs them; a paper family's are built
+    then from rho.family, once for the Spectra and its map entries,
+    which never refer to rho.  A stack gives each state the bits of a
     one-state call.  A map whose d is not dB raises DimensionMismatch
     when its entry is first built.
 
@@ -426,15 +394,14 @@ class Spectra:
 
     def __init__(self, rho: DensityMatrix, tol: float = DEFAULT_TOL):
         self.tol = check_tol(tol)
-        # where rho's matrix and eig are read: rho itself when it builds
-        # them on first read (a family state), else the arrays alone, so
-        # that a dense state's cache does not refer back to the state
-        # and the state is freed with its last reference
-        self._src = (rho if rho.formula is not None
-                     else SimpleNamespace(matrix=rho.matrix, eig=rho.eig))
-        self.dA, self.dB = rho.dA, rho.dB
+        self.dA, self.dB, self.family = rho.dA, rho.dB, rho.family
         self.eigenvalues = rho.eigenvalues
-        self.family = rho.family
+        if rho.family is None:  # rho's matrix and eigenvectors
+            M, U = rho.matrix, rho.eig.eigenvectors
+            self._matrix, self._vectors = (lambda: M), (lambda: U)
+        else:
+            self._matrix = _built_once(states.family_matrix, rho.family)
+            self._vectors = _built_once(states.family_vectors, rho.family)
         self._maps: dict = {}
         self._marginals: dict = {}
 
@@ -453,30 +420,22 @@ class Spectra:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._src.matrix
+        return self._matrix()
 
     @cached_property
     def fro(self):
-        """||rho||_F, the scale of the clamp band, of the limit witness's
-        groups and of kind I's commutator threshold: on a paper family
-        sqrt(sum w**2) of its spectrum (`_spectral_fro`), else
-        `linalg.fro` of the matrix."""
-        if self.family is None:
-            return linalg.fro(self.matrix)
-        return _spectral_fro(self.eigenvalues)
+        """||rho||_F from its spectrum (`linalg.spectral_fro`): the scale
+        of the limit witness's groups and kind I's commutator threshold."""
+        return linalg.spectral_fro(self.eigenvalues)
 
     @cached_property
     def lam(self) -> np.ndarray:
         """rho's eigenvalues after the clamp rule."""
-        return linalg.clamp_psd(self.eigenvalues, self.fro, self.tol)
-
-    @property
-    def _U(self) -> np.ndarray:
-        return self._src.eig.eigenvectors
+        return linalg.clamp_psd(self.eigenvalues, self.tol)
 
     @cached_property
     def _Ud(self) -> np.ndarray:
-        return self._U.conj()
+        return self._vectors().conj()
 
     def map(self, m: MatrixMap) -> _MapSpectrum:
         entry = self._maps.get(m)
@@ -488,29 +447,26 @@ class Spectra:
         return entry
 
     def marginal(self, keep: str) -> np.ndarray:
-        """The clamped spectrum of the marginal keeping `keep`.  On a
-        family with a `Family.marginal_table` E it is sum_i coef_i E[i],
-        sorted, clamped in the band of its own `_spectral_fro`."""
+        """The clamped spectrum of the marginal keeping `keep` ("A" or "B",
+        else InvalidParameters): sum_i coef_i E[i], sorted, on a family
+        with a `Family.marginal_table` E, else eigh of the partial trace."""
         w = self._marginals.get(keep)
         if w is None:
             E = (None if self.family is None
                  else self.family[0].marginal_table(keep))
             if E is None:
-                marg = linalg.partial_trace(self.matrix, self.dA, self.dB,
-                                            keep)
-                w = _clamped(linalg.hermitian_eig(marg).eigenvalues, marg,
-                             self.tol)
+                w = linalg.hermitian_eig(linalg.partial_trace(
+                    self.matrix, self.dA, self.dB, keep)).eigenvalues
             else:
-                w = np.sort(_combine(self.family[1], E), -1)
-                w = linalg.clamp_psd(w, _spectral_fro(w), self.tol)
-            self._marginals[keep] = w
+                w = np.sort(linalg.combine(self.family[1], E), -1)
+            w = self._marginals[keep] = linalg.clamp_psd(w, self.tol)
         return w
 
     @cached_property
     def ppt(self):
         E = None if self.family is None else self.family[0].pt_table
         if E is not None:
-            w = _combine(self.family[1], E).min(-1)
+            w = linalg.combine(self.family[1], E).min(-1)
             return w if w.ndim else float(w)
         return linalg.min_eigenvalue(
             linalg.partial_transpose(self.matrix, self.dA, self.dB))

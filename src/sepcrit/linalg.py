@@ -13,12 +13,35 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, SingularNegativePower
+from .errors import DimensionMismatch, InvalidParameters, NotPSD
+from .errors import ParameterOutOfRange, SingularNegativePower
 
 DEFAULT_TOL = 1e-9
 
 # The one Hermitian check's tol, relative to the Frobenius norm.
 HERMITIAN_TOL = 1e-10
+
+# The tols that the criteria and the map tests accept.  tol is both the
+# verdict threshold and the clamp band.  Below the floor, rounding alone
+# decides the sign of margins that are exactly 0 (the reduction
+# inequality on pure product states); above the ceiling, the band
+# tol ||A||_F, up to sqrt(rank A) tol lambda_max, zeroes so much that
+# separable states read VIOLATED (boundary suite: none to 0.1, 30 at 0.2).
+TOL_FLOOR, TOL_CEILING = 1e-13, 1e-3
+
+
+def check_tol(tol: float) -> float:
+    """tol, if TOL_FLOOR <= tol <= TOL_CEILING, else ParameterOutOfRange."""
+    if not TOL_FLOOR <= tol <= TOL_CEILING:
+        raise ParameterOutOfRange(
+            f"tol={tol} must be a number from {TOL_FLOOR} to {TOL_CEILING}")
+    return tol
+
+
+def is_dimension(d) -> bool:
+    """Whether d is a positive integer (a bool is not one)."""
+    return (isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+            and d > 0)
 
 
 def as_matrix(A) -> np.ndarray:
@@ -35,14 +58,22 @@ def dag(A: np.ndarray) -> np.ndarray:
 
 
 def fro(A: np.ndarray):
-    """Frobenius norm (stackable).  Sums each matrix as np.linalg.norm
-    does (a BLAS dot of the real parts plus one of the imaginary parts),
-    so clamp bands do not depend on whether a matrix came in a stack."""
+    """Frobenius norm (stackable), summed as np.linalg.norm sums it: a
+    BLAS dot of the real parts plus one of the imaginary parts."""
     A = np.asarray(A)
     x = A.reshape(A.shape[:-2] + (-1,))
     if x.ndim == 1:
         return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def spectral_fro(w: np.ndarray):
+    """sqrt(sum w**2) of each spectrum w (stackable): the Frobenius norm
+    of a Hermitian matrix with spectrum w, one dot per spectrum, so a
+    spectrum's bits do not depend on its stack."""
+    if w.ndim == 1:
+        return math.sqrt(w.dot(w))
+    return np.sqrt(np.vecdot(w, w))
 
 
 def is_hermitian(A) -> bool:
@@ -82,25 +113,34 @@ def hermitian_eig(A) -> HermitianEig:
     return HermitianEig(w, V)
 
 
-def clamp_psd(w: np.ndarray, scale: float,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
+def clamp_psd(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The one clamp rule for the spectrum w (ascending) of a PSD matrix
-    with Frobenius norm `scale` (stackable: w (..., n), scale (...)).
+    (stackable: w (..., n), one band per spectrum).
 
-    Eigenvalues inside the +-tol*scale band become exactly zero.  Raises
-    NotPSD, naming tol, on an eigenvalue below the band.
-    """
-    band = tol * scale
-    if w.ndim > 1:  # one band per spectrum of the stack
+    Eigenvalues inside the +-tol*||w||_2 band become exactly zero, where
+    ||w||_2 is the matrix's Frobenius norm (`spectral_fro`).  Raises
+    NotPSD, naming tol, on an eigenvalue below the band."""
+    band = tol * spectral_fro(w)
+    if w.ndim > 1:
         low = w[..., 0] < -band
         if low.any():  # the first such spectrum raises its own error
-            k = np.unravel_index(low.argmax(), low.shape)
-            clamp_psd(w[k], np.broadcast_to(scale, low.shape)[k], tol)
-        band = np.asarray(band)[..., None]
+            clamp_psd(w[np.unravel_index(low.argmax(), low.shape)], tol)
+        band = band[..., None]
     elif w[0] < -band:
         raise NotPSD(f"min eigenvalue {w[0]} < -{band}, the band "
                      f"tol*||A||_F at tol={tol}")
     return np.where(np.abs(w) <= band, 0.0, w)
+
+
+def combine(coef: np.ndarray, terms) -> np.ndarray:
+    """sum_i coef[..., i] terms[i] (stackable), summed elementwise in
+    the terms' order: a matmul's BLAS kernel, and so a state's bits,
+    would depend on the stack size."""
+    axes = (None,) * terms[0].ndim
+    out = coef[(..., 0, *axes)] * terms[0]
+    for i in range(1, len(terms)):
+        out = out + coef[(..., i, *axes)] * terms[i]
+    return out
 
 
 def powered(w: np.ndarray, t: float) -> np.ndarray:
@@ -125,7 +165,7 @@ def psd_power(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     if t == 1:
         return A.copy()
     w, V = hermitian_eig(A)
-    w = powered(clamp_psd(w, fro(A), tol), t)
+    w = powered(clamp_psd(w, tol), t)
     return (V * w[..., None, :]) @ dag(V)
 
 
@@ -169,7 +209,7 @@ def partial_trace(rho, dA: int, dB: int, keep: str = "A") -> np.ndarray:
         return np.trace(B, axis1=-2, axis2=-1)
     if keep == "B":
         return np.einsum("...iikl->...kl", B)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    raise InvalidParameters(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_transpose(rho, dA: int, dB: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidParameters, NonHermitian
 from .errors import NotAntisymmetric
-from .linalg import DEFAULT_TOL, HERMITIAN_TOL, as_matrix, dag
+from .linalg import DEFAULT_TOL, HERMITIAN_TOL, as_matrix, check_tol, dag
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +35,7 @@ class MatrixMap:
     cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        _check_d(self.d)
         C = as_matrix(self.choi)
         if C.shape != (self.d * self.d,) * 2:
             raise DimensionMismatch(
@@ -105,9 +106,15 @@ class CPDecomposition:
                 "pure state out of the PSD cone")
 
 
+def _check_d(d) -> None:
+    if not linalg.is_dimension(d):
+        raise InvalidParameters(f"d={d!r} must be a positive integer")
+
+
 def map_from_action(d: int,
                     action: Callable[[np.ndarray], np.ndarray]) -> MatrixMap:
     """Build the Choi matrix by evaluating the action on the E_ij basis."""
+    _check_d(d)
     C = np.zeros((d * d, d * d), dtype=complex)
     E = np.zeros((d, d), dtype=complex)
     for i in range(d):
@@ -144,6 +151,7 @@ def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
 
 def is_cp(m: MatrixMap, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity test: the Choi matrix is PSD within tol."""
+    check_tol(tol)
     return bool(linalg.min_eigenvalue(m.choi)
                 >= -tol * max(1.0, linalg.fro(m.choi)))
 
@@ -156,6 +164,7 @@ def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
     L(|psi><psi|) not PSD when ok is False, else None.  A True result
     is only evidence, a False result is a certificate.
     """
+    check_tol(tol)
     if n_samples < 1:
         raise InvalidParameters("n_samples must be >= 1")
     if seed < 0:
@@ -303,11 +312,11 @@ def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
 def theta_positivity(a: float, c) -> dict:
     """Positivity/indecomposability conditions for Theta[a; c_1..c_d]."""
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
+    if c.ndim != 1 or not c.size:
         raise InvalidParameters(f"theta c must be a list c_1,..,c_d, not {c}")
     d = len(c)
-    if a <= 0 or np.any(c <= 0):
-        raise InvalidParameters("a and all c_i must be positive")
+    if not (0 < a < math.inf and np.all((0 < c) & (c < math.inf))):
+        raise InvalidParameters("a and all c_i must be positive and finite")
     geo_mean = float(np.exp(np.mean(np.log(c))))
     positive = geo_mean >= d - a and a >= d - 1
     return {"positive": positive, "indecomposable": positive and a < d}
@@ -367,8 +376,8 @@ def kossakowski_decomposition(a) -> CPDecomposition:
         raise InvalidParameters(f"kossakowski a must have d^2 entries, flat "
                                 f"or d x d, not shape {A.shape}")
     A = A.reshape(d, d)
-    if np.any(A + np.eye(d) < 0):
-        raise InvalidParameters("require a_ij + delta_ij >= 0 for all i, j")
+    if not np.all((A + np.eye(d) >= 0) & (A < math.inf)):
+        raise InvalidParameters("require finite a_ij, a_ij + delta_ij >= 0")
 
     B = (A + np.eye(d)).astype(complex)
 

@@ -26,19 +26,18 @@ class DensityMatrix:
     become read-only; InvalidState names the first check that any
     matrix fails.
 
-    A paper family's `family` is (Family, coef, order), trusted as
-    `eig` is: rho = sum_i coef[..., i] O_i, and its eigenvectors are
-    the Family's basis columns `order`.  The family builders
-    (`so3_stack`, `horodecki_stack`) pass no matrix but a `formula`
-    (f, x), with x on the stack's batch axis: the matrix is f(x), built
-    on first read, and `eig` is gathered from the basis on first read.
-    Such a state is validated from coef alone: the coefficients'
-    finiteness, the trace coef @ Family.ranks and the smallest
-    eigenvalue, coef[..., block] in `order`.
+    A paper family's state is its `family` (Family, coef, order),
+    trusted as `eig` is: rho = sum_i coef[..., i] O_i, with eigenvectors
+    the Family's basis columns `order`.  `family_matrix` and
+    `family_vectors` build its matrix and eigenvectors on first read.
+    It is validated from coef alone: the coefficients' finiteness, the
+    trace coef @ Family.ranks and the smallest eigenvalue,
+    coef[..., block] in `order`.  Either way, InvalidState rejects a dA
+    or dB that is not a positive integer.
 
-    `rho[k]` is the k-th state of a stack, holding its slices (`family`,
-    `formula` and whatever of `matrix` and `eig` is built) and validated
-    with no eigensolve.  `cache` maps each tol to one state's
+    `rho[k]` is the k-th state of a stack, holding its slices (`family`
+    and whatever of `matrix` and `eig` is built) and validated with no
+    eigensolve.  `cache` maps each tol to one state's
     `sepcrit.criteria.Spectra`, which the one-state criteria fill on
     first use; a stack is evaluated through `Spectra(rho, tol)` as a
     whole.
@@ -46,11 +45,9 @@ class DensityMatrix:
 
     def __init__(self, matrix, dA: int, dB: int, *,
                  eig: linalg.HermitianEig | None = None,
-                 family: tuple | None = None,
-                 formula: tuple | None = None):
+                 family: tuple | None = None):
         fields = self.__dict__
-        fields.update(dA=dA, dB=dB, family=family, formula=formula,
-                      cache={})
+        fields.update(dA=dA, dB=dB, family=family, cache={})
         if matrix is not None:
             fields["matrix"] = matrix
         if eig is not None:
@@ -58,7 +55,10 @@ class DensityMatrix:
         self.__post_init__()
 
     def __post_init__(self):
-        if self.formula is None:
+        if not (linalg.is_dimension(self.dA) and linalg.is_dimension(self.dB)):
+            raise InvalidState(f"dA={self.dA!r} and dB={self.dB!r} must be "
+                               "positive integers")
+        if self.family is None:
             self._validate_matrix()
         else:
             self._validate_family()
@@ -99,9 +99,12 @@ class DensityMatrix:
             raise InvalidState(f"trace {complex(tr.flat[bad.argmax()])} != 1")
         w = np.take_along_axis(coef[..., family.block], order, -1)
         _check_psd(w)
-        for arr in (coef, order, self.formula[1], w):
+        fields = self.__dict__
+        # and a slice's matrix and eig, when it is passed them
+        for arr in (coef, order, w, fields.get("matrix", w),
+                    *fields.get("eig", ())):
             arr.setflags(write=False)
-        self.__dict__["eigenvalues"] = w
+        fields["eigenvalues"] = w
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DensityMatrix is immutable: cannot set {name}")
@@ -121,38 +124,27 @@ class DensityMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """A family state's f(x), for `formula` (f, x), read-only."""
-        f, x = self.formula
-        M = f(x)
-        M.setflags(write=False)
-        return M
+        """A family state's `family_matrix`."""
+        return family_matrix(self.family)
 
     @cached_property
     def eig(self) -> linalg.HermitianEig:
-        """A family state's eigenvalues and basis columns `order`."""
-        V, order = self.family[0].vectors, self.family[2]
-        n = len(V)
-        # V[i, order[..., j]], gathered contiguous
-        vectors = V.ravel()[order[..., None, :] + n * np.arange(n)[:, None]]
-        vectors.setflags(write=False)
-        return linalg.HermitianEig(self.eigenvalues, vectors)
+        """A family state's eigenvalues and `family_vectors`."""
+        return linalg.HermitianEig(self.eigenvalues,
+                                   family_vectors(self.family))
 
     def __getitem__(self, k) -> DensityMatrix:
         if self.eigenvalues.ndim < 2:
             raise DimensionMismatch(
                 f"expected a stack of states, got shape {self.shape}")
-        w = self.eigenvalues[k]
-        fields, family, formula = self.__dict__, self.family, self.formula
+        fields, family = self.__dict__, self.family
         M, eig = fields.get("matrix"), fields.get("eig")
         if family is not None:
             family = (family[0], family[1][k], family[2][k])
-        if formula is not None:
-            formula = (formula[0], formula[1][k])
         return DensityMatrix(
             None if M is None else M[k], self.dA, self.dB,
             eig=None if eig is None else linalg.HermitianEig(
-                w, eig.eigenvectors[k]),
-            family=family, formula=formula)
+                *(a[k] for a in eig)), family=family)
 
     def marginal(self, keep: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
@@ -237,16 +229,32 @@ class Family:
         return tables[keep]
 
 
-def _family_stack(coef: np.ndarray, family: Family, formula,
-                  params: np.ndarray) -> DensityMatrix:
+def _family_stack(coef: np.ndarray, family: Family) -> DensityMatrix:
     """The stack of sum_i coef[k, i] O_i, with no eigensolve and no
     matrix: the eigenvalue of basis column j is coef[k, block[j]], and
     the columns are put in ascending order per state by a stable
-    argsort.  formula(params) is the matrix, built on first read."""
+    argsort."""
     order = np.argsort(coef[:, family.block], axis=-1, kind="stable")
     return DensityMatrix(None, family.dA, family.dB,
-                         family=(family, coef, order),
-                         formula=(formula, params))
+                         family=(family, coef, order))
+
+
+def family_matrix(family: tuple) -> np.ndarray:
+    """sum_i coef[..., i] O_i over Family.operators (`linalg.combine`)
+    for a family state's (Family, coef, order); read-only."""
+    M = linalg.combine(family[1], family[0].operators)
+    M.setflags(write=False)
+    return M
+
+
+def family_vectors(family: tuple) -> np.ndarray:
+    """The basis columns `order` of a family state's (Family, coef,
+    order), V[i, order[..., j]] gathered contiguous; read-only."""
+    V, order = family[0].vectors, family[2]
+    n = len(V)
+    vectors = V.ravel()[order[..., None, :] + n * np.arange(n)[:, None]]
+    vectors.setflags(write=False)
+    return vectors
 
 
 def spin_operators(j: float = 1.5):
@@ -314,13 +322,7 @@ def so3_stack(p, q, r) -> DensityMatrix:
             f"(p,q,r,s)={tuple(float(w[k]) for w in weights)} not in [0,1]"
         )
     coef = np.stack([w / (2 * J + 1) for J, w in enumerate(weights)], -1)
-    return _family_stack(coef, so3_eigenbasis(), _so3_matrix, coef)
-
-
-def _so3_matrix(coef: np.ndarray) -> np.ndarray:
-    """sum_J coef[..., J] P_J."""
-    P = so3_projectors()
-    return sum(coef[..., J, None, None] * P[J] for J in range(len(P)))
+    return _family_stack(coef, so3_eigenbasis())
 
 
 def so3_state(p: float, q: float, r: float) -> DensityMatrix:
@@ -391,15 +393,7 @@ def horodecki_stack(gammas) -> DensityMatrix:
         raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")
     coef = np.stack([np.zeros_like(gamma), np.full_like(gamma, 2 / 7),
                      gamma / 21, (5 - gamma) / 21], -1)
-    return _family_stack(coef, horodecki_eigenbasis(), _horodecki_matrix,
-                         gamma)
-
-
-def _horodecki_matrix(gamma: np.ndarray) -> np.ndarray:
-    """sigma_gamma at each gamma."""
-    proj, sigma_plus, sigma_minus = horodecki_operators()
-    g = gamma[..., None, None]
-    return (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
+    return _family_stack(coef, horodecki_eigenbasis())
 
 
 def horodecki_state(gamma: float) -> DensityMatrix:

@@ -1,8 +1,8 @@
 """The paper families' stacks are their coefficients: a state holds
-(Family, coef, order) and its eigenvalues, its matrix and eigenvectors
-are built on first read with the bits of each family's formula, and the
-scans' beta = 1 criteria read neither.  The oracles are the formulas
-written out here, eigh of the partial traces and `linalg.fro`."""
+(Family, coef, order) and its eigenvalues, its matrix sum_i c_i O_i and
+its eigenvectors are built on first read, and the scans' beta = 1
+criteria read neither.  The oracles are the sums written out here, eigh
+of the partial traces and `linalg.fro`."""
 
 import gc
 import math
@@ -47,10 +47,14 @@ def so3_matrix(coef):
     return sum(c[:, None, None] * P[J] for J, c in enumerate(coef.T))
 
 
-def horodecki_matrix(gamma):
-    proj, sigma_plus, sigma_minus = states.horodecki_operators()
-    g = np.asarray(gamma)[:, None, None]
-    return (2 * proj + g * sigma_plus + (5 - g) * sigma_minus) / 7
+def family_sum(stack):
+    """sum_i coef[:, i] O_i, summed in the operators' order."""
+    family, coef, _ = stack.family
+    terms = [c[:, None, None] * O for c, O in zip(coef.T, family.operators)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
 
 
 def gathered_eig(stack):
@@ -77,6 +81,17 @@ def bench_criteria():
 
 def unbuilt(rho):
     return not any(name in vars(rho) for name in LAZY)
+
+
+def recording_builder(name, calls):
+    """states.<name>, appending name to calls on each call."""
+    build = getattr(states, name)
+
+    def recording(family):
+        calls.append(name)
+        return build(family)
+
+    return recording
 
 
 def recorded(monkeypatch, name):
@@ -121,8 +136,8 @@ class TestCoefficientOnlyPath:
 
     def test_stack_holds_its_coefficients(self):
         stack = states.so3_stack(0.2, 0.3, [0.1, 0.2])
-        assert set(vars(stack)) == {"dA", "dB", "family", "formula",
-                                    "cache", "eigenvalues"}
+        assert set(vars(stack)) == {"dA", "dB", "family", "cache",
+                                    "eigenvalues"}
         w = stack.eigenvalues
         assert w.shape == (2, 16) and (np.diff(w, axis=-1) >= 0).all()
         assert stack.shape == (2, 16, 16)
@@ -138,7 +153,7 @@ class TestBuiltOnFirstRead:
             want = [so3_matrix(s.family[1]) for s in stacks]
         else:
             stacks = [states.horodecki_stack(gamma_grid())]
-            want = [horodecki_matrix(gamma_grid())]
+            want = [family_sum(stacks[0])]
         for stack, matrix in zip(stacks, want):
             eig = gathered_eig(stack)
             got = stack.eig
@@ -160,8 +175,7 @@ class TestBuiltOnFirstRead:
             one.matrix, one.eig
             assert unbuilt(stack)
             assert np.array_equal(one.eigenvalues, stack.eigenvalues[k])
-            for a, b in zip(one.family[1:] + one.formula[1:],
-                            stack.family[1:] + stack.formula[1:]):
+            for a, b in zip(one.family[1:], stack.family[1:]):
                 assert np.array_equal(a, b[k])
         for k, one in enumerate(ones):
             assert np.array_equal(one.matrix, stack.matrix[k])
@@ -180,24 +194,36 @@ class TestBuiltOnFirstRead:
                 rho, maps.reduction_decomposition(rho.dB), 3.0, 1.0)
             assert unbuilt(rho)
 
-    def test_readers_build_them(self):
-        dec = maps.breuer_hall_decomposition(d=4)
+    def test_readers_build_them(self, monkeypatch):
+        # a Spectra builds the matrix and the eigenvectors from the
+        # state's (Family, coef, order), once for all its map entries,
+        # and leaves the state unbuilt
+        built = []
+        for name in ("family_matrix", "family_vectors"):
+            monkeypatch.setattr(states, name, recording_builder(name, built))
+        bh = maps.breuer_hall_decomposition(d=4)
+        tau = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
         readers = [
-            lambda sp: scan.RegionCriterion("x", dec, 2, 0.5).verdicts(sp),
-            lambda sp: scan.RegionCriterion("x", dec, 2, 2, Kind.IV
+            lambda sp: scan.RegionCriterion("x", bh, 2, 0.5).verdicts(sp),
+            # X1 and X2 both read them
+            lambda sp: scan.RegionCriterion("x", tau, 2, 0.5).verdicts(sp),
+            lambda sp: scan.RegionCriterion("x", tau, 2, 2, Kind.IV
                                             ).verdicts(sp),
         ]
         for read in readers:
             stack = next(so3_rows(8))
             read(criteria.Spectra(stack))
-            assert "matrix" in vars(stack)
+            assert sorted(built) == ["family_matrix", "family_vectors"]
+            assert unbuilt(stack)
+            built.clear()
         rho = states.so3_state(0.2, 0.3, 0.1)
-        criteria.structural_criterion(rho, dec.lambda1)
-        assert "matrix" in vars(rho)
+        criteria.structural_criterion(rho, bh.lambda1)
+        assert built == ["family_matrix"] and unbuilt(rho)
+        built.clear()
         # the Horodecki partial transposes do not commute: PPT reads it
         stack = states.horodecki_stack([3.0, 4.5])
         criteria.Spectra(stack).ppt
-        assert "matrix" in vars(stack) and "eig" not in vars(stack)
+        assert built == ["family_matrix"] and unbuilt(stack)
 
 
 class TestValidationFromCoefficients:
@@ -213,8 +239,7 @@ class TestValidationFromCoefficients:
         with pytest.raises(InvalidState) as dense:
             states.DensityMatrix(so3_matrix(2 * coef), 4, 4)
         with pytest.raises(InvalidState) as lazy:
-            states._family_stack(2 * coef, family, states._so3_matrix,
-                                 2 * coef)
+            states._family_stack(2 * coef, family)
         assert str(lazy.value) == str(dense.value) == "trace (2+0j) != 1"
 
     def test_negative_coefficient(self):
@@ -225,7 +250,7 @@ class TestValidationFromCoefficients:
         with pytest.raises(InvalidState) as dense:
             states.DensityMatrix(so3_matrix(coef), 4, 4)
         with pytest.raises(InvalidState) as lazy:
-            states._family_stack(coef, family, states._so3_matrix, coef)
+            states._family_stack(coef, family)
         assert str(lazy.value) == str(dense.value) == \
             "matrix is not positive semidefinite"
 
@@ -288,8 +313,8 @@ class TestSpectraFromCoefficients:
                             {"A": None})
         marg = linalg.partial_trace(stack.matrix, 4, 4, "A")
         got = criteria.Spectra(stack).marginal("A")
-        assert np.array_equal(got, criteria._clamped(
-            linalg.hermitian_eig(marg).eigenvalues, marg, 1e-9))
+        assert np.array_equal(got, linalg.clamp_psd(
+            linalg.hermitian_eig(marg).eigenvalues, 1e-9))
 
     def test_fro_from_the_spectrum(self):
         eps = np.finfo(float).eps
@@ -299,9 +324,11 @@ class TestSpectraFromCoefficients:
             assert (np.abs(sp.fro - want) <= FRO_ULPS * eps * want).all()
             k = len(stack.eigenvalues) // 2
             assert sp.fro[k] == criteria.Spectra(stack[k]).fro
-        # a dense state keeps the matrix's
+        # a dense state's is from its spectrum too
         rho = states.random_separable(3, 3, 4, 0)
-        assert criteria.Spectra(rho).fro == linalg.fro(rho.matrix)
+        got, want = criteria.Spectra(rho).fro, linalg.fro(rho.matrix)
+        assert got == linalg.spectral_fro(rho.eigenvalues)
+        assert abs(got - want) <= FRO_ULPS * eps * want
 
     def test_a_dense_state_goes_with_its_last_reference(self):
         # its cache holds its arrays, not the state: no reference cycle
@@ -317,3 +344,86 @@ class TestSpectraFromCoefficients:
             assert ref() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("make", [
+        lambda: states.so3_state(0.2, 0.3, 0.1),
+        lambda: states.horodecki_state(4.5)])
+    def test_a_family_state_goes_with_its_last_reference(self, make):
+        # its cache holds arrays and (Family, coef, order), not the state
+        rho = make()
+        dec = maps.reduction_decomposition(rho.dB)
+        criteria.entropic_inequality(rho, 2.0)
+        for beta, kind in ((1.0, None), (0.5, None), (2.0, Kind.IV)):
+            criteria.alpha_beta_inequality(rho, dec, 2.0, beta, kind)
+        criteria.ppt_check(rho)
+        criteria.limit_witness(rho, dec.map)
+        criteria.structural_criterion(rho, dec.map)
+        sp = rho.cache[1e-9]
+        assert all("X" in vars(sp.map(m)) for m in (dec.lambda1, dec.map))
+        del sp
+        ref = weakref.ref(rho)
+        gc.disable()
+        try:
+            del rho
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def clamp_rule(w, tol):
+    """Each spectrum of w with its eigenvalues within tol * sqrt(sum w**2)
+    of 0 set to 0."""
+    band = tol * np.sqrt((w * w).sum(-1, keepdims=True))
+    return np.where(np.abs(w) <= band, 0.0, w)
+
+
+def dense_stack():
+    """|00><00|, mixed with 1e-12 of the identity, a random separable
+    state and |00><00| itself: spectra with zeros and rounding noise."""
+    pure = np.zeros((9, 9), dtype=complex)
+    pure[0, 0] = 1
+    mixed = (1 - 9e-12) * pure + 1e-12 * np.eye(9)
+    return states.DensityMatrix(
+        np.array([mixed, states.random_separable(3, 3, 4, 0).matrix, pure]),
+        3, 3)
+
+
+def raw_and_clamped(sp, which):
+    """A spectrum of sp before and after its clamp."""
+    if which == "rho":
+        return sp.eigenvalues, sp.lam
+    if which == "X":
+        entry = sp.map(maps.reduction_decomposition(sp.dB).lambda1)
+        return entry.eig.eigenvalues, entry.mu
+    if sp.family is None:
+        raw = linalg.hermitian_eig(linalg.partial_trace(
+            sp.matrix, sp.dA, sp.dB, "A")).eigenvalues
+    else:
+        family, coef, _ = sp.family
+        raw = np.sort(linalg.combine(coef, family.marginal_table("A")),
+                      -1)
+    return raw, sp.marginal("A")
+
+
+class TestOneClampRule:
+    @pytest.mark.parametrize("member", [None, 1])
+    @pytest.mark.parametrize("which", ["rho", "X", "marginal"])
+    @pytest.mark.parametrize("make", [
+        dense_stack,
+        lambda: states.so3_stack(0.2, 0.0, [0.0, 0.3, 0.8]),
+        lambda: states.horodecki_stack([2.0, 3.5, 5.0])])
+    def test_every_clamp_is_the_rule(self, make, which, member):
+        stack = make()
+        rho = stack if member is None else stack[member]
+        raw, clamped = raw_and_clamped(criteria.Spectra(rho, 1e-9), which)
+        assert np.array_equal(clamped, clamp_rule(raw, 1e-9))
+        if member is not None:
+            whole = raw_and_clamped(criteria.Spectra(stack, 1e-9), which)[1]
+            assert np.array_equal(clamped, whole[member])
+
+    def test_the_rule_zeroes_noise(self):
+        sp = criteria.Spectra(dense_stack())
+        raw, clamped = raw_and_clamped(sp, "X")
+        assert ((raw != 0) & (clamped == 0)).any()
+        raw, clamped = raw_and_clamped(sp, "rho")
+        assert ((raw[0] != 0) & (clamped[0] == 0)).sum() == 8

@@ -213,8 +213,17 @@ class TestEntropicInequality:
 
     @pytest.mark.parametrize("subsystem", ["", None, "C"])
     def test_rejects_bad_subsystem(self, subsystem):
-        with pytest.raises(ValueError, match="must be 'A' or 'B'"):
-            criteria.entropic_inequality(bell_density(), 2, subsystem)
+        # a dense state, a family state and a family stack
+        bad = "must be 'A' or 'B'"
+        stack = states.so3_stack(0.2, 0.3, [0.1, 0.2])
+        for rho in (bell_density(), stack[0]):
+            with pytest.raises(InvalidParameters, match=bad):
+                criteria.entropic_inequality(rho, 2, subsystem)
+        with pytest.raises(InvalidParameters, match=bad):
+            criteria._entropic(criteria.Spectra(stack), 2.0, subsystem)
+        for rho in (bell_density(), stack[0], stack):
+            with pytest.raises(InvalidParameters, match=bad):
+                rho.marginal(subsystem)
 
 
 class TestStructuralAndPpt:

@@ -119,8 +119,7 @@ class TestStacks:
         w, V = linalg.hermitian_eig(A)
         mins = linalg.min_eigenvalue(A)
         norms = linalg.fro(A)
-        clamped = linalg.clamp_psd(linalg.hermitian_eig(P).eigenvalues,
-                                   linalg.fro(P))
+        clamped = linalg.clamp_psd(linalg.hermitian_eig(P).eigenvalues)
         for k in range(4):
             one = linalg.hermitian_eig(A[k])
             assert np.array_equal(w[k], one.eigenvalues)
@@ -128,7 +127,7 @@ class TestStacks:
             assert mins[k] == linalg.min_eigenvalue(A[k])
             assert norms[k] == linalg.fro(A[k]) == np.linalg.norm(A[k])
             assert np.array_equal(clamped[k], linalg.clamp_psd(
-                linalg.hermitian_eig(P[k]).eigenvalues, linalg.fro(P[k])))
+                linalg.hermitian_eig(P[k]).eigenvalues))
             for keep in "AB":
                 assert np.array_equal(
                     linalg.partial_trace(A, 2, 3, keep)[k],
@@ -152,8 +151,7 @@ class TestStacks:
             states.DensityMatrix(P, 2, 2)
         P = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
         with pytest.raises(NotPSD):
-            linalg.clamp_psd(linalg.hermitian_eig(P).eigenvalues,
-                             linalg.fro(P))
+            linalg.clamp_psd(linalg.hermitian_eig(P).eigenvalues)
 
 
 class TestTensor:

@@ -7,6 +7,7 @@ from sepcrit.errors import (
     InvalidParameters,
     NonHermitian,
     NotAntisymmetric,
+    ParameterOutOfRange,
 )
 from sepcrit.states import random_separable
 
@@ -273,6 +274,43 @@ class TestParameterValidation:
     def test_unknown_family(self):
         with pytest.raises(InvalidParameters):
             maps.make_decomposition("frobnicate", d=3)
+
+    @pytest.mark.parametrize("d", [0, -1, 2.0, True, None])
+    def test_rejects_a_d_that_is_not_a_positive_integer(self, d):
+        # d = 0 built a map, -1 raised a bare ValueError
+        for build in (lambda: maps.make_decomposition("reduction", d=d),
+                      lambda: maps.reduction_decomposition(d),
+                      lambda: maps.identity_map(d),
+                      lambda: maps.MatrixMap(d, np.zeros((1, 1)))):
+            with pytest.raises(InvalidParameters,
+                               match="must be a positive integer"):
+                build()
+
+    @pytest.mark.parametrize("a, c", [
+        (2, []), (np.inf, [1, 1, 1]), (2, [1, np.inf, 1]),
+        (np.nan, [1, 1, 1]), (2, [1, np.nan, 1])])
+    def test_theta_rejects_empty_or_non_finite(self, a, c):
+        # these warned (an error under the test suite's filterwarnings)
+        with pytest.raises(InvalidParameters):
+            maps.theta_decomposition(a, c)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_kossakowski_rejects_non_finite(self, value):
+        with pytest.raises(InvalidParameters):
+            maps.kossakowski_decomposition([value] * 4)
+        with pytest.raises(InvalidParameters):
+            maps.kossakowski_decomposition([])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9, 0.0, 1e-14, 1e-2])
+    def test_map_tests_reject_a_tol_out_of_range(self, tol):
+        # a nan or inf tol read a map that is not positive as positive,
+        # and a nan one read a CP map as not CP
+        m = maps.kossakowski_decomposition(np.zeros((3, 3))).map
+        assert not maps.is_positive_sampled(m, 50, 0)[0]
+        with pytest.raises(ParameterOutOfRange, match="tol="):
+            maps.is_positive_sampled(m, 50, 0, tol=tol)
+        with pytest.raises(ParameterOutOfRange, match="tol="):
+            maps.is_cp(maps.identity_map(2), tol=tol)
 
 
 def test_make_decomposition_dispatch():

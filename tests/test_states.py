@@ -189,6 +189,22 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidState):
             states.DensityMatrix(np.eye(4) / 4, 2, 3)
 
+    @pytest.mark.parametrize("dims", [
+        (-2, -2), (2.0, 2.0), (True, 4), (4, True), (0, 4), (None, 4),
+        ("2", 2)])
+    def test_rejects_dimensions_that_are_not_positive_integers(self, dims):
+        # these constructed, and ppt_check then raised a bare ValueError
+        # or TypeError
+        with pytest.raises(InvalidState, match="must be positive integers"):
+            states.DensityMatrix(np.eye(4) / 4, *dims)
+        family = states.so3_stack(0.2, 0.3, [0.1]).family
+        with pytest.raises(InvalidState, match="must be positive integers"):
+            states.DensityMatrix(None, *dims, family=family)
+
+    def test_numpy_integer_dimensions(self):
+        rho = states.DensityMatrix(np.eye(4) / 4, np.int64(2), np.int32(2))
+        assert criteria.ppt_check(rho) == 0.25
+
 
 class TestDensityMatrixStacks:
     def test_stack_equals_one_by_one(self, rng, monkeypatch):
