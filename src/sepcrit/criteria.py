@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import linalg, states
+from . import linalg
 from .errors import (
     AllProjectionsVanish,
     CommutativityViolated,
@@ -275,8 +275,8 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
         raise SingularOperand(f"X1 singular for beta={beta}") from exc
 
     if kind is Kind.IV:
-        # singular values of the Hermitian X2, from its clamped spectrum
-        sig = np.sort(np.abs(lam if X2 is None else X2.mu))
+        # X2's singular values are its clamped spectrum: ascending, >= 0
+        sig = lam if X2 is None else X2.mu
         rhs = np.vecdot(lam_a[..., ::-1], linalg.powered(sig, beta))
     else:
         try:
@@ -358,17 +358,6 @@ def _entropic(sp: Spectra, alpha: float,
 # ---------------------------------------------------------------------------
 # spectral data of a stack, and of one state as its cache
 
-def _built_once(build, family):
-    """build(family) as a function of no argument, built on first call."""
-    built = []
-
-    def read():
-        if not built:
-            built.append(build(family))
-        return built[0]
-    return read
-
-
 class Spectra:
     """The arrays the criteria read, for states on one C^dA (x) C^dB at
     one tol, each computed for the whole stack on first use.  A tol
@@ -382,11 +371,11 @@ class Spectra:
     `Family.marginal_table`), `ppt` the partial transpose's minimum
     eigenvalue (one eigvalsh, or `Family.pt_table`), `fro` ||rho||_F and
     `lam` rho's clamped spectrum.  rho's matrix and eigenvectors are
-    read only where a criterion needs them; a paper family's are built
-    then from rho.family, once for the Spectra and its map entries,
-    which never refer to rho.  A stack gives each state the bits of a
-    one-state call.  A map whose d is not dB raises DimensionMismatch
-    when its entry is first built.
+    read only where a criterion needs them, through `rho.builders`: the
+    state, its every Spectra and their map entries share one build of
+    each, and none of them refers to rho.  A stack gives each state the
+    bits of a one-state call.  A map whose d is not dB raises
+    DimensionMismatch when its entry is first built.
 
     A state's cache is its Spectra: `Spectra.of(rho, tol)` is
     rho.cache[tol], and the one-state criteria read only that.
@@ -396,12 +385,7 @@ class Spectra:
         self.tol = check_tol(tol)
         self.dA, self.dB, self.family = rho.dA, rho.dB, rho.family
         self.eigenvalues = rho.eigenvalues
-        if rho.family is None:  # rho's matrix and eigenvectors
-            M, U = rho.matrix, rho.eig.eigenvectors
-            self._matrix, self._vectors = (lambda: M), (lambda: U)
-        else:
-            self._matrix = _built_once(states.family_matrix, rho.family)
-            self._vectors = _built_once(states.family_vectors, rho.family)
+        self._matrix, self._vectors = rho.builders
         self._maps: dict = {}
         self._marginals: dict = {}
 

@@ -3,8 +3,8 @@
 Matrix file layout: first non-comment line holds "dA dB"; the next
 dA*dB non-comment lines each hold dA*dB complex entries written as
 "re,im" pairs separated by any whitespace (written with single spaces).
-Lines starting with '#' are comments.  Doubles are written with 17
-significant digits so values round-trip exactly.
+Lines starting with '#' are comments; a leading byte-order mark is dropped.
+Doubles are written with 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _bad_entry(lineno: int, entry: str) -> ParseError:
 
 def read_density_matrix(path) -> DensityMatrix:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             M, dA, dB = parse_matrix_file(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(

@@ -41,6 +41,10 @@ class MatrixMap:
             raise DimensionMismatch(
                 f"Choi shape {C.shape} != d^2 x d^2 = {self.d * self.d}"
             )
+        with np.errstate(over="ignore"):  # ||C||_F bounds X's clamp band
+            if not math.isfinite(linalg.fro(C)):
+                raise InvalidParameters(
+                    "Choi matrix Frobenius norm is not a finite number")
         if not linalg.is_hermitian(C):
             raise NonHermitian(
                 f"Choi matrix is not Hermitian within tol={HERMITIAN_TOL}: "

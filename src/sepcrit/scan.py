@@ -200,12 +200,19 @@ def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
     Yields (q, [(r, s), ...]) for each q with admissible points, r
     ascending, where s = 1 - p - q - r >= -1e-12.
     """
+    _check_resolution(resolution)
+    rs = [j / resolution for j in range(resolution + 1)]
     for i in range(resolution + 1):
         q = i / resolution
-        rs = [j / resolution for j in range(resolution + 1)]
         row = [(r, 1.0 - p - q - r) for r in rs if 1.0 - p - q - r >= -1e-12]
         if row:
             yield q, row
+
+
+def _check_resolution(resolution) -> None:
+    if not (linalg.is_dimension(resolution) and resolution >= 2):
+        raise InvalidParameters(
+            f"resolution must be an integer >= 2, got {resolution!r}")
 
 
 def so3_grid_count(p: float, resolution: int) -> int:
@@ -239,8 +246,7 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameters(f"p={p} outside [0,1]")
-    if resolution < 2:
-        raise InvalidParameters("resolution must be >= 2")
+    _check_resolution(resolution)
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")

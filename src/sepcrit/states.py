@@ -28,30 +28,28 @@ class DensityMatrix:
 
     A paper family's state is its `family` (Family, coef, order),
     trusted as `eig` is: rho = sum_i coef[..., i] O_i, with eigenvectors
-    the Family's basis columns `order`.  `family_matrix` and
-    `family_vectors` build its matrix and eigenvectors on first read.
-    It is validated from coef alone: the coefficients' finiteness, the
-    trace coef @ Family.ranks and the smallest eigenvalue,
-    coef[..., block] in `order`.  Either way, InvalidState rejects a dA
-    or dB that is not a positive integer.
+    the Family's basis columns `order`.  It is validated from coef
+    alone: the coefficients' finiteness, the trace coef @ Family.ranks
+    and the smallest eigenvalue, coef[..., block] in `order`.  Either
+    way, InvalidState rejects a dA or dB that is not a positive integer.
 
-    `rho[k]` is the k-th state of a stack, holding its slices (`family`
-    and whatever of `matrix` and `eig` is built) and validated with no
-    eigensolve.  `cache` maps each tol to one state's
-    `sepcrit.criteria.Spectra`, which the one-state criteria fill on
-    first use; a stack is evaluated through `Spectra(rho, tol)` as a
-    whole.
+    `builders`, made at validation, is the one (matrix, eigenvectors)
+    pair of functions of no argument that `matrix`, `eig` and every
+    `sepcrit.criteria.Spectra` of the state read: a family state's call
+    `family_matrix` and `family_vectors` once.  None refers to the state.
+
+    `rho[k]` is the k-th state of a stack, validated with no eigensolve:
+    a dense one holds the stack's slices, a family one builds its own.
+    `cache` maps each tol to one state's `Spectra`, filled on first use
+    by the one-state criteria; a stack is evaluated by `Spectra(rho, tol)`.
     """
 
     def __init__(self, matrix, dA: int, dB: int, *,
                  eig: linalg.HermitianEig | None = None,
                  family: tuple | None = None):
-        fields = self.__dict__
-        fields.update(dA=dA, dB=dB, family=family, cache={})
-        if matrix is not None:
-            fields["matrix"] = matrix
-        if eig is not None:
-            fields["eig"] = eig
+        self.__dict__.update(dA=dA, dB=dB, family=family, cache={})
+        if family is None:  # a family state builds its own
+            self.__dict__.update(matrix=matrix, eig=eig)
         self.__post_init__()
 
     def __post_init__(self):
@@ -65,7 +63,7 @@ class DensityMatrix:
 
     def _validate_matrix(self):
         fields = self.__dict__
-        M = as_matrix(fields.get("matrix"))
+        M, eig = as_matrix(fields["matrix"]), fields["eig"]
         if M.ndim > 3:
             raise DimensionMismatch(
                 f"expected a matrix or a stack of them, got shape {M.shape}")
@@ -78,7 +76,6 @@ class DensityMatrix:
         bad = abs(tr - 1.0) > 1e-10
         if np.count_nonzero(bad):
             raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
-        eig = fields.get("eig")
         if eig is None:
             if not linalg.is_hermitian(M):
                 raise InvalidState("matrix is not Hermitian")
@@ -86,10 +83,11 @@ class DensityMatrix:
         _check_psd(eig.eigenvalues)
         for arr in (M, *eig):
             arr.setflags(write=False)
-        fields.update(matrix=M, eig=eig, eigenvalues=eig.eigenvalues)
+        fields.update(matrix=M, eig=eig, eigenvalues=eig.eigenvalues,
+                      builders=(lambda: M, lambda: eig.eigenvectors))
 
     def _validate_family(self):
-        family, coef, order = self.family
+        family, coef, order = held = self.family
         if not np.isfinite(coef).all():
             raise InvalidState(_NON_FINITE)
         tr = np.asarray(coef @ family.ranks)
@@ -99,12 +97,11 @@ class DensityMatrix:
             raise InvalidState(f"trace {complex(tr.flat[bad.argmax()])} != 1")
         w = np.take_along_axis(coef[..., family.block], order, -1)
         _check_psd(w)
-        fields = self.__dict__
-        # and a slice's matrix and eig, when it is passed them
-        for arr in (coef, order, w, fields.get("matrix", w),
-                    *fields.get("eig", ())):
+        for arr in (coef, order, w):
             arr.setflags(write=False)
-        fields["eigenvalues"] = w
+        self.__dict__.update(eigenvalues=w, builders=(
+            _built_once(family_matrix, held),
+            _built_once(family_vectors, held)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DensityMatrix is immutable: cannot set {name}")
@@ -124,27 +121,24 @@ class DensityMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """A family state's `family_matrix`."""
-        return family_matrix(self.family)
+        """A family state's, from its builder."""
+        return self.builders[0]()
 
     @cached_property
     def eig(self) -> linalg.HermitianEig:
-        """A family state's eigenvalues and `family_vectors`."""
-        return linalg.HermitianEig(self.eigenvalues,
-                                   family_vectors(self.family))
+        """A family state's, from `eigenvalues` and its builder."""
+        return linalg.HermitianEig(self.eigenvalues, self.builders[1]())
 
     def __getitem__(self, k) -> DensityMatrix:
         if self.eigenvalues.ndim < 2:
             raise DimensionMismatch(
                 f"expected a stack of states, got shape {self.shape}")
-        fields, family = self.__dict__, self.family
-        M, eig = fields.get("matrix"), fields.get("eig")
-        if family is not None:
-            family = (family[0], family[1][k], family[2][k])
-        return DensityMatrix(
-            None if M is None else M[k], self.dA, self.dB,
-            eig=None if eig is None else linalg.HermitianEig(
-                *(a[k] for a in eig)), family=family)
+        if self.family is not None:
+            family, coef, order = self.family
+            return DensityMatrix(None, self.dA, self.dB,
+                                 family=(family, coef[k], order[k]))
+        return DensityMatrix(self.matrix[k], self.dA, self.dB,
+                             eig=self.eig._make(a[k] for a in self.eig))
 
     def marginal(self, keep: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dA, self.dB, keep)
@@ -237,6 +231,17 @@ def _family_stack(coef: np.ndarray, family: Family) -> DensityMatrix:
     order = np.argsort(coef[:, family.block], axis=-1, kind="stable")
     return DensityMatrix(None, family.dA, family.dB,
                          family=(family, coef, order))
+
+
+def _built_once(build, family):
+    """build(family) as a function of no argument, built on first call."""
+    built = []
+
+    def read():
+        if not built:
+            built.append(build(family))
+        return built[0]
+    return read
 
 
 def family_matrix(family: tuple) -> np.ndarray:

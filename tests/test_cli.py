@@ -732,6 +732,54 @@ def test_entry_point_names_a_file_that_is_not_utf8(tmp_path):
     assert proc.stderr == f"error: {path}: not UTF-8 text (byte 0xff)\n"
 
 
+def test_entry_point_reads_a_byte_order_mark(tmp_path):
+    # a file that starts with the UTF-8 byte-order mark was refused:
+    # "line 1: expected header 'dA dB', got '\ufeff2 2'"
+    plain, marked = tmp_path / "plain.mat", tmp_path / "marked.mat"
+    write_state(plain, np.eye(4) / 4, 2, 2)
+    text = plain.read_bytes()
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    args = ["--map", "reduction d=2"]
+    want = run_entry_point("check", str(plain), *args)
+    assert want.returncode == 0, want.stderr
+    got = run_entry_point("check", str(marked), *args)
+    assert (got.returncode, got.stdout) == (0, want.stdout)
+
+
+@pytest.mark.parametrize("where, line", [
+    (0, r"line 1: expected header 'dA dB', got '\ufeff2 2'"),
+    (1, r"line 2: bad entry '\ufeff0.25,0' (expected 're,im')")])
+def test_entry_point_refuses_a_later_byte_order_mark(where, line, tmp_path):
+    # only the first mark of the file is dropped: a second one, or one
+    # that starts a later line, is text that does not parse
+    path = tmp_path / "marked.mat"
+    write_state(path, np.eye(4) / 4, 2, 2)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[where] = b"\xef\xbb\xbf" + lines[where]
+    path.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+    proc = run_entry_point("check", str(path))
+    assert_fails(proc)
+    assert proc.stderr == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("spec", [
+    "theta a=1e155 c=1e155,1e155", "kossakowski a=1e200,0,0,1e200"])
+def test_entry_point_refuses_a_map_whose_norm_overflows(spec, tmp_path):
+    # these printed overflow warnings, then read the maximally mixed
+    # state VIOLATED with lhs=0 rhs=0.5 and exited 2
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(4) / 4, 2, 2)
+    args = ["check", str(path), "--no-ppt", "--beta", "0.5"]
+    proc = run_entry_point(*args, "--map", spec)
+    assert_fails(proc)
+    assert proc.stderr.count("\n") == 1 and "not a finite number" \
+        in proc.stderr
+    proc = run_entry_point(*args, "--map", spec.replace("e155", "e150")
+                           .replace("e200", "e150"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" ok\n") and proc.stderr == ""
+
+
 @pytest.mark.parametrize("command", ["so3-region", "check"])
 @pytest.mark.parametrize("alpha,beta,power", [
     ("0", "1", "1.0"), ("inf", "1", "inf"), ("-3", "1", "-2.0")])

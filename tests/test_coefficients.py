@@ -137,7 +137,7 @@ class TestCoefficientOnlyPath:
     def test_stack_holds_its_coefficients(self):
         stack = states.so3_stack(0.2, 0.3, [0.1, 0.2])
         assert set(vars(stack)) == {"dA", "dB", "family", "cache",
-                                    "eigenvalues"}
+                                    "eigenvalues", "builders"}
         w = stack.eigenvalues
         assert w.shape == (2, 16) and (np.diff(w, axis=-1) >= 0).all()
         assert stack.shape == (2, 16, 16)
@@ -181,10 +181,6 @@ class TestBuiltOnFirstRead:
             assert np.array_equal(one.matrix, stack.matrix[k])
             for a, b in zip(one.eig, stack.eig):
                 assert np.array_equal(a, b[k])
-        # once the stack's are built, a slice holds views of them
-        one = stack[1]
-        assert one.matrix.base is stack.matrix
-        assert one.eig.eigenvectors.base is stack.eig.eigenvectors
 
     def test_one_state_builders_are_lazy_too(self):
         for rho in (states.so3_state(0.2, 0.3, 0.1),
@@ -224,6 +220,45 @@ class TestBuiltOnFirstRead:
         stack = states.horodecki_stack([3.0, 4.5])
         criteria.Spectra(stack).ppt
         assert built == ["family_matrix"] and unbuilt(stack)
+
+
+    def test_state_and_its_spectra_share_one_build(self, monkeypatch):
+        # rho.matrix, then a criterion's Spectra on the same state, and a
+        # stack's Spectra, then the stack itself, built the sum twice each
+        built = []
+        for name in ("family_matrix", "family_vectors"):
+            monkeypatch.setattr(states, name, recording_builder(name, built))
+        rho = states.so3_state(0.2, 0.3, 0.1)
+        bh = maps.breuer_hall_decomposition(d=4)
+        M = rho.matrix
+        criteria.structural_criterion(rho, bh.lambda1)
+        assert criteria.Spectra.of(rho).matrix is M
+        stack = next(so3_rows(8))
+        M = criteria.Spectra(stack).matrix
+        assert stack.matrix is M is criteria.Spectra(stack, 1e-12).matrix
+        assert built == ["family_matrix"] * 2
+        built.clear()
+        # and one gather of the eigenvectors: X's overlap with them
+        scan.RegionCriterion("x", bh, 2, 0.5).evaluate(rho)
+        U = rho.eig.eigenvectors
+        scan.RegionCriterion("x", bh, 2, 0.5).evaluate(rho, 1e-12)
+        assert rho.eig.eigenvectors is U and built == ["family_vectors"]
+
+    def test_a_scan_calls_no_builder(self, monkeypatch):
+        # the beta = 1 scans read tables: no dense matrix, no gather
+        crits = bench_criteria()
+        list(scan.so3_region(0.2, crits, 8))  # the tables, built once
+        scan.table1(7.0)
+        built = []
+        for name in ("family_matrix", "family_vectors"):
+            monkeypatch.setattr(states, name, recording_builder(name, built))
+        scan._grid_spectra.cache_clear()
+        rows = list(scan.so3_region(0.2, crits, 60))
+        assert len(rows) == 1225 and [r.results["red"] for r in rows]
+        for alpha in (7.0, math.inf):
+            scan.table1(alpha)
+        assert built == []
+        scan._grid_spectra.cache_clear()
 
 
 class TestValidationFromCoefficients:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepcrit import linalg, maps
+from sepcrit import criteria, linalg, maps
 from sepcrit.errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -9,7 +9,7 @@ from sepcrit.errors import (
     NotAntisymmetric,
     ParameterOutOfRange,
 )
-from sepcrit.states import random_separable
+from sepcrit.states import DensityMatrix, random_separable
 
 from conftest import bell_state
 
@@ -311,6 +311,22 @@ class TestParameterValidation:
             maps.is_positive_sampled(m, 50, 0, tol=tol)
         with pytest.raises(ParameterOutOfRange, match="tol="):
             maps.is_cp(maps.identity_map(2), tol=tol)
+
+
+    @pytest.mark.parametrize("build, big", [
+        (lambda a: maps.theta_decomposition(a, [a, a]), 1e155),
+        (lambda a: maps.kossakowski_decomposition([a, 0, 0, a]), 1e200)])
+    def test_a_choi_norm_that_overflows_is_refused(self, build, big):
+        # ||C||_F overflowed to inf, and so did the clamp band of X1, which
+        # then zeroed X1's whole spectrum: the maximally mixed state read
+        # VIOLATED (lhs 0, rhs 0.5), with overflow warnings
+        with pytest.raises(InvalidParameters, match="not a finite number"):
+            build(big)
+        with pytest.raises(InvalidParameters, match="not a finite number"):
+            maps.MatrixMap(2, np.full((4, 4), big))
+        rho = DensityMatrix(np.eye(4) / 4, 2, 2)
+        res = criteria.alpha_beta_inequality(rho, build(1e150), 1.0, 0.5)
+        assert not res.violated and res.margin > 0
 
 
 def test_make_decomposition_dispatch():

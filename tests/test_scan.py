@@ -548,6 +548,20 @@ class TestSO3Region:
                                                 resolution))
                     assert len(rows) == expected
 
+    @pytest.mark.parametrize("resolution", [
+        2.5, 2.0, float("nan"), float("inf"), "4", None, True, False, 1, 0,
+        -3])
+    def test_resolution_is_an_integer_of_at_least_2(self, resolution):
+        # 2.5 and nan raised a bare TypeError from range()
+        for call in (
+                lambda: scan.so3_region(0.2, self._criteria(), resolution),
+                lambda: scan.so3_grid_count(0.2, resolution),
+                lambda: list(scan.so3_grid(0.2, resolution))):
+            with pytest.raises(InvalidParameters,
+                               match="resolution must be an integer >= 2"):
+                call()
+        assert scan.so3_grid_count(0.2, np.int64(2)) == 3
+
     @pytest.mark.parametrize("p,resolution", [(0.2, 7), (0.1, 10),
                                               (1.0, 3)])
     def test_rows_equal_fresh_per_point_evaluation(self, p, resolution):
