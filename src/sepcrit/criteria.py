@@ -190,6 +190,24 @@ def _family_table(m: MatrixMap, family) -> np.ndarray:
     return D
 
 
+# Entries an exponent-keyed cache (`Spectra.power`, `_MapSpectrum.power`
+# and `_MapSpectrum.pairing`) holds before it is emptied: a long-lived
+# Spectra, such as table1's grid, would otherwise keep an array for every
+# exponent it was ever asked for.
+POWER_CACHE_SIZE = 16
+
+
+def _keep(cache: dict, t: float, value: np.ndarray) -> np.ndarray:
+    """value, made read-only and kept as cache[t]; a cache holding
+    POWER_CACHE_SIZE entries is emptied first.  A value whose computation
+    raised is never kept, so the error comes again on every call."""
+    if len(cache) >= POWER_CACHE_SIZE:
+        cache.clear()
+    value.setflags(write=False)
+    cache[t] = value
+    return value
+
+
 class _MapSpectrum:
     """X = [I (x) L](rho) and its spectral data for one map and tol, on one
     state or a stack of states.
@@ -197,12 +215,16 @@ class _MapSpectrum:
     The weights (U^dag X U)_ii in rho's eigenbasis U give Tr rho^a X
     without an eigensolve; on a paper family they come from the map's
     `_family_table`, and X is built only when read.  X's spectrum and
-    its overlap with rho's eigenbasis are computed on first use.
+    its overlap with rho's eigenbasis are computed on first use, and
+    so are the powers of that spectrum and the pairing vectors, one per
+    exponent (`POWER_CACHE_SIZE`).
     """
 
     def __init__(self, m: MatrixMap, sp: Spectra):
         self.map, self.tol, self._dA = m, sp.tol, sp.dA
         self._matrix, self._vectors = sp._matrix, sp._vectors
+        self._powers: dict = {}
+        self._pairings: dict = {}
         if sp.family is None:
             self.weights = _weights(self.X, self._vectors(), sp._Ud)
         else:
@@ -229,12 +251,40 @@ class _MapSpectrum:
         U = self._vectors()
         return np.abs(linalg.dag(U) @ self.eig.eigenvectors) ** 2
 
-    def trace_power(self, lam_a: np.ndarray, beta: float) -> np.ndarray:
-        """Tr rho^a X^beta, given lam_a = powered(rho spectrum, a)."""
+    @cached_property
+    def commutator(self):
+        """||[X, rho]||_F (stackable), which kind I requires to vanish."""
+        return linalg.commutator_norm(self.X, self._matrix())
+
+    def power(self, t: float) -> np.ndarray:
+        """mu ** t (`linalg.powered`), kept per t: X's singular values
+        raised to t, as kind IV pairs them."""
+        out = self._powers.get(t)
+        if out is None:
+            out = _keep(self._powers, t, linalg.powered(self.mu, t))
+        return out
+
+    def pairing(self, beta: float) -> np.ndarray:
+        """The vector p with Tr rho^a X^beta = vecdot(lam^a, p) for every
+        a, lam rho's clamped spectrum: sum_j |<u_i|v_j>|^2 mu_j^beta,
+        kept per beta.  At beta = 1 it is the weights (no eigensolve)."""
         if beta == 1:
-            return np.vecdot(lam_a, self.weights)
-        return np.vecdot(np.vecmat(lam_a, self.overlap),
-                         linalg.powered(self.mu, beta))
+            return self.weights
+        out = self._pairings.get(beta)
+        if out is None:
+            out = _keep(self._pairings, beta,
+                        np.matvec(self.overlap, self.power(beta)))
+        return out
+
+
+def _pairing(X: _MapSpectrum | Spectra, beta: float,
+             name: str) -> np.ndarray:
+    """X.pairing(beta); a singular X at beta < 0 raises SingularOperand
+    naming X as `name`."""
+    try:
+        return X.pairing(beta)
+    except SingularNegativePower as exc:
+        raise SingularOperand(f"{name} singular for beta={beta}") from exc
 
 
 def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
@@ -246,7 +296,12 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
     reads reversed; kind I with a map lambda2 reports the commutator norm.
     At alpha = inf it is the limit witness of dec.map against 0.  A map
     that sampling shows is not positive (`CPDecomposition.check_positive`)
-    raises InvalidParameters: its verdicts would not be sound."""
+    raises InvalidParameters: its verdicts would not be sound.
+
+    Each side is one vecdot of lam^alpha (`Spectra.power`) with X's
+    pairing vector, or for kind IV's rhs with X2's singular values
+    raised to beta, all kept on sp; a lambda2 that is the identity has
+    X2 = rho, and sp serves as its entry."""
     dec.check_positive()
     if kind is None:
         kind = route_kind(beta)
@@ -255,35 +310,24 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
     _validate_range(alpha, beta, kind)
     if alpha == math.inf:
         return _verdicts(_limit(sp, dec.map), 0.0, False, kind, sp.tol)
-    lam, tol = sp.lam, sp.tol
+    lam_a, tol = sp.power(alpha), sp.tol
     X1 = sp.map(dec.lambda1)
-    X2 = None if dec.lambda2_is_identity else sp.map(dec.lambda2)
-    lam_a = linalg.powered(lam, alpha)
+    X2 = sp if dec.lambda2_is_identity else sp.map(dec.lambda2)
     commutator = None
-    if kind is Kind.I and X2 is not None:
-        commutator = linalg.commutator_norm(X2.X, sp.matrix)
+    if kind is Kind.I and X2 is not sp:
+        commutator = X2.commutator
         bad = np.ravel(commutator > tol * np.maximum(1.0, sp.fro))
         if bad.any():
             raise CommutativityViolated(
                 f"[X2, rho] norm {float(np.ravel(commutator)[bad.argmax()])}"
                 " exceeds tolerance"
             )
-
-    try:
-        lhs = X1.trace_power(lam_a, beta)
-    except SingularNegativePower as exc:
-        raise SingularOperand(f"X1 singular for beta={beta}") from exc
-
+    lhs = np.vecdot(lam_a, _pairing(X1, beta, "X1"))
     if kind is Kind.IV:
         # X2's singular values are its clamped spectrum: ascending, >= 0
-        sig = lam if X2 is None else X2.mu
-        rhs = np.vecdot(lam_a[..., ::-1], linalg.powered(sig, beta))
+        rhs = np.vecdot(lam_a[..., ::-1], X2.power(beta))
     else:
-        try:
-            rhs = (np.vecdot(lam_a, linalg.powered(lam, beta)) if X2 is None
-                   else X2.trace_power(lam_a, beta))
-        except SingularNegativePower as exc:
-            raise SingularOperand(f"X2 singular for beta={beta}") from exc
+        rhs = np.vecdot(lam_a, _pairing(X2, beta, "X2"))
     return _verdicts(lhs, rhs, kind is Kind.III, kind, tol, commutator)
 
 
@@ -351,7 +395,7 @@ def _entropic(sp: Spectra, alpha: float,
         m = np.maximum((sp.eigenvalues - sp.lam).sum(-1), 0.0)[..., None]
         marg = np.minimum(np.maximum(np.cumsum(marg, -1) - m, 0.0), marg)
     return _verdicts(linalg.powered(marg, alpha).sum(-1),
-                     linalg.powered(sp.lam, alpha).sum(-1), alpha < 1,
+                     sp.power(alpha).sum(-1), alpha < 1,
                      Kind.ENTROPIC, sp.tol)
 
 
@@ -369,8 +413,9 @@ class Spectra:
     matmul; on a paper family, a table), `marginal(keep)` that
     marginal's clamped spectrum (one eigensolve, or
     `Family.marginal_table`), `ppt` the partial transpose's minimum
-    eigenvalue (one eigvalsh, or `Family.pt_table`), `fro` ||rho||_F and
-    `lam` rho's clamped spectrum.  rho's matrix and eigenvectors are
+    eigenvalue (one eigvalsh, or `Family.pt_table`), `fro` ||rho||_F,
+    `lam` rho's clamped spectrum and `power(t)` lam ** t, kept per
+    exponent (`POWER_CACHE_SIZE`).  rho's matrix and eigenvectors are
     read only where a criterion needs them, through `rho.builders`: the
     state, its every Spectra and their map entries share one build of
     each, and none of them refers to rho.  A stack gives each state the
@@ -388,6 +433,7 @@ class Spectra:
         self._matrix, self._vectors = rho.builders
         self._maps: dict = {}
         self._marginals: dict = {}
+        self._powers: dict = {}
 
     @classmethod
     def of(cls, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Spectra:
@@ -416,6 +462,19 @@ class Spectra:
     def lam(self) -> np.ndarray:
         """rho's eigenvalues after the clamp rule."""
         return linalg.clamp_psd(self.eigenvalues, self.tol)
+
+    def power(self, t: float) -> np.ndarray:
+        """lam ** t (`linalg.powered`), kept per t."""
+        out = self._powers.get(t)
+        if out is None:
+            out = _keep(self._powers, t, linalg.powered(self.lam, t))
+        return out
+
+    # A Spectra is also the entry of X = rho (a lambda2 that is the
+    # identity): its overlap with rho's eigenbasis is the identity and
+    # mu = lam, so its pairing vector and its singular values raised to
+    # beta are both lam ** beta
+    pairing = power
 
     @cached_property
     def _Ud(self) -> np.ndarray:

@@ -79,14 +79,22 @@ def spectral_fro(w: np.ndarray):
 def is_hermitian(A) -> bool:
     """Whether each matrix of A (stackable) has ||A - A^dag||_F <=
     HERMITIAN_TOL * max(1, ||A||_F): the one check, of a state at
-    validation and of a map's Choi matrix at construction."""
+    validation and of a map's Choi matrix at construction.  The entries
+    must be finite.  A matrix whose ||A||_F overflows is checked as
+    A / max |A_ij|, whose norm is at least 1, so the test is unchanged
+    and inf <= inf cannot pass it."""
     A = as_matrix(A)
-    Ad = dag(A)
+    with np.errstate(over="ignore"):
+        diff, norm = fro(A - dag(A)), fro(A)
     # one matrix: Python floats, as numpy scalars would cost as much as
     # the check itself
     if A.ndim == 2:
-        return fro(A - Ad) <= HERMITIAN_TOL * max(1.0, fro(A))
-    return bool((fro(A - Ad) <= HERMITIAN_TOL * np.maximum(1.0, fro(A))).all())
+        if norm == math.inf:
+            return is_hermitian(A / np.abs(A).max())
+        return diff <= HERMITIAN_TOL * max(1.0, norm)
+    if np.isinf(norm).any():
+        return all(map(is_hermitian, A.reshape((-1,) + A.shape[-2:])))
+    return bool((diff <= HERMITIAN_TOL * np.maximum(1.0, norm)).all())
 
 
 class HermitianEig(NamedTuple):

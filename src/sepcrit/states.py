@@ -311,7 +311,8 @@ def so3_stack(p, q, r) -> DensityMatrix:
     Its eigendecomposition comes from the algebra, not an eigensolve:
     rho = sum_J c_J P_J has eigenvalue c_J = w_J / (2J + 1) on the
     range of P_J, so `so3_eigenbasis` diagonalizes every state.  The
-    weights and the trace are checked."""
+    weights must lie in [0, 1], which a NaN does not, and the trace is
+    checked."""
     p, q, r = np.atleast_1d(p, q, r)
     shapes = {x.shape for x in (p, q, r)} - {(1,)}
     if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
@@ -320,7 +321,8 @@ def so3_stack(p, q, r) -> DensityMatrix:
             f"shapes {p.shape}, {q.shape}, {r.shape}")
     p, q, r = np.broadcast_arrays(p, q, r)
     weights = (p, q, r, 1.0 - p - q - r)
-    bad = np.any([(w < -1e-12) | (w > 1 + 1e-12) for w in weights], axis=0)
+    # a NaN weight fails both comparisons
+    bad = ~np.all([(w >= -1e-12) & (w <= 1 + 1e-12) for w in weights], axis=0)
     if bad.any():
         k = bad.argmax()
         raise InvalidParameters(

@@ -527,6 +527,17 @@ def test_entry_point_names_a_non_finite_entry(entries, tmp_path):
     assert proc.stderr == "error: matrix has a non-finite entry (nan or inf)\n"
 
 
+def test_entry_point_names_the_hermitian_check_when_the_norm_overflows(
+        tmp_path):
+    # ||A||_F overflowed and inf <= 1e-10 * inf passed the Hermitian check:
+    # numpy's overflow warning, then "matrix is not positive semidefinite"
+    path = tmp_path / "big.mat"
+    path.write_text("2 1\n0.25,0 1e200,0\n0,0 0.75,0\n")
+    proc = run_entry_point("check", str(path))
+    assert_fails(proc)
+    assert proc.stderr == "error: matrix is not Hermitian\n"
+
+
 @pytest.mark.parametrize("tol", ["1e-13", "1e-10", "1e-9"])
 def test_entry_point_checks_a_state_once(tol, tmp_path):
     # the state is checked at validation only: at --tol 1e-10 the entropic

@@ -263,9 +263,12 @@ class TestBuiltOnFirstRead:
 
 class TestValidationFromCoefficients:
     def test_non_finite_coefficients(self):
-        # nan passes the weight range check, as it passes the trace's
+        # so3_stack refuses a nan weight by its range check
+        # (InvalidParameters); a nan that reaches the coefficients fails
+        # their finiteness check, as it passes the trace's
+        coef = np.array([[0.2, 0.1 / 3, np.nan, 0.1]])
         with pytest.raises(InvalidState) as exc:
-            states.so3_stack(0.2, 0.1, [0.1, np.nan])
+            states._family_stack(coef, states.so3_eigenbasis())
         assert str(exc.value) == "matrix has a non-finite entry (nan or inf)"
 
     def test_bad_trace(self):

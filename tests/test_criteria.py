@@ -84,12 +84,27 @@ class TestAlphaBetaInequality:
         assert res.commutator_norm is not None
         assert res.commutator_norm <= 1e-9
 
+    def test_kind_one_commutator_once_per_entry(self, monkeypatch):
+        # it was computed again by every kind I call
+        dec = maps.tau_u_decomposition(maps.default_breuer_unitary(4))
+        rho = states.so3_state(0.2, 0.3, 0.1)
+        calls = []
+        norm = linalg.commutator_norm
+        monkeypatch.setattr(linalg, "commutator_norm",
+                            lambda A, B: calls.append(1) or norm(A, B))
+        one = criteria.alpha_beta_inequality(rho, dec, 1, 2, Kind.I)
+        two = criteria.alpha_beta_inequality(rho, dec, 3, 2.5, Kind.I)
+        assert len(calls) == 1
+        assert one.commutator_norm == two.commutator_norm is not None
+
     def test_kind_three_rejects_singular(self):
         dec = maps.reduction_decomposition(2)
-        with pytest.raises(SingularOperand):
-            criteria.alpha_beta_inequality(
-                pure_product(2, 2), dec, 1, -0.5, Kind.III
-            )
+        # a power that raised is not cached: every repeat raises again
+        for rho, name in ((pure_product(2, 2), "X1"), (bell_density(), "X2")):
+            for _ in range(3):
+                with pytest.raises(SingularOperand, match=name):
+                    criteria.alpha_beta_inequality(rho, dec, 1, -0.5,
+                                                   Kind.III)
 
     @pytest.mark.parametrize("kind,beta", [
         (Kind.I, 0.5), (Kind.II, 1.5), (Kind.II, -0.1),
@@ -507,6 +522,26 @@ class TestSpectralCore:
             cold = states.DensityMatrix(warm.matrix.copy(), 4, 4)
             assert criteria.alpha_beta_inequality(warm, dec, a, b, kind) == \
                 criteria.alpha_beta_inequality(cold, dec, a, b, kind)
+
+    def test_repeat_call_reuses_the_pairing(self, rng, monkeypatch):
+        # a repeat (state, map, beta) runs no eigensolve, power or pairing
+        # vector; a new alpha raises rho's spectrum once
+        dec = maps.breuer_hall_decomposition(d=4)
+        rho = states.random_separable(4, 4, 4, rng)
+        runs = [(0.5, Kind.II), (2, Kind.IV), (-0.5, Kind.III)]
+        first = [criteria.alpha_beta_inequality(rho, dec, 2, b, kind)
+                 for b, kind in runs]
+        calls = []
+        for module, name in ((linalg, "hermitian_eig"), (linalg, "powered"),
+                             (np, "matvec")):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=f, name=name:
+                                calls.append(name) or f(*args))
+        assert [criteria.alpha_beta_inequality(rho, dec, 2, b, kind)
+                for b, kind in runs] == first
+        assert calls == []
+        criteria.alpha_beta_inequality(rho, dec, 3, 0.5, Kind.II)
+        assert calls == ["powered"]
 
 
 def rank_deficient_separable(d, k, rng):

@@ -32,6 +32,11 @@ class TestHermitianEig:
         A = np.array([[0, 1], [0, 0]], dtype=complex)
         assert not linalg.is_hermitian(A)
         assert linalg.is_hermitian(A + A.T)
+        # a norm that overflows passed as inf <= inf, with a numpy warning
+        big = 1e200 * A
+        for B, ok in ((big, False), (big + big.T, True)):
+            assert linalg.is_hermitian(B) is ok
+            assert linalg.is_hermitian(np.stack([np.eye(2), B])) is ok
         with pytest.raises(InvalidState, match="not Hermitian"):
             states.DensityMatrix(np.eye(2) / 2 + A, 2, 1)
         with pytest.raises(NonHermitian, match="does not preserve Herm"):

@@ -341,6 +341,20 @@ class TestTable1Bisection:
             assert info.currsize <= info.maxsize == scan.GRID_CACHE_SIZE
         assert info.currsize == scan.GRID_CACHE_SIZE
 
+    def test_power_caches_are_bounded(self):
+        # the grid Spectra lives as long as the process; without a bound
+        # its caches kept one array per alpha and beta ever asked for
+        scan._grid_spectra.cache_clear()
+        for i in range(40):
+            scan.table1(6 + i / 4, 0.5 + i / 100, "phi_dk d=3 k=1")
+        _, _, sp = scan._grid_spectra("phi_dk d=3 k=1")
+        caches = [sp._powers] + [cache for entry in sp._maps.values()
+                                 for cache in (entry._powers,
+                                               entry._pairings)]
+        assert len(caches) == 3
+        assert all(0 < len(cache) <= criteria.POWER_CACHE_SIZE
+                   for cache in caches)
+
     def test_entry_keeps_its_maps(self):
         # other parses of the spec build other maps; the entry's Spectra
         # still holds one map entry, not two

@@ -89,10 +89,14 @@ def family_stacks(rng):
     ]
 
 
-TRIPLES = [(1, 2, Kind.I), (2.5, 3, Kind.I),
+# each beta other than 1 comes twice, at two alphas: the second call
+# reads the pairing vector the first one kept
+TRIPLES = [(1, 2, Kind.I), (2.5, 3, Kind.I), (4, 2, Kind.I),
            (1, 1, Kind.II), (3, 0.5, Kind.II), (7, 1, Kind.II),
-           (1, -0.5, Kind.III), (2, -1, Kind.III),
-           (1, 1, Kind.IV), (2, 0, Kind.IV), (0.5, 2, Kind.IV)]
+           (5, 0.5, Kind.II),
+           (1, -0.5, Kind.III), (2, -1, Kind.III), (3, -0.5, Kind.III),
+           (1, 1, Kind.IV), (2, 0, Kind.IV), (0.5, 2, Kind.IV),
+           (2, 2, Kind.IV)]
 
 
 class TestStackedEqualsOneState:

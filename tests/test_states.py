@@ -61,6 +61,10 @@ class TestSO3State:
             states.so3_state(0.9, 0.9, 0.0)
         with pytest.raises(InvalidParameters):
             states.so3_state(-0.1, 0.5, 0.5)
+        # a NaN weight raised InvalidState: "matrix has a non-finite entry"
+        for pqr in ((0.2, np.nan, 0.1), (np.nan, 0.3, 0.1), (0.2, 0.3, np.nan)):
+            with pytest.raises(InvalidParameters, match=r"^\(p,q,r,s\)="):
+                states.so3_state(*pqr)
 
 
 class TestHorodeckiState:
@@ -280,6 +284,10 @@ class TestDensityMatrixStacks:
             states.so3_stack(0.2, 0.3, [0.1, 0.6])
         with pytest.raises(InvalidParameters):
             states.horodecki_stack([3.0, 5.5])
+        with pytest.raises(InvalidParameters, match="nan"):
+            states.so3_stack(0.2, 0.3, [0.1, np.nan])
+        with pytest.raises(InvalidParameters, match="nan"):
+            states.horodecki_stack([3.0, np.nan])
 
     @pytest.mark.parametrize("call", [
         lambda: states.so3_stack(0.2, [[0.1, 0.2]], [[0.1], [0.2]]),
