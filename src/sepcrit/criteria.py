@@ -172,9 +172,9 @@ def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
 # state per entry, so a stack of states and a single state go through the
 # same arithmetic; every reduction keeps the bits of a one-state call.
 
-def _weights(X, U, Ud) -> np.ndarray:
-    """(U^dag X U)_ii (stackable), with Ud = U.conj()."""
-    return np.einsum("...ji,...ji->...i", Ud, X @ U).real
+def _weights(X, U) -> np.ndarray:
+    """(U^dag X U)_ii (stackable)."""
+    return np.einsum("...ji,...ji->...i", U.conj(), X @ U).real
 
 
 def _family_table(m: MatrixMap, family) -> np.ndarray:
@@ -185,7 +185,7 @@ def _family_table(m: MatrixMap, family) -> np.ndarray:
     if D is None:
         V = family.vectors
         X = extend_apply(m, np.stack(family.operators), family.dA)
-        D = m.cache[family] = _weights(X, V, V.conj())
+        D = m.cache[family] = _weights(X, V)
         D.setflags(write=False)
     return D
 
@@ -226,7 +226,7 @@ class _MapSpectrum:
         self._powers: dict = {}
         self._pairings: dict = {}
         if sp.family is None:
-            self.weights = _weights(self.X, self._vectors(), sp._Ud)
+            self.weights = _weights(self.X, self._vectors())
         else:
             family, coef, order = sp.family
             self.weights = np.take_along_axis(
@@ -343,7 +343,7 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
     are summed as one slice, as a one-state walk sums them.
     """
     w, weights, tol = sp.eigenvalues, sp.map(m).weights, sp.tol
-    band = np.reshape(tol * np.maximum(sp.fro, 1e-300), (-1, 1))
+    band = np.reshape(tol * sp.fro, (-1, 1))
     shape, d = w.shape[:-1], w.shape[-1]
     w, weights = w.reshape(-1, d), weights.reshape(-1, d)
     out = np.empty(len(w))
@@ -411,8 +411,8 @@ class Spectra:
     carry a stack's states on a leading batch axis; a single state gives
     them none.  `map(m)` holds X = [I (x) L](rho) and its weights (one
     matmul; on a paper family, a table), `marginal(keep)` that
-    marginal's clamped spectrum (one eigensolve, or
-    `Family.marginal_table`), `ppt` the partial transpose's minimum
+    marginal's clamped spectrum (one eigensolve, or a table of
+    `Family.marginal_tables`), `ppt` the partial transpose's minimum
     eigenvalue (one eigvalsh, or `Family.pt_table`), `fro` ||rho||_F,
     `lam` rho's clamped spectrum and `power(t)` lam ** t, kept per
     exponent (`POWER_CACHE_SIZE`).  rho's matrix and eigenvectors are
@@ -476,10 +476,6 @@ class Spectra:
     # beta are both lam ** beta
     pairing = power
 
-    @cached_property
-    def _Ud(self) -> np.ndarray:
-        return self._vectors().conj()
-
     def map(self, m: MatrixMap) -> _MapSpectrum:
         entry = self._maps.get(m)
         if entry is None:
@@ -492,11 +488,12 @@ class Spectra:
     def marginal(self, keep: str) -> np.ndarray:
         """The clamped spectrum of the marginal keeping `keep` ("A" or "B",
         else InvalidParameters): sum_i coef_i E[i], sorted, on a family
-        with a `Family.marginal_table` E, else eigh of the partial trace."""
+        with a table E in `Family.marginal_tables`, else eigh of the
+        partial trace."""
         w = self._marginals.get(keep)
         if w is None:
             E = (None if self.family is None
-                 else self.family[0].marginal_table(keep))
+                 else self.family[0].marginal_tables.get(keep))
             if E is None:
                 w = linalg.hermitian_eig(linalg.partial_trace(
                     self.matrix, self.dA, self.dB, keep)).eigenvalues

@@ -38,10 +38,16 @@ def check_tol(tol: float) -> float:
     return tol
 
 
+def is_count(n) -> bool:
+    """Whether n is a non-negative integer (a bool is not one): a count,
+    an index or a seed."""
+    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n >= 0)
+
+
 def is_dimension(d) -> bool:
     """Whether d is a positive integer (a bool is not one)."""
-    return (isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-            and d > 0)
+    return is_count(d) and d > 0
 
 
 def as_matrix(A) -> np.ndarray:
@@ -61,7 +67,8 @@ def fro(A: np.ndarray):
     """Frobenius norm (stackable), summed as np.linalg.norm sums it: a
     BLAS dot of the real parts plus one of the imaginary parts."""
     A = np.asarray(A)
-    x = A.reshape(A.shape[:-2] + (-1,))
+    # the size of a matrix, explicit: -1 cannot be inferred on an empty stack
+    x = A.reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
     if x.ndim == 1:
         return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
@@ -177,9 +184,8 @@ def psd_power(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (V * w[..., None, :]) @ dag(V)
 
 
-def matrix_power_psd(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """A**t for PSD A; the same as `psd_power`."""
-    return psd_power(A, t, tol)
+# one function under both names, which callers outside the package use
+matrix_power_psd = psd_power
 
 
 def tensor(*ops) -> np.ndarray:

@@ -169,10 +169,12 @@ def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
     is only evidence, a False result is a certificate.
     """
     check_tol(tol)
-    if n_samples < 1:
-        raise InvalidParameters("n_samples must be >= 1")
-    if seed < 0:
-        raise InvalidParameters(f"seed must be >= 0, got {seed}")
+    if not linalg.is_dimension(n_samples):
+        raise InvalidParameters(
+            f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not linalg.is_count(seed):
+        raise InvalidParameters(
+            f"seed must be >= 0 and an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     d = m.d
     for _ in range(n_samples):
@@ -220,8 +222,10 @@ def default_breuer_unitary(d: int = 4) -> np.ndarray:
 
     Only even d admits an antisymmetric unitary.
     """
+    _check_d(d)
     if d % 2:
-        raise InvalidParameters("antisymmetric unitary requires even d")
+        raise InvalidParameters(
+            f"d={d} is odd: an antisymmetric unitary requires even d")
     V = np.zeros((d, d), dtype=complex)
     for i in range(d):
         V[i, d - 1 - i] = (-1.0) ** i
@@ -229,7 +233,8 @@ def default_breuer_unitary(d: int = 4) -> np.ndarray:
 
 
 def _check_breuer_unitary(U: np.ndarray) -> None:
-    U = as_matrix(U)
+    if not np.isfinite(U).all():
+        raise InvalidParameters("U has a non-finite entry (nan or inf)")
     if linalg.fro(U.T + U) > DEFAULT_TOL * max(1.0, linalg.fro(U)):
         raise NotAntisymmetric("U^T != -U")
     gap = linalg.min_eigenvalue(np.eye(U.shape[0]) - dag(U) @ U)
@@ -247,12 +252,27 @@ def reduction_decomposition(d: int) -> CPDecomposition:
                            indecomposable=False)
 
 
+def _unitary(U, d) -> np.ndarray:
+    """U as a matrix, by default `default_breuer_unitary(d)` with d = 4
+    when d is None.  A d given with U must be U's size, else
+    InvalidParameters."""
+    if U is None:
+        return default_breuer_unitary(4 if d is None else d)
+    U = as_matrix(U)
+    if d is not None:
+        _check_d(d)
+        if d != len(U):
+            raise InvalidParameters(f"d={d} is not the size {len(U)} of U")
+    return U
+
+
 def tau_u_decomposition(U: Optional[np.ndarray] = None,
-                        d: int = 4) -> CPDecomposition:
+                        d: Optional[int] = None) -> CPDecomposition:
     """tau^U = tau1 - tau2 with tau1 = (1/2) tau^U o R~ and
-    tau2 = (1/2) tau^U o R; U defaults to `default_breuer_unitary(d)`."""
-    U = as_matrix(default_breuer_unitary(d) if U is None else U)
-    d = U.shape[0]
+    tau2 = (1/2) tau^U o R; U defaults to `default_breuer_unitary(d)`,
+    and a d given with U must be its size (`_unitary`)."""
+    U = _unitary(U, d)
+    d = len(U)
 
     def t1(X):
         return 0.5 * (U @ (np.trace(X) * np.eye(d) + X).T @ dag(U))
@@ -264,12 +284,12 @@ def tau_u_decomposition(U: Optional[np.ndarray] = None,
                            "tau_u", indecomposable=False)
 
 
-def _breuer_hall(sign: float, U, d: int, name: str,
+def _breuer_hall(sign: float, U, d, name: str,
                  indecomposable: bool) -> CPDecomposition:
     """(Tr X) 1 - sign U X^T U^dag - X with lambda2 = identity, U
-    defaulting to `default_breuer_unitary(d)`."""
-    U = as_matrix(default_breuer_unitary(d) if U is None else U)
-    d = U.shape[0]
+    defaulting to `default_breuer_unitary(d)` (`_unitary`)."""
+    U = _unitary(U, d)
+    d = len(U)
     _check_breuer_unitary(U)
     L1 = map_from_action(
         d, lambda X: np.trace(X) * np.eye(d) - sign * (U @ X.T @ dag(U)))
@@ -278,17 +298,21 @@ def _breuer_hall(sign: float, U, d: int, name: str,
 
 
 def breuer_hall_decomposition(U: Optional[np.ndarray] = None,
-                              d: int = 4) -> CPDecomposition:
+                              d: Optional[int] = None) -> CPDecomposition:
     """L^U(X) = (Tr X) 1 - U X^T U^dag - X with lambda2 = identity.
 
-    U must be antisymmetric with U^dag U <= 1.
+    U must be finite and antisymmetric with U^dag U <= 1; it defaults
+    to `default_breuer_unitary(d)`, d = 4 by default, and a d given with
+    U must be its size.
     """
     return _breuer_hall(1.0, U, d, "breuer_hall", True)
 
 
 def breuer_hall_tilde_decomposition(U: Optional[np.ndarray] = None,
-                                    d: int = 4) -> CPDecomposition:
-    """L~^U(X) = (Tr X) 1 + U X^T U^dag - X with lambda2 = identity."""
+                                    d: Optional[int] = None
+                                    ) -> CPDecomposition:
+    """L~^U(X) = (Tr X) 1 + U X^T U^dag - X with lambda2 = identity; U
+    and d as for `breuer_hall_decomposition`."""
     return _breuer_hall(-1.0, U, d, "breuer_hall_tilde", False)
 
 
@@ -298,8 +322,10 @@ def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
     k = 0 is CP, k = d-1 is the reduction map, and phi_{3,1} is the Choi
     map; 1 <= k <= d-2 are indecomposable.
     """
-    if not 0 <= k <= d - 1:
-        raise InvalidParameters(f"require 0 <= k <= d-1, got k={k}, d={d}")
+    _check_d(d)
+    if not (linalg.is_count(k) and k <= d - 1):
+        raise InvalidParameters(
+            f"k={k!r} must be an integer from 0 to d-1 = {d - 1}")
     S = shift_operator(d)
     powers = [np.linalg.matrix_power(S, i) for i in range(1, k + 1)]
 
@@ -358,6 +384,7 @@ def identity_decomposition(d: int) -> CPDecomposition:
 
 def transposition_decomposition(d: int) -> CPDecomposition:
     """Plain transposition via tau^U with U = identity."""
+    _check_d(d)
     dec = tau_u_decomposition(np.eye(d))
     return CPDecomposition(dec.lambda1, dec.lambda2, "transposition",
                            indecomposable=False)

@@ -183,7 +183,12 @@ class Family:
     """Projectors O_i on C^dA (x) C^dB that resolve the identity, and
     their `joint_eigenbasis`, column k of `vectors` in the range of
     O_block[k]; InvalidState unless each O_i is 1 on its columns and 0
-    on the rest within EIGENBASIS_TOL.  Hashed by identity."""
+    on the rest within EIGENBASIS_TOL.  Hashed by identity.
+
+    Built with it: `pt_table` and `marginal_tables["A"]` and `["B"]`,
+    the E of the `joint_eigenbasis` of the O_i's partial transposes and
+    of their marginals (`linalg.partial_trace` keeping that subsystem),
+    each None where those images have no joint eigenbasis."""
 
     def __init__(self, projectors, dA: int, dB: int):
         self.operators, self.dA, self.dB = tuple(projectors), dA, dB
@@ -201,26 +206,16 @@ class Family:
         self.ranks = one_hot.sum(1).astype(float)
         for arr in (self.block, self.ranks):
             arr.setflags(write=False)
-        self._marginal_tables: dict = {}
+        ops = np.stack(self.operators)
+        self.pt_table = _table(linalg.partial_transpose(ops, dA, dB))
+        self.marginal_tables = {keep: _table(linalg.partial_trace(
+            ops, dA, dB, keep)) for keep in "AB"}
 
-    @cached_property
-    def pt_table(self) -> np.ndarray | None:
-        """E of the partial transposes of the O_i (`joint_eigenbasis`),
-        or None if they have no joint eigenbasis."""
-        basis = joint_eigenbasis(linalg.partial_transpose(
-            np.stack(self.operators), self.dA, self.dB))
-        return None if basis is None else basis[1]
 
-    def marginal_table(self, keep: str) -> np.ndarray | None:
-        """E of the marginals (`linalg.partial_trace`, keeping subsystem
-        `keep`) of the O_i (`joint_eigenbasis`), or None if they have no
-        joint eigenbasis; checked once per keep."""
-        tables = self._marginal_tables
-        if keep not in tables:
-            basis = joint_eigenbasis(linalg.partial_trace(
-                np.stack(self.operators), self.dA, self.dB, keep))
-            tables[keep] = None if basis is None else basis[1]
-        return tables[keep]
+def _table(operators) -> np.ndarray | None:
+    """E of the `joint_eigenbasis` of `operators`, or None."""
+    basis = joint_eigenbasis(operators)
+    return None if basis is None else basis[1]
 
 
 def _family_stack(coef: np.ndarray, family: Family) -> DensityMatrix:
@@ -413,22 +408,36 @@ def horodecki_state(gamma: float) -> DensityMatrix:
 
 
 def random_density(d: int, seed=0) -> np.ndarray:
-    """Full-rank random density matrix G G^dag / Tr(G G^dag), Ginibre G."""
-    if d < 2:
-        raise InvalidParameters("d must be >= 2")
-    rng = np.random.default_rng(seed)
+    """Full-rank random density matrix G G^dag / Tr(G G^dag), Ginibre G;
+    seed is an integer >= 0 or a numpy Generator."""
+    if not (linalg.is_dimension(d) and d >= 2):
+        raise InvalidParameters(f"d={d!r} must be an integer >= 2")
+    rng = np.random.default_rng(_check_seed(seed))
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
 
 
 def random_separable(dA: int, dB: int, k: int = 4, seed=0) -> DensityMatrix:
-    """Convex mixture of k random product states, separable by construction."""
-    if k < 1:
-        raise InvalidParameters("k must be >= 1")
-    rng = np.random.default_rng(seed)
+    """Convex mixture of k random product states, separable by
+    construction; seed as for `random_density`."""
+    if not all(linalg.is_dimension(d) and d >= 2 for d in (dA, dB)):
+        raise InvalidParameters(
+            f"dA={dA!r} and dB={dB!r} must be integers >= 2")
+    if not linalg.is_dimension(k):
+        raise InvalidParameters(f"k={k!r} must be an integer >= 1")
+    rng = np.random.default_rng(_check_seed(seed))
     weights = rng.dirichlet(np.ones(k))
     rho = np.zeros((dA * dB, dA * dB), dtype=complex)
     for w in weights:
         rho += w * tensor(random_density(dA, rng), random_density(dB, rng))
     return DensityMatrix(rho, dA, dB)
+
+
+def _check_seed(seed):
+    """seed, if it is a numpy Generator or an integer >= 0
+    (`linalg.is_count`), else InvalidParameters."""
+    if not (isinstance(seed, np.random.Generator) or linalg.is_count(seed)):
+        raise InvalidParameters(
+            f"seed={seed!r} must be an integer >= 0 or a numpy Generator")
+    return seed

@@ -338,16 +338,16 @@ class TestSpectraFromCoefficients:
 
     def test_marginal_tables_are_multiples_of_one(self):
         # SU(2)-covariant marginals: Tr_B P_J = (2J + 1)/4 1
-        E = states.so3_eigenbasis().marginal_table("A")
+        E = states.so3_eigenbasis().marginal_tables["A"]
         assert np.abs(E - (2 * np.arange(4)[:, None] + 1) / 4).max() <= 1e-15
-        assert states.so3_eigenbasis().marginal_table("A") is E
-        E = states.horodecki_eigenbasis().marginal_table("B")
+        assert states.so3_eigenbasis().marginal_tables["A"] is E
+        E = states.horodecki_eigenbasis().marginal_tables["B"]
         assert np.abs(E - np.array([[2 / 3], [1 / 3], [1], [1]])).max() \
             <= 1e-15
 
     def test_a_family_with_no_table_keeps_the_eigh(self, monkeypatch):
         stack = next(so3_rows(8))
-        monkeypatch.setattr(stack.family[0], "_marginal_tables",
+        monkeypatch.setattr(stack.family[0], "marginal_tables",
                             {"A": None})
         marg = linalg.partial_trace(stack.matrix, 4, 4, "A")
         got = criteria.Spectra(stack).marginal("A")
@@ -438,7 +438,7 @@ def raw_and_clamped(sp, which):
             sp.matrix, sp.dA, sp.dB, "A")).eigenvalues
     else:
         family, coef, _ = sp.family
-        raw = np.sort(linalg.combine(coef, family.marginal_table("A")),
+        raw = np.sort(linalg.combine(coef, family.marginal_tables["A"]),
                       -1)
     return raw, sp.marginal("A")
 

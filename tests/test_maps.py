@@ -9,7 +9,7 @@ from sepcrit.errors import (
     NotAntisymmetric,
     ParameterOutOfRange,
 )
-from sepcrit.states import DensityMatrix, random_separable
+from sepcrit.states import DensityMatrix, random_density, random_separable
 
 from conftest import bell_state
 
@@ -51,6 +51,8 @@ class TestApplyMap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             maps.extend_apply(maps.identity_map(3), np.eye(4), 1)
+        with pytest.raises(DimensionMismatch, match="Choi shape"):
+            maps.MatrixMap(2, np.eye(3))
 
 
 class TestExtendApply:
@@ -285,6 +287,51 @@ class TestParameterValidation:
             with pytest.raises(InvalidParameters,
                                match="must be a positive integer"):
                 build()
+
+    @pytest.mark.parametrize("call, name", [
+        ("random_density(2.5)", "d="),
+        ("random_density(1)", "d="),
+        ("random_density(9, seed=-1)", "seed="),
+        ("random_separable(3, 2.5)", "dA="),
+        ("random_separable(1, 3)", "dA="),
+        ("random_separable(3, 3, k=2.5)", "k="),
+        ("random_separable(3, 3, k=True)", "k="),
+        ("random_separable(3, 3, k=0)", "k="),
+        ("random_separable(3, 3, seed=-1)", "seed="),
+        ("maps.phi_dk_decomposition(3, 1.5)", "k="),
+        ("maps.phi_dk_decomposition(3.0, 1)", "d="),
+        ("maps.phi_dk_decomposition(True, 0)", "d="),
+        ("maps.default_breuer_unitary(4.0)", "d="),
+        ("maps.default_breuer_unitary(3)", "d=3 is odd"),
+        ("maps.breuer_hall_decomposition(d=4.0)", "d="),
+        ("maps.tau_u_decomposition(d=4.0)", "d="),
+        ("maps.transposition_decomposition(2.0)", "d="),
+        ("maps.is_positive_sampled(m, n_samples=2.5)", "n_samples"),
+        ("maps.is_positive_sampled(m, n_samples=0)", "n_samples"),
+        ("maps.is_positive_sampled(m, seed=1.5)", "seed"),
+        ("maps.breuer_hall_decomposition(U_nan)", "U "),
+    ])
+    def test_rejects_an_argument_of_the_wrong_kind(self, call, name):
+        # each raised numpy's TypeError, ValueError or LinAlgError, or
+        # (d=1, k=0, n_samples=0) InvalidParameters without the value
+        names = dict(maps=maps, random_density=random_density,
+                     random_separable=random_separable,
+                     m=maps.identity_map(2), U_nan=np.where(
+                         np.eye(4), np.nan, maps.default_breuer_unitary(4)))
+        with pytest.raises(InvalidParameters, match="^" + name):
+            eval(call, names)
+
+    @pytest.mark.parametrize("build", [
+        maps.breuer_hall_decomposition,
+        maps.breuer_hall_tilde_decomposition,
+        maps.tau_u_decomposition])
+    def test_d_must_be_the_size_of_U(self, build):
+        # d was silently ignored when U was given
+        U = maps.default_breuer_unitary(4)
+        with pytest.raises(InvalidParameters, match="^d=6 is not the size"):
+            build(U, d=6)
+        assert build(U, d=4).d == build(U).d == build().d == 4
+        assert build(d=6).d == 6
 
     @pytest.mark.parametrize("a, c", [
         (2, []), (np.inf, [1, 1, 1]), (2, [1, np.inf, 1]),

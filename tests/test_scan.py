@@ -839,8 +839,9 @@ class TestMatrixFormat:
         assert M[1, 1] == -1j
 
     def test_parse_errors_name_lines(self):
-        with pytest.raises(ParseError, match="line 1"):
-            parse_matrix_file(io.StringIO("bogus header\n"))
+        for header in ("bogus header", "0 3"):
+            with pytest.raises(ParseError, match="line 1"):
+                parse_matrix_file(io.StringIO(header + "\n"))
         with pytest.raises(ParseError, match="line 3"):
             parse_matrix_file(io.StringIO("1 2\n1,0 0,0\n0,0 bad\n"))
         with pytest.raises(ParseError, match="line 2"):

@@ -198,6 +198,27 @@ def rank_deficient(d):
     return rho
 
 
+class TestEmptyStacks:
+    @pytest.mark.parametrize("stack", [
+        lambda: states.DensityMatrix(np.zeros((0, 9, 9)), 3, 3),
+        lambda: states.horodecki_stack([]),
+        lambda: states.so3_stack([], [], [])],
+        ids=["dense", "horodecki", "so3"])
+    def test_every_criterion_gives_empty_results(self, stack):
+        # the dense stack raised a bare ValueError from linalg.fro
+        stack = stack()
+        sp = criteria.Spectra(stack)
+        dec = maps.reduction_decomposition(stack.dB)
+        crits = [criteria.PPT(), scan.RegionCriterion("e", None, 2.0),
+                 scan.RegionCriterion("inf", dec, math.inf)]
+        crits += [scan.RegionCriterion("ab", dec, 2.0, beta, kind)
+                  for beta, kind in ((1.0, None), (0.5, None), (0.5, "IV"))]
+        for crit in crits:
+            got = crit.verdicts(sp)
+            assert isinstance(got, criteria.ResultStack)
+            assert len(got) == 0 and list(got) == []
+
+
 class TestStackErrors:
     """A stack holding one bad state raises what the state raises alone."""
 
@@ -425,6 +446,7 @@ class TestRegionStacks:
         assert got == crit.verdicts(criteria.Spectra(stack))
         assert got != scan.RegionCriterion("bh", dec, 4).verdicts(
             criteria.Spectra(stack))
+        assert got.__eq__(list(got)) is NotImplemented and got != list(got)
 
     def test_region_results_is_a_read_only_view(self):
         crit = [scan.RegionCriterion("red", maps.reduction_decomposition(4),

@@ -255,6 +255,12 @@ class TestDensityMatrixStacks:
                 call()
         assert stack.cache == {}
 
+    def test_one_state_is_not_a_stack(self):
+        for rho in (states.so3_state(0.2, 0.3, 0.1),
+                    states.DensityMatrix(np.eye(4) / 4, 2, 2)):
+            with pytest.raises(DimensionMismatch, match="stack of states"):
+                rho[0]
+
     def test_rejects_more_than_three_axes(self):
         with pytest.raises(DimensionMismatch):
             states.DensityMatrix(np.full((2, 2, 4, 4), np.eye(4) / 4), 2, 2)
