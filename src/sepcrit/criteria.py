@@ -21,6 +21,7 @@ from .errors import (
     AllProjectionsVanish,
     CommutativityViolated,
     DimensionMismatch,
+    InvalidParameters,
     ParameterOutOfRange,
     SingularNegativePower,
     SingularOperand,
@@ -39,6 +40,17 @@ class Kind(enum.Enum):
     ENTROPIC = "ENTROPIC"
     PPT = "PPT"
 
+    # Members compare by identity, so they may hash by it.  Enum's own
+    # __hash__ (hash of the name) is a Python-level call, and `_route`
+    # hashes a Kind on every one-state call: it cost more than the rest
+    # of the key
+    __hash__ = object.__hash__
+
+
+# The kinds the per-call path tests for, as module globals: reading an
+# Enum member off its class costs about five times a global read
+_I, _III, _IV = Kind.I, Kind.III, Kind.IV
+
 
 class CriterionResult(NamedTuple):
     lhs: float
@@ -48,20 +60,6 @@ class CriterionResult(NamedTuple):
     kind: Kind
     tol: float
     commutator_norm: Optional[float] = None
-
-
-def _result(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
-            commutator: Optional[float] = None) -> CriterionResult:
-    """One state's CriterionResult from its kernel output, by the verdict
-    rule: the sign-adjusted margin of lhs against rhs is violated when it
-    lies below -tol * max(1, |lhs|, |rhs|)."""
-    lhs, rhs = float(lhs), float(rhs)
-    margin = (rhs - lhs) if reversed_ else (lhs - rhs)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    # tuple.__new__ skips the NamedTuple's Python-level __new__, about a
-    # third of the cost of a result; the scans build one per state
-    return tuple.__new__(CriterionResult, (
-        lhs, rhs, margin, bool(margin < -tol * scale), kind, tol, commutator))
 
 
 class ResultStack:
@@ -104,13 +102,23 @@ class ResultStack:
 
 def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
               commutator=None) -> list[CriterionResult] | ResultStack:
-    """The results of a kernel's output: a list of one CriterionResult
-    for output with no batch axis (`_result`), else one ResultStack.  A
-    scalar rhs holds for every state.  On a stack the margins and scales
-    are array arithmetic, and the verdict rule is applied to each state's
-    floats, as `_result` applies it."""
+    """The results of a kernel's output, by the verdict rule: the
+    sign-adjusted margin of lhs against rhs is violated when it lies
+    below -tol * max(1, |lhs|, |rhs|).
+
+    Output with no batch axis gives a list of one CriterionResult, else
+    one ResultStack, whose margins and scales are array arithmetic and
+    whose verdicts apply the rule to each state's floats, as a single
+    state's does.  A scalar rhs holds for every state."""
     if not isinstance(lhs, np.ndarray) or lhs.ndim == 0:
-        return [_result(lhs, rhs, reversed_, kind, tol, commutator)]
+        lhs, rhs = float(lhs), float(rhs)
+        margin = (rhs - lhs) if reversed_ else (lhs - rhs)
+        scale = max(1.0, abs(lhs), abs(rhs))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__,
+        # about a third of the cost of a result
+        return [tuple.__new__(CriterionResult, (
+            lhs, rhs, margin, bool(margin < -tol * scale), kind, tol,
+            commutator))]
     lhs = np.ravel(lhs)
     rhs = np.broadcast_to(np.ravel(rhs), lhs.shape)
     margins = ((rhs - lhs) if reversed_ else (lhs - rhs)).tolist()
@@ -134,6 +142,7 @@ _BETA_OK = {
 def route_kind(beta: float) -> Kind:
     """Default inequality kind for a given beta: the first of II, I and
     III whose range (`_BETA_OK`) holds it."""
+    linalg.check_real(beta, "beta")
     for kind in (Kind.II, Kind.I, Kind.III):
         if _BETA_OK[kind](beta):
             return kind
@@ -143,9 +152,11 @@ def route_kind(beta: float) -> Kind:
 
 
 def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
-    """kind is one of I-IV; alpha = inf, the limit witness, is the
-    beta = 1, kind II limit."""
-    beta_ok = _BETA_OK.get(kind)
+    """alpha and beta are real numbers and kind is one of I-IV; alpha =
+    inf, the limit witness, is the beta = 1, kind II limit."""
+    linalg.check_real(alpha, "alpha")
+    linalg.check_real(beta, "beta")
+    beta_ok = _BETA_OK.get(kind) if isinstance(kind, Kind) else None
     if beta_ok is None:
         raise ParameterOutOfRange(f"kind {kind} is not one of I, II, III, IV")
     if not (math.isfinite(alpha) and math.isfinite(beta)):
@@ -162,6 +173,37 @@ def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
         raise ParameterOutOfRange(f"alpha={alpha} must be >= 0")
     if not beta_ok(beta):
         raise ParameterOutOfRange(f"beta={beta} invalid for kind {kind.value}")
+
+
+# The Kind of each argument triple that `_route` has validated.
+_ROUTES: dict = {}
+
+
+def _route(alpha: float, beta: float, kind: Kind | str | None) -> Kind:
+    """The Kind that (alpha, beta, kind) evaluates: kind None is routed
+    by beta (`route_kind`), a str is a Kind name, and the triple must
+    pass `_validate_range`.
+
+    Kept in _ROUTES, so a repeat triple is one dict lookup.  The key
+    holds the types of alpha and beta: 2 and 2+0j hash and compare
+    equal, but only one of them is valid.  A triple that raised is never
+    kept, so it raises on every call, and _ROUTES is emptied when it
+    holds POWER_CACHE_SIZE ** 2 entries, one per pair of the alphas and
+    betas a state's power caches keep."""
+    key = (alpha, beta, kind, type(alpha), type(beta))
+    try:
+        return _ROUTES[key]
+    except (KeyError, TypeError):  # new, or unhashable and refused below
+        pass
+    if kind is None:
+        kind = route_kind(beta)
+    elif isinstance(kind, str):
+        kind = Kind.__members__.get(kind, kind)
+    _validate_range(alpha, beta, kind)
+    if len(_ROUTES) >= POWER_CACHE_SIZE ** 2:
+        _ROUTES.clear()
+    _ROUTES[key] = kind
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -290,31 +332,26 @@ def _pairing(X: _MapSpectrum | Spectra, beta: float,
 def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
                 beta: float, kind: Kind | str | None = None
                 ) -> list[CriterionResult] | ResultStack:
-    """The (alpha, beta)-inequality on every state of sp, at sp.tol; kind
-    None is routed by beta (`route_kind`), a str is a Kind name, and a
-    kind outside I-IV raises ParameterOutOfRange.  Kind III
-    reads reversed; kind I with a map lambda2 reports the commutator norm.
-    At alpha = inf it is the limit witness of dec.map against 0.  A map
+    """The (alpha, beta)-inequality on every state of sp, at sp.tol, of
+    the Kind that `_route` finds for (alpha, beta, kind).  Kind III reads
+    reversed; kind I with a map lambda2 reports the commutator norm.  At
+    alpha = inf it is the limit witness of dec.map against 0.  A map
     that sampling shows is not positive (`CPDecomposition.check_positive`)
     raises InvalidParameters: its verdicts would not be sound.
 
-    Each side is one vecdot of lam^alpha (`Spectra.power`) with X's
-    pairing vector, or for kind IV's rhs with X2's singular values
-    raised to beta, all kept on sp; a lambda2 that is the identity has
-    X2 = rho, and sp serves as its entry."""
+    Each side is one dot product (`linalg.vecdot`) of lam^alpha
+    (`Spectra.power`) with X's pairing vector, or for kind IV's rhs with
+    X2's singular values raised to beta, all kept on sp; a lambda2 that
+    is the identity has X2 = rho, and sp serves as its entry."""
     dec.check_positive()
-    if kind is None:
-        kind = route_kind(beta)
-    elif isinstance(kind, str):
-        kind = Kind.__members__.get(kind, kind)
-    _validate_range(alpha, beta, kind)
+    kind = _route(alpha, beta, kind)
     if alpha == math.inf:
         return _verdicts(_limit(sp, dec.map), 0.0, False, kind, sp.tol)
     lam_a, tol = sp.power(alpha), sp.tol
     X1 = sp.map(dec.lambda1)
     X2 = sp if dec.lambda2_is_identity else sp.map(dec.lambda2)
     commutator = None
-    if kind is Kind.I and X2 is not sp:
+    if kind is _I and X2 is not sp:
         commutator = X2.commutator
         bad = np.ravel(commutator > tol * np.maximum(1.0, sp.fro))
         if bad.any():
@@ -322,13 +359,14 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
                 f"[X2, rho] norm {float(np.ravel(commutator)[bad.argmax()])}"
                 " exceeds tolerance"
             )
-    lhs = np.vecdot(lam_a, _pairing(X1, beta, "X1"))
-    if kind is Kind.IV:
-        # X2's singular values are its clamped spectrum: ascending, >= 0
+    lhs = linalg.vecdot(lam_a, _pairing(X1, beta, "X1"))
+    if kind is _IV:
+        # X2's singular values are its clamped spectrum: ascending, >= 0.
+        # np.vecdot, as the reversed view's bits need (`linalg.vecdot`)
         rhs = np.vecdot(lam_a[..., ::-1], X2.power(beta))
     else:
-        rhs = np.vecdot(lam_a, _pairing(X2, beta, "X2"))
-    return _verdicts(lhs, rhs, kind is Kind.III, kind, tol, commutator)
+        rhs = linalg.vecdot(lam_a, _pairing(X2, beta, "X2"))
+    return _verdicts(lhs, rhs, kind is _III, kind, tol, commutator)
 
 
 def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
@@ -372,8 +410,9 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
 
 
 def check_entropic_alpha(alpha: float, name: str = "alpha") -> float:
-    """alpha, if it is an entropic power (finite, >= 0 and != 1), else
-    ParameterOutOfRange naming it as `name`."""
+    """alpha, if it is an entropic power (a real number, finite, >= 0
+    and != 1), else ParameterOutOfRange naming it as `name`."""
+    linalg.check_real(alpha, name)
     if not math.isfinite(alpha) or alpha < 0 or alpha == 1:
         raise ParameterOutOfRange(
             f"{name}={alpha} must be finite, >= 0 and != 1")
@@ -440,7 +479,10 @@ class Spectra:
         """rho's Spectra at tol, built on first use and kept in
         rho.cache[tol].  A stack raises DimensionMismatch: its states
         are evaluated through `Spectra(rho, tol)`."""
-        sp = rho.cache.get(tol)
+        try:
+            sp = rho.cache.get(tol)
+        except TypeError:  # an unhashable tol, which check_tol refuses
+            sp = None
         if sp is None:
             if rho.eigenvalues.ndim != 1:
                 raise DimensionMismatch(
@@ -490,6 +532,8 @@ class Spectra:
         else InvalidParameters): sum_i coef_i E[i], sorted, on a family
         with a table E in `Family.marginal_tables`, else eigh of the
         partial trace."""
+        if keep not in ("A", "B"):  # compared, not hashed: keep may be a list
+            raise InvalidParameters(f"keep must be 'A' or 'B', got {keep!r}")
         w = self._marginals.get(keep)
         if w is None:
             E = (None if self.family is None

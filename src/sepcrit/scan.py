@@ -122,9 +122,12 @@ def table1(alpha: float, beta: float = 1.0,
     does.  No state is diagonalized: `horodecki_stack` has its
     eigenvectors from the family's algebra.
     """
-    if not (math.isfinite(bisect_tol) and bisect_tol >= 1e-6):
+    if not (linalg.is_real(bisect_tol) and math.isfinite(bisect_tol)
+            and bisect_tol >= 1e-6):
         raise InvalidParameters(
-            f"bisect_tol={bisect_tol} must be finite and >= 1e-6")
+            f"bisect_tol={bisect_tol!r} must be finite and >= 1e-6")
+    if not isinstance(map_spec, str):
+        raise InvalidParameters(f"map_spec={map_spec!r} must be a str")
     grid, dec, sp = _grid_spectra(map_spec)
     crit = RegionCriterion("gamma", dec, alpha, beta, kind)
     mask = crit.verdicts(sp).violated
@@ -244,8 +247,8 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     raises when its stack is evaluated: after every point of the earlier
     stacks, before that stack's first point is emitted.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameters(f"p={p} outside [0,1]")
+    if not (linalg.is_real(p) and 0.0 <= p <= 1.0):
+        raise InvalidParameters(f"p={p!r} outside [0,1]")
     _check_resolution(resolution)
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):

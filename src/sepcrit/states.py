@@ -413,14 +413,27 @@ def random_density(d: int, seed=0) -> np.ndarray:
     if not (linalg.is_dimension(d) and d >= 2):
         raise InvalidParameters(f"d={d!r} must be an integer >= 2")
     rng = np.random.default_rng(_check_seed(seed))
-    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = G @ G.conj().T
-    return rho / np.trace(rho).real
+    return _ginibre_densities(rng.standard_normal(2 * d * d), d)
+
+
+def _ginibre_densities(x: np.ndarray, d: int) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for each Ginibre G = re + 1j * im drawn as
+    the 2 d^2 normals x[..., :] (re, then im, each row-major), one state
+    per row of x: a stack gives each state the bits of a single one."""
+    x = x.reshape(x.shape[:-1] + (2, d, d))
+    G = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    rho = G @ G.conj().mT
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_separable(dA: int, dB: int, k: int = 4, seed=0) -> DensityMatrix:
     """Convex mixture of k random product states, separable by
-    construction; seed as for `random_density`."""
+    construction; seed as for `random_density`.
+
+    Term i is `random_density(dA)` (x) `random_density(dB)`, drawn in
+    that order after the weights, all in one draw from the generator:
+    the same stream, and so the same bits, as one `random_density` call
+    per factor."""
     if not all(linalg.is_dimension(d) and d >= 2 for d in (dA, dB)):
         raise InvalidParameters(
             f"dA={dA!r} and dB={dB!r} must be integers >= 2")
@@ -428,9 +441,12 @@ def random_separable(dA: int, dB: int, k: int = 4, seed=0) -> DensityMatrix:
         raise InvalidParameters(f"k={k!r} must be an integer >= 1")
     rng = np.random.default_rng(_check_seed(seed))
     weights = rng.dirichlet(np.ones(k))
+    x = rng.standard_normal((k, 2 * (dA * dA + dB * dB)))
+    a = _ginibre_densities(x[:, :2 * dA * dA], dA)
+    b = _ginibre_densities(x[:, 2 * dA * dA:], dB)
     rho = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for w in weights:
-        rho += w * tensor(random_density(dA, rng), random_density(dB, rng))
+    for w, t in zip(weights, tensor(a, b)):
+        rho += w * t
     return DensityMatrix(rho, dA, dB)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -542,6 +544,151 @@ class TestSpectralCore:
         assert calls == []
         criteria.alpha_beta_inequality(rho, dec, 3, 0.5, Kind.II)
         assert calls == ["powered"]
+
+
+class TestArgumentTriples:
+    """A one-state call routes and validates its (alpha, beta, kind)
+    once; a repeat call looks the Kind up."""
+
+    @pytest.mark.parametrize("beta, kind, dots", [
+        (0.5, Kind.II, ["vecdot", "vecdot"]),
+        (2, Kind.I, ["vecdot", "vecdot"]),
+        (-0.5, Kind.III, ["vecdot", "vecdot"]),
+        (1, Kind.IV, ["vecdot", "np.vecdot"]),
+        (0.5, None, ["vecdot", "vecdot"])])
+    def test_warm_call_is_two_dots(self, rng, monkeypatch, beta, kind, dots):
+        dec = maps.reduction_decomposition(4)
+        rho = states.random_separable(4, 4, 4, rng)
+        first = criteria.alpha_beta_inequality(rho, dec, 2, beta, kind)
+        calls = []
+        for module, name, label in (
+                (criteria, "route_kind", "route_kind"),
+                (criteria, "_validate_range", "_validate_range"),
+                (linalg, "vecdot", "vecdot"), (np, "vecdot", "np.vecdot")):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=f, label=label:
+                                calls.append(label) or f(*args))
+        assert criteria.alpha_beta_inequality(rho, dec, 2, beta, kind) == first
+        assert calls == dots
+
+    def test_invalid_triple_raises_every_time(self, rng):
+        dec = maps.reduction_decomposition(3)
+        rho = states.random_separable(3, 3, 4, rng)
+        for bad in ((-1, 1, Kind.II), (1, 0.5, Kind.I), (1, 1, "V"),
+                    (math.inf, 2, None), (1, math.nan, None)):
+            for _ in range(3):
+                with pytest.raises(ParameterOutOfRange):
+                    criteria.alpha_beta_inequality(rho, dec, *bad)
+        cold = states.DensityMatrix(rho.matrix.copy(), 3, 3)
+        assert criteria.alpha_beta_inequality(rho, dec, 1, 0.5, Kind.II) == \
+            criteria.alpha_beta_inequality(cold, dec, 1, 0.5, Kind.II)
+
+    def test_complex_refused_before_and_after_its_real_twin(self, rng):
+        # 2 and 2+0j hash and compare equal: validity must not depend on
+        # which of them came first
+        dec = maps.reduction_decomposition(3)
+        rho = states.random_separable(3, 3, 4, rng)
+        for args, twin in (((2 + 0j, 1), (2, 1)), ((2, 1 + 0j), (2, 1)),
+                           ((2.0 + 0j, 0.5), (2.0, 0.5))):
+            with pytest.raises(ParameterOutOfRange, match="must be a real"):
+                criteria.alpha_beta_inequality(rho, dec, *args)
+            criteria.alpha_beta_inequality(rho, dec, *twin)
+            with pytest.raises(ParameterOutOfRange, match="must be a real"):
+                criteria.alpha_beta_inequality(rho, dec, *args)
+
+    def test_kind_forms_give_identical_results(self, rng):
+        dec = maps.phi_dk_decomposition(3, 1)
+        rho = states.random_separable(3, 3, 4, rng)
+        for beta in (0.5, 1):
+            got = [criteria.alpha_beta_inequality(rho, dec, 2, beta, kind)
+                   for kind in (None, "II", Kind.II)]
+            assert got[0] == got[1] == got[2]
+            assert got[0].kind is Kind.II
+            assert [np.float64(x).view(np.uint64) for res in got
+                    for x in res[:3]] == \
+                [np.float64(x).view(np.uint64) for x in got[0][:3]] * 3
+
+
+def _typed_error_cases():
+    """(id, call, error, argument name): each call raised a bare
+    TypeError (or AttributeError) before its arguments were checked by
+    type."""
+    rho = states.random_separable(3, 3, 4, seed=1)
+    dec = maps.reduction_decomposition(3)
+    cases = []
+    for label, bad in (("None", None), ("str", "2"), ("complex", 2 + 0j),
+                       ("array", np.array([2.0])), ("0-d", np.array(2.0))):
+        cases += [
+            (f"alpha_beta alpha {label}", lambda bad=bad:
+             criteria.alpha_beta_inequality(rho, dec, bad, 1),
+             ParameterOutOfRange, "alpha"),
+            (f"alpha_beta beta {label}", lambda bad=bad:
+             criteria.alpha_beta_inequality(rho, dec, 1, bad),
+             ParameterOutOfRange, "beta"),
+            (f"evaluate alpha {label}", lambda bad=bad:
+             scan.RegionCriterion("c", dec, bad, 1).evaluate(rho),
+             ParameterOutOfRange, "alpha"),
+            (f"evaluate beta {label}", lambda bad=bad:
+             scan.RegionCriterion("c", dec, 1, bad).evaluate(rho),
+             ParameterOutOfRange, "beta"),
+            (f"entropic alpha {label}", lambda bad=bad:
+             criteria.entropic_inequality(rho, bad),
+             ParameterOutOfRange, "alpha"),
+        ]
+    for label, tol in (("None", None), ("str", "1e-9")):
+        cases += [
+            (f"check_tol {label}", lambda tol=tol: linalg.check_tol(tol),
+             ParameterOutOfRange, "tol"),
+            (f"criterion tol {label}", lambda tol=tol:
+             criteria.alpha_beta_inequality(rho, dec, 1, 1, tol=tol),
+             ParameterOutOfRange, "tol"),
+            (f"so3_region tol {label}", lambda tol=tol:
+             scan.so3_region(0.2, [], 4, tol), ParameterOutOfRange, "tol"),
+            (f"is_cp tol {label}", lambda tol=tol: maps.is_cp(dec.map, tol),
+             ParameterOutOfRange, "tol"),
+        ]
+    return cases + [
+        ("kind list", lambda: criteria.alpha_beta_inequality(
+            rho, dec, 1, 1, ["II"]), ParameterOutOfRange, "kind"),
+        ("criterion tol list", lambda: criteria.alpha_beta_inequality(
+            rho, dec, 1, 1, tol=[1e-9]), ParameterOutOfRange, "tol"),
+        ("entropic subsystem list", lambda: criteria.entropic_inequality(
+            rho, 2, ["A"]), InvalidParameters, "keep"),
+        ("table1 alpha str", lambda: scan.table1("7"),
+         ParameterOutOfRange, "alpha"),
+        ("table1 bisect_tol None", lambda: scan.table1(7, bisect_tol=None),
+         InvalidParameters, "bisect_tol"),
+        ("table1 map_spec None", lambda: scan.table1(7, 1.0, None),
+         InvalidParameters, "map_spec"),
+        ("table1 map_spec list", lambda: scan.table1(7, 1.0, ["x"]),
+         InvalidParameters, "map_spec"),
+        ("table1 kind list", lambda: scan.table1(7, 1.0, "phi_dk d=3 k=1",
+                                                 ["II"]),
+         ParameterOutOfRange, "kind"),
+        ("so3_region p None", lambda: scan.so3_region(None, [], 4),
+         InvalidParameters, "p"),
+    ]
+
+
+@pytest.mark.parametrize("call, error, name", [
+    pytest.param(*case[1:], id=case[0]) for case in _typed_error_cases()])
+def test_non_real_arguments_raise_typed_errors(call, error, name):
+    with pytest.raises(error, match=rf"^{name}\b"):
+        call()
+
+
+def test_bool_arguments_keep_their_meaning():
+    # a bool is an int: alpha True is alpha 1, and entropic alpha 1 is
+    # out of range
+    rho = states.random_separable(3, 3, 4, seed=1)
+    dec = maps.reduction_decomposition(3)
+    for one in (True, np.True_):
+        assert criteria.alpha_beta_inequality(rho, dec, one, 1) == \
+            criteria.alpha_beta_inequality(rho, dec, 1, 1)
+        assert criteria.alpha_beta_inequality(rho, dec, 2, one) == \
+            criteria.alpha_beta_inequality(rho, dec, 2, 1)
+        with pytest.raises(ParameterOutOfRange, match="^alpha=True"):
+            criteria.entropic_inequality(rho, one)
 
 
 def rank_deficient_separable(d, k, rng):

@@ -177,6 +177,34 @@ class TestTensor:
         assert got.dtype == complex
         assert np.array_equal(got, np.kron(np.eye(2), [[0, 1], [1, 0]]))
 
+    def test_stacks_pair_one_by_one(self, rng):
+        a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                for s in ((5, 2, 3), (5, 4, 2)))
+        got = linalg.tensor(a, b)
+        assert got.shape == (5, 8, 6)
+        for k in range(5):
+            assert got[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+
+
+class TestVecdot:
+    def test_one_vector_has_np_vecdot_bits(self, rng):
+        # ndarray.dot on one pair, np.vecdot on a stack: the same bits,
+        # for contiguous operands and for the strided real part of a
+        # complex array (BLAS sums strided operands in another order, so
+        # each stack keeps its operands' layout)
+        for n in [1, 2, 3, 9, 16, 17, 64, 81]:
+            for _ in range(50):
+                a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for b, bs in ((z.imag.copy(), np.stack([z.imag, z.imag])),
+                              (z.real, np.stack([z, z]).real)):
+                    got = linalg.vecdot(a, b)
+                    want = np.vecdot(a, b)
+                    assert np.float64(got).view(np.uint64) == \
+                        np.float64(want).view(np.uint64)
+                    stack = linalg.vecdot(np.stack([a, a]), bs)
+                    assert stack.tobytes() == np.stack([want, want]).tobytes()
+
 
 class TestPartialTrace:
     def test_product_factorization(self, rng):

@@ -184,6 +184,43 @@ class TestStackedEqualsOneState:
             stacked(criteria.Spectra(stack),
                     maps.CPDecomposition(zero, zero, "zero"), math.inf)
 
+    @pytest.mark.parametrize("kind", [Kind.I, Kind.II, Kind.III, Kind.IV,
+                                      Kind.ENTROPIC])
+    def test_dense_stack_bits_equal_one_state_bits(self, rng, kind):
+        # one state's sides are ndarray.dot and a stack's np.vecdot
+        # (`linalg.vecdot`), kind IV's rhs np.vecdot on both: a numpy
+        # whose two dots round differently fails here
+        def bits(results):
+            return [np.float64(x).view(np.uint64) for res in results
+                    for x in (res.lhs, res.rhs, res.margin)]
+
+        runs = {Kind.I: [(1, 2), (2.5, 3)], Kind.II: [(1, 1), (3, 0.5)],
+                Kind.III: [(1, -0.5), (2, -1)], Kind.IV: [(1, 1), (2, 0.5)],
+                Kind.ENTROPIC: [(0.5, None), (2, None)]}[kind]
+        stacks = [(separable_stack(3, 5, rng), [
+                      maps.reduction_decomposition(3),
+                      maps.phi_dk_decomposition(3, 1)]),
+                  (states.DensityMatrix([states.random_density(16, rng)
+                                         for _ in range(4)], 4, 4),
+                   [maps.reduction_decomposition(4),
+                    maps.breuer_hall_decomposition(d=4)])]
+        for stack, decs in stacks:
+            sp = criteria.Spectra(stack)
+            for alpha, beta in runs:
+                if kind is Kind.ENTROPIC:
+                    got = criteria._entropic(sp, alpha)
+                    one = [criteria.entropic_inequality(fresh(rho), alpha)
+                           for rho in stack]
+                    assert bits(got) == bits(one)
+                    continue
+                for dec in decs:
+                    if kind is Kind.I and not dec.lambda2_is_identity:
+                        continue
+                    got = stacked(sp, dec, alpha, beta, kind)
+                    one = [criteria.alpha_beta_inequality(
+                        fresh(rho), dec, alpha, beta, kind) for rho in stack]
+                    assert bits(got) == bits(one)
+
     def test_one_state_input(self, rng):
         dec = maps.phi_dk_decomposition(3, 1)
         for rho in separable_stack(3, 4, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -125,6 +126,51 @@ class TestRandomEnsembles:
         pb = np.trace(np.linalg.matrix_power(rho.marginal("B"), 2)).real
         purity = np.trace(rho.matrix @ rho.matrix).real
         assert abs(purity - pa * pb) <= 1e-10
+
+    # The first 16 hex digits of the SHA-256 of each matrix's bytes, at
+    # seeds 0, 1 and 7: any bit of the random stream, or of the arithmetic
+    # that turns it into a state, that moves changes a digest.
+    SEPARABLE_DIGESTS = {
+        (3, 3, 4): ["ae2bc3e379312d57", "df6b02ed923d8cb5",
+                    "4486d59a14b22f6d"],
+        (4, 4, 4): ["d1798cd6e964f561", "54c780f991b149fc",
+                    "542e91d4aac9c0af"],
+        (2, 5, 3): ["41e5ff44ef1b1102", "caf937a64365d535",
+                    "92a99b328a5c7204"],
+        (3, 3, 1): ["46c3330184109c7d", "5a4debc539c4bad3",
+                    "5240ed549754c539"],
+        (2, 9, 2): ["9c653b849574dde3", "354571dc5f217798",
+                    "d8a6fce957f90dab"],
+    }
+    DENSITY_DIGESTS = {  # at seeds 0 and 5
+        2: ["4dba7fe2e04192a7", "74437480e5cf07a7"],
+        3: ["133e6a3eaad6f21b", "a8f98ad5d173085d"],
+        4: ["880140f92b9f1429", "c204f44e9170005c"],
+        9: ["fdb435966007ed0f", "6a64365be191600d"],
+    }
+
+    @staticmethod
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("shape", list(SEPARABLE_DIGESTS))
+    def test_random_separable_stream_is_pinned(self, shape):
+        assert [self.digest(states.random_separable(*shape, seed=s).matrix)
+                for s in (0, 1, 7)] == self.SEPARABLE_DIGESTS[shape]
+
+    @pytest.mark.parametrize("d", list(DENSITY_DIGESTS))
+    def test_random_density_stream_is_pinned(self, d):
+        assert [self.digest(states.random_density(d, seed=s))
+                for s in (0, 5)] == self.DENSITY_DIGESTS[d]
+
+    def test_states_drawn_in_a_row_are_pinned(self):
+        # one generator, as the soundness bench draws its 3x3 and 4x4 states
+        rng = np.random.default_rng([5, 2])
+        got = [self.digest(states.random_separable(*dims, 4, rng).matrix)
+               for dims in ((3, 3), (4, 4), (3, 3))]
+        got.append(self.digest(states.random_density(3, rng)))
+        assert got == ["899d872e76b98616", "9f27a6963742c612",
+                       "4a0125cae8513ad3", "663d4c18a2db8780"]
 
     def test_separable_is_ppt(self, rng):
         for _ in range(20):
