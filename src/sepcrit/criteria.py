@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,9 +41,9 @@ class Kind(enum.Enum):
     PPT = "PPT"
 
     # Members compare by identity, so they may hash by it.  Enum's own
-    # __hash__ (hash of the name) is a Python-level call, and `_route`
-    # hashes a Kind on every one-state call: it cost more than the rest
-    # of the key
+    # __hash__ (hash of the name) is a Python-level call, and `_route`'s
+    # cache hashes a Kind on every one-state call: it cost more than the
+    # rest of the key
     __hash__ = object.__hash__
 
 
@@ -175,34 +175,29 @@ def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
         raise ParameterOutOfRange(f"beta={beta} invalid for kind {kind.value}")
 
 
-# The Kind of each argument triple that `_route` has validated.
-_ROUTES: dict = {}
+# Entries an exponent-keyed cache (`Spectra.power`, `_MapSpectrum.power`
+# and `_MapSpectrum.pairing`) holds before it is emptied: a long-lived
+# Spectra, such as table1's grid, would otherwise keep an array for every
+# exponent it was ever asked for.
+POWER_CACHE_SIZE = 16
 
 
+@lru_cache(maxsize=POWER_CACHE_SIZE ** 2, typed=True)
 def _route(alpha: float, beta: float, kind: Kind | str | None) -> Kind:
     """The Kind that (alpha, beta, kind) evaluates: kind None is routed
     by beta (`route_kind`), a str is a Kind name, and the triple must
     pass `_validate_range`.
 
-    Kept in _ROUTES, so a repeat triple is one dict lookup.  The key
-    holds the types of alpha and beta: 2 and 2+0j hash and compare
-    equal, but only one of them is valid.  A triple that raised is never
-    kept, so it raises on every call, and _ROUTES is emptied when it
-    holds POWER_CACHE_SIZE ** 2 entries, one per pair of the alphas and
-    betas a state's power caches keep."""
-    key = (alpha, beta, kind, type(alpha), type(beta))
-    try:
-        return _ROUTES[key]
-    except (KeyError, TypeError):  # new, or unhashable and refused below
-        pass
+    A typed LRU of POWER_CACHE_SIZE ** 2 triples (one per pair of the
+    alphas and betas a state's power caches keep): 2 and 2+0j hash and
+    compare equal, but only one is valid, and typed keys keep them
+    apart, so validity never depends on earlier calls.  A triple that
+    raised is never kept; an unhashable one is refused by `__wrapped__`."""
     if kind is None:
         kind = route_kind(beta)
     elif isinstance(kind, str):
         kind = Kind.__members__.get(kind, kind)
     _validate_range(alpha, beta, kind)
-    if len(_ROUTES) >= POWER_CACHE_SIZE ** 2:
-        _ROUTES.clear()
-    _ROUTES[key] = kind
     return kind
 
 
@@ -232,13 +227,6 @@ def _family_table(m: MatrixMap, family) -> np.ndarray:
     return D
 
 
-# Entries an exponent-keyed cache (`Spectra.power`, `_MapSpectrum.power`
-# and `_MapSpectrum.pairing`) holds before it is emptied: a long-lived
-# Spectra, such as table1's grid, would otherwise keep an array for every
-# exponent it was ever asked for.
-POWER_CACHE_SIZE = 16
-
-
 def _keep(cache: dict, t: float, value: np.ndarray) -> np.ndarray:
     """value, made read-only and kept as cache[t]; a cache holding
     POWER_CACHE_SIZE entries is emptied first.  A value whose computation
@@ -264,6 +252,7 @@ class _MapSpectrum:
 
     def __init__(self, m: MatrixMap, sp: Spectra):
         self.map, self.tol, self._dA = m, sp.tol, sp.dA
+        self._w = sp.eigenvalues  # rho's spectrum, for ||rho||_F
         self._matrix, self._vectors = sp._matrix, sp._vectors
         self._powers: dict = {}
         self._pairings: dict = {}
@@ -297,6 +286,21 @@ class _MapSpectrum:
     def commutator(self):
         """||[X, rho]||_F (stackable), which kind I requires to vanish."""
         return linalg.commutator_norm(self.X, self._matrix())
+
+    @cached_property
+    def checked_commutator(self):
+        """`commutator`, if within tol * max(1, ||rho||_F) (`Spectra.fro`)
+        on every state, else CommutativityViolated for the first state
+        beyond it, on every read."""
+        norm = self.commutator
+        bound = self.tol * np.maximum(1.0, linalg.spectral_fro(self._w))
+        bad = np.ravel(norm > bound)
+        if bad.any():
+            k = bad.argmax()
+            raise CommutativityViolated(
+                f"[X2, rho] norm {float(np.ravel(norm)[k])} exceeds "
+                f"tolerance {float(np.ravel(bound)[k])}")
+        return norm
 
     def power(self, t: float) -> np.ndarray:
         """mu ** t (`linalg.powered`), kept per t: X's singular values
@@ -344,21 +348,16 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
     X2's singular values raised to beta, all kept on sp; a lambda2 that
     is the identity has X2 = rho, and sp serves as its entry."""
     dec.check_positive()
-    kind = _route(alpha, beta, kind)
+    try:
+        kind = _route(alpha, beta, kind)
+    except TypeError:  # an unhashable argument, which is refused uncached
+        kind = _route.__wrapped__(alpha, beta, kind)
     if alpha == math.inf:
         return _verdicts(_limit(sp, dec.map), 0.0, False, kind, sp.tol)
     lam_a, tol = sp.power(alpha), sp.tol
     X1 = sp.map(dec.lambda1)
     X2 = sp if dec.lambda2_is_identity else sp.map(dec.lambda2)
-    commutator = None
-    if kind is _I and X2 is not sp:
-        commutator = X2.commutator
-        bad = np.ravel(commutator > tol * np.maximum(1.0, sp.fro))
-        if bad.any():
-            raise CommutativityViolated(
-                f"[X2, rho] norm {float(np.ravel(commutator)[bad.argmax()])}"
-                " exceeds tolerance"
-            )
+    commutator = X2.checked_commutator if kind is _I and X2 is not sp else None
     lhs = linalg.vecdot(lam_a, _pairing(X1, beta, "X1"))
     if kind is _IV:
         # X2's singular values are its clamped spectrum: ascending, >= 0.

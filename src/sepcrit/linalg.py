@@ -55,6 +55,27 @@ def check_real(x, name: str):
     return x
 
 
+def _numbers(x, kinds: str, name: str, rule: str) -> np.ndarray:
+    """x as an array, if its dtype kind is one of `kinds`, else
+    InvalidParameters naming it as `name`: "{name}=... must {rule}"."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting of lists
+        a = np.asarray(None)
+    if a.dtype.kind not in kinds:
+        raise InvalidParameters(f"{name}={x!r:.60} must {rule}")
+    return a
+
+
+def as_real(x, name: str) -> np.ndarray:
+    """x as float64, of x's shape, if it holds only bools, integers and
+    floats (numpy's too; a float32 is widened, a float64 keeps its bits),
+    else InvalidParameters naming it as `name`: a str, a complex, None
+    and any other object are not real numbers."""
+    return _numbers(x, "biuf", name, "be real numbers").astype(
+        np.float64, copy=False)
+
+
 def is_count(n) -> bool:
     """Whether n is a non-negative integer (a bool is not one): a count,
     an index or a seed."""
@@ -67,9 +88,11 @@ def is_dimension(d) -> bool:
     return is_count(d) and d > 0
 
 
-def as_matrix(A) -> np.ndarray:
-    """Coerce to a complex ndarray of square matrices (..., n, n)."""
-    M = np.asarray(A, dtype=complex)
+def as_matrix(A, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex ndarray of square matrices (..., n, n); an A
+    that holds anything but numbers raises InvalidParameters naming it
+    as `name`."""
+    M = _numbers(A, "biufc", name, "hold numbers").astype(complex, copy=False)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     return M

@@ -36,7 +36,7 @@ class MatrixMap:
 
     def __post_init__(self):
         _check_d(self.d)
-        C = as_matrix(self.choi)
+        C = as_matrix(self.choi, "choi")
         if C.shape != (self.d * self.d,) * 2:
             raise DimensionMismatch(
                 f"Choi shape {C.shape} != d^2 x d^2 = {self.d * self.d}"
@@ -137,7 +137,7 @@ def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
     matrix, one flattened block per row, which the map's superoperator
     acts on from the right.
     """
-    rho = as_matrix(rho)
+    rho = as_matrix(rho, "rho")
     dB = m.d
     if rho.shape[-1] != dA * dB:
         raise DimensionMismatch(
@@ -212,7 +212,7 @@ def shift_operator(d: int) -> np.ndarray:
 
 def modified_transposition(U: np.ndarray) -> MatrixMap:
     """tau^U(X) = U X^T U^dag."""
-    U = as_matrix(U)
+    U = as_matrix(U, "U")
     d = U.shape[0]
     return map_from_action(d, lambda X: U @ X.T @ dag(U))
 
@@ -258,7 +258,7 @@ def _unitary(U, d) -> np.ndarray:
     InvalidParameters."""
     if U is None:
         return default_breuer_unitary(4 if d is None else d)
-    U = as_matrix(U)
+    U = as_matrix(U, "U")
     if d is not None:
         _check_d(d)
         if d != len(U):
@@ -339,11 +339,20 @@ def phi_dk_decomposition(d: int, k: int) -> CPDecomposition:
                            indecomposable=(1 <= k <= d - 2))
 
 
-def theta_positivity(a: float, c) -> dict:
-    """Positivity/indecomposability conditions for Theta[a; c_1..c_d]."""
-    c = np.asarray(c, dtype=float)
+def _theta_parameters(a, c) -> tuple[float, np.ndarray]:
+    """a as a float and c as a 1-D float64 array (`linalg.as_real`),
+    else InvalidParameters."""
+    a, c = linalg.as_real(a, "a"), linalg.as_real(c, "c")
+    if a.ndim:
+        raise InvalidParameters(f"theta a must be one number, not {a}")
     if c.ndim != 1 or not c.size:
         raise InvalidParameters(f"theta c must be a list c_1,..,c_d, not {c}")
+    return float(a), c
+
+
+def theta_positivity(a: float, c) -> dict:
+    """Positivity/indecomposability conditions for Theta[a; c_1..c_d]."""
+    a, c = _theta_parameters(a, c)
     d = len(c)
     if not (0 < a < math.inf and np.all((0 < c) & (c < math.inf))):
         raise InvalidParameters("a and all c_i must be positive and finite")
@@ -358,8 +367,8 @@ def theta_decomposition(a: float, c) -> CPDecomposition:
     Theta1(X) = a eps(X) + diag(c_d, c_1, .., c_{d-1}) eps(S X S+).
     Requires the positivity conditions a >= d-1 and geomean(c) >= d-a.
     """
+    a, c = _theta_parameters(a, c)
     cond = theta_positivity(a, c)
-    c = np.asarray(c, dtype=float)
     d = len(c)
     if not cond["positive"]:
         raise InvalidParameters(
@@ -401,7 +410,7 @@ def kossakowski_decomposition(a) -> CPDecomposition:
     map spec and the first inequality evaluated with it raise
     InvalidParameters if sampling refutes it.
     """
-    A = np.asarray(a, dtype=float)
+    A = linalg.as_real(a, "a")
     d = math.isqrt(A.size)
     if A.shape not in ((d * d,), (d, d)):
         raise InvalidParameters(f"kossakowski a must have d^2 entries, flat "

@@ -203,6 +203,7 @@ def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
     Yields (q, [(r, s), ...]) for each q with admissible points, r
     ascending, where s = 1 - p - q - r >= -1e-12.
     """
+    p = _check_p(p)
     _check_resolution(resolution)
     rs = [j / resolution for j in range(resolution + 1)]
     for i in range(resolution + 1):
@@ -210,6 +211,15 @@ def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
         row = [(r, 1.0 - p - q - r) for r in rs if 1.0 - p - q - r >= -1e-12]
         if row:
             yield q, row
+
+
+def _check_p(p) -> float:
+    """p as a float, if it is a real number in [0, 1] (a float32 p is
+    then computed with in float64, as `so3_stack` computes), else
+    InvalidParameters."""
+    if not (linalg.is_real(p) and 0.0 <= p <= 1.0):
+        raise InvalidParameters(f"p={p!r} outside [0,1]")
+    return float(p)
 
 
 def _check_resolution(resolution) -> None:
@@ -247,8 +257,7 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     raises when its stack is evaluated: after every point of the earlier
     stacks, before that stack's first point is emitted.
     """
-    if not (linalg.is_real(p) and 0.0 <= p <= 1.0):
-        raise InvalidParameters(f"p={p!r} outside [0,1]")
+    p = _check_p(p)
     _check_resolution(resolution)
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):

@@ -307,8 +307,9 @@ def so3_stack(p, q, r) -> DensityMatrix:
     rho = sum_J c_J P_J has eigenvalue c_J = w_J / (2J + 1) on the
     range of P_J, so `so3_eigenbasis` diagonalizes every state.  The
     weights must lie in [0, 1], which a NaN does not, and the trace is
-    checked."""
-    p, q, r = np.atleast_1d(p, q, r)
+    checked; each of p, q, r must hold real numbers (`linalg.as_real`),
+    which are computed with in float64."""
+    p, q, r = np.atleast_1d(*map(linalg.as_real, (p, q, r), "pqr"))
     shapes = {x.shape for x in (p, q, r)} - {(1,)}
     if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
         raise InvalidParameters(
@@ -386,8 +387,9 @@ def horodecki_stack(gammas) -> DensityMatrix:
     sigma_gamma has eigenvalues 0 (twice), 2/7 on |psi+>, gamma/21 on
     the range of sigma_plus and (5-gamma)/21 on that of sigma_minus
     (three times each), so `horodecki_eigenbasis` diagonalizes every
-    state.  gamma and the trace are checked."""
-    gamma = np.array(gammas, dtype=float, ndmin=1)
+    state.  gamma (real numbers, `linalg.as_real`) and the trace are
+    checked."""
+    gamma = np.atleast_1d(linalg.as_real(gammas, "gamma"))
     if gamma.ndim > 1:
         raise InvalidParameters(f"gammas must be 1-D, got shape {gamma.shape}")
     bad = ~((2.0 <= gamma) & (gamma <= 5.0))

@@ -807,3 +807,16 @@ def test_entry_point_names_the_entropic_power(command, alpha, beta, power,
     assert_fails(proc)
     assert proc.stderr == (f"error: alpha+beta={power} must be finite, "
                            ">= 0 and != 1\n")
+
+
+def test_entry_point_kind_one_needs_commutation(tmp_path):
+    # tau_u's lambda2 does not commute with a random separable state, so
+    # kind I has no verdict: one error line naming the norm and threshold
+    path = tmp_path / "sep.mat"
+    write_state(path, states.random_separable(4, 4, 4, 3).matrix, 4, 4)
+    proc = run_entry_point("check", str(path), "--map", "tau_u d=4",
+                           "--kind", "I", "--beta", "2")
+    assert_fails(proc)
+    assert proc.stderr.count("\n") == 1
+    assert re.fullmatch(r"error: \[X2, rho\] norm \S+ exceeds tolerance "
+                        r"\S+\n", proc.stderr)

@@ -546,30 +546,87 @@ class TestSpectralCore:
         assert calls == ["powered"]
 
 
+def _reduction_on_a_separable_state(rng):
+    return maps.reduction_decomposition(4), states.random_separable(4, 4, 4,
+                                                                    rng)
+
+
+def _tau_u_on_an_so3_state(rng):
+    # tau_u commutes with SO(3)-invariant states: kind I runs with a map
+    # lambda2 and checks the commutator
+    return maps.parse_map_spec("tau_u d=4"), states.so3_state(0.2, 0.3, 0.1)
+
+
 class TestArgumentTriples:
     """A one-state call routes and validates its (alpha, beta, kind)
     once; a repeat call looks the Kind up."""
 
-    @pytest.mark.parametrize("beta, kind, dots", [
-        (0.5, Kind.II, ["vecdot", "vecdot"]),
-        (2, Kind.I, ["vecdot", "vecdot"]),
-        (-0.5, Kind.III, ["vecdot", "vecdot"]),
-        (1, Kind.IV, ["vecdot", "np.vecdot"]),
-        (0.5, None, ["vecdot", "vecdot"])])
-    def test_warm_call_is_two_dots(self, rng, monkeypatch, beta, kind, dots):
-        dec = maps.reduction_decomposition(4)
-        rho = states.random_separable(4, 4, 4, rng)
+    @pytest.mark.parametrize("setup, beta, kind, dots", [
+        (_reduction_on_a_separable_state, 0.5, Kind.II, ["vecdot", "vecdot"]),
+        (_reduction_on_a_separable_state, 2, Kind.I, ["vecdot", "vecdot"]),
+        (_reduction_on_a_separable_state, -0.5, Kind.III,
+         ["vecdot", "vecdot"]),
+        (_reduction_on_a_separable_state, 1, Kind.IV,
+         ["vecdot", "np.vecdot"]),
+        (_reduction_on_a_separable_state, 0.5, None, ["vecdot", "vecdot"]),
+        (_tau_u_on_an_so3_state, 2, Kind.I, ["vecdot", "vecdot"])])
+    def test_warm_call_is_two_dots(self, rng, monkeypatch, setup, beta, kind,
+                                   dots):
+        # and no other numpy call: kind I's commutator is checked once
+        dec, rho = setup(rng)
         first = criteria.alpha_beta_inequality(rho, dec, 2, beta, kind)
         calls = []
         for module, name, label in (
                 (criteria, "route_kind", "route_kind"),
                 (criteria, "_validate_range", "_validate_range"),
-                (linalg, "vecdot", "vecdot"), (np, "vecdot", "np.vecdot")):
+                (linalg, "vecdot", "vecdot"), (np, "vecdot", "np.vecdot"),
+                (np, "maximum", "np.maximum"), (np, "ravel", "np.ravel")):
             f = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, f=f, label=label:
                                 calls.append(label) or f(*args))
         assert criteria.alpha_beta_inequality(rho, dec, 2, beta, kind) == first
         assert calls == dots
+
+    def test_route_cache_is_bounded(self, rng):
+        dec = maps.reduction_decomposition(3)
+        rho = states.random_separable(3, 3, 4, rng)
+        for i in range(300):
+            criteria.alpha_beta_inequality(rho, dec, 1 + i / 300, 0.5)
+        info = criteria._route.cache_info()
+        assert 0 < info.currsize <= info.maxsize == \
+            criteria.POWER_CACHE_SIZE ** 2
+
+    @pytest.mark.parametrize("alpha, beta, kind", [
+        (np.array([2.0]), 0.5, None), (np.array(2.0), 0.5, Kind.II),
+        (2, 0.5, ["II"]), (2, math.nan, None), (2, math.nan, Kind.IV),
+        (2, np.nan, Kind.I)])
+    def test_unhashable_or_nan_arguments_raise_every_time(self, rng, alpha,
+                                                          beta, kind):
+        dec = maps.reduction_decomposition(3)
+        rho = states.random_separable(3, 3, 4, rng)
+        for _ in range(3):
+            with pytest.raises(ParameterOutOfRange):
+                criteria.alpha_beta_inequality(rho, dec, alpha, beta, kind)
+
+    def test_kind_one_violation_raises_every_time(self, rng):
+        dec = maps.parse_map_spec("tau_u d=4")
+        stack = states.DensityMatrix(np.stack(
+            [states.random_separable(4, 4, 4, rng).matrix
+             for _ in range(3)]), 4, 4)
+        sp = criteria.Spectra(stack)
+        for _ in range(3):
+            with pytest.raises(CommutativityViolated) as one:
+                criteria.alpha_beta_inequality(stack[0], dec, 1, 2, Kind.I)
+            with pytest.raises(CommutativityViolated) as many:
+                scan.RegionCriterion("I", dec, 1, 2, Kind.I).verdicts(sp)
+            assert str(many.value) == str(one.value)
+        # the message names the norm and the threshold it exceeds
+        norm = linalg.commutator_norm(
+            maps.extend_apply(dec.lambda2, stack[0].matrix, 4),
+            stack[0].matrix)
+        bound = 1e-9 * max(1.0, linalg.fro(stack[0].matrix))
+        assert str(one.value).startswith(f"[X2, rho] norm {norm} exceeds")
+        assert abs(float(str(one.value).split()[-1]) - bound) <= 1e-24
 
     def test_invalid_triple_raises_every_time(self, rng):
         dec = maps.reduction_decomposition(3)

@@ -485,3 +485,69 @@ class TestFamilyEigendecomposition:
                              text=True, timeout=60, check=True,
                              env={"PYTHONPATH": str(src), "PATH": ""})
         assert out.stdout.split() == ["0", "0", "1"]
+
+
+def _bits(out):
+    """The bits of a state (its family coefficients, else its matrix,
+    and its spectrum), of so3_region rows (q, r, s and the PPT flag,
+    with their types) or of so3_grid rows."""
+    if isinstance(out, states.DensityMatrix):
+        held = out.matrix if out.family is None else out.family[1]
+        return held.tobytes(), out.eigenvalues.tobytes()
+    if out and isinstance(out[0], scan.ScanRow):
+        return [(type(x), float(x).hex()) for row in out for x in row[:4]]
+    return repr(out)  # so3_grid's rows: a float's repr keeps its bits
+
+
+F32 = float(np.float32(0.2))
+
+
+@pytest.mark.parametrize("call, want", [
+    # real numbers of any numpy width are computed with in float64
+    (lambda: states.so3_state(np.float32(0.2), 0.3, 0.1),
+     lambda: states.so3_state(F32, 0.3, 0.1)),
+    (lambda: states.so3_state(np.float64(0.2), np.int64(0), np.float16(0.5)),
+     lambda: states.so3_state(0.2, 0.0, 0.5)),
+    (lambda: states.so3_stack(0, np.array([False, True]), np.int8(0)),
+     lambda: states.so3_stack(0.0, [0.0, 1.0], 0.0)),
+    (lambda: list(scan.so3_region(np.float32(0.2), [], 4)),
+     lambda: list(scan.so3_region(F32, [], 4))),
+    (lambda: list(scan.so3_region(np.float32(0.5), [], 4)),
+     lambda: list(scan.so3_region(float(np.float32(0.5)), [], 4))),
+    (lambda: list(scan.so3_grid(np.float32(0.2), 4)),
+     lambda: list(scan.so3_grid(F32, 4))),
+    (lambda: states.horodecki_state(np.float32(3.5)),
+     lambda: states.horodecki_state(3.5)),
+    (lambda: states.horodecki_state(3),
+     lambda: states.horodecki_state(3.0)),
+    # anything else is refused, naming the argument
+    (lambda: states.so3_state(0.2 + 0.1j, 0.3, 0.1), "p"),
+    (lambda: states.so3_state(0.2, None, 0.1), "q"),
+    (lambda: states.so3_stack(["0.2"], [0.3], [0.1]), "p"),
+    (lambda: states.so3_stack([0.2], [0.3], [0.1, "0.1"]), "r"),
+    (lambda: states.so3_stack([0.2, [0.1]], 0.3, 0.1), "p"),
+    (lambda: scan.so3_grid_count(None, 4), "p"),
+    (lambda: scan.so3_grid_count("0.2", 4), "p"),
+    (lambda: states.horodecki_state("3"), "gamma"),
+    (lambda: states.horodecki_state(3 + 0j), "gamma"),
+    (lambda: states.horodecki_stack([3, [4]]), "gamma"),
+    (lambda: maps.theta_decomposition(2 + 0j, [1, 1, 1]), "a"),
+    (lambda: maps.theta_decomposition("2", [1, 1, 1]), "a"),
+    (lambda: maps.theta_decomposition(None, [1, 1, 1]), "a"),
+    (lambda: maps.theta_decomposition(2, [1, 1, 1 + 0j]), "c"),
+    (lambda: maps.theta_decomposition(2, ["1", "1", "1"]), "c"),
+    (lambda: maps.theta_positivity(2, None), "c"),
+    (lambda: maps.kossakowski_decomposition("abcd"), "a"),
+    (lambda: maps.kossakowski_decomposition(np.zeros(4) + 0j), "a"),
+    (lambda: states.DensityMatrix("x", 1, 1), "matrix"),
+    (lambda: states.DensityMatrix([[1, None], [0, 0]], 1, 2), "matrix"),
+    (lambda: states.DensityMatrix([[1], [0, 0]], 1, 2), "matrix"),
+    (lambda: maps.tau_u_decomposition("x"), "U"),
+    (lambda: maps.breuer_hall_decomposition([["a"]]), "U"),
+    (lambda: maps.MatrixMap(1, [[object()]]), "choi")])
+def test_numeric_parameters_are_real_numbers(call, want):
+    if isinstance(want, str):
+        with pytest.raises(InvalidParameters, match=f"^{want}="):
+            call()
+    else:
+        assert _bits(call()) == _bits(want())

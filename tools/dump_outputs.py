@@ -1,0 +1,206 @@
+#!/usr/bin/env python3
+"""Print sepcrit's outputs on the benchmark's inputs, one line each.
+
+    python3 tools/dump_outputs.py SRC_DIR [--small] > dump.txt
+
+SRC_DIR is the `src` directory of a checkout; sepcrit is imported from
+it.  Floats are printed as `float.hex`, so two dumps agree only where
+every bit does, and an error is printed as its class name and message.
+`diff` of the dumps of two checkouts is then their drift.  `--small`
+runs each section on reduced sizes.
+
+Sections, each line starting with its name:
+- `sound`: the soundness recipe of `bench/run.py` (seeded separable
+  3x3 and 4x4 states, the nine-map catalog, the 22 (alpha, beta, kind)
+  triples), seeds 1-3 x 30 pairs, with kind I run for every map;
+- `kindI`: kind I with tau_u's lambda2 on SO(3) states at p = 0.2, where
+  it commutes, on a grid of resolution 20;
+- `rand`: a SHA-256 of each of those `random_separable` matrices;
+- `region`: the res-200 so3_region scan at p = 0.2 with the benchmark's
+  five criteria, every result of every point, and its CSV's SHA-256;
+- `table1`: the Table 1 rows at alpha 6, 7, 10, 13 and inf;
+- `check`: `check_state` rows of 100 seeded 3x3 matrix files (PPT,
+  three maps, entropic), written and read back as the benchmark does.
+
+Uses only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import math  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+CHECK_MAPS = ("reduction d=3", "phi_dk d=3 k=1", "transposition d=3")
+TABLE1_ALPHAS = (6.0, 7.0, 10.0, 13.0, math.inf)
+
+
+def text(x) -> str:
+    """A float as float.hex, None and bools as themselves."""
+    if x is None or isinstance(x, (bool, np.bool_)):
+        return str(x)
+    return float(x).hex()
+
+
+def result_text(res) -> str:
+    return " ".join([text(res.lhs), text(res.rhs), text(res.margin),
+                     str(res.violated), res.kind.name,
+                     text(res.commutator_norm)])
+
+
+def outcome(call) -> str:
+    """call()'s result, or the error it raised."""
+    try:
+        return result_text(call())
+    except Exception as exc:  # the error is the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest(matrix) -> str:
+    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+
+
+def load(src: Path) -> SimpleNamespace:
+    """sepcrit's modules, imported from src."""
+    init = src / "sepcrit" / "__init__.py"
+    if not init.is_file():
+        sys.exit(f"no sepcrit sources under {src}")
+    sys.path.insert(0, str(src))
+    sepcrit = importlib.import_module("sepcrit")
+    if Path(sepcrit.__file__).resolve() != init.resolve():
+        sys.exit(f"imported sepcrit from {sepcrit.__file__}, not from {src}")
+    return SimpleNamespace(**{
+        name: importlib.import_module(f"sepcrit.{name}")
+        for name in ("criteria", "formats", "maps", "scan", "states")})
+
+
+def soundness(sc, seeds, pairs):
+    maps, Kind = sc.maps, sc.criteria.Kind
+    decs = {(3, 3): [maps.reduction_decomposition(3),
+                     maps.phi_dk_decomposition(3, 1),
+                     maps.theta_decomposition(2, [1, 1, 1]),
+                     maps.transposition_decomposition(3)],
+            (4, 4): [maps.reduction_decomposition(4),
+                     maps.breuer_hall_decomposition(d=4),
+                     maps.breuer_hall_tilde_decomposition(d=4),
+                     maps.phi_dk_decomposition(4, 2),
+                     maps.tau_u_decomposition(maps.default_breuer_unitary(4))]}
+    triples = ([(a, b, Kind.I) for a in (1, 2, 5, 10) for b in (2, 3)]
+               + [(a, b, Kind.II) for a in (1, 2, 5, 10) for b in (0.5, 1)]
+               + [(a, b, Kind.IV) for a in (1, 2) for b in (1, 2)]
+               + [(a, -0.5, Kind.III) for a in (1, 2)])
+    for seed in seeds:
+        for i in range(pairs):
+            rng = np.random.default_rng([seed, i])
+            for dims, dec_list in decs.items():
+                rho = sc.states.random_separable(*dims, 4, rng)
+                print(f"rand {seed} {i} {dims[0]}x{dims[1]} "
+                      f"{digest(rho.matrix)}")
+                for dec in dec_list:
+                    for a, b, kind in triples:
+                        print(f"sound {seed} {i} {dec.name} {a} {b} "
+                              f"{kind.name} " + outcome(
+                                  lambda: sc.criteria.alpha_beta_inequality(
+                                      rho, dec, a, b, kind)))
+
+
+def kind_one(sc, resolution):
+    """Kind I with a map lambda2 where it commutes: tau_u on SO(3)
+    states, one state at a time."""
+    dec = sc.maps.parse_map_spec("tau_u d=4")
+    for q in range(resolution + 1):
+        for r in range(resolution + 1 - q):
+            rho = sc.states.so3_state(0.2, 0.8 * q / resolution,
+                                      0.8 * r / resolution)
+            for a in (1, 2, 5, 10):
+                for b in (1, 2, 3):
+                    print(f"kindI {q} {r} {a} {b} " + outcome(
+                        lambda: sc.criteria.alpha_beta_inequality(
+                            rho, dec, a, b, "I")))
+
+
+def region(sc, resolution):
+    maps, scan, Kind = sc.maps, sc.scan, sc.criteria.Kind
+    crit = [scan.RegionCriterion("bh", maps.breuer_hall_decomposition(d=4),
+                                 3, 1, Kind.II),
+            scan.RegionCriterion("tau", maps.tau_u_decomposition(
+                maps.default_breuer_unitary(4)), 3, 1, Kind.II),
+            scan.RegionCriterion("bht", maps.breuer_hall_tilde_decomposition(
+                d=4), 3, 1, Kind.II),
+            scan.RegionCriterion("red", maps.reduction_decomposition(4),
+                                 3, 1, Kind.II),
+            scan.RegionCriterion("ent", None, 4)]
+    labels = [c.label for c in crit]
+    csv = hashlib.sha256((scan.region_csv_header(labels) + "\n").encode())
+    for row in scan.so3_region(0.2, crit, resolution):
+        csv.update((scan.region_csv_row(row, labels) + "\n").encode())
+        print("region", *map(text, row[:4]), " | ".join(
+            result_text(row.results[label]) for label in labels))
+    print("region csv", csv.hexdigest())
+
+
+def table1(sc, alphas):
+    for alpha in alphas:
+        try:
+            iv = sc.scan.table1(alpha, 1.0, "phi_dk d=3 k=1", bisect_tol=1e-4)
+            out = " ".join(map(text, iv))
+        except Exception as exc:  # the error is the output
+            out = f"{type(exc).__name__}: {exc}"
+        print(f"table1 {alpha} {out}")
+
+
+def check(sc, files):
+    crit = [sc.scan.RegionCriterion(spec.split()[0],
+                                    sc.scan.parse_map_spec(spec), 1.0, 1.0)
+            for spec in CHECK_MAPS]
+    crit.append(sc.scan.RegionCriterion("entropic", None, 2.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        for j in range(files):
+            rng = np.random.default_rng([0, j])
+            if j % 2 == 0:
+                matrix = sc.states.random_separable(3, 3, 4, rng).matrix
+            else:
+                matrix = sc.states.random_density(9, rng)
+            path = Path(tmp) / f"state_{j:04d}.mat"
+            with open(path, "w") as fh:
+                sc.formats.write_matrix(fh, matrix, 3, 3)
+            rho = sc.formats.read_density_matrix(path)
+            for label, res in sc.scan.check_state(rho, crit, include_ppt=True):
+                print(f"check {j} {label} {result_text(res)}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src", type=Path, help="the src directory of a checkout")
+    ap.add_argument("--small", action="store_true",
+                    help="run each section on reduced sizes")
+    args = ap.parse_args(argv)
+    sc = load(args.src.resolve())
+    if args.small:
+        soundness(sc, seeds=(1,), pairs=2)
+        kind_one(sc, resolution=2)
+        region(sc, resolution=12)
+        table1(sc, alphas=(7.0, math.inf))
+        check(sc, files=4)
+    else:
+        soundness(sc, seeds=(1, 2, 3), pairs=30)
+        kind_one(sc, resolution=20)
+        region(sc, resolution=200)
+        table1(sc, alphas=TABLE1_ALPHAS)
+        check(sc, files=100)
+
+
+if __name__ == "__main__":
+    main()
