@@ -28,7 +28,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, check_tol
 from .linalg import TOL_CEILING, TOL_FLOOR  # noqa: F401 (criteria's API)
-from .maps import CPDecomposition, MatrixMap, extend_apply
+from .maps import CPDecomposition, MatrixMap, check_map, extend_apply
 from .states import DensityMatrix
 
 
@@ -251,8 +251,7 @@ class _MapSpectrum:
     """
 
     def __init__(self, m: MatrixMap, sp: Spectra):
-        self.map, self.tol, self._dA = m, sp.tol, sp.dA
-        self._w = sp.eigenvalues  # rho's spectrum, for ||rho||_F
+        self.map, self.tol, self._dA, self._fro = m, sp.tol, sp.dA, sp.fro
         self._matrix, self._vectors = sp._matrix, sp._vectors
         self._powers: dict = {}
         self._pairings: dict = {}
@@ -293,7 +292,7 @@ class _MapSpectrum:
         on every state, else CommutativityViolated for the first state
         beyond it, on every read."""
         norm = self.commutator
-        bound = self.tol * np.maximum(1.0, linalg.spectral_fro(self._w))
+        bound = self.tol * np.maximum(1.0, self._fro)
         bad = np.ravel(norm > bound)
         if bad.any():
             k = bad.argmax()
@@ -341,13 +340,20 @@ def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
     reversed; kind I with a map lambda2 reports the commutator norm.  At
     alpha = inf it is the limit witness of dec.map against 0.  A map
     that sampling shows is not positive (`CPDecomposition.check_positive`)
-    raises InvalidParameters: its verdicts would not be sound.
+    raises InvalidParameters: its verdicts would not be sound.  So does
+    a dec that is not a CPDecomposition, such as its bare map.
 
     Each side is one dot product (`linalg.vecdot`) of lam^alpha
     (`Spectra.power`) with X's pairing vector, or for kind IV's rhs with
     X2's singular values raised to beta, all kept on sp; a lambda2 that
     is the identity has X2 = rho, and sp serves as its entry."""
-    dec.check_positive()
+    try:
+        dec.check_positive()
+    except AttributeError:
+        if not isinstance(dec, CPDecomposition):
+            raise InvalidParameters(f"dec must be a CPDecomposition, got a "
+                                    f"{type(dec).__name__}") from None
+        raise
     try:
         kind = _route(alpha, beta, kind)
     except TypeError:  # an unhashable argument, which is refused uncached
@@ -440,6 +446,13 @@ def _entropic(sp: Spectra, alpha: float,
 # ---------------------------------------------------------------------------
 # spectral data of a stack, and of one state as its cache
 
+def _check_state(rho) -> None:
+    """InvalidParameters naming rho unless it is a DensityMatrix."""
+    if not isinstance(rho, DensityMatrix):
+        raise InvalidParameters(
+            f"rho must be a DensityMatrix, got a {type(rho).__name__}")
+
+
 class Spectra:
     """The arrays the criteria read, for states on one C^dA (x) C^dB at
     one tol, each computed for the whole stack on first use.  A tol
@@ -457,14 +470,17 @@ class Spectra:
     read only where a criterion needs them, through `rho.builders`: the
     state, its every Spectra and their map entries share one build of
     each, and none of them refers to rho.  A stack gives each state the
-    bits of a one-state call.  A map whose d is not dB raises
-    DimensionMismatch when its entry is first built.
+    bits of a one-state call.  A rho that is not a DensityMatrix raises
+    InvalidParameters; so does an m that is not a MatrixMap
+    (`maps.check_map`), and a map whose d is not dB DimensionMismatch,
+    when its entry is first built.
 
     A state's cache is its Spectra: `Spectra.of(rho, tol)` is
     rho.cache[tol], and the one-state criteria read only that.
     """
 
     def __init__(self, rho: DensityMatrix, tol: float = DEFAULT_TOL):
+        _check_state(rho)
         self.tol = check_tol(tol)
         self.dA, self.dB, self.family = rho.dA, rho.dB, rho.family
         self.eigenvalues = rho.eigenvalues
@@ -480,9 +496,11 @@ class Spectra:
         are evaluated through `Spectra(rho, tol)`."""
         try:
             sp = rho.cache.get(tol)
-        except TypeError:  # an unhashable tol, which check_tol refuses
+        except (TypeError, AttributeError):
+            # an unhashable tol or a rho that is not a state, both refused
             sp = None
         if sp is None:
+            _check_state(rho)
             if rho.eigenvalues.ndim != 1:
                 raise DimensionMismatch(
                     f"expected one state, got a stack of shape {rho.shape}")
@@ -518,8 +536,12 @@ class Spectra:
     pairing = power
 
     def map(self, m: MatrixMap) -> _MapSpectrum:
-        entry = self._maps.get(m)
+        try:
+            entry = self._maps.get(m)
+        except TypeError:  # an unhashable m, which check_map refuses
+            entry = None
         if entry is None:
+            check_map(m)
             if m.d != self.dB:
                 raise DimensionMismatch(
                     f"map d={m.d} != state dB = {self.dB}")

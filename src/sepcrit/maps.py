@@ -27,8 +27,11 @@ from .linalg import DEFAULT_TOL, HERMITIAN_TOL, as_matrix, check_tol, dag
 class MatrixMap:
     """Linear map on d x d matrices that preserves Hermiticity, held as
     its Choi matrix, which is then Hermitian (tested once, here, by
-    `linalg.is_hermitian`).  Maps compare and hash by identity.  `cache`
-    holds tables computed from the map, so that they go with it."""
+    `linalg.is_hermitian`).  A Choi matrix whose Frobenius norm is not
+    finite raises InvalidParameters first: ||C||_F bounds X's clamp
+    band, which at inf would zero X's whole spectrum.  Maps compare and
+    hash by identity.  `cache` holds tables computed from the map, so
+    that they go with it."""
 
     d: int
     choi: np.ndarray
@@ -110,6 +113,15 @@ class CPDecomposition:
                 "pure state out of the PSD cone")
 
 
+def check_map(m) -> None:
+    """InvalidParameters naming m unless it is a MatrixMap; a
+    CPDecomposition is told to pass its `.map`."""
+    if not isinstance(m, MatrixMap):
+        hint = ": pass its .map" if isinstance(m, CPDecomposition) else ""
+        raise InvalidParameters(
+            f"m must be a MatrixMap, got a {type(m).__name__}{hint}")
+
+
 def _check_d(d) -> None:
     if not linalg.is_dimension(d):
         raise InvalidParameters(f"d={d!r} must be a positive integer")
@@ -131,14 +143,19 @@ def map_from_action(d: int,
 
 def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
     """[I (x) L](rho) as one matmul; rho may be a stack (..., n, n).
-    L(X) itself is extend_apply(m, X, 1).
+    L(X) itself is extend_apply(m, X, 1).  An m that is not a MatrixMap
+    raises InvalidParameters (`check_map`).
 
     The dA x dA grid of dB x dB blocks of rho becomes a dA^2 x dB^2
     matrix, one flattened block per row, which the map's superoperator
     acts on from the right.
     """
     rho = as_matrix(rho, "rho")
-    dB = m.d
+    try:
+        dB, S = m.d, m.superoperator
+    except AttributeError:  # not a map, which check_map names
+        check_map(m)
+        raise
     if rho.shape[-1] != dA * dB:
         raise DimensionMismatch(
             f"state dim {rho.shape[-1]} != dA*dB = {dA * dB}"
@@ -147,7 +164,7 @@ def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
     rows = rho.reshape(batch + (dA, dB, dA, dB)).swapaxes(-3, -2).reshape(
         batch + (dA * dA, dB * dB)
     )
-    out = rows @ m.superoperator
+    out = rows @ S
     return out.reshape(batch + (dA, dA, dB, dB)).swapaxes(-3, -2).reshape(
         rho.shape
     )
@@ -155,6 +172,7 @@ def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
 
 def is_cp(m: MatrixMap, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity test: the Choi matrix is PSD within tol."""
+    check_map(m)
     check_tol(tol)
     return bool(linalg.min_eigenvalue(m.choi)
                 >= -tol * max(1.0, linalg.fro(m.choi)))
@@ -168,6 +186,7 @@ def is_positive_sampled(m: MatrixMap, n_samples: int = 200, seed: int = 0,
     L(|psi><psi|) not PSD when ok is False, else None.  A True result
     is only evidence, a False result is a certificate.
     """
+    check_map(m)
     check_tol(tol)
     if not linalg.is_dimension(n_samples):
         raise InvalidParameters(

@@ -40,6 +40,8 @@ class DensityMatrix:
 
     `rho[k]` is the k-th state of a stack, validated with no eigensolve:
     a dense one holds the stack's slices, a family one builds its own.
+    An empty stack is valid, and every criterion gives it an empty
+    ResultStack.
     `cache` maps each tol to one state's `Spectra`, filled on first use
     by the one-state criteria; a stack is evaluated by `Spectra(rho, tol)`.
     """
@@ -72,10 +74,7 @@ class DensityMatrix:
             raise InvalidState(f"dim {M.shape[-1]} != dA*dB = {n}")
         if not np.isfinite(M).all():
             raise InvalidState(_NON_FINITE)
-        tr = M.trace(axis1=-2, axis2=-1)
-        bad = abs(tr - 1.0) > 1e-10
-        if np.count_nonzero(bad):
-            raise InvalidState(f"trace {tr.flat[bad.argmax()]} != 1")
+        _check_trace(M.trace(axis1=-2, axis2=-1))
         if eig is None:
             if not linalg.is_hermitian(M):
                 raise InvalidState("matrix is not Hermitian")
@@ -90,11 +89,7 @@ class DensityMatrix:
         family, coef, order = held = self.family
         if not np.isfinite(coef).all():
             raise InvalidState(_NON_FINITE)
-        tr = np.asarray(coef @ family.ranks)
-        bad = abs(tr - 1.0) > 1e-10
-        if np.count_nonzero(bad):
-            # named as the trace of the matrix is named
-            raise InvalidState(f"trace {complex(tr.flat[bad.argmax()])} != 1")
+        _check_trace(coef @ family.ranks)
         w = np.take_along_axis(coef[..., family.block], order, -1)
         _check_psd(w)
         for arr in (coef, order, w):
@@ -145,6 +140,13 @@ class DensityMatrix:
 
 
 _NON_FINITE = "matrix has a non-finite entry (nan or inf)"
+
+
+def _check_trace(tr) -> None:
+    """InvalidState naming, as a complex, the first tr not 1 within 1e-10."""
+    bad = abs(tr - 1.0) > 1e-10
+    if np.count_nonzero(bad):
+        raise InvalidState(f"trace {complex(np.ravel(tr)[bad.argmax()])} != 1")
 
 
 def _check_psd(w: np.ndarray) -> None:

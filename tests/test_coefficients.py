@@ -58,11 +58,11 @@ def family_sum(stack):
 
 
 def gathered_eig(stack):
-    """The eigendecomposition gathered from the family's basis, as the
-    builder has always gathered it."""
+    """The eigendecomposition gathered from the family's basis one state
+    at a time, columns order[k] of V: a gather is exact, so the
+    builder's bits are these whatever its indexing."""
     family, coef, order = stack.family
-    V, n = family.vectors, len(family.vectors)
-    vectors = V.ravel()[order[:, None, :] + n * np.arange(n)[:, None]]
+    vectors = np.stack([family.vectors[:, o] for o in order])
     return (np.take_along_axis(coef[:, family.block], order, -1), vectors)
 
 

@@ -704,6 +704,41 @@ def _typed_error_cases():
             (f"is_cp tol {label}", lambda tol=tol: maps.is_cp(dec.map, tol),
              ParameterOutOfRange, "tol"),
         ]
+    # a state, map or decomposition of the wrong type
+    M = rho.matrix
+    for label, m in (("dec", dec), ("str", "reduction d=3"), ("None", None)):
+        cases += [
+            (f"structural m {label}", lambda m=m:
+             criteria.structural_criterion(rho, m), InvalidParameters, "m"),
+            (f"limit_witness m {label}", lambda m=m:
+             criteria.limit_witness(rho, m), InvalidParameters, "m"),
+        ]
+    cases += [
+        ("alpha_beta dec map", lambda: criteria.alpha_beta_inequality(
+            rho, dec.map, 1, 1), InvalidParameters, "dec"),
+        ("check_state dec map", lambda: scan.check_state(
+            rho, [scan.RegionCriterion("x", dec.map, 1, 1)]),
+         InvalidParameters, "dec"),
+        ("alpha_beta rho matrix", lambda: criteria.alpha_beta_inequality(
+            M, dec, 1, 1), InvalidParameters, "rho"),
+        ("entropic rho matrix", lambda: criteria.entropic_inequality(M, 2),
+         InvalidParameters, "rho"),
+        ("ppt_check rho matrix", lambda: criteria.ppt_check(M),
+         InvalidParameters, "rho"),
+        ("evaluate rho matrix", lambda: scan.RegionCriterion(
+            "c", dec, 1, 1).evaluate(M), InvalidParameters, "rho"),
+        ("check_state rho matrix", lambda: scan.check_state(
+            M, [], include_ppt=True), InvalidParameters, "rho"),
+        ("Spectra rho matrix", lambda: criteria.Spectra(M),
+         InvalidParameters, "rho"),
+        ("extend_apply m dec", lambda: maps.extend_apply(dec, M, 3),
+         InvalidParameters, "m"),
+        ("is_cp m dec", lambda: maps.is_cp(dec), InvalidParameters, "m"),
+        ("is_positive_sampled m dec", lambda: maps.is_positive_sampled(dec),
+         InvalidParameters, "m"),
+        ("Spectra map list", lambda: criteria.Spectra(rho).map([1]),
+         InvalidParameters, "m"),
+    ]
     return cases + [
         ("kind list", lambda: criteria.alpha_beta_inequality(
             rho, dec, 1, 1, ["II"]), ParameterOutOfRange, "kind"),
@@ -732,6 +767,19 @@ def _typed_error_cases():
 def test_non_real_arguments_raise_typed_errors(call, error, name):
     with pytest.raises(error, match=rf"^{name}\b"):
         call()
+
+
+def test_a_decomposition_for_a_map_is_told_to_pass_its_map():
+    rho = states.random_separable(3, 3, 4, seed=1)
+    dec = maps.reduction_decomposition(3)
+    for call in (lambda: criteria.structural_criterion(rho, dec),
+                 lambda: criteria.limit_witness(rho, dec),
+                 lambda: maps.extend_apply(dec, rho.matrix, 3),
+                 lambda: maps.is_cp(dec)):
+        with pytest.raises(InvalidParameters) as exc:
+            call()
+        assert str(exc.value) == ("m must be a MatrixMap, got a "
+                                  "CPDecomposition: pass its .map")
 
 
 def test_bool_arguments_keep_their_meaning():

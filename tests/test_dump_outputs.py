@@ -22,7 +22,8 @@ def test_dump_is_deterministic():
     assert first == dump()
     lines = first.splitlines()
     assert {line.split()[0] for line in lines} == {
-        "sound", "rand", "kindI", "region", "table1", "check"}
+        "sound", "rand", "kindI", "region", "table1", "check", "family",
+        "one"}
     # kind I runs with a map lambda2: commuting states report their
     # commutator norm, the others name the error
     assert any(line.startswith("sound") and "CommutativityViolated" in line

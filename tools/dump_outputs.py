@@ -20,7 +20,16 @@ Sections, each line starting with its name:
   five criteria, every result of every point, and its CSV's SHA-256;
 - `table1`: the Table 1 rows at alpha 6, 7, 10, 13 and inf;
 - `check`: `check_state` rows of 100 seeded 3x3 matrix files (PPT,
-  three maps, entropic), written and read back as the benchmark does.
+  three maps, entropic), written and read back as the benchmark does;
+- `family`: the paper families where X's spectrum is an eigensolve of
+  the family's matrix, read against its gathered eigenvectors: a res-20
+  SO(3) scan at p = 0.2 with the four d = 4 maps at (alpha, beta, kind)
+  (2, 0.5, II), (2, 2, IV) and (1, 2, I), and a 31-point Horodecki
+  stack with phi_dk d=3 k=1 at (2, 0.5, II) and (2, 2, IV);
+- `one`: SO(3) and Horodecki states one at a time through
+  `structural_criterion`, `limit_witness`, `ppt_check` and
+  `entropic_inequality(..., "B")`, with SHA-256s of each state's matrix
+  and eigenvectors.
 
 Uses only the standard library and numpy.
 """
@@ -44,6 +53,10 @@ from types import SimpleNamespace  # noqa: E402
 import numpy as np  # noqa: E402
 
 CHECK_MAPS = ("reduction d=3", "phi_dk d=3 k=1", "transposition d=3")
+SO3_MAPS = ("reduction d=4", "breuer_hall d=4", "breuer_hall_tilde d=4",
+            "tau_u d=4")
+HORODECKI_MAPS = ("phi_dk d=3 k=1", "reduction d=3", "theta a=2 c=2,1,1")
+FAMILY_TRIPLES = ((2.0, 0.5, "II"), (2.0, 2.0, "IV"), (1.0, 2.0, "I"))
 TABLE1_ALPHAS = (6.0, 7.0, 10.0, 13.0, math.inf)
 
 
@@ -60,10 +73,10 @@ def result_text(res) -> str:
                      text(res.commutator_norm)])
 
 
-def outcome(call) -> str:
-    """call()'s result, or the error it raised."""
+def outcome(call, show=result_text) -> str:
+    """call()'s result as `show` prints it, or the error it raised."""
     try:
-        return result_text(call())
+        return show(call())
     except Exception as exc:  # the error is the output
         return f"{type(exc).__name__}: {exc}"
 
@@ -181,6 +194,63 @@ def check(sc, files):
                 print(f"check {j} {label} {result_text(res)}")
 
 
+def family(sc, resolution, points):
+    """Each criterion on its own scan or stack, so that one that raises
+    (kind I where a state does not commute) leaves the others whole."""
+    scan = sc.scan
+    for spec in SO3_MAPS:
+        dec = scan.parse_map_spec(spec)
+        for a, b, kind in FAMILY_TRIPLES:
+            head = f"family so3 {spec.split()[0]} {a} {b} {kind}"
+            crit = scan.RegionCriterion("x", dec, a, b, kind)
+            try:
+                for row in scan.so3_region(0.2, [crit], resolution):
+                    print(head, *map(text, row[:4]),
+                          result_text(row.results["x"]))
+            except Exception as exc:  # the error is the output
+                print(head, f"{type(exc).__name__}: {exc}")
+    dec = scan.parse_map_spec("phi_dk d=3 k=1")
+    gammas = np.linspace(2.0, 5.0, points)
+    sp = sc.criteria.Spectra(sc.states.horodecki_stack(gammas))
+    for a, b, kind in FAMILY_TRIPLES[:2]:
+        head = f"family horodecki {a} {b} {kind}"
+        try:
+            results = scan.RegionCriterion("x", dec, a, b, kind).verdicts(sp)
+        except Exception as exc:  # the error is the output
+            print(head, f"{type(exc).__name__}: {exc}")
+            continue
+        for gamma, res in zip(gammas, results):
+            print(head, text(gamma), result_text(res))
+
+
+def one_state(sc, resolution, points):
+    criteria, scan = sc.criteria, sc.scan
+    so3 = [(0.8 * q / resolution, 0.8 * r / resolution)
+           for q in range(resolution + 1) for r in range(resolution + 1 - q)]
+    cases = [(f"so3 {text(q)} {text(r)}",
+              lambda q=q, r=r: sc.states.so3_state(0.2, q, r), SO3_MAPS)
+             for q, r in so3]
+    cases += [(f"horodecki {text(g)}",
+               lambda g=g: sc.states.horodecki_state(g), HORODECKI_MAPS)
+              for g in np.linspace(2.0, 5.0, points)]
+    parsed = {spec: scan.parse_map_spec(spec).map
+              for spec in SO3_MAPS + HORODECKI_MAPS}
+    for head, make, specs in cases:
+        rho = make()
+        print(f"one {head} ppt",
+              outcome(lambda: criteria.ppt_check(rho), text))
+        print(f"one {head} entropicB", outcome(
+            lambda: criteria.entropic_inequality(rho, 2.0, "B")))
+        for spec in specs:
+            m, name = parsed[spec], spec.split()[0]
+            print(f"one {head} structural {name}", outcome(
+                lambda: criteria.structural_criterion(rho, m), text))
+            print(f"one {head} limit {name}", outcome(
+                lambda: criteria.limit_witness(rho, m), text))
+        print(f"one {head} matrix {digest(rho.matrix)} eigenvectors "
+              f"{digest(rho.eig.eigenvectors)}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src", type=Path, help="the src directory of a checkout")
@@ -194,12 +264,16 @@ def main(argv=None):
         region(sc, resolution=12)
         table1(sc, alphas=(7.0, math.inf))
         check(sc, files=4)
+        family(sc, resolution=4, points=7)
+        one_state(sc, resolution=2, points=4)
     else:
         soundness(sc, seeds=(1, 2, 3), pairs=30)
         kind_one(sc, resolution=20)
         region(sc, resolution=200)
         table1(sc, alphas=TABLE1_ALPHAS)
         check(sc, files=100)
+        family(sc, resolution=20, points=31)
+        one_state(sc, resolution=20, points=31)
 
 
 if __name__ == "__main__":
