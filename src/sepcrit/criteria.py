@@ -259,8 +259,8 @@ class _MapSpectrum:
             self.weights = _weights(self.X, self._vectors())
         else:
             family, coef, order = sp.family
-            self.weights = np.take_along_axis(
-                linalg.combine(coef, _family_table(m, family)), order, -1)
+            self.weights = linalg.gather_last(
+                linalg.combine(coef, _family_table(m, family)), order)
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -401,9 +401,8 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
         val = np.empty(todo.size)
         for n in set(size.tolist()):
             pick = size == n
-            val[pick] = np.take_along_axis(
-                weights[todo[pick]], j[pick, None] + np.arange(n), -1
-            ).sum(-1)
+            val[pick] = linalg.gather_last(
+                weights[todo[pick]], j[pick, None] + np.arange(n)).sum(-1)
         hit = np.abs(val) > tol
         out[todo[hit]] = val[hit]
         top[todo] = j - 1

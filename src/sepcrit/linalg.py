@@ -212,6 +212,16 @@ def combine(coef: np.ndarray, terms) -> np.ndarray:
     return out
 
 
+def gather_last(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """np.take_along_axis(x, idx, -1), bit for bit, for one state's x (n,)
+    and idx (m,), or a stack's x (k, n) and idx (k, m), with entries of
+    idx in [0, n): one flat fancy index, where take_along_axis builds an
+    index grid per call."""
+    if idx.ndim == 1:
+        return x[idx]
+    return x.reshape(-1)[idx + x.shape[-1] * np.arange(len(idx))[:, None]]
+
+
 def powered(w: np.ndarray, t: float) -> np.ndarray:
     """w**t elementwise on a clamped spectrum, with 0**t := 0 for t >= 0:
     w**0 is the support indicator (w != 0), the t -> 0+ limit.  Raises

@@ -166,12 +166,16 @@ def table1(alpha: float, beta: float = 1.0,
 class RegionResults(Mapping):
     """A region row's results, read-only: label -> CriterionResult,
     built on access from the ResultStack of each criterion on the row's
-    stack (`so3_region`)."""
+    stack (`so3_region`).  Its keys are the criterion labels, in order.
 
-    __slots__ = ("_stacks", "_k")
+    The rows of one stack share its ResultStacks and one table of CSV
+    cells per labels tuple, built on the first `cells` call with those
+    labels by one zip of the stacks' lists; row k reads line k of it."""
 
-    def __init__(self, stacks: dict[str, ResultStack], k: int):
-        self._stacks, self._k = stacks, k
+    __slots__ = ("_stacks", "_tables", "_k")
+
+    def __init__(self, stacks: dict[str, ResultStack], tables: dict, k: int):
+        self._stacks, self._tables, self._k = stacks, tables, k
 
     def __getitem__(self, label: str) -> CriterionResult:
         return self._stacks[label][self._k]
@@ -182,11 +186,18 @@ class RegionResults(Mapping):
     def __len__(self) -> int:
         return len(self._stacks)
 
-    def cells(self, labels: list[str]) -> list:
-        """violated, margin of each label in turn, read from the stacks."""
-        k, stacks = self._k, self._stacks
-        return [x for label in labels
-                for x in (stacks[label].violated[k], stacks[label].margin[k])]
+    def cells(self, labels: list[str]) -> tuple:
+        """violated, margin of each label in turn (an unknown label
+        raises KeyError)."""
+        key = tuple(labels)
+        table = self._tables.get(key)
+        if table is None:
+            stacks = self._stacks
+            table = self._tables[key] = list(zip(*[
+                column for label in key
+                for column in (stacks[label].violated, stacks[label].margin)
+            ]))
+        return table[self._k]
 
 
 class ScanRow(NamedTuple):
@@ -251,14 +262,17 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     criterion; no per-state cache entries or criterion calls), so a
     q-row may span two stacks and memory is bounded by STACK_STATES,
     whatever the resolution.  Each criterion gives one ResultStack per
-    stack; a row's `results` is a RegionResults view of them, and its
-    CriterionResults are built only when read.  p, resolution, the
-    labels and tol are checked by this call; an error of a criterion
-    raises when its stack is evaluated: after every point of the earlier
-    stacks, before that stack's first point is emitted.
+    stack; a row's `results` is a RegionResults view of them, its
+    CriterionResults are built only when read, and `region_csv_row`
+    reads the stack's table of cells for its labels.  criteria may be
+    any iterable; it is read once.  p, resolution, the labels and tol
+    are checked by this call; an error of a criterion raises when its
+    stack is evaluated: after every point of the earlier stacks, before
+    that stack's first point is emitted.
     """
     p = _check_p(p)
     _check_resolution(resolution)
+    criteria = list(criteria)  # an iterator is read once, here
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")
@@ -268,6 +282,12 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
 
 def _region_rows(p: float, criteria: list[RegionCriterion], resolution: int,
                  tol: float) -> Iterator[ScanRow]:
+    """The rows of `so3_region`, one stack of STACK_STATES points at a
+    time.  The rows of a stack share its ResultStacks and its tables of
+    CSV cells, one per labels tuple, each built on first read
+    (`RegionResults.cells`; the empty tuple's is made here), so a row is
+    a ScanRow and a RegionResults view: no criterion call, result or
+    cell is made per point."""
     points = ((q, r, s) for q, row in so3_grid(p, resolution)
               for r, s in row)
     while chunk := list(islice(points, STACK_STATES)):
@@ -275,9 +295,12 @@ def _region_rows(p: float, criteria: list[RegionCriterion], resolution: int,
         sp = Spectra(so3_stack(p, qs, rs), tol)
         ppt = PPT().verdicts(sp).violated
         stacks = {c.label: c.verdicts(sp) for c in criteria}
+        tables = {(): [()] * len(chunk)}
         for k, (q, r, s) in enumerate(chunk):
-            yield ScanRow(q, r, max(s, 0.0), not ppt[k],
-                          RegionResults(stacks, k))
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            yield tuple.__new__(ScanRow, (
+                q, r, max(s, 0.0), not ppt[k],
+                RegionResults(stacks, tables, k)))
 
 
 def region_csv_header(labels: list[str]) -> str:
@@ -304,12 +327,12 @@ def check_state(rho: DensityMatrix,
                 tol: float = DEFAULT_TOL) -> list[tuple[str, CriterionResult]]:
     """Evaluate criteria (PPT first, if include_ppt) on one state's
     `Spectra.of(rho, tol)`, with each criterion's `verdicts` as an
-    `so3_region` row does; returns (label, result) pairs.  Raises
-    InvalidParameters when there is nothing to evaluate."""
-    if not (criteria or include_ppt):
+    `so3_region` row does; returns (label, result) pairs.  criteria may
+    be any iterable; it is read once.  Raises InvalidParameters when
+    there is nothing to evaluate."""
+    criteria = [PPT(), *criteria] if include_ppt else list(criteria)
+    if not criteria:
         raise InvalidParameters("nothing to evaluate: no criterion and no PPT")
-    if include_ppt:
-        criteria = [PPT(), *criteria]
     sp = Spectra.of(rho, tol)
     return [(c.label, c.verdicts(sp)[0]) for c in criteria]
 

@@ -90,7 +90,7 @@ class DensityMatrix:
         if not np.isfinite(coef).all():
             raise InvalidState(_NON_FINITE)
         _check_trace(coef @ family.ranks)
-        w = np.take_along_axis(coef[..., family.block], order, -1)
+        w = linalg.gather_last(coef[..., family.block], order)
         _check_psd(w)
         for arr in (coef, order, w):
             arr.setflags(write=False)

@@ -206,6 +206,48 @@ class TestVecdot:
                     assert stack.tobytes() == np.stack([want, want]).tobytes()
 
 
+class TestGatherLast:
+    @staticmethod
+    def _same(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_state(self, rng):
+        x = rng.standard_normal(16)
+        idx = np.argsort(x)
+        self._same(linalg.gather_last(x, idx), np.take_along_axis(x, idx, -1))
+
+    def test_stack(self, rng):
+        # complex entries too, as a stack of weights or vectors may hold
+        z = rng.standard_normal((2, 5, 9))
+        for x in (rng.standard_normal((256, 16)), z[0] + 1j * z[1]):
+            idx = np.argsort(x.real, -1)
+            self._same(linalg.gather_last(x, idx),
+                       np.take_along_axis(x, idx, -1))
+
+    def test_empty_stack(self):
+        x, idx = np.empty((0, 16)), np.empty((0, 16), dtype=np.intp)
+        self._same(linalg.gather_last(x, idx), np.take_along_axis(x, idx, -1))
+
+    def test_index_that_is_not_a_permutation(self, rng):
+        x = rng.standard_normal((7, 9))
+        idx = rng.integers(0, 9, (7, 9))
+        assert any(len(set(row)) < 9 for row in idx.tolist())
+        self._same(linalg.gather_last(x, idx), np.take_along_axis(x, idx, -1))
+        self._same(linalg.gather_last(x[3], idx[3]),
+                   np.take_along_axis(x[3], idx[3], -1))
+
+    def test_index_narrower_than_the_last_axis(self, rng):
+        # `criteria._limit`'s groups: a run of n columns from j
+        x = rng.standard_normal((11, 16))
+        j = rng.integers(0, 13, 11)
+        for n in (1, 2, 4):
+            idx = j[:, None] + np.arange(n)
+            got = linalg.gather_last(x, idx)
+            self._same(got, np.take_along_axis(x, idx, -1))
+            self._same(got.sum(-1), np.take_along_axis(x, idx, -1).sum(-1))
+
+
 class TestPartialTrace:
     def test_product_factorization(self, rng):
         a = random_psd(3, rng)

@@ -680,6 +680,69 @@ class TestSO3Region:
         cells = scan.region_csv_row(row, ["red"]).split(",")
         assert len(cells) == 6
 
+    @staticmethod
+    def _five_criteria():
+        return [
+            scan.RegionCriterion("bh", maps.breuer_hall_decomposition(d=4),
+                                 3, 1, Kind.II),
+            scan.RegionCriterion("tau", maps.tau_u_decomposition(
+                maps.default_breuer_unitary(4)), 2, 2, Kind.IV),
+            scan.RegionCriterion("bht",
+                                 maps.breuer_hall_tilde_decomposition(d=4),
+                                 3, 1, Kind.II),
+            scan.RegionCriterion("red", maps.reduction_decomposition(4), 2,
+                                 0.5, Kind.II),
+            scan.RegionCriterion("ent", None, 4),
+        ]
+
+    def test_csv_cells_are_the_results_on_two_stacks(self):
+        # resolution 30 gives 325 points, so the rows span two stacks,
+        # and the rows of each stack share one table of cells per labels
+        # tuple: every order, subset and alternation must read the
+        # row's own results
+        crit = self._five_criteria()
+        labels = [c.label for c in crit]
+        rows = list(scan.so3_region(0.2, crit, 30))
+        assert len(rows) == 325 > scan.STACK_STATES
+        orders = [labels, labels[::-1], ["ent", "bh"], ["red"], [],
+                  ["tau", "tau"]]
+        hits = set()
+        for k, row in enumerate(rows):
+            assert len(row.results) == len(labels)
+            assert list(row.results) == labels
+            # a different order first on alternate rows
+            for order in (orders if k % 2 else orders[::-1]):
+                want = tuple(x for label in order for x in (
+                    row.results[label].violated, row.results[label].margin))
+                assert tuple(row.results.cells(order)) == want
+                assert scan.region_csv_row(row, order) == ",".join(
+                    ["%.9g" % row.q, "%.9g" % row.r, "%.9g" % row.s,
+                     str(int(row.ppt))] +
+                    [str(int(x)) if isinstance(x, bool) else "%.9g" % x
+                     for x in want])
+            hits |= {label for label in labels
+                     if row.results[label].violated}
+        assert {"bh", "red", "ent"} <= hits
+        with pytest.raises(KeyError):
+            rows[0].results.cells(["nope"])
+
+    def test_criteria_may_be_an_iterator(self):
+        # the label check used to exhaust a generator, so every row came
+        # back with no results and region_csv_row raised a bare KeyError
+        crit = self._five_criteria()
+        labels = [c.label for c in crit]
+        want = [scan.region_csv_row(row, labels)
+                for row in scan.so3_region(0.2, crit, 4)]
+        rows = list(scan.so3_region(0.2, (c for c in crit), 4))
+        assert all(list(row.results) == labels for row in rows)
+        assert [scan.region_csv_row(row, labels) for row in rows] == want
+        rho = states.so3_state(0.2, 0.3, 0.1)
+        assert scan.check_state(rho, iter(crit), include_ppt=True) == \
+            scan.check_state(rho, crit, include_ppt=True)
+        for nothing in ((c for c in []), iter(())):
+            with pytest.raises(InvalidParameters, match="nothing to evaluate"):
+                scan.check_state(rho, nothing)
+
 
 class TestCheckState:
     def test_bell_violation(self):
