@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParameters,
     ParameterOutOfRange,
+    PowerOverflow,
     SingularNegativePower,
     SingularOperand,
 )
@@ -107,9 +108,9 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
     below -tol * max(1, |lhs|, |rhs|).
 
     Output with no batch axis gives a list of one CriterionResult, else
-    one ResultStack, whose margins and scales are array arithmetic and
-    whose verdicts apply the rule to each state's floats, as a single
-    state's does.  A scalar rhs holds for every state."""
+    (one batch axis) one ResultStack, whose margins and scales are array
+    arithmetic and whose verdicts apply the rule to each state's floats,
+    as a single state's does.  A scalar rhs holds for every state."""
     if not isinstance(lhs, np.ndarray) or lhs.ndim == 0:
         lhs, rhs = float(lhs), float(rhs)
         margin = (rhs - lhs) if reversed_ else (lhs - rhs)
@@ -119,16 +120,16 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
         return [tuple.__new__(CriterionResult, (
             lhs, rhs, margin, bool(margin < -tol * scale), kind, tol,
             commutator))]
-    lhs = np.ravel(lhs)
-    rhs = np.broadcast_to(np.ravel(rhs), lhs.shape)
     margins = ((rhs - lhs) if reversed_ else (lhs - rhs)).tolist()
-    scales = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0).tolist()
-    violated = [bool(margin < -tol * scale)
-                for margin, scale in zip(margins, scales)]
+    scales = np.maximum(np.abs(lhs), np.abs(rhs))
+    violated = [bool(margin < -tol * scale) for margin, scale in zip(
+        margins, np.maximum(scales, 1.0, out=scales).tolist())]
+    rhs = (rhs.tolist() if isinstance(rhs, np.ndarray)
+           else [float(rhs)] * len(margins))
     commutator = ([None] * len(margins) if commutator is None
-                  else np.ravel(commutator).tolist())
-    return ResultStack(lhs.tolist(), rhs.tolist(), margins, violated, kind,
-                       tol, commutator)
+                  else commutator.tolist())
+    return ResultStack(lhs.tolist(), rhs, margins, violated, kind, tol,
+                       commutator)
 
 
 _BETA_OK = {
@@ -262,31 +263,31 @@ class _MapSpectrum:
             self.weights = linalg.gather_last(
                 linalg.combine(coef, _family_table(m, family)), order)
 
-    @cached_property
+    @linalg.lazy
     def X(self) -> np.ndarray:
         return extend_apply(self.map, self._matrix(), self._dA)
 
-    @cached_property
+    @linalg.lazy
     def eig(self) -> linalg.HermitianEig:
         return linalg.hermitian_eig(self.X)
 
-    @cached_property
+    @linalg.lazy
     def mu(self) -> np.ndarray:
         """Eigenvalues of X after the clamp rule."""
         return linalg.clamp_psd(self.eig.eigenvalues, self.tol)
 
-    @cached_property
+    @linalg.lazy
     def overlap(self) -> np.ndarray:
         """|<u_i|v_j>|^2 for rho's eigenvectors u_i and X's v_j."""
         U = self._vectors()
         return np.abs(linalg.dag(U) @ self.eig.eigenvectors) ** 2
 
-    @cached_property
+    @linalg.lazy
     def commutator(self):
         """||[X, rho]||_F (stackable), which kind I requires to vanish."""
         return linalg.commutator_norm(self.X, self._matrix())
 
-    @cached_property
+    @linalg.lazy
     def checked_commutator(self):
         """`commutator`, if within tol * max(1, ||rho||_F) (`Spectra.fro`)
         on every state, else CommutativityViolated for the first state
@@ -303,9 +304,20 @@ class _MapSpectrum:
 
     def power(self, t: float) -> np.ndarray:
         """mu ** t (`linalg.powered`), kept per t: X's singular values
-        raised to t, as kind IV pairs them."""
+        raised to t, as kind IV pairs them.  PowerOverflow, naming t and
+        X's largest eigenvalue, where that power is not a finite float:
+        checked once per t > 1 (below, mu ** t <= max(1, mu)) by one
+        scalar `math.pow`, which raises where libm's pow overflows."""
         out = self._powers.get(t)
         if out is None:
+            if t > 1:
+                top = float(self.mu.max(initial=0.0))
+                try:
+                    math.pow(top, t)
+                except OverflowError:
+                    raise PowerOverflow(
+                        f"X's largest eigenvalue {top} raised to beta={t} "
+                        "overflows a float") from None
             out = _keep(self._powers, t, linalg.powered(self.mu, t))
         return out
 
@@ -386,31 +398,30 @@ def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
     are summed as one slice, as a one-state walk sums them.
     """
     w, weights, tol = sp.eigenvalues, sp.map(m).weights, sp.tol
-    band = np.reshape(tol * sp.fro, (-1, 1))
     shape, d = w.shape[:-1], w.shape[-1]
     w, weights = w.reshape(-1, d), weights.reshape(-1, d)
+    band = np.reshape(tol * sp.fro, -1)
     out = np.empty(len(w))
-    top = np.full(len(w), d - 1)  # the top eigenvalue of each next group
-    todo = np.arange(len(w))
-    while todo.size:
-        wt, i = w[todo], top[todo]
-        # w ascends, so a group starts at the count of eigenvalues below it
-        j = np.count_nonzero(
-            wt < (wt[np.arange(todo.size), i][:, None] - band[todo]), axis=-1)
-        size = i - j + 1
-        val = np.empty(todo.size)
-        for n in set(size.tolist()):
-            pick = size == n
+    # w, weights, band and top (each next group's top) hold live states only
+    live, top = np.arange(len(w)), np.full(len(w), d - 1)
+    while True:
+        # w ascends, so a group starts at the first False (argmin)
+        j = (w < (w[np.arange(len(w)), top] - band)[:, None]).argmin(-1)
+        size = top - j + 1
+        sizes = np.flatnonzero(np.bincount(size)).tolist()
+        val = np.empty(len(w))
+        for n in sizes:  # all states at once when all sizes are equal
+            pick = size == n if len(sizes) > 1 else slice(None)
             val[pick] = linalg.gather_last(
-                weights[todo[pick]], j[pick, None] + np.arange(n)).sum(-1)
-        hit = np.abs(val) > tol
-        out[todo[hit]] = val[hit]
-        top[todo] = j - 1
-        todo = todo[~hit]
-        if (top[todo] < 0).any():
+                weights[pick], j[pick, None] + np.arange(n)).sum(-1)
+        out[live], miss = val, ~(np.abs(val) > tol)  # NaN walks on
+        if not miss.any():
+            return out.reshape(shape)
+        live, top, w, weights, band = (
+            a[miss] for a in (live, j - 1, w, weights, band))
+        if (top < 0).any():
             raise AllProjectionsVanish(
                 "Tr(X P) vanished for every eigen-group")
-    return out.reshape(shape)
 
 
 def check_entropic_alpha(alpha: float, name: str = "alpha") -> float:
@@ -510,16 +521,16 @@ class Spectra:
     def matrix(self) -> np.ndarray:
         return self._matrix()
 
-    @cached_property
+    @linalg.lazy
     def fro(self):
         """||rho||_F from its spectrum (`linalg.spectral_fro`): the scale
         of the limit witness's groups and kind I's commutator threshold."""
         return linalg.spectral_fro(self.eigenvalues)
 
-    @cached_property
+    @linalg.lazy
     def lam(self) -> np.ndarray:
-        """rho's eigenvalues after the clamp rule."""
-        return linalg.clamp_psd(self.eigenvalues, self.tol)
+        """rho's eigenvalues after the clamp rule, in the band of `fro`."""
+        return linalg.clamp_psd(self.eigenvalues, self.tol, self.fro)
 
     def power(self, t: float) -> np.ndarray:
         """lam ** t (`linalg.powered`), kept per t."""
@@ -566,7 +577,7 @@ class Spectra:
             w = self._marginals[keep] = linalg.clamp_psd(w, self.tol)
         return w
 
-    @cached_property
+    @linalg.lazy
     def ppt(self):
         E = None if self.family is None else self.family[0].pt_table
         if E is not None:

@@ -33,6 +33,10 @@ class CommutativityViolated(SepcritError):
     pass
 
 
+class PowerOverflow(SepcritError):
+    pass
+
+
 class SingularOperand(SepcritError):
     pass
 

@@ -8,6 +8,7 @@ a stack gives the same bits, matrix by matrix, as one call per matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -158,6 +159,16 @@ def is_hermitian(A) -> bool:
     return bool((diff <= HERMITIAN_TOL * np.maximum(1.0, norm)).all())
 
 
+class lazy(functools.cached_property):
+    """`functools.cached_property` without its lock (about 1 us per first
+    read on Python 3.11); a read that raises keeps nothing."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class HermitianEig(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -182,14 +193,14 @@ def hermitian_eig(A) -> HermitianEig:
     return HermitianEig(w, V)
 
 
-def clamp_psd(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def clamp_psd(w: np.ndarray, tol=DEFAULT_TOL, fro=None) -> np.ndarray:
     """The one clamp rule for the spectrum w (ascending) of a PSD matrix
     (stackable: w (..., n), one band per spectrum).
 
     Eigenvalues inside the +-tol*||w||_2 band become exactly zero, where
-    ||w||_2 is the matrix's Frobenius norm (`spectral_fro`).  Raises
-    NotPSD, naming tol, on an eigenvalue below the band."""
-    band = tol * spectral_fro(w)
+    ||w||_2 is the Frobenius norm `fro` (default `spectral_fro(w)`).
+    Raises NotPSD, naming tol, on an eigenvalue below the band."""
+    band = tol * (spectral_fro(w) if fro is None else fro)
     if w.ndim > 1:
         low = w[..., 0] < -band
         if low.any():  # the first such spectrum raises its own error
@@ -219,7 +230,7 @@ def gather_last(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     index grid per call."""
     if idx.ndim == 1:
         return x[idx]
-    return x.reshape(-1)[idx + x.shape[-1] * np.arange(len(idx))[:, None]]
+    return x.reshape(-1)[idx + np.arange(0, x.size, x.shape[-1])[:, None]]
 
 
 def powered(w: np.ndarray, t: float) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +54,7 @@ class MatrixMap:
         object.__setattr__(self, "choi", C)
         self.choi.setflags(write=False)
 
-    @cached_property
+    @linalg.lazy
     def superoperator(self) -> np.ndarray:
         """S with vec(L(X)) = vec(X) @ S for row-major vec, so that
         S[i*d + j, k*d + l] = L(E_ij)[k, l]: the Choi matrix with its
@@ -82,18 +81,18 @@ class CPDecomposition:
     def d(self) -> int:
         return self.lambda1.d
 
-    @cached_property
+    @linalg.lazy
     def lambda2_is_identity(self) -> bool:
         """Whether lambda2 is the identity map, so that X2 = rho."""
         return np.array_equal(self.lambda2.choi, identity_map(self.d).choi)
 
-    @cached_property
+    @linalg.lazy
     def map(self) -> MatrixMap:
         """The difference map L = L1 - L2, built once, so that a
         `Spectra` finds its entry for it again."""
         return MatrixMap(self.d, self.lambda1.choi - self.lambda2.choi)
 
-    @cached_property
+    @linalg.lazy
     def refutation(self) -> Optional[np.ndarray]:
         """A pure state |psi> that the map takes out of the PSD cone, or
         None.  Only a map whose positivity is unverified is sampled

@@ -82,15 +82,15 @@ TREE_DEPTH = 4
 
 def _midpoint_tree(x, y, depth: int) -> list:
     """The midpoints of the first `depth` levels of bisecting the
-    bracket [x, y], heap-ordered: node k splits its span (x, y) at
-    m = 0.5 * (x + y), node 2k+1 is the span (x, m) and node 2k+2 the
-    span (m, y)."""
-    spans, mids = [(x, y)], []
-    for k in range(2 ** depth - 1):
-        x, y = spans[k]
+    bracket [x, y], heap-ordered: node k splits its span (x, y) =
+    ends[2k:2k+2] at m = 0.5 * (x + y), node 2k+1 is the span (x, m)
+    and node 2k+2 the span (m, y)."""
+    ends, mids = [x, y], []
+    for k in range(0, 2 ** (depth + 1) - 2, 2):
+        x, y = ends[k], ends[k + 1]
         m = 0.5 * (x + y)
         mids.append(m)
-        spans += [(x, m), (m, y)]
+        ends += x, m, m, y
     return mids
 
 
@@ -136,9 +136,9 @@ def table1(alpha: float, beta: float = 1.0,
     i0 = mask.index(True)
     i1 = len(mask) - 1 - mask[::-1].index(True)
     lower_open, upper_open = i0 > 0, i1 < len(grid) - 1
-    # each bracket is [non-violating gamma, violating gamma]
-    brackets = ([[grid[i0 - 1], grid[i0]]] if lower_open else []) + \
-        ([[grid[i1 + 1], grid[i1]]] if upper_open else [])
+    # each bracket is [non-violating gamma, violating gamma], in Python floats
+    brackets = [[float(grid[i0 - 1]), float(grid[i0])]] if lower_open else []
+    brackets += [[float(grid[i1 + 1]), float(grid[i1])]] if upper_open else []
     while live := [b for b in brackets if abs(b[1] - b[0]) > bisect_tol]:
         width = max(abs(b[1] - b[0]) for b in live)
         depth = 1
@@ -154,7 +154,7 @@ def table1(alpha: float, beta: float = 1.0,
             while k < n and abs(b[1] - b[0]) > bisect_tol:
                 b[tree_hits[k]] = mids[k]  # a violating midpoint replaces b[1]
                 k = 2 * k + 2 - tree_hits[k]
-    ends = iter([0.5 * (b[0] + b[1]) for b in brackets])
+    ends = iter([np.float64(0.5 * (b[0] + b[1])) for b in brackets])
     lower = next(ends) if lower_open else 2.0
     upper = next(ends) if upper_open else 5.0
     return GammaInterval(lower, upper, lower_open, upper_open)

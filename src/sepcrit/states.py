@@ -3,7 +3,7 @@ entangled family of Horodecki, and seeded random ensembles."""
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,10 +28,11 @@ class DensityMatrix:
 
     A paper family's state is its `family` (Family, coef, order),
     trusted as `eig` is: rho = sum_i coef[..., i] O_i, with eigenvectors
-    the Family's basis columns `order`.  It is validated from coef
-    alone: the coefficients' finiteness, the trace coef @ Family.ranks
-    and the smallest eigenvalue, coef[..., block] in `order`.  Either
-    way, InvalidState rejects a dA or dB that is not a positive integer.
+    the Family's basis columns `order` (None: validation's stable argsort
+    of coef[..., block]).  It is validated from coef alone: the
+    coefficients' finiteness, the trace coef @ Family.ranks and the
+    smallest eigenvalue, coef[..., block] in `order`.  Either way,
+    InvalidState rejects a dA or dB that is not a positive integer.
 
     `builders`, made at validation, is the one (matrix, eigenvectors)
     pair of functions of no argument that `matrix`, `eig` and every
@@ -86,15 +87,19 @@ class DensityMatrix:
                       builders=(lambda: M, lambda: eig.eigenvectors))
 
     def _validate_family(self):
-        family, coef, order = held = self.family
+        family, coef, order = self.family
         if not np.isfinite(coef).all():
             raise InvalidState(_NON_FINITE)
         _check_trace(coef @ family.ranks)
-        w = linalg.gather_last(coef[..., family.block], order)
+        w = coef[..., family.block]
+        if order is None:
+            order = np.argsort(w, axis=-1, kind="stable")
+        w = linalg.gather_last(w, order)  # C-ordered, as w's sums need
         _check_psd(w)
         for arr in (coef, order, w):
             arr.setflags(write=False)
-        self.__dict__.update(eigenvalues=w, builders=(
+        held = (family, coef, order)
+        self.__dict__.update(family=held, eigenvalues=w, builders=(
             _built_once(family_matrix, held),
             _built_once(family_vectors, held)))
 
@@ -114,12 +119,12 @@ class DensityMatrix:
         w = self.eigenvalues
         return w.shape + w.shape[-1:]
 
-    @cached_property
+    @linalg.lazy
     def matrix(self) -> np.ndarray:
         """A family state's, from its builder."""
         return self.builders[0]()
 
-    @cached_property
+    @linalg.lazy
     def eig(self) -> linalg.HermitianEig:
         """A family state's, from `eigenvalues` and its builder."""
         return linalg.HermitianEig(self.eigenvalues, self.builders[1]())
@@ -223,11 +228,10 @@ def _table(operators) -> np.ndarray | None:
 def _family_stack(coef: np.ndarray, family: Family) -> DensityMatrix:
     """The stack of sum_i coef[k, i] O_i, with no eigensolve and no
     matrix: the eigenvalue of basis column j is coef[k, block[j]], and
-    the columns are put in ascending order per state by a stable
+    validation puts the columns in ascending order per state by a stable
     argsort."""
-    order = np.argsort(coef[:, family.block], axis=-1, kind="stable")
     return DensityMatrix(None, family.dA, family.dB,
-                         family=(family, coef, order))
+                         family=(family, coef, None))
 
 
 def _built_once(build, family):
@@ -397,8 +401,10 @@ def horodecki_stack(gammas) -> DensityMatrix:
     bad = ~((2.0 <= gamma) & (gamma <= 5.0))
     if bad.any():
         raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")
-    coef = np.stack([np.zeros_like(gamma), np.full_like(gamma, 2 / 7),
-                     gamma / 21, (5 - gamma) / 21], -1)
+    coef = np.array([[0.0, 6.0, 0.0, 5.0]]).repeat(len(gamma), 0)
+    coef[:, 2] = gamma
+    coef[:, 3] -= gamma
+    coef /= 21  # 6 / 21 is 2 / 7 to the bit
     return _family_stack(coef, horodecki_eigenbasis())
 
 

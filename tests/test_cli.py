@@ -820,3 +820,16 @@ def test_entry_point_kind_one_needs_commutation(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert re.fullmatch(r"error: \[X2, rho\] norm \S+ exceeds tolerance "
                         r"\S+\n", proc.stderr)
+
+
+def test_entry_point_power_overflow_is_an_error(tmp_path):
+    # X1's largest eigenvalue 500 to the power 200 overflowed: numpy's
+    # two RuntimeWarnings, then "theta: lhs=nan ... margin=nan ok", exit 0
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(4) / 4, 2, 2)
+    proc = run_entry_point("check", str(path), "--map", "theta a=1e3 c=1e3,1",
+                           "--alpha", "1", "--beta", "200", "--kind", "IV")
+    assert_fails(proc)
+    assert proc.stderr == ("error: X's largest eigenvalue 500.0 raised to "
+                           "beta=200.0 overflows a float\n")
+    assert "RuntimeWarning" not in proc.stderr

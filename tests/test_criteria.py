@@ -10,6 +10,7 @@ from sepcrit.errors import (
     CommutativityViolated,
     InvalidParameters,
     ParameterOutOfRange,
+    PowerOverflow,
     SingularOperand,
 )
 
@@ -959,3 +960,43 @@ class TestRefutedMapThroughTheApi:
     def test_certified_maps_are_not_sampled(self):
         dec = maps.reduction_decomposition(3)
         assert not dec.positivity_unverified and dec.refutation is None
+
+
+class TestPowerOverflow:
+    """X's spectrum raised to beta must be a finite float: on the
+    maximally mixed 2x2 state, theta a=1e3 c=1e3,1 has X1's largest
+    eigenvalue 500, and 500 ** 200 overflowed with numpy's warnings
+    into lhs = nan, whose margin read "ok"."""
+
+    MESSAGE = ("X's largest eigenvalue 500.0 raised to beta=200 overflows "
+               "a float")
+
+    @staticmethod
+    def dec():
+        return maps.parse_map_spec("theta a=1e3 c=1e3,1")
+
+    @pytest.mark.parametrize("kind", [Kind.I, Kind.IV])
+    def test_one_state(self, kind):
+        rho = states.DensityMatrix(np.eye(4) / 4, 2, 2)
+        for _ in range(2):  # nothing is kept: it raises again
+            with pytest.raises(PowerOverflow) as exc:
+                criteria.alpha_beta_inequality(rho, self.dec(), 1, 200, kind)
+            assert str(exc.value) == self.MESSAGE
+
+    def test_stack(self):
+        stack = states.DensityMatrix(
+            [np.eye(4) / 4, np.diag([0.4, 0.3, 0.2, 0.1])], 2, 2)
+        crit = scan.RegionCriterion("theta", self.dec(), 1, 200, Kind.IV)
+        with pytest.raises(PowerOverflow) as exc:
+            crit.verdicts(criteria.Spectra(stack))
+        top = criteria.Spectra(stack).map(self.dec().lambda1).mu.max()
+        assert str(exc.value) == self.MESSAGE.replace("500.0", str(top))
+
+    def test_largest_finite_power_is_evaluated(self):
+        # 500 ** 114 < DBL_MAX < 500 ** 115
+        rho = states.DensityMatrix(np.eye(4) / 4, 2, 2)
+        res = criteria.alpha_beta_inequality(rho, self.dec(), 1, 114,
+                                             Kind.IV)
+        assert math.isfinite(res.lhs) and math.isfinite(res.margin)
+        with pytest.raises(PowerOverflow):
+            criteria.alpha_beta_inequality(rho, self.dec(), 1, 115, Kind.IV)

@@ -337,3 +337,56 @@ class TestCommutatorNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.commutator_norm(np.eye(2), np.eye(3))
+
+
+class TestLazy:
+    """`linalg.lazy`, the package's lock-free cached attribute."""
+
+    class Counted:
+        def __init__(self, fail=False):
+            self.calls, self.fail = 0, fail
+
+        @linalg.lazy
+        def value(self):
+            """the doc"""
+            self.calls += 1
+            if self.fail:
+                raise ValueError(f"call {self.calls}")
+            return [self.calls]
+
+    def test_computed_once_and_kept_in_the_instance(self):
+        obj = self.Counted()
+        first = obj.value
+        assert obj.value is first and obj.calls == 1
+        assert vars(obj)["value"] is first
+        assert type(self.Counted.__dict__["value"]) is linalg.lazy
+        assert self.Counted.value.__doc__ == "the doc"
+
+    def test_a_call_that_raises_raises_on_every_read(self):
+        obj = self.Counted(fail=True)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=f"call {k}"):
+                obj.value
+        assert "value" not in vars(obj)
+
+    def test_frozen_dataclass_and_immutable_state(self):
+        # a lazy attribute writes the instance's __dict__ directly, past
+        # a frozen dataclass's and DensityMatrix's __setattr__
+        dec = maps.reduction_decomposition(3)
+        assert dec.map is dec.map and "map" in vars(dec)
+        rho = states.horodecki_state(3.5)
+        assert rho.matrix is rho.matrix and "matrix" in vars(rho)
+
+
+class TestClampWithItsNorm:
+    @pytest.mark.parametrize("make", [
+        lambda rng: np.stack([np.linalg.eigvalsh(random_psd(4, rng))
+                              for _ in range(5)]),
+        lambda rng: states.so3_stack(0.2, 0.1, [0.0, 0.3, 0.7]).eigenvalues,
+        lambda rng: np.linalg.eigvalsh(random_psd(3, rng))])
+    def test_given_norm_gives_the_bits_of_its_own(self, rng, make):
+        w = make(rng)
+        for tol in (1e-13, 1e-9, 1e-3):
+            own = linalg.clamp_psd(w, tol)
+            given = linalg.clamp_psd(w, tol, linalg.spectral_fro(w))
+            assert own.tobytes() == given.tobytes()

@@ -495,3 +495,78 @@ class TestRegionStacks:
         assert len(row.results) == 2 and "red" in row.results
         with pytest.raises(TypeError):
             row.results["red"] = None
+
+
+class TestStackFixedCosts:
+    """The stack paths that table1 pays once per stack keep the bits and
+    the errors of the one-state paths."""
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, 1e-14, -1e-14, 2.5, -2.5, 1e300,
+             -1e300]
+
+    @pytest.mark.parametrize("reversed_", [False, True])
+    def test_verdicts_give_each_state_its_one_state_bits(self, rng,
+                                                         reversed_):
+        lhs = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
+            -15, 3, 40), self.EDGES])
+        # margins at, just inside and just beyond -tol * max(1, |l|, |r|)
+        rhs = lhs + 1e-9 * np.maximum(1.0, np.abs(lhs)) * rng.choice(
+            [-1.0, 1.0, 1 - 1e-6, 1 + 1e-6], lhs.size)
+        rhs[-len(self.EDGES):] = self.EDGES[::-1]
+        norms = rng.random(lhs.size)
+        for tol in (1e-13, 1e-9):
+            cases = [(rhs, norms), (rhs, None)] + [
+                (r, None) for r in (0.0, -0.0, 1e-9, -3.0, 1e300)]
+            for r, comm in cases:
+                many = criteria._verdicts(lhs, r, reversed_, Kind.II, tol,
+                                          comm)
+                assert len(many) == lhs.size
+                for k in range(lhs.size):
+                    one = criteria._verdicts(
+                        lhs[k], r[k] if isinstance(r, np.ndarray) else r,
+                        reversed_, Kind.II, tol,
+                        None if comm is None else float(comm[k]))[0]
+                    # repr tells -0.0 from 0.0
+                    assert repr(many[k]) == repr(one)
+                    assert type(many[k].rhs) is float
+
+    def test_lam_is_the_clamp_of_the_eigenvalues(self, rng):
+        for stack, _, _ in family_stacks(rng):
+            for tol in (1e-13, 1e-9, 1e-3):
+                lam = criteria.Spectra(stack, tol).lam
+                ref = linalg.clamp_psd(stack.eigenvalues, tol)
+                assert lam.tobytes() == ref.tobytes()
+
+    def test_lam_takes_the_norm_once(self, rng, monkeypatch):
+        calls = []
+        fro = linalg.spectral_fro
+        monkeypatch.setattr(linalg, "spectral_fro",
+                            lambda w: calls.append(1) or fro(w))
+        sp = criteria.Spectra(separable_stack(3, 4, rng))
+        sp.lam
+        sp.map(maps.reduction_decomposition(3).lambda1)
+        assert sp.fro is sp.fro and len(calls) == 1
+
+    def test_lam_keeps_the_not_psd_error(self):
+        eps = 5e-10
+        bad = np.diag([1 / 8 + eps] + [1 / 8] * 7 + [-eps]).astype(complex)
+        stack = states.DensityMatrix([np.eye(9) / 9, bad], 3, 3)
+        with pytest.raises(NotPSD) as ref:
+            linalg.clamp_psd(stack.eigenvalues, 1e-13)
+        for _ in range(2):
+            with pytest.raises(NotPSD) as got:
+                criteria.Spectra(stack, 1e-13).lam
+            assert str(got.value) == str(ref.value)
+
+    def test_a_lazy_attribute_that_raises_raises_on_every_read(self, rng):
+        dec = maps.parse_map_spec("tau_u d=4")
+        sp = criteria.Spectra(separable_stack(4, 3, rng))
+        entry = sp.map(dec.lambda2)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(CommutativityViolated) as exc:
+                entry.checked_commutator
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert "checked_commutator" not in vars(entry)
+        assert entry.commutator is entry.commutator
