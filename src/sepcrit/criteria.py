@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameters,
     ParameterOutOfRange,
     PowerOverflow,
+    SepcritError,
     SingularNegativePower,
     SingularOperand,
 )
@@ -244,24 +245,23 @@ class _MapSpectrum:
     state or a stack of states.
 
     The weights (U^dag X U)_ii in rho's eigenbasis U give Tr rho^a X
-    without an eigensolve; on a paper family they come from the map's
+    without an eigensolve.  `Spectra._build` makes them, with X on a
+    dense stack; on a paper family they come from the map's
     `_family_table`, and X is built only when read.  X's spectrum and
     its overlap with rho's eigenbasis are computed on first use, and
     so are the powers of that spectrum and the pairing vectors, one per
     exponent (`POWER_CACHE_SIZE`).
     """
 
-    def __init__(self, m: MatrixMap, sp: Spectra):
+    def __init__(self, m: MatrixMap, sp: Spectra, weights: np.ndarray,
+                 X: Optional[np.ndarray] = None):
         self.map, self.tol, self._dA, self._fro = m, sp.tol, sp.dA, sp.fro
         self._matrix, self._vectors = sp._matrix, sp._vectors
         self._powers: dict = {}
         self._pairings: dict = {}
-        if sp.family is None:
-            self.weights = _weights(self.X, self._vectors())
-        else:
-            family, coef, order = sp.family
-            self.weights = linalg.gather_last(
-                linalg.combine(coef, _family_table(m, family)), order)
+        self.weights = weights
+        if X is not None:
+            self.X = X
 
     @linalg.lazy
     def X(self) -> np.ndarray:
@@ -471,7 +471,8 @@ class Spectra:
     `rho` is one state or a stack (a DensityMatrix either way).  Arrays
     carry a stack's states on a leading batch axis; a single state gives
     them none.  `map(m)` holds X = [I (x) L](rho) and its weights (one
-    matmul; on a paper family, a table), `marginal(keep)` that
+    matmul; on a paper family, a table), and `fill(ms)` builds many
+    maps' entries in one stacked matmul; `marginal(keep)` holds that
     marginal's clamped spectrum (one eigensolve, or a table of
     `Family.marginal_tables`), `ppt` the partial transpose's minimum
     eigenvalue (one eigvalsh, or `Family.pt_table`), `fro` ||rho||_F,
@@ -555,8 +556,40 @@ class Spectra:
             if m.d != self.dB:
                 raise DimensionMismatch(
                     f"map d={m.d} != state dB = {self.dB}")
-            entry = self._maps[m] = _MapSpectrum(m, self)
+            self._build((m,))
+            entry = self._maps[m]
         return entry
+
+    def fill(self, ms) -> None:
+        """Build, in one `_build`, the entries of those maps of ms that
+        are MatrixMaps of d = dB and have none yet.  Anything else is
+        left for `map(m)`, so that it raises its error when its own
+        criterion reads it, in that criterion's order; fill raises
+        nothing."""
+        new = tuple(dict.fromkeys(
+            m for m in ms if isinstance(m, MatrixMap) and m.d == self.dB
+            and m not in self._maps))
+        if new:
+            self._build(new)
+
+    def _build(self, ms: tuple[MatrixMap, ...]) -> None:
+        """The entries of the maps ms (MatrixMaps of d = dB, none built
+        yet), kept in _maps.  On a dense stack their X are one stacked
+        `extend_apply` and their weights one `_weights` pass, each map's
+        with the bits of its own (one map takes the one-map call, which
+        skips stacking superoperators); on a paper family each map's
+        weights come from its table (`_family_table`)."""
+        if self.family is None:
+            one = len(ms) == 1
+            X = extend_apply(ms[0] if one else ms, self._matrix(), self.dA)
+            weights = _weights(X, self._vectors())
+            entries = [(ms[0], weights, X)] if one else zip(ms, weights, X)
+        else:
+            family, coef, order = self.family
+            entries = ((m, linalg.gather_last(linalg.combine(
+                coef, _family_table(m, family)), order), None) for m in ms)
+        for m, weights, X in entries:
+            self._maps[m] = _MapSpectrum(m, self, weights, X)
 
     def marginal(self, keep: str) -> np.ndarray:
         """The clamped spectrum of the marginal keeping `keep` ("A" or "B",
@@ -588,8 +621,9 @@ class Spectra:
 
 
 # ---------------------------------------------------------------------------
-# criterion objects: a label and `verdicts(sp)`, one result per state of sp
-# (a list of one on a single state, a ResultStack on a stack)
+# criterion objects: a label, `verdicts(sp)`, one result per state of sp
+# (a list of one on a single state, a ResultStack on a stack), and `maps`,
+# the maps whose entries it reads
 
 class RegionCriterion(NamedTuple):
     """One labeled (alpha, beta)-inequality (at alpha = inf, the limit
@@ -611,11 +645,35 @@ class RegionCriterion(NamedTuple):
             return _entropic(sp, self.alpha)
         return _alpha_beta(sp, self.dec, self.alpha, self.beta, self.kind)
 
+    @property
+    def maps(self) -> tuple:
+        """The maps whose `Spectra` entries `verdicts` reads, for
+        `Spectra.fill`: lambda1, and lambda2 unless it is the identity
+        (X2 = rho); dec.map at alpha = inf, if it can be built; none
+        for the entropic inequality or a dec that is not a
+        CPDecomposition of two MatrixMaps of one d.  It raises nothing:
+        an error of the criterion is its `verdicts`' to raise."""
+        dec = self.dec
+        if not (isinstance(dec, CPDecomposition)
+                and isinstance(dec.lambda1, MatrixMap)
+                and isinstance(dec.lambda2, MatrixMap)
+                and dec.lambda1.d == dec.lambda2.d):
+            return ()
+        if linalg.is_real(self.alpha) and self.alpha == math.inf:
+            try:
+                return (dec.map,)
+            except SepcritError:  # L1 - L2 is refused: verdicts raises it
+                return ()
+        if dec.lambda2_is_identity:
+            return (dec.lambda1,)
+        return (dec.lambda1, dec.lambda2)
+
 
 class PPT:
     """The PPT test: the partial transpose's minimum eigenvalue against 0."""
 
     label = "ppt"
+    maps = ()  # it reads no map entry
 
     def verdicts(self, sp: Spectra) -> list[CriterionResult] | ResultStack:
         return _verdicts(sp.ppt, 0.0, False, Kind.PPT, sp.tol)

@@ -44,8 +44,11 @@ def check_tol(tol: float) -> float:
 def is_real(x) -> bool:
     """Whether x is a real number (`numbers.Real`): an int, a float or a
     numpy integer or floating scalar, and a bool (numpy's too), as an
-    int is; not None, a str, a complex or an array."""
-    return isinstance(x, (numbers.Real, np.bool_))
+    int is; not None, a str, a complex or an array.  A float or an int
+    answers without walking the `numbers.Real` ABC, which costs about
+    20 times a plain isinstance."""
+    return isinstance(x, (float, int)) or isinstance(x, (numbers.Real,
+                                                         np.bool_))
 
 
 def check_real(x, name: str):

@@ -140,32 +140,61 @@ def map_from_action(d: int,
     return MatrixMap(d, C)
 
 
-def extend_apply(m: MatrixMap, rho, dA: int) -> np.ndarray:
+def _stack(ms: tuple) -> tuple[int, np.ndarray]:
+    """The d of the maps ms and their superoperators, stacked into one
+    contiguous array; an empty tuple or one holding anything but
+    MatrixMaps raises InvalidParameters, and maps of several d
+    DimensionMismatch."""
+    if not ms:
+        raise InvalidParameters("m is an empty tuple of maps")
+    for m in ms:
+        check_map(m)
+    d = ms[0].d
+    if any(m.d != d for m in ms):
+        raise DimensionMismatch(
+            f"maps of d {sorted({m.d for m in ms})} in one call")
+    return d, np.array([m.superoperator for m in ms])
+
+
+def extend_apply(m: MatrixMap | tuple[MatrixMap, ...], rho,
+                 dA: int) -> np.ndarray:
     """[I (x) L](rho) as one matmul; rho may be a stack (..., n, n).
     L(X) itself is extend_apply(m, X, 1).  An m that is not a MatrixMap
     raises InvalidParameters (`check_map`).
 
+    m may also be a non-empty tuple of MatrixMaps of one d (`_stack`):
+    the result then has a leading map axis, entry k being
+    [I (x) m[k]](rho) with the bits of a call with m[k] alone.
+
     The dA x dA grid of dB x dB blocks of rho becomes a dA^2 x dB^2
     matrix, one flattened block per row, which the map's superoperator
-    acts on from the right.
+    acts on from the right.  For a tuple, the superoperators are
+    stacked into one contiguous array, so that numpy's matmul hands
+    each map's product to BLAS as the one-map call does (an operand it
+    cannot hand to BLAS takes numpy's own loop, whose bits differ).
     """
     rho = as_matrix(rho, "rho")
     try:
         dB, S = m.d, m.superoperator
-    except AttributeError:  # not a map, which check_map names
-        check_map(m)
-        raise
+    except AttributeError:  # a tuple of maps, or not a map (check_map)
+        if not isinstance(m, tuple):
+            check_map(m)
+            raise
+        dB, S = _stack(m)
     if rho.shape[-1] != dA * dB:
         raise DimensionMismatch(
             f"state dim {rho.shape[-1]} != dA*dB = {dA * dB}"
         )
-    batch = rho.shape[:-2]
+    batch, shape = rho.shape[:-2], rho.shape
     rows = rho.reshape(batch + (dA, dB, dA, dB)).swapaxes(-3, -2).reshape(
         batch + (dA * dA, dB * dB)
     )
+    if S.ndim == 3:  # a tuple's map axis leads, ahead of rho's batch axes
+        S = S.reshape(S.shape[:1] + (1,) * len(batch) + S.shape[1:])
+        batch, shape = S.shape[:1] + batch, S.shape[:1] + shape
     out = rows @ S
     return out.reshape(batch + (dA, dA, dB, dB)).swapaxes(-3, -2).reshape(
-        rho.shape
+        shape
     )
 
 

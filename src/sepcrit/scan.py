@@ -329,11 +329,16 @@ def check_state(rho: DensityMatrix,
     `Spectra.of(rho, tol)`, with each criterion's `verdicts` as an
     `so3_region` row does; returns (label, result) pairs.  criteria may
     be any iterable; it is read once.  Raises InvalidParameters when
-    there is nothing to evaluate."""
+    there is nothing to evaluate.
+
+    The map entries of every criterion (`RegionCriterion.maps`) are
+    built first, in one `Spectra.fill`, which raises nothing: each
+    criterion's errors come in its own turn, as without it."""
     criteria = [PPT(), *criteria] if include_ppt else list(criteria)
     if not criteria:
         raise InvalidParameters("nothing to evaluate: no criterion and no PPT")
     sp = Spectra.of(rho, tol)
+    sp.fill([m for c in criteria for m in c.maps])
     return [(c.label, c.verdicts(sp)[0]) for c in criteria]
 
 

@@ -627,6 +627,36 @@ def test_entry_point_names_the_map_d_on_a_mismatch(command, dim, d, dB,
     assert proc.stderr == f"error: map d={d} != state dB = {dB}\n"
 
 
+@pytest.mark.parametrize("specs,extra,error", [
+    (["reduction d=4", "reduction d=3"], [], "map d=4 != state dB = 3"),
+    (["reduction d=3", "reduction d=4"], ["--alpha", "-1"],
+     "alpha=-1.0 must be >= 0")])
+def test_entry_point_several_maps_keep_their_error_order(specs, extra, error,
+                                                         tmp_path):
+    # the first criterion in order raises, whatever the maps after it:
+    # check builds every map entry before the criteria run, but leaves a
+    # map of the wrong d to its own criterion
+    path = tmp_path / "mixed.mat"
+    write_state(path, np.eye(9) / 9, 3, 3)
+    proc = run_entry_point("check", str(path),
+                           *(a for s in specs for a in ("--map", s)), *extra)
+    assert_fails(proc)
+    assert proc.stderr == f"error: {error}\n"
+
+
+def test_entry_point_check_with_several_maps(tmp_path):
+    # on |psi+>, PPT and reduction detect it and transposition's
+    # (alpha, beta) = (1, 1) inequality does not
+    path = tmp_path / "bell.mat"
+    write_state(path, bell_state(2), 2, 2)
+    proc = run_entry_point("check", str(path), "--map", "reduction d=2",
+                           "--map", "transposition d=2")
+    assert proc.returncode == 2, proc.stderr
+    assert [line.split()[0] + " " + line.split()[-1]
+            for line in proc.stdout.splitlines()] == [
+        "ppt: VIOLATED", "reduction: VIOLATED", "transposition: ok"]
+
+
 def test_entry_point_choi_rejects_negative_samples():
     # --samples -3 exited 0 and skipped the sampled positivity test
     proc = run_entry_point("choi", "reduction d=2", "--samples", "-3")

@@ -546,6 +546,37 @@ class TestSpectralCore:
         criteria.alpha_beta_inequality(rho, dec, 3, 0.5, Kind.II)
         assert calls == ["powered"]
 
+    def test_warm_call_applies_no_map(self, rng, monkeypatch):
+        # the soundness sweep's per-call path: once a (state, map) pair's
+        # entries exist, no triple applies a map again, on a dense state
+        # or a family one, with a map lambda2 or not, at alpha = inf too
+        cases = [(states.random_separable(4, 4, 4, rng),
+                  [maps.breuer_hall_decomposition(d=4),
+                   maps.transposition_decomposition(4)]),
+                 (states.so3_state(0.2, 0.3, 0.1),
+                  [maps.parse_map_spec("tau_u d=4")])]
+        runs = [*SWEEP_TRIPLES, (math.inf, 1, Kind.II)]
+
+        def outcome(rho, dec, a, b, kind):
+            # kind I where X2 does not commute raises on every call
+            try:
+                return criteria.alpha_beta_inequality(rho, dec, a, b, kind)
+            except CommutativityViolated as exc:
+                return str(exc)
+
+        def sweep():
+            return [outcome(rho, dec, *run) for rho, decs in cases
+                    for dec in decs for run in runs]
+
+        first = sweep()
+        calls = []
+        for module in (criteria, maps):
+            f = module.extend_apply
+            monkeypatch.setattr(module, "extend_apply", lambda *args, f=f: (
+                calls.append(args[0]) or f(*args)))
+        assert sweep() == first
+        assert calls == []
+
 
 def _reduction_on_a_separable_state(rng):
     return maps.reduction_decomposition(4), states.random_separable(4, 4, 4,

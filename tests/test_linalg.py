@@ -1,3 +1,7 @@
+import numbers
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -390,3 +394,22 @@ class TestClampWithItsNorm:
             own = linalg.clamp_psd(w, tol)
             given = linalg.clamp_psd(w, tol, linalg.spectral_fro(w))
             assert own.tobytes() == given.tobytes()
+
+
+class TestIsReal:
+    # a float or an int answers before the numbers.Real check; the
+    # answers are those of that check alone
+    @pytest.mark.parametrize("x", [
+        True, np.bool_(False), 0, -3, 2 ** 70, np.int64(5), np.uint8(1),
+        2.0, float("nan"), float("inf"), np.float64(0.5), np.float32(1.5),
+        Fraction(1, 3)])
+    def test_real_numbers(self, x):
+        assert linalg.is_real(x) is True
+        assert isinstance(x, (numbers.Real, np.bool_))
+
+    @pytest.mark.parametrize("x", [
+        1j, complex(2, 0), np.complex128(1), "2.0", None, Decimal("1.5"),
+        np.array(2.0), np.array([1.0, 2.0]), [1.0], (1.0,)])
+    def test_other_objects(self, x):
+        assert linalg.is_real(x) is False
+        assert not isinstance(x, (numbers.Real, np.bool_))

@@ -12,6 +12,8 @@ from sepcrit.criteria import Kind
 from sepcrit.errors import (
     AllProjectionsVanish,
     CommutativityViolated,
+    DimensionMismatch,
+    InvalidParameters,
     InvalidState,
     NotPSD,
     SingularOperand,
@@ -570,3 +572,147 @@ class TestStackFixedCosts:
         assert len(messages) == 1
         assert "checked_commutator" not in vars(entry)
         assert entry.commutator is entry.commutator
+
+
+def catalog_maps(d):
+    """Both CP halves and the difference map of every catalog
+    decomposition of d = 3 or 4 (tau_u at d = 3 with the cyclic shift,
+    the Breuer-Hall maps only at the even d)."""
+    decs = [maps.reduction_decomposition(d), maps.identity_decomposition(d),
+            maps.transposition_decomposition(d),
+            maps.theta_decomposition(d - 1, [1.0] * d),
+            maps.kossakowski_decomposition(np.ones((d, d)) - np.eye(d))]
+    decs += [maps.phi_dk_decomposition(d, k) for k in range(d)]
+    if d == 4:
+        decs += [maps.tau_u_decomposition(d=4),
+                 maps.breuer_hall_decomposition(d=4),
+                 maps.breuer_hall_tilde_decomposition(d=4)]
+    else:
+        decs.append(maps.tau_u_decomposition(maps.shift_operator(3)))
+    return [m for dec in decs for m in (dec.lambda1, dec.lambda2, dec.map)]
+
+
+def bits(a):
+    """An array's shape and bytes, equal only where every bit is."""
+    a = np.asarray(a)
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def entry_bits(entry):
+    """The bits of everything a map entry holds on a dense stack: X,
+    the weights, X's eigensolve, its overlap with rho's eigenbasis and
+    the commutator norm."""
+    return [bits(a) for a in (entry.X, entry.weights, *entry.eig,
+                              entry.overlap, entry.commutator)]
+
+
+class TestFill:
+    """`Spectra.fill` builds many maps' entries in one stacked
+    `extend_apply`, each with the bits of an entry built alone."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [None, 0, 1, 5])
+    def test_entries_have_the_bits_of_one_map_alone(self, rng, d, n):
+        ms = catalog_maps(d)
+        if n is None:  # one state, no batch axis
+            rho = states.random_separable(d, d, 4, rng)
+        else:
+            rho = states.DensityMatrix(
+                [states.random_density(d * d, rng) for _ in range(n)]
+                or np.zeros((0, d * d, d * d)), d, d)
+        together = criteria.Spectra(rho)
+        together.fill(ms)
+        U = rho.eig.eigenvectors
+        for m in ms:
+            alone = criteria.Spectra(rho).map(m)
+            assert entry_bits(together.map(m)) == entry_bits(alone)
+            # the one-map extend_apply and weights, as built before fill
+            X = maps.extend_apply(m, rho.matrix, d)
+            assert bits(alone.X) == bits(X)
+            assert bits(alone.weights) == bits(criteria._weights(X, U))
+
+    def test_tuple_of_maps_gains_a_leading_axis(self, rng):
+        ms = tuple(catalog_maps(3)[:4])
+        for rho in (states.random_density(9, rng),
+                    np.stack([states.random_density(9, rng)] * 2)):
+            got = maps.extend_apply(ms, rho, 3)
+            assert got.shape == (4,) + rho.shape
+            assert [bits(x) for x in got] == [
+                bits(maps.extend_apply(m, rho, 3)) for m in ms]
+
+    @pytest.mark.parametrize("ms,error", [
+        ((), "empty tuple"), ((1,), "MatrixMap"),
+        ((maps.identity_map(3), maps.identity_map(2)), r"d \[2, 3\]")])
+    def test_bad_tuples_raise_typed_errors(self, ms, error):
+        with pytest.raises((InvalidParameters, DimensionMismatch),
+                           match=error):
+            maps.extend_apply(ms, np.eye(9) / 9, 3)
+
+    def test_fill_skips_what_map_would_refuse_or_has(self, rng, monkeypatch):
+        rho = states.random_separable(3, 3, 4, rng)
+        sp = criteria.Spectra(rho)
+        red3, red4 = (maps.reduction_decomposition(d) for d in (3, 4))
+        kept = sp.map(red3.lambda1)
+        calls = []
+        monkeypatch.setattr(criteria, "extend_apply", lambda *args: (
+            calls.append(args[0]) or maps.extend_apply(*args)))
+        sp.fill([red3, "reduction d=3", None, [1], red4.lambda1,
+                 red4.lambda2, red3.lambda1])
+        assert calls == [] and sp._maps == {red3.lambda1: kept}
+        # only the new maps of d = dB, each once, in one call (one map
+        # takes the one-map call)
+        sp.fill([red3.lambda1, red3.lambda2, red4.lambda1, red3.lambda2])
+        assert calls == [red3.lambda2]
+        phi, tr = (maps.parse_map_spec(s) for s in ("phi_dk d=3 k=1",
+                                                     "transposition d=3"))
+        sp.fill([phi.lambda1, red3.lambda2, tr.lambda1, tr.lambda2])
+        assert calls == [red3.lambda2, (phi.lambda1, tr.lambda1, tr.lambda2)]
+        assert sp.map(red3.lambda1) is kept
+        # what fill skipped raises in map, as before
+        with pytest.raises(DimensionMismatch, match="map d=4 != state dB"):
+            sp.map(red4.lambda1)
+        with pytest.raises(InvalidParameters, match="pass its .map"):
+            sp.map(red3)
+
+    def test_family_stacks_keep_their_tables(self, rng):
+        stack = states.horodecki_stack([2.5, 3.5, 4.5])
+        ms = catalog_maps(3)
+        sp = criteria.Spectra(stack)
+        sp.fill(ms)
+        for m in ms:
+            alone = criteria.Spectra(stack).map(m)
+            assert bits(sp.map(m).weights) == bits(alone.weights)
+            assert bits(sp.map(m).X) == bits(alone.X)
+
+    def test_maps_of_a_malformed_criterion_raise_nothing(self, rng):
+        # check_state reads every criterion's maps before any criterion
+        # runs: a malformed one gives none, and its verdicts raise what
+        # they raise without check_state
+        rho = states.random_separable(3, 3, 4, rng)
+        red = maps.reduction_decomposition(3)
+        huge = maps.CPDecomposition(
+            maps.MatrixMap(3, 1e153 * np.ones((9, 9))),
+            maps.MatrixMap(3, -1e153 * np.ones((9, 9))), "huge")
+        cases = [
+            scan.RegionCriterion("ent", None, 2.0),
+            scan.RegionCriterion("map", red.map, 1.0),
+            scan.RegionCriterion("str", maps.CPDecomposition(
+                red.lambda1, "identity", "bad"), 1.0),
+            scan.RegionCriterion("mixed", maps.CPDecomposition(
+                red.lambda1, maps.identity_map(4), "mixed"), math.inf),
+            # L1 - L2's Choi norm overflows: refused when first built
+            scan.RegionCriterion("huge", huge, math.inf, 2.0),
+            scan.RegionCriterion("huge", huge, math.inf),
+        ]
+        assert criteria.PPT.maps == ()
+        for crit in cases:
+            assert crit.maps == ()
+            try:
+                want = crit.verdicts(criteria.Spectra(rho))[0]
+            except Exception as exc:
+                with pytest.raises(type(exc)) as got:
+                    scan.check_state(rho, [crit])
+                assert str(got.value) == str(exc)
+            else:
+                assert scan.check_state(fresh(rho), [crit]) == [
+                    (crit.label, want)]

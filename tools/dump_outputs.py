@@ -20,7 +20,12 @@ Sections, each line starting with its name:
   five criteria, every result of every point, and its CSV's SHA-256;
 - `table1`: the Table 1 rows at alpha 6, 7, 10, 13 and inf;
 - `check`: `check_state` rows of 100 seeded 3x3 matrix files (PPT,
-  three maps, entropic), written and read back as the benchmark does;
+  three maps, entropic), written and read back as the benchmark does,
+  then of the three maps at (alpha, beta, kind) (2, 0.5, II),
+  (2, 2, IV), (1, 2, I) and (inf, 1, II), where X's eigensolve, its
+  overlap and its commutator are read (transposition's kind I rows are
+  its CommutativityViolated error), with SHA-256s of each map entry's
+  arrays; the same for 20 seeded 4x4 files with the four d = 4 maps;
 - `family`: the paper families where X's spectrum is an eigensolve of
   the family's matrix, read against its gathered eigenvectors: a res-20
   SO(3) scan at p = 0.2 with the four d = 4 maps at (alpha, beta, kind)
@@ -57,6 +62,7 @@ SO3_MAPS = ("reduction d=4", "breuer_hall d=4", "breuer_hall_tilde d=4",
             "tau_u d=4")
 HORODECKI_MAPS = ("phi_dk d=3 k=1", "reduction d=3", "theta a=2 c=2,1,1")
 FAMILY_TRIPLES = ((2.0, 0.5, "II"), (2.0, 2.0, "IV"), (1.0, 2.0, "I"))
+CHECK_TRIPLES = FAMILY_TRIPLES + ((math.inf, 1.0, "II"),)
 TABLE1_ALPHAS = (6.0, 7.0, 10.0, 13.0, math.inf)
 
 
@@ -174,24 +180,67 @@ def table1(sc, alphas):
         print(f"table1 {alpha} {out}")
 
 
-def check(sc, files):
-    crit = [sc.scan.RegionCriterion(spec.split()[0],
-                                    sc.scan.parse_map_spec(spec), 1.0, 1.0)
-            for spec in CHECK_MAPS]
+def check_rows(sc, rho, crit, include_ppt=False):
+    """(label, printed result) of each criterion on rho through
+    `check_state`: one call for all of them, which builds every map
+    entry in one stacked pass; where that call raises, one call per
+    criterion on the entries it built, so that the error is the output
+    of the criterion that raised it."""
+    try:
+        return [(label, result_text(res)) for label, res in
+                sc.scan.check_state(rho, crit, include_ppt=include_ppt)]
+    except Exception:  # the error is the output
+        return [(c.label, outcome(lambda c=c: sc.scan.check_state(
+            rho, [c])[0][1])) for c in crit]
+
+
+def check_file(sc, tmp, head, dim, specs, seed):
+    """One seeded dim x dim matrix file (separable for an even seed[1],
+    else a full-rank random density), written and read back as the
+    benchmark does, checked at the CLI defaults (PPT, the maps of specs
+    and entropic) and then with the maps alone at each CHECK_TRIPLES
+    (alpha, beta, kind), and the SHA-256s of the map entries those
+    checks read: X, its weights, its eigensolve and overlap, and its
+    commutator norm."""
+    rng = np.random.default_rng(seed)
+    if seed[1] % 2 == 0:
+        matrix = sc.states.random_separable(dim, dim, 4, rng).matrix
+    else:
+        matrix = sc.states.random_density(dim * dim, rng)
+    path = Path(tmp) / f"state_{dim}_{seed[1]:04d}.mat"
+    with open(path, "w") as fh:
+        sc.formats.write_matrix(fh, matrix, dim, dim)
+    rho = sc.formats.read_density_matrix(path)
+    decs = [(spec.split()[0], sc.scan.parse_map_spec(spec)) for spec in specs]
+    crit = [sc.scan.RegionCriterion(label, dec, 1.0, 1.0)
+            for label, dec in decs]
     crit.append(sc.scan.RegionCriterion("entropic", None, 2.0))
+    for label, out in check_rows(sc, rho, crit, include_ppt=True):
+        print(f"check {head} {label} {out}")
+    for a, b, kind in CHECK_TRIPLES:
+        crit = [sc.scan.RegionCriterion(label, dec, a, b, kind)
+                for label, dec in decs]
+        for label, out in check_rows(sc, rho, crit):
+            print(f"check {head} {label} {a} {b} {kind} {out}")
+    # the map entries those rows read, bit for bit
+    sp = sc.criteria.Spectra.of(rho)
+    for label, dec in decs:
+        halves = [("1", dec.lambda1), ("map", dec.map)]
+        if not dec.lambda2_is_identity:
+            halves.insert(1, ("2", dec.lambda2))
+        for half, m in halves:
+            entry = sp.map(m)
+            print(f"check {head} {label} entry {half}", *map(digest, (
+                entry.X, entry.weights, *entry.eig, entry.overlap)),
+                text(entry.commutator))
+
+
+def check(sc, files, files4):
     with tempfile.TemporaryDirectory() as tmp:
         for j in range(files):
-            rng = np.random.default_rng([0, j])
-            if j % 2 == 0:
-                matrix = sc.states.random_separable(3, 3, 4, rng).matrix
-            else:
-                matrix = sc.states.random_density(9, rng)
-            path = Path(tmp) / f"state_{j:04d}.mat"
-            with open(path, "w") as fh:
-                sc.formats.write_matrix(fh, matrix, 3, 3)
-            rho = sc.formats.read_density_matrix(path)
-            for label, res in sc.scan.check_state(rho, crit, include_ppt=True):
-                print(f"check {j} {label} {result_text(res)}")
+            check_file(sc, tmp, j, 3, CHECK_MAPS, [0, j])
+        for j in range(files4):
+            check_file(sc, tmp, f"4x4 {j}", 4, SO3_MAPS, [4, j])
 
 
 def family(sc, resolution, points):
@@ -263,7 +312,7 @@ def main(argv=None):
         kind_one(sc, resolution=2)
         region(sc, resolution=12)
         table1(sc, alphas=(7.0, math.inf))
-        check(sc, files=4)
+        check(sc, files=4, files4=2)
         family(sc, resolution=4, points=7)
         one_state(sc, resolution=2, points=4)
     else:
@@ -271,7 +320,7 @@ def main(argv=None):
         kind_one(sc, resolution=20)
         region(sc, resolution=200)
         table1(sc, alphas=TABLE1_ALPHAS)
-        check(sc, files=100)
+        check(sc, files=100, files4=20)
         family(sc, resolution=20, points=31)
         one_state(sc, resolution=20, points=31)
 
