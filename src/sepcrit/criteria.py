@@ -24,7 +24,6 @@ from .errors import (
     InvalidParameters,
     ParameterOutOfRange,
     PowerOverflow,
-    SepcritError,
     SingularNegativePower,
     SingularOperand,
 )
@@ -229,6 +228,23 @@ def _family_table(m: MatrixMap, family) -> np.ndarray:
     return D
 
 
+def _power(w: np.ndarray, t: float, name: str,
+           to: str = "the power ") -> np.ndarray:
+    """w ** t (`linalg.powered`) for the clamped, ascending spectrum w of
+    `name` (stackable), or PowerOverflow naming it, its top eigenvalue and
+    "{to}{t}" where that power is not a finite float: checked for t > 1
+    only (below, w ** t <= max(1, w)) by one `math.pow` of the top."""
+    if t > 1:  # one state's top is read without a numpy reduction
+        top = float(w[-1] if w.ndim == 1 else w[..., -1].max(initial=0.0))
+        try:
+            math.pow(top, t)
+        except OverflowError:
+            raise PowerOverflow(
+                f"{name}'s largest eigenvalue {top} raised to {to}{t} "
+                "overflows a float") from None
+    return linalg.powered(w, t)
+
+
 def _keep(cache: dict, t: float, value: np.ndarray) -> np.ndarray:
     """value, made read-only and kept as cache[t]; a cache holding
     POWER_CACHE_SIZE entries is emptied first.  A value whose computation
@@ -303,22 +319,11 @@ class _MapSpectrum:
         return norm
 
     def power(self, t: float) -> np.ndarray:
-        """mu ** t (`linalg.powered`), kept per t: X's singular values
-        raised to t, as kind IV pairs them.  PowerOverflow, naming t and
-        X's largest eigenvalue, where that power is not a finite float:
-        checked once per t > 1 (below, mu ** t <= max(1, mu)) by one
-        scalar `math.pow`, which raises where libm's pow overflows."""
+        """mu ** t (`_power`), kept per t: X's singular values raised to
+        t, as kind IV pairs them."""
         out = self._powers.get(t)
         if out is None:
-            if t > 1:
-                top = float(self.mu.max(initial=0.0))
-                try:
-                    math.pow(top, t)
-                except OverflowError:
-                    raise PowerOverflow(
-                        f"X's largest eigenvalue {top} raised to beta={t} "
-                        "overflows a float") from None
-            out = _keep(self._powers, t, linalg.powered(self.mu, t))
+            out = _keep(self._powers, t, _power(self.mu, t, "X", "beta="))
         return out
 
     def pairing(self, beta: float) -> np.ndarray:
@@ -448,7 +453,7 @@ def _entropic(sp: Spectra, alpha: float,
     if alpha < 1:
         m = np.maximum((sp.eigenvalues - sp.lam).sum(-1), 0.0)[..., None]
         marg = np.minimum(np.maximum(np.cumsum(marg, -1) - m, 0.0), marg)
-    return _verdicts(linalg.powered(marg, alpha).sum(-1),
+    return _verdicts(_power(marg, alpha, f"rho_{subsystem}").sum(-1),
                      sp.power(alpha).sum(-1), alpha < 1,
                      Kind.ENTROPIC, sp.tol)
 
@@ -534,10 +539,10 @@ class Spectra:
         return linalg.clamp_psd(self.eigenvalues, self.tol, self.fro)
 
     def power(self, t: float) -> np.ndarray:
-        """lam ** t (`linalg.powered`), kept per t."""
+        """lam ** t (`_power`), kept per t."""
         out = self._powers.get(t)
         if out is None:
-            out = _keep(self._powers, t, linalg.powered(self.lam, t))
+            out = _keep(self._powers, t, _power(self.lam, t, "rho"))
         return out
 
     # A Spectra is also the entry of X = rho (a lambda2 that is the
@@ -648,25 +653,19 @@ class RegionCriterion(NamedTuple):
     @property
     def maps(self) -> tuple:
         """The maps whose `Spectra` entries `verdicts` reads, for
-        `Spectra.fill`: lambda1, and lambda2 unless it is the identity
-        (X2 = rho); dec.map at alpha = inf, if it can be built; none
-        for the entropic inequality or a dec that is not a
-        CPDecomposition of two MatrixMaps of one d.  It raises nothing:
-        an error of the criterion is its `verdicts`' to raise."""
-        dec = self.dec
-        if not (isinstance(dec, CPDecomposition)
-                and isinstance(dec.lambda1, MatrixMap)
-                and isinstance(dec.lambda2, MatrixMap)
-                and dec.lambda1.d == dec.lambda2.d):
+        `Spectra.fill`: dec.map at alpha = inf, else lambda1, and
+        lambda2 unless it is the identity (X2 = rho); none where that
+        rule raises, as for the entropic inequality.  It raises nothing:
+        an error of the criterion is its `verdicts`' to raise, and fill
+        skips what is not a map of the state's d."""
+        try:
+            if self.alpha == math.inf:
+                return (self.dec.map,)
+            if self.dec.lambda2_is_identity:
+                return (self.dec.lambda1,)
+            return (self.dec.lambda1, self.dec.lambda2)
+        except Exception:
             return ()
-        if linalg.is_real(self.alpha) and self.alpha == math.inf:
-            try:
-                return (dec.map,)
-            except SepcritError:  # L1 - L2 is refused: verdicts raises it
-                return ()
-        if dec.lambda2_is_identity:
-            return (dec.lambda1,)
-        return (dec.lambda1, dec.lambda2)
 
 
 class PPT:

@@ -121,9 +121,9 @@ def check_map(m) -> None:
             f"m must be a MatrixMap, got a {type(m).__name__}{hint}")
 
 
-def _check_d(d) -> None:
+def _check_d(d, name: str = "d") -> None:
     if not linalg.is_dimension(d):
-        raise InvalidParameters(f"d={d!r} must be a positive integer")
+        raise InvalidParameters(f"{name}={d!r} must be a positive integer")
 
 
 def map_from_action(d: int,
@@ -159,8 +159,8 @@ def _stack(ms: tuple) -> tuple[int, np.ndarray]:
 def extend_apply(m: MatrixMap | tuple[MatrixMap, ...], rho,
                  dA: int) -> np.ndarray:
     """[I (x) L](rho) as one matmul; rho may be a stack (..., n, n).
-    L(X) itself is extend_apply(m, X, 1).  An m that is not a MatrixMap
-    raises InvalidParameters (`check_map`).
+    L(X) itself is extend_apply(m, X, 1).  A non-map m (`check_map`) or a
+    dA that is not a positive integer raises InvalidParameters.
 
     m may also be a non-empty tuple of MatrixMaps of one d (`_stack`):
     the result then has a leading map axis, entry k being
@@ -173,6 +173,7 @@ def extend_apply(m: MatrixMap | tuple[MatrixMap, ...], rho,
     each map's product to BLAS as the one-map call does (an operand it
     cannot hand to BLAS takes numpy's own loop, whose bits differ).
     """
+    _check_d(dA, "dA")
     rho = as_matrix(rho, "rho")
     try:
         dB, S = m.d, m.superoperator

@@ -863,3 +863,37 @@ def test_entry_point_power_overflow_is_an_error(tmp_path):
     assert proc.stderr == ("error: X's largest eigenvalue 500.0 raised to "
                            "beta=200.0 overflows a float\n")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def write_psi3(tmp_path):
+    """|psi+><psi+| of C^3 (x) C^3 in the matrix file format: read back,
+    its largest eigenvalue is 1.0000000000000004."""
+    path = tmp_path / "psi3.mat"
+    psi = states.max_entangled(3)
+    write_state(path, np.outer(psi, psi.conj()), 3, 3)
+    return path
+
+
+@pytest.mark.parametrize("options,power", [
+    (["--map", "reduction d=3", "--alpha", "1e19"], "1e+19"),
+    (["--map", "entropic", "--alpha", "1e308", "--beta", "0"], "1e+308")])
+def test_entry_point_rho_power_overflow_is_an_error(tmp_path, options, power):
+    # rho's power overflowed: numpy's RuntimeWarning, then
+    # "reduction: lhs=inf rhs=inf margin=nan ok" or
+    # "entropic: lhs=0 rhs=inf margin=-inf ok", exit 0
+    proc = run_entry_point("check", str(write_psi3(tmp_path)), *options,
+                           "--no-ppt")
+    assert_fails(proc)
+    assert proc.stderr == ("error: rho's largest eigenvalue 1.0000000000000004 "
+                           f"raised to the power {power} overflows a float\n")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("alpha,line", [
+    ("1e18", "reduction: lhs=2.44552471e+192 rhs=7.33657414e+192 "
+             "margin=-4.89104943e+192 VIOLATED"),
+    ("inf", "reduction: lhs=-0.666666667 rhs=0 margin=-0.666666667 VIOLATED")])
+def test_entry_point_rho_power_below_overflow(tmp_path, alpha, line):
+    proc = run_entry_point("check", str(write_psi3(tmp_path)), "--map",
+                           "reduction d=3", "--alpha", alpha, "--no-ppt")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, line + "\n", "")

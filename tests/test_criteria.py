@@ -1031,3 +1031,57 @@ class TestPowerOverflow:
         assert math.isfinite(res.lhs) and math.isfinite(res.margin)
         with pytest.raises(PowerOverflow):
             criteria.alpha_beta_inequality(rho, self.dec(), 1, 115, Kind.IV)
+
+
+class TestSpectrumPowerOverflow:
+    """rho's and a marginal's spectra raised to alpha follow X's rule:
+    on |psi+> of C^3 (x) C^3, rho's largest eigenvalue is
+    1.0000000000000004, and its power at alpha = 1e19 overflowed with
+    numpy's warning into lhs = rhs = inf, whose margin nan read "ok"."""
+
+    MESSAGE = ("rho's largest eigenvalue 1.0000000000000004 raised to the "
+               "power {} overflows a float")
+
+    @staticmethod
+    def psi3():
+        psi = states.max_entangled(3)
+        return states.DensityMatrix(np.outer(psi, psi.conj()), 3, 3)
+
+    @pytest.mark.parametrize("kind", [Kind.II, Kind.IV])
+    def test_alpha_beta(self, kind):
+        rho, dec = self.psi3(), maps.reduction_decomposition(3)
+        for _ in range(2):  # nothing is kept: it raises again
+            with pytest.raises(PowerOverflow) as exc:
+                criteria.alpha_beta_inequality(rho, dec, 1e19, 1, kind)
+            assert str(exc.value) == self.MESSAGE.format(1e19)
+        # the largest alphas below overflow and the limit still evaluate
+        for alpha in (1e18, math.inf):
+            assert criteria.alpha_beta_inequality(rho, dec, alpha, 1).violated
+
+    def test_beta_of_an_identity_lambda2(self):
+        # X2 = rho: kind IV's rhs raises rho's spectrum to beta
+        rho, dec = self.psi3(), maps.reduction_decomposition(3)
+        with pytest.raises(PowerOverflow) as exc:
+            criteria.alpha_beta_inequality(rho, dec, 1, 1e19, Kind.IV)
+        assert str(exc.value) == self.MESSAGE.format(1e19)
+
+    def test_entropic(self):
+        # at alpha = 1e308 the marginal's 1/3 ** alpha is 0: lhs 0 against
+        # rhs inf read "ok"
+        rho = self.psi3()
+        with pytest.raises(PowerOverflow) as exc:
+            criteria.entropic_inequality(rho, 1e308)
+        assert str(exc.value) == self.MESSAGE.format(1e308)
+        assert criteria.entropic_inequality(rho, 2).violated
+
+    def test_marginal(self):
+        # rho's largest eigenvalue is 1 and its marginal's 1 + 1e-12: the
+        # marginal's power alone overflows (lhs inf read "ok")
+        rho = states.DensityMatrix(np.diag([1, 1e-12, 0, 0]), 2, 2)
+        sp = criteria.Spectra(rho)
+        top = float(sp.marginal("A").max())
+        assert top > 1 and float(sp.lam.max()) == 1
+        with pytest.raises(PowerOverflow) as exc:
+            criteria.entropic_inequality(rho, 1e300)
+        assert str(exc.value) == (f"rho_A's largest eigenvalue {top} raised "
+                                  "to the power 1e+300 overflows a float")

@@ -83,6 +83,22 @@ class TestExtendApply:
             out = maps.extend_apply(dec.map, rho.matrix, d)
             assert linalg.min_eigenvalue(out) >= -1e-9, dec.name
 
+    # 3.0 raised numpy's bare TypeError, and True on a 3x3 matrix was
+    # taken as 1
+    @pytest.mark.parametrize("dA,n", [(3.0, 9), (True, 3), (-1, 9), (0, 9),
+                                      (None, 9)])
+    def test_dimension_must_be_a_positive_integer(self, dA, n):
+        for m in (maps.identity_map(3), (maps.identity_map(3),)):
+            with pytest.raises(InvalidParameters,
+                               match=rf"^dA={dA!r} must be a positive "):
+                maps.extend_apply(m, np.eye(n) / n, dA)
+
+    def test_numpy_integer_dimension(self, rng):
+        rho = random_separable(3, 3, 3, rng).matrix
+        T = maps.transposition_map(3)
+        assert np.array_equal(maps.extend_apply(T, rho, np.int64(3)),
+                              maps.extend_apply(T, rho, 3))
+
 
 def extend_apply_per_block(m, rho, dA):
     """Reference [I (x) L](rho): L applied to each dB x dB block."""

@@ -574,10 +574,9 @@ class TestStackFixedCosts:
         assert entry.commutator is entry.commutator
 
 
-def catalog_maps(d):
-    """Both CP halves and the difference map of every catalog
-    decomposition of d = 3 or 4 (tau_u at d = 3 with the cyclic shift,
-    the Breuer-Hall maps only at the even d)."""
+def catalog_decompositions(d):
+    """Every catalog decomposition of d = 3 or 4 (tau_u at d = 3 with the
+    cyclic shift, the Breuer-Hall maps only at the even d)."""
     decs = [maps.reduction_decomposition(d), maps.identity_decomposition(d),
             maps.transposition_decomposition(d),
             maps.theta_decomposition(d - 1, [1.0] * d),
@@ -589,7 +588,14 @@ def catalog_maps(d):
                  maps.breuer_hall_tilde_decomposition(d=4)]
     else:
         decs.append(maps.tau_u_decomposition(maps.shift_operator(3)))
-    return [m for dec in decs for m in (dec.lambda1, dec.lambda2, dec.map)]
+    return decs
+
+
+def catalog_maps(d):
+    """Both CP halves and the difference map of every catalog
+    decomposition of d = 3 or 4 (`catalog_decompositions`)."""
+    return [m for dec in catalog_decompositions(d)
+            for m in (dec.lambda1, dec.lambda2, dec.map)]
 
 
 def bits(a):
@@ -683,6 +689,47 @@ class TestFill:
             alone = criteria.Spectra(stack).map(m)
             assert bits(sp.map(m).weights) == bits(alone.weights)
             assert bits(sp.map(m).X) == bits(alone.X)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_maps_name_what_verdicts_reads(self, rng, d, monkeypatch):
+        # after fill(crit.maps), verdicts builds no entry of its own, or
+        # it raises what it raises without the fill; the maximally mixed
+        # state commutes with every X2, so kind I evaluates with a map
+        # lambda2 there
+        builds = []
+        build = criteria.Spectra._build
+        monkeypatch.setattr(criteria.Spectra, "_build", lambda sp, ms: (
+            builds.append(ms), build(sp, ms))[1])
+        rhos = [states.DensityMatrix(np.eye(d * d) / d ** 2, d, d),
+                separable_stack(d, 3, rng)]
+        cases = [(1.0, Kind.I), (2.0, Kind.I), (0.5, Kind.II),
+                 (1.0, Kind.II), (-0.5, Kind.III), (0.0, Kind.IV),
+                 (2.0, Kind.IV)]
+        evaluated = set()
+        for dec in catalog_decompositions(d):
+            for alpha in (1, 2, math.inf):
+                for beta, kind in cases:
+                    crit = scan.RegionCriterion("c", dec, alpha, beta, kind)
+                    for rho in rhos:
+                        try:
+                            want = crit.verdicts(criteria.Spectra(rho))
+                        except Exception as exc:
+                            want = exc
+                        sp = criteria.Spectra(rho)
+                        sp.fill(crit.maps)
+                        builds.clear()
+                        if isinstance(want, Exception):
+                            with pytest.raises(type(want)) as got:
+                                crit.verdicts(sp)
+                            assert str(got.value) == str(want)
+                        else:
+                            assert crit.verdicts(sp) == want
+                            assert builds == [], (dec.name, alpha, beta)
+                            evaluated.add((kind, alpha == math.inf,
+                                           dec.lambda2_is_identity))
+        # every kind, the limit and both kinds of lambda2 were evaluated
+        assert {(Kind.I, False, False), (Kind.I, False, True),
+                (Kind.IV, False, False), (Kind.II, True, False)} <= evaluated
 
     def test_maps_of_a_malformed_criterion_raise_nothing(self, rng):
         # check_state reads every criterion's maps before any criterion
