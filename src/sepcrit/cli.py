@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 
 import click
+import numpy as np
 
 from . import maps, scan
 from .criteria import TOL_CEILING, TOL_FLOOR, check_entropic_alpha, check_tol
@@ -24,8 +25,8 @@ from .linalg import DEFAULT_TOL
 TOL_HELP = ("Verdict threshold and clamp band, relative; from "
             f"{TOL_FLOOR:g} to {TOL_CEILING:g}.")
 
-ALPHA_HELP = ("Exponent on the state; 'inf' is the limit witness (beta 1, "
-              "kind II).")
+ALPHA_HELP = ("Exponent on the state; 'inf' is the limit of the same "
+              "inequality, for every beta and kind.")
 
 # the one --kind option: a name of I-IV goes as it is to the criteria,
 # which route a missing one by beta
@@ -59,8 +60,12 @@ def _build_criteria(map_specs, alpha, beta, kind):
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Scalar separability criteria from positive maps."""
+    # a sum that overflows reads inf, which its verdict refuses with
+    # PowerOverflow (one error line), so numpy need not warn of it too
+    ctx.with_resource(np.errstate(over="ignore"))
 
 
 @main.command("table1")

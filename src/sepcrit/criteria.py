@@ -105,7 +105,9 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
               commutator=None) -> list[CriterionResult] | ResultStack:
     """The results of a kernel's output, by the verdict rule: the
     sign-adjusted margin of lhs against rhs is violated when it lies
-    below -tol * max(1, |lhs|, |rhs|).
+    below -tol * max(1, |lhs|, |rhs|).  A margin that is not a finite
+    float raises PowerOverflow naming the side that is not, never a
+    verdict.
 
     Output with no batch axis gives a list of one CriterionResult, else
     (one batch axis) one ResultStack, whose margins and scales are array
@@ -114,13 +116,18 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
     if not isinstance(lhs, np.ndarray) or lhs.ndim == 0:
         lhs, rhs = float(lhs), float(rhs)
         margin = (rhs - lhs) if reversed_ else (lhs - rhs)
+        if not math.isfinite(margin):
+            raise _non_finite(lhs, rhs)
         scale = max(1.0, abs(lhs), abs(rhs))
         # tuple.__new__ skips the NamedTuple's Python-level __new__,
         # about a third of the cost of a result
         return [tuple.__new__(CriterionResult, (
             lhs, rhs, margin, bool(margin < -tol * scale), kind, tol,
             commutator))]
-    margins = ((rhs - lhs) if reversed_ else (lhs - rhs)).tolist()
+    margins = (rhs - lhs) if reversed_ else (lhs - rhs)
+    if np.count_nonzero(np.isfinite(margins)) < margins.size:
+        raise _non_finite(lhs, rhs)
+    margins = margins.tolist()
     scales = np.maximum(np.abs(lhs), np.abs(rhs))
     violated = [bool(margin < -tol * scale) for margin, scale in zip(
         margins, np.maximum(scales, 1.0, out=scales).tolist())]
@@ -130,6 +137,15 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
                   else commutator.tolist())
     return ResultStack(lhs.tolist(), rhs, margins, violated, kind, tol,
                        commutator)
+
+
+def _non_finite(lhs, rhs) -> PowerOverflow:
+    """PowerOverflow naming lhs, else rhs, as not a finite float (on some
+    state of a stack).  Each kernel's sides are >= 0 up to rounding, or
+    its rhs is 0, so their difference cannot overflow: where a margin is
+    not finite, a side is not."""
+    side = "lhs" if not np.isfinite(lhs).all() else "rhs"
+    return PowerOverflow(f"{side} is not a finite float (a sum overflowed)")
 
 
 _BETA_OK = {
@@ -153,26 +169,17 @@ def route_kind(beta: float) -> Kind:
 
 
 def _validate_range(alpha: float, beta: float, kind: Kind) -> None:
-    """alpha and beta are real numbers and kind is one of I-IV; alpha =
-    inf, the limit witness, is the beta = 1, kind II limit."""
+    """alpha and beta are real numbers, alpha >= 0 (inf is the limit of
+    the same inequality) and beta finite, in the range of kind, one of
+    I-IV."""
     linalg.check_real(alpha, "alpha")
     linalg.check_real(beta, "beta")
     beta_ok = _BETA_OK.get(kind) if isinstance(kind, Kind) else None
     if beta_ok is None:
         raise ParameterOutOfRange(f"kind {kind} is not one of I, II, III, IV")
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        if alpha != math.inf:
-            raise ParameterOutOfRange(
-                f"alpha={alpha} and beta={beta} must be finite"
-            )
-        if beta != 1 or kind is not Kind.II:
-            raise ParameterOutOfRange(
-                f"alpha=inf needs beta=1 and kind II, got beta={beta}, "
-                f"kind {kind.value}")
-        return
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ParameterOutOfRange(f"alpha={alpha} must be >= 0")
-    if not beta_ok(beta):
+    if not (math.isfinite(beta) and beta_ok(beta)):
         raise ParameterOutOfRange(f"beta={beta} invalid for kind {kind.value}")
 
 
@@ -339,91 +346,89 @@ class _MapSpectrum:
         return out
 
 
-def _pairing(X: _MapSpectrum | Spectra, beta: float,
-             name: str) -> np.ndarray:
-    """X.pairing(beta); a singular X at beta < 0 raises SingularOperand
-    naming X as `name`."""
-    try:
-        return X.pairing(beta)
-    except SingularNegativePower as exc:
-        raise SingularOperand(f"{name} singular for beta={beta}") from exc
-
-
 def _alpha_beta(sp: Spectra, dec: CPDecomposition, alpha: float,
                 beta: float, kind: Kind | str | None = None
                 ) -> list[CriterionResult] | ResultStack:
     """The (alpha, beta)-inequality on every state of sp, at sp.tol, of
     the Kind that `_route` finds for (alpha, beta, kind).  Kind III reads
     reversed; kind I with a map lambda2 reports the commutator norm.  At
-    alpha = inf it is the limit witness of dec.map against 0.  A map
-    that sampling shows is not positive (`CPDecomposition.check_positive`)
-    raises InvalidParameters: its verdicts would not be sound.  So does
-    a dec that is not a CPDecomposition, such as its bare map.
+    alpha = inf it is the limit of the same inequality (`_limit`) against
+    0.  A map that sampling shows is not positive
+    (`CPDecomposition.check_positive`) raises InvalidParameters: its
+    verdicts would not be sound.  So does a dec that is not a
+    CPDecomposition, such as its bare map.
 
     Each side is one dot product (`linalg.vecdot`) of lam^alpha
     (`Spectra.power`) with X's pairing vector, or for kind IV's rhs with
     X2's singular values raised to beta, all kept on sp; a lambda2 that
     is the identity has X2 = rho, and sp serves as its entry."""
-    try:
-        dec.check_positive()
-    except AttributeError:
-        if not isinstance(dec, CPDecomposition):
-            raise InvalidParameters(f"dec must be a CPDecomposition, got a "
-                                    f"{type(dec).__name__}") from None
-        raise
+    if not isinstance(dec, CPDecomposition):
+        raise InvalidParameters(f"dec must be a CPDecomposition, got a "
+                                f"{type(dec).__name__}")
+    dec.check_positive()
     try:
         kind = _route(alpha, beta, kind)
     except TypeError:  # an unhashable argument, which is refused uncached
         kind = _route.__wrapped__(alpha, beta, kind)
-    if alpha == math.inf:
-        return _verdicts(_limit(sp, dec.map), 0.0, False, kind, sp.tol)
-    lam_a, tol = sp.power(alpha), sp.tol
     X1 = sp.map(dec.lambda1)
     X2 = sp if dec.lambda2_is_identity else sp.map(dec.lambda2)
     commutator = X2.checked_commutator if kind is _I and X2 is not sp else None
-    lhs = linalg.vecdot(lam_a, _pairing(X1, beta, "X1"))
-    if kind is _IV:
-        # X2's singular values are its clamped spectrum: ascending, >= 0.
-        # np.vecdot, as the reversed view's bits need (`linalg.vecdot`)
-        rhs = np.vecdot(lam_a[..., ::-1], X2.power(beta))
-    else:
-        rhs = linalg.vecdot(lam_a, _pairing(X2, beta, "X2"))
-    return _verdicts(lhs, rhs, kind is _III, kind, tol, commutator)
+    name = "X1"  # the operand a SingularOperand names
+    try:
+        p1 = X1.pairing(beta)
+        name = "X2"
+        # kind IV pairs X2's singular values, its clamped spectrum: ascending
+        p2 = X2.power(beta) if kind is _IV else X2.pairing(beta)
+    except SingularNegativePower as exc:
+        raise SingularOperand(f"{name} singular for beta={beta}") from exc
+    if alpha == math.inf:
+        d = p1 - (p2[..., ::-1] if kind is _IV else p2)
+        return _verdicts(_limit(sp, -d if kind is _III else d), 0.0, False,
+                         kind, sp.tol, commutator)
+    lam_a = sp.power(alpha)
+    lhs = linalg.vecdot(lam_a, p1)
+    # np.vecdot, as the reversed view's bits need (`linalg.vecdot`)
+    rhs = (np.vecdot(lam_a[..., ::-1], p2) if kind is _IV
+           else linalg.vecdot(lam_a, p2))
+    return _verdicts(lhs, rhs, kind is _III, kind, sp.tol, commutator)
 
 
-def _limit(sp: Spectra, m: MatrixMap) -> np.ndarray:
-    """The alpha -> inf limit of the beta = 1 inequality's lhs (see
-    `limit_witness`) at sp.tol on every state of sp, from rho's
-    eigenvalues (ascending), the weights of X = [I (x) L](rho) in rho's
-    eigenbasis and ||rho||_F (`Spectra.fro`).
+def _limit(sp: Spectra, d: np.ndarray) -> np.ndarray:
+    """The alpha -> inf limit of vecdot(lam^alpha, d) / lam_max^alpha at
+    sp.tol on every state of sp, for d on rho's eigenvalues (ascending):
+    the sum of d over the top eigenvalue group, or over the next group
+    where that sum is within tol of 0.  ||rho||_F (`Spectra.fro`) scales
+    the groups.
 
     Each state's walk takes the eigenvalue groups from the top, one
     group per step for the whole stack.  A group is the run of
-    eigenvalues within tol * ||rho||_F below its top one; its weights
-    are summed as one slice, as a one-state walk sums them.
+    eigenvalues within tol * ||rho||_F below its top one; its entries of
+    d are summed as one slice, as a one-state walk sums them.
     """
-    w, weights, tol = sp.eigenvalues, sp.map(m).weights, sp.tol
-    shape, d = w.shape[:-1], w.shape[-1]
-    w, weights = w.reshape(-1, d), weights.reshape(-1, d)
+    shape, dim, tol = d.shape[:-1], d.shape[-1], sp.tol
+    w, d = sp.eigenvalues.reshape(-1, dim), d.reshape(-1, dim)
     band = np.reshape(tol * sp.fro, -1)
     out = np.empty(len(w))
-    # w, weights, band and top (each next group's top) hold live states only
-    live, top = np.arange(len(w)), np.full(len(w), d - 1)
+    # w, d, band and top (each next group's top, at first the last
+    # index of every state) hold live states only
+    live, top = np.arange(len(w)), dim - 1
     while True:
         # w ascends, so a group starts at the first False (argmin)
         j = (w < (w[np.arange(len(w)), top] - band)[:, None]).argmin(-1)
         size = top - j + 1
-        sizes = np.flatnonzero(np.bincount(size)).tolist()
-        val = np.empty(len(w))
-        for n in sizes:  # all states at once when all sizes are equal
+        sizes = np.bincount(size).nonzero()[0].tolist()
+        # a group of one sums to its entry, read without a gather; sizes
+        # ascend, so the larger groups follow (all at once when all
+        # sizes are equal)
+        val = d[np.arange(len(d)), j]
+        for n in sizes[sizes[:1] == [1]:]:
             pick = size == n if len(sizes) > 1 else slice(None)
             val[pick] = linalg.gather_last(
-                weights[pick], j[pick, None] + np.arange(n)).sum(-1)
+                d[pick], j[pick, None] + np.arange(n)).sum(-1)
         out[live], miss = val, ~(np.abs(val) > tol)  # NaN walks on
-        if not miss.any():
+        if not np.count_nonzero(miss):
             return out.reshape(shape)
-        live, top, w, weights, band = (
-            a[miss] for a in (live, j - 1, w, weights, band))
+        live, top, w, d, band = (a[miss] for a in (live, j - 1, w, d, band))
         if (top < 0).any():
             raise AllProjectionsVanish(
                 "Tr(X P) vanished for every eigen-group")
@@ -631,8 +636,8 @@ class Spectra:
 # the maps whose entries it reads
 
 class RegionCriterion(NamedTuple):
-    """One labeled (alpha, beta)-inequality (at alpha = inf, the limit
-    witness), or the entropic inequality, evaluated at each grid point."""
+    """One labeled (alpha, beta)-inequality (alpha = inf is its limit),
+    or the entropic inequality, evaluated at each grid point."""
 
     label: str
     dec: Optional[CPDecomposition]  # None means the entropic inequality
@@ -653,14 +658,12 @@ class RegionCriterion(NamedTuple):
     @property
     def maps(self) -> tuple:
         """The maps whose `Spectra` entries `verdicts` reads, for
-        `Spectra.fill`: dec.map at alpha = inf, else lambda1, and
-        lambda2 unless it is the identity (X2 = rho); none where that
-        rule raises, as for the entropic inequality.  It raises nothing:
-        an error of the criterion is its `verdicts`' to raise, and fill
-        skips what is not a map of the state's d."""
+        `Spectra.fill`, at every alpha: lambda1, and lambda2 unless it
+        is the identity (X2 = rho); none where that rule raises, as for
+        the entropic inequality.  It raises nothing: an error of the
+        criterion is its `verdicts`' to raise, and fill skips what is
+        not a map of the state's d."""
         try:
-            if self.alpha == math.inf:
-                return (self.dec.map,)
             if self.dec.lambda2_is_identity:
                 return (self.dec.lambda1,)
             return (self.dec.lambda1, self.dec.lambda2)
@@ -692,8 +695,10 @@ def alpha_beta_inequality(rho: DensityMatrix, dec: CPDecomposition,
     identity, in which case X2 = rho and the right-hand side is
     Tr rho^alpha rho^beta on rho's spectrum.  Kind III reverses the
     inequality direction; kind IV pairs descending eigenvalues of rho
-    with ascending singular values of X2.  alpha = inf (beta 1, kind II
-    only) is the limit witness of dec.map against 0.
+    with ascending singular values of X2.  alpha = inf is the limit of
+    the same inequality, for every beta and kind: the sum of X1's
+    pairing vector minus X2's over rho's top eigenvalue group (the next
+    group where that sum vanishes within tol), against 0.
     """
     return _alpha_beta(Spectra.of(rho, tol), dec, alpha, beta, kind)[0]
 
@@ -727,7 +732,8 @@ def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
 
 def limit_witness(rho: DensityMatrix, m: MatrixMap,
                   tol: float = DEFAULT_TOL) -> float:
-    """alpha -> infinity limit of the beta = 1 inequality.
+    """alpha -> infinity limit of Tr rho^alpha [I (x) L](rho) over
+    lam_max^alpha, for the map L = m.
 
     Walks the eigenvalues of rho from the top in degenerate groups
     (grouping within tol * ||rho||_F) and returns Tr([I (x) L](rho) P)
@@ -737,8 +743,10 @@ def limit_witness(rho: DensityMatrix, m: MatrixMap,
     m is a bare MatrixMap, which carries no positivity record, so this
     call cannot refuse a map that is not positive, and a negative value
     certifies entanglement only for a positive m.  `alpha_beta_inequality`
-    at alpha = inf is the same witness of a decomposition's map, and it
-    refuses one that sampling refutes.
+    at alpha = inf is the limit of a decomposition's inequality, which at
+    beta = 1, kind II walks lambda1's weights minus lambda2's, the same
+    witness up to rounding; it refuses a map that sampling refutes.
     """
-    return float(_limit(Spectra.of(rho, tol), m))
+    sp = Spectra.of(rho, tol)
+    return float(_limit(sp, sp.map(m).weights))
 

@@ -206,7 +206,7 @@ def clamp_psd(w: np.ndarray, tol=DEFAULT_TOL, fro=None) -> np.ndarray:
     band = tol * (spectral_fro(w) if fro is None else fro)
     if w.ndim > 1:
         low = w[..., 0] < -band
-        if low.any():  # the first such spectrum raises its own error
+        if np.count_nonzero(low):  # the first such one raises its error
             clamp_psd(w[np.unravel_index(low.argmax(), low.shape)], tol)
         band = band[..., None]
     elif w[0] < -band:

@@ -102,7 +102,8 @@ def table1(alpha: float, beta: float = 1.0,
     from the given map is violated on the 3x3 test family.
 
     kind None is routed by beta (`route_kind`), and a str is a Kind
-    name.  alpha = inf is the limit witness (beta = 1, kind II only).
+    name.  alpha = inf is the limit of the same inequality, for every
+    beta and kind.
     Boundaries are located on a GRID_STEP grid, tested as one stack, and
     refined by bisection to bisect_tol (finite, >= 1e-6).  The grid and
     its Spectra are built once per map spec (`_grid_spectra`), so a

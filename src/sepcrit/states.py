@@ -399,7 +399,7 @@ def horodecki_stack(gammas) -> DensityMatrix:
     if gamma.ndim > 1:
         raise InvalidParameters(f"gammas must be 1-D, got shape {gamma.shape}")
     bad = ~((2.0 <= gamma) & (gamma <= 5.0))
-    if bad.any():
+    if np.count_nonzero(bad):
         raise InvalidParameters(f"gamma={gamma[bad.argmax()]} outside [2, 5]")
     coef = np.array([[0.0, 6.0, 0.0, 5.0]]).repeat(len(gamma), 0)
     coef[:, 2] = gamma

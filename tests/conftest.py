@@ -7,6 +7,13 @@ from sepcrit.formats import format_float
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# How far alpha = inf of a decomposition (the limit of lambda1's pairing
+# vector minus lambda2's) may read from `limit_witness` of its map (the
+# weights of lambda1 - lambda2), relative to max(1, |witness|): the two
+# sum the same group, and differ only by X1 - X2's rounding.  The suite's
+# families and the table1 grid read at most 7.2e-16.
+LIMIT_DRIFT = 1e-14
+
 
 def bell_state(d=2):
     """|psi+><psi+| on C^d (x) C^d."""

@@ -294,3 +294,48 @@ def test_hill_climb_finds_no_violation(tol):
     # the descent reaches the edge of the verdict rule: the reduction and
     # Breuer-Hall margins vanish on product states
     assert min(lows) < 1e-13
+
+
+# each (beta, kind) of TRIPLES, once
+LIMIT_PAIRS = list(dict.fromkeys((beta, kind) for _, beta, kind in TRIPLES))
+
+
+def separable_stacks():
+    """The stacks of the tests above, each with its decompositions."""
+    yield (states.horodecki_stack(np.linspace(2.0, 3.0, 201)),
+           decompositions_3x3())
+    for d, decs in ((3, decompositions_3x3()), (4, decompositions_4x4())):
+        for stack in separable_classes(d, np.random.default_rng(7)).values():
+            yield stack, decs
+    yield twirled_products(np.random.default_rng(7)), decompositions_4x4()
+
+
+@pytest.mark.parametrize("tol", [TOL_FLOOR, 1e-9, TOL_CEILING])
+def test_limit_is_never_violated_at_any_beta_and_kind(tol):
+    # alpha = inf is the limit of each finite-alpha inequality divided by
+    # lam_max ** alpha, which is >= 0 on a separable state: so is its limit
+    evaluated = violated = skipped = total = 0
+    for stack, decs in separable_stacks():
+        sp, count = Spectra(stack, tol), len(stack.matrix)
+        for dec in decs:
+            for beta, kind in LIMIT_PAIRS:
+                if kind is Kind.I and not dec.lambda2_is_identity:
+                    continue  # commutativity hypothesis not satisfied
+                crit = RegionCriterion(dec.name, dec, math.inf, beta, kind)
+                total += count
+                try:
+                    results = crit.verdicts(sp)
+                except SingularOperand:
+                    # some state's operand is singular: evaluate one by one
+                    assert kind is Kind.III, crit.label
+                    results = []
+                    for k in range(count):
+                        try:
+                            results += crit.verdicts(Spectra(stack[k], tol))
+                        except SingularOperand:
+                            skipped += 1
+                evaluated += len(results)
+                violated += sum(res.violated for res in results)
+    assert violated == 0
+    assert evaluated + skipped == total
+    assert evaluated > 15000

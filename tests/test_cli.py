@@ -10,7 +10,8 @@ from click.testing import CliRunner
 import sepcrit
 from sepcrit import scan, states
 from sepcrit.cli import main
-from sepcrit.errors import InvalidParameters, ParameterOutOfRange
+from sepcrit.errors import (InvalidParameters, ParameterOutOfRange,
+                            SingularOperand)
 from sepcrit.formats import write_matrix
 
 from conftest import (
@@ -237,23 +238,28 @@ def test_entry_point_kind_name_is_the_routed_kind(tmp_path):
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_check_rejects_non_finite_alpha(alpha, tmp_path):
-    # alpha = inf at beta 1 is the limit witness, for kind II only
+    # alpha = inf is the limit of the same inequality wherever the kind
+    # admits beta: kind III's range holds no beta = 1
     path = tmp_path / "bell.mat"
     write_state(path, bell_state(2), 2, 2)
     args = ["check", str(path), "--map", "reduction d=2", "--alpha", alpha]
     if alpha == "inf":
-        proc = run_entry_point(*args, "--no-ppt")
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ("reduction: lhs=-0.5 rhs=0 margin=-0.5 "
-                               "VIOLATED\n")
-    for extra in ([["--kind", k] for k in ("I", "III", "IV")]
-                  if alpha == "inf" else [[]]):
+        for extra, line in (([], "lhs=-0.5 rhs=0 margin=-0.5 VIOLATED"),
+                            (["--kind", "I"], "lhs=-0.5 rhs=0 margin=-0.5 "
+                             "VIOLATED"),
+                            (["--kind", "IV"], "lhs=0.5 rhs=0 margin=0.5 ok")):
+            proc = run_entry_point(*args, *extra, "--no-ppt")
+            code = 2 if line.endswith("VIOLATED") else 0
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, f"reduction: {line}\n", "")
+    for extra in [["--kind", "III"]] if alpha == "inf" else [[]]:
         result = CliRunner().invoke(main, args + extra)
         assert isinstance(result.exception, ParameterOutOfRange)
         proc = run_entry_point(*args, *extra)
         assert proc.returncode == 1
         assert proc.stderr.startswith(
-            "error: alpha=inf" if alpha == "inf" else "error: ")
+            "error: beta=1.0 invalid for kind III" if alpha == "inf"
+            else "error: ")
         assert "ok" not in proc.stdout.split()
 
 
@@ -366,16 +372,22 @@ def test_entry_point_rejects_empty_check(tmp_path):
 @pytest.mark.parametrize("extra", [["--beta", "7"], ["--beta", "-0.5"],
                                    ["--kind", "IV"]])
 def test_entry_point_rejects_infinite_alpha_off_the_limit(extra):
-    # the limit witness's range=(3.0000, 5.0000] answers only beta = 1
-    # and kind II, so printing it here would be a silent wrong answer
+    # alpha = inf is the limit of the same inequality for every beta and
+    # kind: at beta 7 (kind I, and phi_dk's lambda2 is the identity) it
+    # reads kind II's range, kind IV detects nothing, as at alpha = 7,
+    # and kind III's X2 = rho is singular on this family at every alpha
     args = ["table1", "--alpha", "inf", *extra]
-    result = CliRunner().invoke(main, args)
-    assert isinstance(result.exception, ParameterOutOfRange)
+    want = {"7": "range=(3.0000, 5.0000]", "IV": "range=--"}.get(extra[1])
     proc = run_entry_point(*args)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: alpha=inf")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    if want is None:
+        result = CliRunner().invoke(main, args)
+        assert isinstance(result.exception, SingularOperand)
+        assert_fails(proc)
+        assert proc.stderr == "error: X2 singular for beta=-0.5\n"
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("alpha=inf beta=")
+        assert proc.stdout.endswith(f"map='phi_dk d=3 k=1' {want}\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -393,7 +405,7 @@ def test_entry_point_rejects_non_finite_bisection_tol(tol):
 
 @pytest.mark.parametrize("extra", [["--tol", "nan"], ["--p", "2"],
                                    ["--resolution", "1"],
-                                   ["--alpha", "inf", "--beta", "0.5"]])
+                                   ["--alpha", "inf", "--beta", "-2"]])
 def test_entry_point_so3_region_checks_before_output(extra, tmp_path):
     # these wrote the CSV header (or created the --out file), then exited 1
     args = ["so3-region", "--p", "0.2", "--alpha", "3", "--map",
@@ -897,3 +909,15 @@ def test_entry_point_rho_power_below_overflow(tmp_path, alpha, line):
     proc = run_entry_point("check", str(write_psi3(tmp_path)), "--map",
                            "reduction d=3", "--alpha", alpha, "--no-ppt")
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, line + "\n", "")
+
+
+def test_entry_point_sum_overflow_is_an_error(tmp_path):
+    # lam ** alpha and X1's pairing vector are finite, and their dot
+    # overflowed: numpy's RuntimeWarning, then
+    # "theta: lhs=inf rhs=0 margin=inf ok", exit 0
+    proc = run_entry_point("check", str(write_psi3(tmp_path)), "--map",
+                           "theta a=1e3 c=1e3,1,1", "--alpha", "1e18",
+                           "--beta", "50", "--kind", "IV", "--no-ppt")
+    assert_fails(proc)
+    assert proc.stderr == ("error: lhs is not a finite float (a sum "
+                           "overflowed)\n")

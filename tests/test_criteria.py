@@ -148,21 +148,23 @@ class TestAlphaBetaInequality:
         (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
     ])
     def test_non_finite_parameters_rejected(self, alpha, beta):
-        # alpha = inf at beta 1 is the limit witness, for kind II only
+        # alpha = inf is the limit of the same inequality wherever the
+        # kind admits beta (kind III's range holds no beta = 1)
         dec = maps.reduction_decomposition(2)
         limit = (alpha, beta) == (np.inf, 1.0)
         for kind in Kind.I, Kind.II, Kind.III, Kind.IV:
-            if limit and kind is Kind.II:
+            if limit and kind is not Kind.III:
                 res = criteria.alpha_beta_inequality(
                     bell_density(), dec, alpha, beta, kind)
-                assert res.lhs == criteria.limit_witness(bell_density(),
-                                                         dec.map)
-                assert abs(res.lhs + 0.5) <= 1e-12
+                # kind IV pairs rho's top eigenvalue with X2's smallest
+                # singular value, 0: the sum of X1's weights there, 1/2
+                want = 0.5 if kind is Kind.IV else -0.5
+                assert abs(res.lhs - want) <= 1e-12
                 assert (res.rhs, res.margin, res.violated, res.kind) == \
-                    (0.0, res.lhs, True, Kind.II)
+                    (0.0, res.lhs, want < 0, kind)
                 continue
             with pytest.raises(ParameterOutOfRange,
-                               match="^alpha=inf" if limit else None):
+                               match="^beta=1.0 invalid" if limit else None):
                 criteria.alpha_beta_inequality(
                     bell_density(), dec, alpha, beta, kind
                 )
@@ -664,7 +666,7 @@ class TestArgumentTriples:
         dec = maps.reduction_decomposition(3)
         rho = states.random_separable(3, 3, 4, rng)
         for bad in ((-1, 1, Kind.II), (1, 0.5, Kind.I), (1, 1, "V"),
-                    (math.inf, 2, None), (1, math.nan, None)):
+                    (math.inf, -2, None), (1, math.nan, None)):
             for _ in range(3):
                 with pytest.raises(ParameterOutOfRange):
                     criteria.alpha_beta_inequality(rho, dec, *bad)
@@ -1085,3 +1087,42 @@ class TestSpectrumPowerOverflow:
             criteria.entropic_inequality(rho, 1e300)
         assert str(exc.value) == (f"rho_A's largest eigenvalue {top} raised "
                                   "to the power 1e+300 overflows a float")
+
+
+class TestNonFiniteSum:
+    """A side whose factors are finite but whose sum overflows is refused
+    by the verdict rule: on |psi+> of C^3 (x) C^3, lam ** 1e18 and X1's
+    pairing vector at beta = 50 are finite, and their dot read lhs = inf,
+    margin inf, "ok"."""
+
+    MESSAGE = "lhs is not a finite float (a sum overflowed)"
+
+    @staticmethod
+    def run(sp):
+        dec = scan.parse_map_spec("theta a=1e3 c=1e3,1,1")
+        # the dot's overflow is numpy's warning too, which is not the test
+        with np.errstate(over="ignore"):
+            return criteria._alpha_beta(sp, dec, 1e18, 50, Kind.IV)
+
+    def test_one_state(self):
+        rho = TestSpectrumPowerOverflow.psi3()
+        with pytest.raises(PowerOverflow) as exc:
+            self.run(criteria.Spectra(rho))
+        assert str(exc.value) == self.MESSAGE
+
+    def test_stack(self):
+        psi3 = TestSpectrumPowerOverflow.psi3().matrix
+        stack = states.DensityMatrix([np.eye(9) / 9, psi3], 3, 3)
+        with pytest.raises(PowerOverflow) as exc:
+            self.run(criteria.Spectra(stack))
+        assert str(exc.value) == self.MESSAGE
+        # the finite state alone reads as before
+        assert self.run(criteria.Spectra(stack[0]))[0].margin == 0.0
+
+    @pytest.mark.parametrize("lhs,rhs,side", [
+        (math.inf, 0.0, "lhs"), (0.0, math.nan, "rhs"),
+        (math.nan, math.inf, "lhs")])
+    def test_names_the_side(self, lhs, rhs, side):
+        for args in ((lhs, rhs), (np.array([0.0, lhs]), np.array([0.0, rhs]))):
+            with pytest.raises(PowerOverflow, match=f"^{side} is not"):
+                criteria._verdicts(*args, False, Kind.II, 1e-9)

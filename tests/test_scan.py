@@ -16,6 +16,7 @@ from sepcrit.errors import (
     SingularOperand,
 )
 from sepcrit.formats import parse_matrix_file, write_matrix
+from conftest import LIMIT_DRIFT
 
 
 class TestKindRouting:
@@ -479,14 +480,26 @@ class TestTable1:
                                            (1.0, Kind.IV), (1.0, Kind.I),
                                            (math.nan, None)])
     def test_infinite_alpha_needs_beta_one_kind_two(self, beta, kind):
-        # the limit witness is the beta = 1, kind II limit: its range,
-        # (3.0000, 5.0000], answers no other beta or kind
+        # alpha = inf is the limit of the same inequality for every beta
+        # and kind.  phi_dk's lambda2 is the identity, so kind I at beta
+        # 1 and 7 reads kind II's range; kind IV detects nothing here, as
+        # at alpha = 7 and 13; kind III's X2 = rho is singular on this
+        # family at every alpha; a NaN beta is refused
         dec = scan.parse_map_spec("phi_dk d=3 k=1")
-        with pytest.raises(ParameterOutOfRange):
-            scan.table1(math.inf, beta, kind=kind)
-        with pytest.raises(ParameterOutOfRange):
-            gamma_verdicts(math.inf, beta, dec, kind, criteria.Spectra(
-                states.horodecki_stack([3.5]), scan.BISECTION_CRITERION_TOL))
+        sp = criteria.Spectra(states.horodecki_stack([3.5]),
+                              scan.BISECTION_CRITERION_TOL)
+        error = {-0.5: SingularOperand}.get(beta, ParameterOutOfRange)
+        if beta >= 1:
+            iv = scan.table1(math.inf, beta, kind=kind)
+            detects = kind is not Kind.IV
+            assert iv == (scan.table1(math.inf, 1.0) if detects
+                          else scan.GammaInterval(empty=True))
+            assert gamma_verdicts(math.inf, beta, dec, kind, sp) == [detects]
+        else:
+            with pytest.raises(error):
+                scan.table1(math.inf, beta, kind=kind)
+            with pytest.raises(error):
+                gamma_verdicts(math.inf, beta, dec, kind, sp)
         assert scan.table1(math.inf, 1.0, kind=Kind.II) == \
             scan.table1(math.inf, 1.0)
 
@@ -519,7 +532,11 @@ class TestTable1:
             witness = criteria.limit_witness(states.horodecki_state(g),
                                              dec.map, tol)
             assert res.violated == (witness < 0)
-            assert (res.lhs, res.rhs, res.margin) == (witness, 0.0, witness)
+            # the limit walks lambda1's weights minus lambda2's, the
+            # witness dec.map's: equal up to rounding (LIMIT_DRIFT)
+            assert abs(res.lhs - witness) <= LIMIT_DRIFT * max(1.0,
+                                                               abs(witness))
+            assert (res.rhs, res.margin) == (0.0, res.lhs)
             assert (res.kind, res.tol) == (Kind.II, tol)
         assert 0 < sum(res.violated for res in got) < len(grid)
 

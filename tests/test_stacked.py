@@ -18,7 +18,7 @@ from sepcrit.errors import (
     NotPSD,
     SingularOperand,
 )
-from conftest import nearly_hermitian_state, reference_csv_row
+from conftest import LIMIT_DRIFT, nearly_hermitian_state, reference_csv_row
 
 
 def fresh(rho):
@@ -167,11 +167,16 @@ class TestStackedEqualsOneState:
                                        for rho in rhos]
             for dec in decs:
                 got = stacked(sp, dec, math.inf)
-                assert [res.lhs for res in got] == [
-                    criteria.limit_witness(ref(rho), dec.map)
-                    for rho in rhos]
                 same(got, [criteria.alpha_beta_inequality(
                     ref(rho), dec, math.inf, 1, Kind.II) for rho in rhos])
+                # a bare map's witness: the stack's walk of its weights
+                witness = [criteria.limit_witness(ref(rho), dec.map)
+                           for rho in rhos]
+                assert criteria._limit(
+                    sp, sp.map(dec.map).weights).tolist() == witness
+                for res, w in zip(got, witness):
+                    assert res.violated == (w < 0)
+                    assert abs(res.lhs - w) <= LIMIT_DRIFT * max(1.0, abs(w))
 
     def test_limit_witness_degenerate_groups(self):
         # maximally mixed states make one group of every eigenvalue; the
@@ -733,27 +738,33 @@ class TestFill:
 
     def test_maps_of_a_malformed_criterion_raise_nothing(self, rng):
         # check_state reads every criterion's maps before any criterion
-        # runs: a malformed one gives none, and its verdicts raise what
-        # they raise without check_state
+        # runs: a malformed one gives what the operand rule names, or
+        # none where that rule raises, and its verdicts raise what they
+        # raise without check_state
         rho = states.random_separable(3, 3, 4, rng)
         red = maps.reduction_decomposition(3)
         huge = maps.CPDecomposition(
             maps.MatrixMap(3, 1e153 * np.ones((9, 9))),
             maps.MatrixMap(3, -1e153 * np.ones((9, 9))), "huge")
+        mixed = maps.CPDecomposition(red.lambda1, maps.identity_map(4),
+                                     "mixed")
+        # alpha = inf names lambda1 and lambda2, as finite alpha does
         cases = [
-            scan.RegionCriterion("ent", None, 2.0),
-            scan.RegionCriterion("map", red.map, 1.0),
-            scan.RegionCriterion("str", maps.CPDecomposition(
-                red.lambda1, "identity", "bad"), 1.0),
-            scan.RegionCriterion("mixed", maps.CPDecomposition(
-                red.lambda1, maps.identity_map(4), "mixed"), math.inf),
+            (scan.RegionCriterion("ent", None, 2.0), ()),
+            (scan.RegionCriterion("map", red.map, 1.0), ()),
+            (scan.RegionCriterion("str", maps.CPDecomposition(
+                red.lambda1, "identity", "bad"), 1.0), ()),
+            (scan.RegionCriterion("mixed", mixed, math.inf),
+             (mixed.lambda1, mixed.lambda2)),
             # L1 - L2's Choi norm overflows: refused when first built
-            scan.RegionCriterion("huge", huge, math.inf, 2.0),
-            scan.RegionCriterion("huge", huge, math.inf),
+            (scan.RegionCriterion("huge", huge, math.inf, 2.0),
+             (huge.lambda1, huge.lambda2)),
+            (scan.RegionCriterion("huge", huge, math.inf),
+             (huge.lambda1, huge.lambda2)),
         ]
         assert criteria.PPT.maps == ()
-        for crit in cases:
-            assert crit.maps == ()
+        for crit, names in cases:
+            assert crit.maps == names
             try:
                 want = crit.verdicts(criteria.Spectra(rho))[0]
             except Exception as exc:

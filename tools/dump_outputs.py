@@ -22,7 +22,8 @@ Sections, each line starting with its name:
 - `check`: `check_state` rows of 100 seeded 3x3 matrix files (PPT,
   three maps, entropic), written and read back as the benchmark does,
   then of the three maps at (alpha, beta, kind) (2, 0.5, II),
-  (2, 2, IV), (1, 2, I) and (inf, 1, II), where X's eigensolve, its
+  (2, 2, IV), (1, 2, I), (inf, 1, II) and alpha = inf at each of the
+  first three's (beta, kind), where X's eigensolve, its
   overlap and its commutator are read (transposition's kind I rows are
   its CommutativityViolated error), with SHA-256s of each map entry's
   arrays; the same for 20 seeded 4x4 files with the four d = 4 maps;
@@ -30,7 +31,8 @@ Sections, each line starting with its name:
   the family's matrix, read against its gathered eigenvectors: a res-20
   SO(3) scan at p = 0.2 with the four d = 4 maps at (alpha, beta, kind)
   (2, 0.5, II), (2, 2, IV) and (1, 2, I), and a 31-point Horodecki
-  stack with phi_dk d=3 k=1 at (2, 0.5, II) and (2, 2, IV);
+  stack with phi_dk d=3 k=1 at (2, 0.5, II) and (2, 2, IV); both also
+  at alpha = inf for each of those three (beta, kind);
 - `one`: SO(3) and Horodecki states one at a time through
   `structural_criterion`, `limit_witness`, `ppt_check` and
   `entropic_inequality(..., "B")`, with SHA-256s of each state's matrix
@@ -62,7 +64,9 @@ SO3_MAPS = ("reduction d=4", "breuer_hall d=4", "breuer_hall_tilde d=4",
             "tau_u d=4")
 HORODECKI_MAPS = ("phi_dk d=3 k=1", "reduction d=3", "theta a=2 c=2,1,1")
 FAMILY_TRIPLES = ((2.0, 0.5, "II"), (2.0, 2.0, "IV"), (1.0, 2.0, "I"))
-CHECK_TRIPLES = FAMILY_TRIPLES + ((math.inf, 1.0, "II"),)
+# alpha = inf at each (beta, kind) of FAMILY_TRIPLES
+LIMIT_TRIPLES = tuple((math.inf, b, kind) for _, b, kind in FAMILY_TRIPLES)
+CHECK_TRIPLES = FAMILY_TRIPLES + ((math.inf, 1.0, "II"),) + LIMIT_TRIPLES
 TABLE1_ALPHAS = (6.0, 7.0, 10.0, 13.0, math.inf)
 
 
@@ -249,7 +253,7 @@ def family(sc, resolution, points):
     scan = sc.scan
     for spec in SO3_MAPS:
         dec = scan.parse_map_spec(spec)
-        for a, b, kind in FAMILY_TRIPLES:
+        for a, b, kind in FAMILY_TRIPLES + LIMIT_TRIPLES:
             head = f"family so3 {spec.split()[0]} {a} {b} {kind}"
             crit = scan.RegionCriterion("x", dec, a, b, kind)
             try:
@@ -261,7 +265,7 @@ def family(sc, resolution, points):
     dec = scan.parse_map_spec("phi_dk d=3 k=1")
     gammas = np.linspace(2.0, 5.0, points)
     sp = sc.criteria.Spectra(sc.states.horodecki_stack(gammas))
-    for a, b, kind in FAMILY_TRIPLES[:2]:
+    for a, b, kind in FAMILY_TRIPLES[:2] + LIMIT_TRIPLES:
         head = f"family horodecki {a} {b} {kind}"
         try:
             results = scan.RegionCriterion("x", dec, a, b, kind).verdicts(sp)
