@@ -67,21 +67,30 @@ class ResultStack:
     """One criterion's results on a stack of states.  `lhs`, `rhs`,
     `margin`, `violated` and `commutator_norm` are lists with one entry
     per state (Python floats and bools; commutator norms are None where
-    none is reported); `kind` and `tol` hold for every state.
+    none is reported); `kind` and `tol` hold for every state.  `lhs`,
+    `rhs` and `commutator_norm` are kept as the kernel gave them (an
+    array, or one float or None for every state) until first read: the
+    CSV and table1 read only `violated` and `margin`.
 
     `res[k]` (k an int) is state k's CriterionResult, with the bits of
     its one-state call, and iteration yields them in order; nothing is
     built per state until it is read.  Two stacks are equal when every
     field is."""
 
-    __slots__ = ("lhs", "rhs", "margin", "violated", "kind", "tol",
-                 "commutator_norm")
-
     def __init__(self, lhs, rhs, margin, violated, kind, tol,
                  commutator_norm):
-        self.lhs, self.rhs, self.margin = lhs, rhs, margin
-        self.violated, self.kind, self.tol = violated, kind, tol
-        self.commutator_norm = commutator_norm
+        self.margin, self.violated, self.kind, self.tol = (
+            margin, violated, kind, tol)
+        self._kernel = lhs, rhs, commutator_norm
+
+    def _column(self, i: int) -> list:
+        x = self._kernel[i]
+        return (x.tolist() if isinstance(x, np.ndarray)
+                else [x] * len(self.margin))
+
+    lhs = linalg.lazy(lambda self: self._column(0))
+    rhs = linalg.lazy(lambda self: self._column(1))
+    commutator_norm = linalg.lazy(lambda self: self._column(2))
 
     def __len__(self) -> int:
         return len(self.margin)
@@ -98,7 +107,7 @@ class ResultStack:
         if not isinstance(other, ResultStack):
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f)
-                   for f in self.__slots__)
+                   for f in CriterionResult._fields)
 
 
 def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
@@ -131,12 +140,7 @@ def _verdicts(lhs, rhs, reversed_: bool, kind: Kind, tol: float,
     scales = np.maximum(np.abs(lhs), np.abs(rhs))
     violated = [bool(margin < -tol * scale) for margin, scale in zip(
         margins, np.maximum(scales, 1.0, out=scales).tolist())]
-    rhs = (rhs.tolist() if isinstance(rhs, np.ndarray)
-           else [float(rhs)] * len(margins))
-    commutator = ([None] * len(margins) if commutator is None
-                  else commutator.tolist())
-    return ResultStack(lhs.tolist(), rhs, margins, violated, kind, tol,
-                       commutator)
+    return ResultStack(lhs, rhs, margins, violated, kind, tol, commutator)
 
 
 def _non_finite(lhs, rhs) -> PowerOverflow:
@@ -587,8 +591,12 @@ class Spectra:
         yet), kept in _maps.  On a dense stack their X are one stacked
         `extend_apply` and their weights one `_weights` pass, each map's
         with the bits of its own (one map takes the one-map call, which
-        skips stacking superoperators); on a paper family each map's
-        weights come from its table (`_family_table`)."""
+        skips stacking superoperators).  On a paper family the maps'
+        tables (`_family_table`), side by side, are one `linalg.combine`,
+        and each map's weights are its block gathered in rho's basis
+        `order` by one shared flat index: a C-contiguous (k, n) array (n
+        for one state), as its one-map build is, since a strided view
+        sends `linalg.vecdot` down another BLAS path, with other bits."""
         if self.family is None:
             one = len(ms) == 1
             X = extend_apply(ms[0] if one else ms, self._matrix(), self.dA)
@@ -596,8 +604,15 @@ class Spectra:
             entries = [(ms[0], weights, X)] if one else zip(ms, weights, X)
         else:
             family, coef, order = self.family
-            entries = ((m, linalg.gather_last(linalg.combine(
-                coef, _family_table(m, family)), order), None) for m in ms)
+            W = linalg.combine(coef, np.concatenate(
+                [_family_table(m, family) for m in ms], -1))
+            # map i's entry j on state k sits at k * W.shape[-1] + i * n
+            # + order[k, j] of the flat W
+            n = order.shape[-1]
+            idx = order + np.arange(0, W.size, W.shape[-1]).reshape(
+                order.shape[:-1] + (1,))
+            W = W.reshape(-1)
+            entries = [(m, W[i * n:][idx], None) for i, m in enumerate(ms)]
         for m, weights, X in entries:
             self._maps[m] = _MapSpectrum(m, self, weights, X)
 

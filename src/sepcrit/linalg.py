@@ -216,14 +216,18 @@ def clamp_psd(w: np.ndarray, tol=DEFAULT_TOL, fro=None) -> np.ndarray:
 
 
 def combine(coef: np.ndarray, terms) -> np.ndarray:
-    """sum_i coef[..., i] terms[i] (stackable), summed elementwise in
-    the terms' order: a matmul's BLAS kernel, and so a state's bits,
-    would depend on the stack size."""
-    axes = (None,) * terms[0].ndim
-    out = coef[(..., 0, *axes)] * terms[0]
-    for i in range(1, len(terms)):
-        out = out + coef[(..., i, *axes)] * terms[i]
-    return out
+    """sum_i coef[..., i] terms[i] (stackable), as one `np.einsum`
+    contraction of the flattened terms: a state gets the bits of its
+    one-state call, where a matmul's BLAS kernel would not give them.
+    Where a term has more than one entry, as every family table has,
+    each entry is the sum in the terms' order, bit for bit, up to one
+    sign: einsum sums into a zeroed output, so an entry whose products
+    are all -0.0 reads +0.0 (a loop of adds would keep -0.0).  No
+    verdict can depend on that, since a violation needs a margin below
+    a negative threshold."""
+    terms = np.asarray(terms)
+    return np.einsum("...i,ij->...j", coef, terms.reshape(len(terms), -1)
+                     ).reshape(coef.shape[:-1] + terms.shape[1:])
 
 
 def gather_last(x: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -169,36 +170,42 @@ class RegionResults(Mapping):
     built on access from the ResultStack of each criterion on the row's
     stack (`so3_region`).  Its keys are the criterion labels, in order.
 
-    The rows of one stack share its ResultStacks and one table of CSV
-    cells per labels tuple, built on the first `cells` call with those
-    labels by one zip of the stacks' lists; row k reads line k of it."""
+    The rows of one stack share its (ResultStacks, head, tables): head
+    holds the columns of q's and r's text, s and the PPT flag; tables
+    one table of CSV fields per labels tuple, built on the first
+    `csv_fields` call with those labels by one zip of the head and the
+    stacks' lists.  Row k reads line k of it."""
 
-    __slots__ = ("_stacks", "_tables", "_k")
+    __slots__ = ("_stack", "_k")
 
-    def __init__(self, stacks: dict[str, ResultStack], tables: dict, k: int):
-        self._stacks, self._tables, self._k = stacks, tables, k
+    def __init__(self, stack: tuple, k: int):
+        self._stack, self._k = stack, k
 
     def __getitem__(self, label: str) -> CriterionResult:
-        return self._stacks[label][self._k]
+        return self._stack[0][label][self._k]
 
     def __iter__(self):
-        return iter(self._stacks)
+        return iter(self._stack[0])
 
     def __len__(self) -> int:
-        return len(self._stacks)
+        return len(self._stack[0])
 
-    def cells(self, labels: list[str]) -> tuple:
-        """violated, margin of each label in turn (an unknown label
-        raises KeyError)."""
+    def csv_fields(self, labels: list[str]) -> tuple:
+        """The text of q and of r, s, the PPT flag, then violated, margin
+        of each label in turn (an unknown label raises KeyError)."""
+        stacks, head, tables = self._stack
         key = tuple(labels)
-        table = self._tables.get(key)
+        table = tables.get(key)
         if table is None:
-            stacks = self._stacks
-            table = self._tables[key] = list(zip(*[
+            table = tables[key] = list(zip(*head, *[
                 column for label in key
                 for column in (stacks[label].violated, stacks[label].margin)
             ]))
         return table[self._k]
+
+    def cells(self, labels: list[str]) -> tuple:
+        """violated, margin of each label in turn (`csv_fields`)."""
+        return self.csv_fields(labels)[4:]
 
 
 class ScanRow(NamedTuple):
@@ -213,36 +220,34 @@ def so3_grid(p: float, resolution: int) -> Iterator[tuple[float, list]]:
     """The admissible (q, r) grid at fixed p, one q-row at a time.
 
     Yields (q, [(r, s), ...]) for each q with admissible points, r
-    ascending, where s = 1 - p - q - r >= -1e-12.
+    ascending, where s = 1 - p - q - r >= -1e-12: the points of
+    `_grid`, the one grid definition, as so3_region and so3_grid_count
+    read it, so memory holds one block and one stack of it.
     """
-    p = _check_p(p)
-    _check_resolution(resolution)
-    rs = [j / resolution for j in range(resolution + 1)]
-    for i in range(resolution + 1):
-        q = i / resolution
-        row = [(r, 1.0 - p - q - r) for r in rs if 1.0 - p - q - r >= -1e-12]
-        if row:
-            yield q, row
+    p = _check_grid(p, resolution)
+    points = (point for i, j in _grid(p, resolution) for point in zip(
+        (i / resolution).tolist(), (j / resolution).tolist(),
+        (1.0 - p - i / resolution - j / resolution).tolist()))
+    for q, row in groupby(points, itemgetter(0)):
+        yield q, [(r, s) for _, r, s in row]
 
 
-def _check_p(p) -> float:
+def _check_grid(p, resolution) -> float:
     """p as a float, if it is a real number in [0, 1] (a float32 p is
-    then computed with in float64, as `so3_stack` computes), else
-    InvalidParameters."""
+    then computed with in float64, as `so3_stack` computes), and a
+    resolution that is an integer >= 2, else InvalidParameters."""
     if not (linalg.is_real(p) and 0.0 <= p <= 1.0):
         raise InvalidParameters(f"p={p!r} outside [0,1]")
-    return float(p)
-
-
-def _check_resolution(resolution) -> None:
     if not (linalg.is_dimension(resolution) and resolution >= 2):
         raise InvalidParameters(
             f"resolution must be an integer >= 2, got {resolution!r}")
+    return float(p)
 
 
 def so3_grid_count(p: float, resolution: int) -> int:
     """Number of admissible (q, r) points of `so3_grid`."""
-    return sum(len(row) for _, row in so3_grid(p, resolution))
+    p = _check_grid(p, resolution)
+    return sum(i.size for i, _ in _grid(p, resolution))
 
 
 # Grid points that so3_region evaluates as one stack (the last stack of
@@ -252,27 +257,51 @@ def so3_grid_count(p: float, resolution: int) -> int:
 STACK_STATES = 256
 
 
+def _grid(p: float, resolution: int) -> Iterator[np.ndarray]:
+    """(i, j) of the admissible points (q, r) = (i, j) / resolution at p,
+    where 1 - p - q - r >= -1e-12, row-major, as (2, k) arrays of
+    STACK_STATES points (the last holds the rest).  They are built by
+    array arithmetic, one block of whole q-rows of about STACK_STATES
+    points at a time (one row, where a row is longer), so at most one
+    block and one stack are held: no array spans the grid."""
+    n = resolution + 1
+    rows = -(-STACK_STATES // n)
+    r = np.arange(n) / resolution
+    held = np.empty((2, 0), dtype=np.intp)
+    for i in range(0, n, rows):
+        q = np.arange(i, min(i + rows, n)) / resolution
+        block = np.array(np.nonzero(1.0 - p - q[:, None] - r >= -1e-12))
+        if not block.size:  # s falls as q rises: no later row has a point
+            break
+        block[0] += i
+        held = np.concatenate([held, block], 1)
+        while held.shape[1] >= STACK_STATES:
+            yield held[:, :STACK_STATES]
+            held = held[:, STACK_STATES:]
+    if held.size:
+        yield held
+
+
 def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
                tol: float = DEFAULT_TOL) -> Iterator[ScanRow]:
     """Scan the admissible (q, r) simplex at fixed p on a uniform grid.
 
     Emits rows in row-major (q outer, r inner) order; each row carries
-    the PPT flag and every criterion's verdict.  The grid's points are
-    built, validated and evaluated STACK_STATES at a time as one stack
-    (one `so3_stack` and one `Spectra` at tol, read by PPT and every
-    criterion; no per-state cache entries or criterion calls), so a
-    q-row may span two stacks and memory is bounded by STACK_STATES,
-    whatever the resolution.  Each criterion gives one ResultStack per
-    stack; a row's `results` is a RegionResults view of them, its
-    CriterionResults are built only when read, and `region_csv_row`
-    reads the stack's table of cells for its labels.  criteria may be
-    any iterable; it is read once.  p, resolution, the labels and tol
-    are checked by this call; an error of a criterion raises when its
-    stack is evaluated: after every point of the earlier stacks, before
-    that stack's first point is emitted.
+    the PPT flag and every criterion's verdict.  The grid's points
+    (`_grid`) are built, validated and evaluated STACK_STATES at a time
+    as one stack (one `so3_stack` and one `Spectra` at tol, read by PPT
+    and every criterion; no per-state cache entries or criterion calls),
+    so a q-row may span two stacks and memory holds one block of the
+    grid and one stack, whatever the resolution.  Each criterion gives
+    one ResultStack per stack; a row's `results` is a RegionResults view
+    of them, its CriterionResults are built only when read, and
+    `region_csv_row` reads the stack's table of CSV fields for its
+    labels.  criteria may be any iterable; it is read once.  p,
+    resolution, the labels and tol are checked by this call; an error of
+    a criterion raises when its stack is evaluated: after every point of
+    the earlier stacks, before that stack's first point is emitted.
     """
-    p = _check_p(p)
-    _check_resolution(resolution)
+    p = _check_grid(p, resolution)
     criteria = list(criteria)  # an iterator is read once, here
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
@@ -283,25 +312,27 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
 
 def _region_rows(p: float, criteria: list[RegionCriterion], resolution: int,
                  tol: float) -> Iterator[ScanRow]:
-    """The rows of `so3_region`, one stack of STACK_STATES points at a
-    time.  The rows of a stack share its ResultStacks and its tables of
-    CSV cells, one per labels tuple, each built on first read
-    (`RegionResults.cells`; the empty tuple's is made here), so a row is
-    a ScanRow and a RegionResults view: no criterion call, result or
-    cell is made per point."""
-    points = ((q, r, s) for q, row in so3_grid(p, resolution)
-              for r, s in row)
-    while chunk := list(islice(points, STACK_STATES)):
-        qs, rs, _ = zip(*chunk)
-        sp = Spectra(so3_stack(p, qs, rs), tol)
-        ppt = PPT().verdicts(sp).violated
-        stacks = {c.label: c.verdicts(sp) for c in criteria}
-        tables = {(): [()] * len(chunk)}
-        for k, (q, r, s) in enumerate(chunk):
+    """The rows of `so3_region`, one stack of `_grid` at a time (memory
+    holds one block of the grid and one stack): its q and r arrays go to
+    `so3_stack` and its map entries are one `Spectra.fill`, as in
+    `check_state`.  Each grid value's text, q's and r's alike, is
+    formatted once per scan.  A row is a ScanRow and a RegionResults
+    view of its stack: no criterion call, result or cell per point."""
+    text = np.array(["%.9g" % (k / resolution)
+                     for k in range(resolution + 1)], dtype=object)
+    ms = [m for c in criteria for m in c.maps]
+    for i, j in _grid(p, resolution):
+        q, r = i / resolution, j / resolution
+        sp = Spectra(so3_stack(p, q, r), tol)
+        sp.fill(ms)
+        ok = [not v for v in PPT().verdicts(sp).violated]
+        s = np.maximum(1.0 - p - q - r, 0.0).tolist()
+        stack = ({c.label: c.verdicts(sp) for c in criteria},
+                 (text[i].tolist(), text[j].tolist(), s, ok), {})
+        views = map(RegionResults, repeat(stack), range(len(ok)))
+        for row in zip(q.tolist(), r.tolist(), s, ok, views):
             # tuple.__new__ skips the NamedTuple's Python-level __new__
-            yield tuple.__new__(ScanRow, (
-                q, r, max(s, 0.0), not ppt[k],
-                RegionResults(stacks, tables, k)))
+            yield tuple.__new__(ScanRow, row)
 
 
 def region_csv_header(labels: list[str]) -> str:
@@ -312,11 +343,12 @@ def region_csv_header(labels: list[str]) -> str:
 
 
 def region_csv_row(row: ScanRow, labels: list[str]) -> str:
-    """row's CSV line: q, r, s and each float to 9 significant digits
-    (the text of `formats.format_float(x, 9)`), the PPT flag and each
-    label's verdict as 0 or 1."""
-    return ("%.9g,%.9g,%.9g,%d" + ",%d,%.9g" * len(labels)) % (
-        row.q, row.r, row.s, row.ppt, *row.results.cells(labels))
+    """The CSV line of a row of `so3_region`: q, r, s and each margin to
+    9 significant digits (the text of `formats.format_float(x, 9)`; q's
+    and r's formatted once per scan), the PPT flag and each label's
+    verdict as 0 or 1."""
+    return ("%s,%s,%.9g,%d" + ",%d,%.9g" * len(labels)) % (
+        row.results.csv_fields(labels))
 
 
 # ---------------------------------------------------------------------------

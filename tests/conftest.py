@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # sum the same group, and differ only by X1 - X2's rounding.  The suite's
 # families and the table1 grid read at most 7.2e-16.
 LIMIT_DRIFT = 1e-14
+
+
+def child_env(src) -> dict:
+    """The environment of a test's Python subprocess that imports sepcrit
+    from the directory src: PYTHONPATH, an empty PATH, and the caller's
+    PYTHONDONTWRITEBYTECODE, so that a run told to write no bytecode
+    leaves none in the tree."""
+    env = {"PYTHONPATH": str(src), "PATH": ""}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def bell_state(d=2):

@@ -16,6 +16,7 @@ from sepcrit.formats import write_matrix
 
 from conftest import (
     bell_state,
+    child_env,
     nearly_hermitian_state,
     pure_products,
     reference_csv_row,
@@ -143,13 +144,11 @@ def test_so3_region_to_file(tmp_path):
 def run_entry_point(*args):
     """Run the `sepcrit` entry point function in a subprocess, from the
     package this process imported: the source tree, or an installed
-    copy when pytest runs outside the checkout."""
+    copy when pytest runs outside the checkout (`child_env`)."""
     return subprocess.run(
         [sys.executable, "-c", "from sepcrit.cli import run; run()", *args],
         capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(Path(sepcrit.__file__).parents[1]),
-             "PATH": ""},
-    )
+        env=child_env(Path(sepcrit.__file__).parents[1]))
 
 
 def assert_fails(proc):

@@ -465,3 +465,104 @@ class TestOneClampRule:
         assert ((raw != 0) & (clamped == 0)).any()
         raw, clamped = raw_and_clamped(sp, "rho")
         assert ((raw[0] != 0) & (clamped[0] == 0)).sum() == 8
+
+
+# Every catalog map of each family's d, by spec.
+FAMILY_SPECS = {
+    4: ("reduction d=4", "breuer_hall d=4", "breuer_hall_tilde d=4",
+        "phi_dk d=4 k=2", "tau_u d=4", "transposition d=4"),
+    3: ("phi_dk d=3 k=1", "reduction d=3", "theta a=2 c=2,1,1",
+        "transposition d=3"),
+}
+
+
+def family_maps(d):
+    """lambda1, lambda2 and the map of each FAMILY_SPECS[d] decomposition,
+    once each."""
+    ms = [m for spec in FAMILY_SPECS[d]
+          for dec in [maps.parse_map_spec(spec)]
+          for m in (dec.lambda1, dec.lambda2, dec.map)]
+    return list(dict.fromkeys(ms))
+
+
+def sequential_sum(coef, terms):
+    """sum_i coef[..., i] terms[i], added one term at a time in order."""
+    axes = (None,) * np.ndim(terms[0])
+    out = coef[(..., 0, *axes)] * terms[0]
+    for i in range(1, len(terms)):
+        out = out + coef[(..., i, *axes)] * terms[i]
+    return out
+
+
+def family_coefficients():
+    """(Family, coef) of each family's stack: the SO(3) grid at p = 0.2,
+    resolution 60, with the corners p = 1, q = 1, r = 1 and s = 1 (rows
+    with exact zeros) and the table1 gamma grid (whose first coefficient
+    is always 0)."""
+    q, r = np.array([(q, r) for q, row in scan.so3_grid(0.2, 60)
+                     for r, _ in row]).T
+    so3 = states.so3_stack([0.2] * len(q) + [1.0, 0.0, 0.0, 0.0],
+                           [*q, 0.0, 1.0, 0.0, 0.0], [*r, 0.0, 0.0, 1.0, 0.0])
+    return [so3.family[:2], states.horodecki_stack(gamma_grid()).family[:2]]
+
+
+def bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestCombineIsTheSequentialSum:
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_every_table_and_operator_set(self, which):
+        # einsum sums into a zeroed output; only a column whose products
+        # are all -0.0 could read otherwise, and none of these has one
+        family, coef = family_coefficients()[which]
+        assert (coef == 0).any()
+        tables = [criteria._family_table(m, family)
+                  for m in family_maps(family.dB)]
+        tables += [E for E in (family.pt_table,
+                               *family.marginal_tables.values())
+                   if E is not None]
+        assert len(tables) > 10
+        for terms in [*tables, family.operators]:
+            assert bits(linalg.combine(coef, terms)) == \
+                bits(sequential_sum(coef, terms))
+            for c in coef[::7 if terms is family.operators else 1]:
+                assert bits(linalg.combine(c, terms)) == \
+                    bits(sequential_sum(c, terms))
+        # the corners, state by state, against every operator
+        for c in coef[-4:]:
+            assert bits(linalg.combine(c, family.operators)) == \
+                bits(sequential_sum(c, family.operators))
+
+
+class TestFillGathersEveryMapAtOnce:
+    @pytest.mark.parametrize("make,d", [
+        (lambda: states.so3_stack(0.2, [0.0, 0.0, 0.3, 0.6, 0.8],
+                                  [0.0, 0.5, 0.1, 0.2, 0.0]), 4),
+        (lambda: states.so3_state(0.2, 0.3, 0.1), 4),
+        (lambda: states.horodecki_stack(gamma_grid()), 3),
+        (lambda: states.horodecki_state(3.5), 3)])
+    def test_each_map_is_a_contiguous_block_of_its_own_bits(self, make, d):
+        # a strided view of the gather gave other bits in vecdot
+        rho, ms = make(), family_maps(d)
+        family, coef, order = rho.family
+        sp = criteria.Spectra(rho)
+        sp.fill(ms)
+        for m in ms:
+            weights = sp.map(m).weights
+            assert weights.shape == rho.eigenvalues.shape
+            assert weights.flags.c_contiguous
+            alone = criteria.Spectra(rho).map(m).weights
+            assert bits(weights) == bits(alone)
+            want = np.take_along_axis(sequential_sum(
+                coef, criteria._family_table(m, family)), order, -1)
+            assert bits(weights) == bits(want)
+        for spec in FAMILY_SPECS[d]:
+            crit = scan.RegionCriterion("x", maps.parse_map_spec(spec), 3)
+            filled = crit.verdicts(sp)
+            fresh = crit.verdicts(criteria.Spectra(rho))
+            if rho.eigenvalues.ndim == 1:
+                assert repr(filled) == repr(fresh)
+            else:
+                assert filled == fresh
+                assert repr(list(filled)) == repr(list(fresh))

@@ -616,6 +616,34 @@ class TestSO3Region:
                 assert (got.lhs, got.rhs, got.margin, got.violated) == \
                     (fresh.lhs, fresh.rhs, fresh.margin, fresh.violated)
 
+    @pytest.mark.parametrize("resolution", [2, 7, 60, 300])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0, np.float32(0.2)])
+    def test_grid_count_and_rows_agree_point_for_point(self, p, resolution):
+        # the one grid definition, in stacks built a block of q-rows at a
+        # time: at resolution 300 and p = 0 a q-row is longer than a stack
+        want = [(i / resolution, j / resolution,
+                 1.0 - float(p) - i / resolution - j / resolution)
+                for i in range(resolution + 1)
+                for j in range(resolution + 1)
+                if 1.0 - float(p) - i / resolution - j / resolution >= -1e-12]
+        grid = [(q, r, s) for q, row in scan.so3_grid(p, resolution)
+                for r, s in row]
+        assert repr(grid) == repr(want)
+        assert scan.so3_grid_count(p, resolution) == len(want)
+        rows = list(scan.so3_region(p, [], resolution))
+        assert repr([tuple(row[:3]) for row in rows]) == repr(
+            [(q, r, max(s, 0.0)) for q, r, s in want])
+        assert [scan.region_csv_row(row, []).split(",")[:3]
+                for row in rows] == [
+                    ["%.9g" % q, "%.9g" % r, "%.9g" % max(s, 0.0)]
+                    for q, r, s in want]
+        sizes = [stack.shape[1] for stack in scan._grid(float(p), resolution)]
+        assert sum(sizes) == len(want)
+        assert all(size == scan.STACK_STATES for size in sizes[:-1])
+        if resolution == 300 and p == 0:
+            first_row = sum(q == 0.0 for q, _, _ in want)
+            assert first_row > scan.STACK_STATES
+
     def test_rows_carry_results(self):
         row = next(iter(scan.so3_region(0.2, self._criteria(), 2)))
         assert set(row.results) == {"red"}

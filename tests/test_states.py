@@ -11,6 +11,8 @@ from sepcrit import criteria, linalg, maps, scan, states
 from sepcrit.criteria import Kind
 from sepcrit.errors import DimensionMismatch, InvalidParameters, InvalidState
 
+from conftest import child_env
+
 
 class TestSO3Projectors:
     def test_multiplet_dimensions(self):
@@ -483,7 +485,7 @@ class TestFamilyEigendecomposition:
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, timeout=60, check=True,
-                             env={"PYTHONPATH": str(src), "PATH": ""})
+                             env=child_env(src))
         assert out.stdout.split() == ["0", "0", "1"]
 
 

@@ -16,8 +16,9 @@ Sections, each line starting with its name:
 - `kindI`: kind I with tau_u's lambda2 on SO(3) states at p = 0.2, where
   it commutes, on a grid of resolution 20;
 - `rand`: a SHA-256 of each of those `random_separable` matrices;
-- `region`: the res-200 so3_region scan at p = 0.2 with the benchmark's
-  five criteria, every result of every point, and its CSV's SHA-256;
+- `region`: so3_region scans with the benchmark's five criteria at
+  (p, resolution) (0.2, 200), (0, 200), (1, 200), (0.2, 2) and
+  (0.3, 300), every result of every point, and each CSV's SHA-256;
 - `table1`: the Table 1 rows at alpha 6, 7, 10, 13 and inf;
 - `check`: `check_state` rows of 100 seeded 3x3 matrix files (PPT,
   three maps, entropic), written and read back as the benchmark does,
@@ -68,6 +69,10 @@ FAMILY_TRIPLES = ((2.0, 0.5, "II"), (2.0, 2.0, "IV"), (1.0, 2.0, "I"))
 LIMIT_TRIPLES = tuple((math.inf, b, kind) for _, b, kind in FAMILY_TRIPLES)
 CHECK_TRIPLES = FAMILY_TRIPLES + ((math.inf, 1.0, "II"),) + LIMIT_TRIPLES
 TABLE1_ALPHAS = (6.0, 7.0, 10.0, 13.0, math.inf)
+# (p, resolution) of each region scan: the benchmark's, the simplex's
+# corners p = 0 and p = 1, the smallest grid, and one whose q-rows are
+# longer than a stack (scan.STACK_STATES), so a stack ends inside a row
+REGION_SCANS = ((0.2, 200), (0.0, 200), (1.0, 200), (0.2, 2), (0.3, 300))
 
 
 def text(x) -> str:
@@ -154,7 +159,10 @@ def kind_one(sc, resolution):
                             rho, dec, a, b, "I")))
 
 
-def region(sc, resolution):
+def region(sc, scans):
+    """so3_region with the benchmark's five criteria at each (p,
+    resolution) of scans: every result of every point, then its CSV's
+    SHA-256."""
     maps, scan, Kind = sc.maps, sc.scan, sc.criteria.Kind
     crit = [scan.RegionCriterion("bh", maps.breuer_hall_decomposition(d=4),
                                  3, 1, Kind.II),
@@ -166,12 +174,15 @@ def region(sc, resolution):
                                  3, 1, Kind.II),
             scan.RegionCriterion("ent", None, 4)]
     labels = [c.label for c in crit]
-    csv = hashlib.sha256((scan.region_csv_header(labels) + "\n").encode())
-    for row in scan.so3_region(0.2, crit, resolution):
-        csv.update((scan.region_csv_row(row, labels) + "\n").encode())
-        print("region", *map(text, row[:4]), " | ".join(
-            result_text(row.results[label]) for label in labels))
-    print("region csv", csv.hexdigest())
+    for p, resolution in scans:
+        head = f"region {p} {resolution}"
+        csv = hashlib.sha256(
+            (scan.region_csv_header(labels) + "\n").encode())
+        for row in scan.so3_region(p, crit, resolution):
+            csv.update((scan.region_csv_row(row, labels) + "\n").encode())
+            print(head, *map(text, row[:4]), " | ".join(
+                result_text(row.results[label]) for label in labels))
+        print(head, "csv", csv.hexdigest())
 
 
 def table1(sc, alphas):
@@ -314,7 +325,7 @@ def main(argv=None):
     if args.small:
         soundness(sc, seeds=(1,), pairs=2)
         kind_one(sc, resolution=2)
-        region(sc, resolution=12)
+        region(sc, [(0.2, 12), (0.0, 12), (1.0, 12), (0.2, 2), (0.3, 40)])
         table1(sc, alphas=(7.0, math.inf))
         check(sc, files=4, files4=2)
         family(sc, resolution=4, points=7)
@@ -322,7 +333,7 @@ def main(argv=None):
     else:
         soundness(sc, seeds=(1, 2, 3), pairs=30)
         kind_one(sc, resolution=20)
-        region(sc, resolution=200)
+        region(sc, REGION_SCANS)
         table1(sc, alphas=TABLE1_ALPHAS)
         check(sc, files=100, files4=20)
         family(sc, resolution=20, points=31)
