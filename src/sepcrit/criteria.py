@@ -561,10 +561,7 @@ class Spectra:
     pairing = power
 
     def map(self, m: MatrixMap) -> _MapSpectrum:
-        try:
-            entry = self._maps.get(m)
-        except TypeError:  # an unhashable m, which check_map refuses
-            entry = None
+        entry = self._maps.get(m) if isinstance(m, MatrixMap) else None
         if entry is None:
             check_map(m)
             if m.d != self.dB:
@@ -674,16 +671,16 @@ class RegionCriterion(NamedTuple):
     def maps(self) -> tuple:
         """The maps whose `Spectra` entries `verdicts` reads, for
         `Spectra.fill`, at every alpha: lambda1, and lambda2 unless it
-        is the identity (X2 = rho); none where that rule raises, as for
-        the entropic inequality.  It raises nothing: an error of the
-        criterion is its `verdicts`' to raise, and fill skips what is
-        not a map of the state's d."""
-        try:
-            if self.dec.lambda2_is_identity:
-                return (self.dec.lambda1,)
-            return (self.dec.lambda1, self.dec.lambda2)
-        except Exception:
+        is the identity (X2 = rho); none unless dec is a CPDecomposition
+        (the entropic inequality, or a bare map that `verdicts` refuses).
+        It raises nothing: a decomposition's halves are MatrixMaps of one
+        d, checked when it was built, and fill skips a map of another d
+        than the state's, whose error is its `verdicts`' to raise."""
+        if not isinstance(self.dec, CPDecomposition):
             return ()
+        if self.dec.lambda2_is_identity:
+            return (self.dec.lambda1,)
+        return (self.dec.lambda1, self.dec.lambda2)
 
 
 class PPT:

@@ -69,13 +69,28 @@ class MatrixMap:
 
 @dataclass(frozen=True)
 class CPDecomposition:
-    """Decomposition L = lambda1 - lambda2 of a positive map into CP maps."""
+    """Decomposition L = lambda1 - lambda2 of a positive map into CP maps.
+
+    Checked once, when built: each half must be a MatrixMap, else
+    InvalidParameters naming it (`check_map`), and both of one d, else
+    DimensionMismatch naming both; positivity_unverified must be a bool,
+    else InvalidParameters.  So a decomposition that can be built raises
+    nothing but a SepcritError where it is read."""
 
     lambda1: MatrixMap
     lambda2: MatrixMap
     name: str
     indecomposable: Optional[bool] = None
     positivity_unverified: bool = False
+
+    def __post_init__(self):
+        check_map(self.lambda1, "lambda1")
+        check_map(self.lambda2, "lambda2")
+        if self.lambda1.d != self.lambda2.d:
+            raise DimensionMismatch(f"lambda1 has d={self.lambda1.d} but "
+                                    f"lambda2 d={self.lambda2.d}")
+        if not isinstance(self.positivity_unverified, bool):
+            raise InvalidParameters("positivity_unverified must be a bool")
 
     @property
     def d(self) -> int:
@@ -112,13 +127,14 @@ class CPDecomposition:
                 "pure state out of the PSD cone")
 
 
-def check_map(m) -> None:
-    """InvalidParameters naming m unless it is a MatrixMap; a
-    CPDecomposition is told to pass its `.map`."""
+def check_map(m, name: str = "m") -> None:
+    """InvalidParameters naming m as `name` (a parameter, or a
+    decomposition's half) unless it is a MatrixMap; a CPDecomposition is
+    told to pass its `.map`."""
     if not isinstance(m, MatrixMap):
         hint = ": pass its .map" if isinstance(m, CPDecomposition) else ""
         raise InvalidParameters(
-            f"m must be a MatrixMap, got a {type(m).__name__}{hint}")
+            f"{name} must be a MatrixMap, got a {type(m).__name__}{hint}")
 
 
 def _check_d(d, name: str = "d") -> None:
@@ -162,9 +178,10 @@ def extend_apply(m: MatrixMap | tuple[MatrixMap, ...], rho,
     L(X) itself is extend_apply(m, X, 1).  A non-map m (`check_map`) or a
     dA that is not a positive integer raises InvalidParameters.
 
-    m may also be a non-empty tuple of MatrixMaps of one d (`_stack`):
-    the result then has a leading map axis, entry k being
-    [I (x) m[k]](rho) with the bits of a call with m[k] alone.
+    m may also be a non-empty tuple of MatrixMaps of one d (`_stack`),
+    told from one map by isinstance: the result then has a leading map
+    axis, entry k being [I (x) m[k]](rho) with the bits of a call with
+    m[k] alone.
 
     The dA x dA grid of dB x dB blocks of rho becomes a dA^2 x dB^2
     matrix, one flattened block per row, which the map's superoperator
@@ -175,13 +192,11 @@ def extend_apply(m: MatrixMap | tuple[MatrixMap, ...], rho,
     """
     _check_d(dA, "dA")
     rho = as_matrix(rho, "rho")
-    try:
-        dB, S = m.d, m.superoperator
-    except AttributeError:  # a tuple of maps, or not a map (check_map)
-        if not isinstance(m, tuple):
-            check_map(m)
-            raise
+    if isinstance(m, tuple):
         dB, S = _stack(m)
+    else:
+        check_map(m)
+        dB, S = m.d, m.superoperator
     if rho.shape[-1] != dA * dB:
         raise DimensionMismatch(
             f"state dim {rho.shape[-1]} != dA*dB = {dA * dB}"
@@ -551,8 +566,11 @@ def parse_map_spec(spec: str) -> CPDecomposition:
     such as "reduction d=3", "theta a=2 c=1,1,1" or "tau_u d=4".
 
     The keys are the family constructor's parameters (`make_decomposition`),
-    each given once.  A malformed spec raises InvalidParameters.
+    each given once.  A malformed spec, or one that is not a str, raises
+    InvalidParameters.
     """
+    if not isinstance(spec, str):
+        raise InvalidParameters(f"spec={spec!r} must be a str")
     tokens = spec.split()
     if not tokens:
         raise InvalidParameters("empty map spec")

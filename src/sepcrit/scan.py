@@ -128,6 +128,8 @@ def table1(alpha: float, beta: float = 1.0,
             and bisect_tol >= 1e-6):
         raise InvalidParameters(
             f"bisect_tol={bisect_tol!r} must be finite and >= 1e-6")
+    # checked here too: _grid_spectra's cache hashes map_spec before
+    # parse_map_spec reads it
     if not isinstance(map_spec, str):
         raise InvalidParameters(f"map_spec={map_spec!r} must be a str")
     grid, dec, sp = _grid_spectra(map_spec)
@@ -202,10 +204,6 @@ class RegionResults(Mapping):
                 for column in (stacks[label].violated, stacks[label].margin)
             ]))
         return table[self._k]
-
-    def cells(self, labels: list[str]) -> tuple:
-        """violated, margin of each label in turn (`csv_fields`)."""
-        return self.csv_fields(labels)[4:]
 
 
 class ScanRow(NamedTuple):
@@ -297,17 +295,32 @@ def so3_region(p: float, criteria: list[RegionCriterion], resolution: int,
     of them, its CriterionResults are built only when read, and
     `region_csv_row` reads the stack's table of CSV fields for its
     labels.  criteria may be any iterable; it is read once.  p,
-    resolution, the labels and tol are checked by this call; an error of
-    a criterion raises when its stack is evaluated: after every point of
-    the earlier stacks, before that stack's first point is emitted.
+    resolution, the criteria (`_check_criteria`), their labels and tol
+    are checked by this call; an error of a criterion raises when its
+    stack is evaluated: after every point of the earlier stacks, before
+    that stack's first point is emitted.
     """
     p = _check_grid(p, resolution)
-    criteria = list(criteria)  # an iterator is read once, here
+    criteria = _check_criteria(criteria)  # an iterator is read once, here
     labels = [c.label for c in criteria]
     if len(set(labels)) != len(labels):
         raise InvalidParameters(f"duplicate criterion labels in {labels}")
     check_tol(tol)
     return _region_rows(p, criteria, resolution, tol)
+
+
+def _check_criteria(criteria) -> list:
+    """criteria, read once, as a list: each entry a RegionCriterion or a
+    PPT with a str label, else InvalidParameters naming its index."""
+    criteria = list(criteria)
+    for k, c in enumerate(criteria):
+        if not isinstance(c, (RegionCriterion, PPT)):
+            raise InvalidParameters(f"criteria[{k}] is a {type(c).__name__}, "
+                                    "not a RegionCriterion or PPT")
+        if not isinstance(c.label, str):
+            raise InvalidParameters(
+                f"criteria[{k}] has the label {c.label!r}, not a str")
+    return criteria
 
 
 def _region_rows(p: float, criteria: list[RegionCriterion], resolution: int,
@@ -361,13 +374,14 @@ def check_state(rho: DensityMatrix,
     """Evaluate criteria (PPT first, if include_ppt) on one state's
     `Spectra.of(rho, tol)`, with each criterion's `verdicts` as an
     `so3_region` row does; returns (label, result) pairs.  criteria may
-    be any iterable; it is read once.  Raises InvalidParameters when
-    there is nothing to evaluate.
+    be any iterable; it is read once.  Raises InvalidParameters for an
+    entry that is not a criterion (`_check_criteria`) and when there is
+    nothing to evaluate.
 
     The map entries of every criterion (`RegionCriterion.maps`) are
     built first, in one `Spectra.fill`, which raises nothing: each
     criterion's errors come in its own turn, as without it."""
-    criteria = [PPT(), *criteria] if include_ppt else list(criteria)
+    criteria = ([PPT()] if include_ppt else []) + _check_criteria(criteria)
     if not criteria:
         raise InvalidParameters("nothing to evaluate: no criterion and no PPT")
     sp = Spectra.of(rho, tol)

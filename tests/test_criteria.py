@@ -788,6 +788,12 @@ def _typed_error_cases():
          InvalidParameters, "map_spec"),
         ("table1 map_spec list", lambda: scan.table1(7, 1.0, ["x"]),
          InvalidParameters, "map_spec"),
+        ("parse_map_spec int", lambda: maps.parse_map_spec(3),
+         InvalidParameters, "spec"),
+        ("parse_map_spec None", lambda: maps.parse_map_spec(None),
+         InvalidParameters, "spec"),
+        ("parse_map_spec list", lambda: maps.parse_map_spec(["x"]),
+         InvalidParameters, "spec"),
         ("table1 kind list", lambda: scan.table1(7, 1.0, "phi_dk d=3 k=1",
                                                  ["II"]),
          ParameterOutOfRange, "kind"),

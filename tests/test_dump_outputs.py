@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import sepcrit
+from sepcrit import errors
 
 DUMP = Path(__file__).resolve().parents[1] / "tools" / "dump_outputs.py"
 
@@ -23,7 +24,13 @@ def test_dump_is_deterministic():
     lines = first.splitlines()
     assert {line.split()[0] for line in lines} == {
         "sound", "rand", "kindI", "region", "table1", "check", "family",
-        "one"}
+        "one", "bad"}
+    # every malformed input is refused with a typed error
+    typed = {name for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.SepcritError)}
+    bad = [line.split(": ", 1)[0].split()[-1] for line in lines
+           if line.startswith("bad")]
+    assert bad and set(bad) <= typed
     # kind I runs with a map lambda2: commuting states report their
     # commutator norm, the others name the error
     assert any(line.startswith("sound") and "CommutativityViolated" in line

@@ -399,6 +399,45 @@ def test_make_decomposition_dispatch():
     assert maps.make_decomposition("reduction", d=3).indecomposable is False
 
 
+class TestDecompositionIsCheckedWhenBuilt:
+    """A CPDecomposition's halves are MatrixMaps of one d, checked when
+    it is built, so that no read of a decomposition fails untyped."""
+
+    @pytest.mark.parametrize("bad, hint", [
+        ("identity", "got a str$"),
+        (None, "got a NoneType$"),
+        (maps.reduction_decomposition(3), "got a CPDecomposition: pass its "
+         r"\.map$"),
+    ], ids=["str", "None", "decomposition"])
+    @pytest.mark.parametrize("half", ["lambda1", "lambda2"])
+    def test_a_half_that_is_not_a_map_is_refused(self, bad, hint, half):
+        good = maps.identity_map(3)
+        halves = {"lambda1": good, "lambda2": good, half: bad}
+        with pytest.raises(InvalidParameters,
+                           match=f"^{half} must be a MatrixMap, {hint}"):
+            maps.CPDecomposition(name="bad", **halves)
+
+    @pytest.mark.parametrize("unverified", [False, True])
+    def test_halves_of_two_d_are_refused(self, unverified):
+        # with positivity_unverified, the first inequality samples
+        # L1 - L2, whose Choi matrices of 9 and 16 rows do not subtract
+        with pytest.raises(DimensionMismatch,
+                           match="lambda1 has d=3 but lambda2 d=4"):
+            maps.CPDecomposition(maps.reduction_decomposition(3).lambda1,
+                                 maps.identity_map(4), "mixed",
+                                 positivity_unverified=unverified)
+
+    @pytest.mark.parametrize("flag", [np.array([1, 2]), 1, None])
+    def test_positivity_unverified_must_be_a_bool(self, flag):
+        # an array flag made the first inequality's truth test raise
+        # numpy's bare ValueError
+        red = maps.reduction_decomposition(3)
+        with pytest.raises(InvalidParameters,
+                           match="^positivity_unverified must be a bool$"):
+            maps.CPDecomposition(red.lambda1, red.lambda2, "bad",
+                                 positivity_unverified=flag)
+
+
 # parameters building each catalog family (the rest take their defaults)
 FAMILY_PARAMS = {
     "reduction": {"d": 3}, "identity": {"d": 3}, "transposition": {"d": 3},

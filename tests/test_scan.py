@@ -759,7 +759,7 @@ class TestSO3Region:
             for order in (orders if k % 2 else orders[::-1]):
                 want = tuple(x for label in order for x in (
                     row.results[label].violated, row.results[label].margin))
-                assert tuple(row.results.cells(order)) == want
+                assert row.results.csv_fields(order)[4:] == want
                 assert scan.region_csv_row(row, order) == ",".join(
                     ["%.9g" % row.q, "%.9g" % row.r, "%.9g" % row.s,
                      str(int(row.ppt))] +
@@ -769,7 +769,7 @@ class TestSO3Region:
                      if row.results[label].violated}
         assert {"bh", "red", "ent"} <= hits
         with pytest.raises(KeyError):
-            rows[0].results.cells(["nope"])
+            rows[0].results.csv_fields(["nope"])
 
     def test_criteria_may_be_an_iterator(self):
         # the label check used to exhaust a generator, so every row came
@@ -787,6 +787,36 @@ class TestSO3Region:
         for nothing in ((c for c in []), iter(())):
             with pytest.raises(InvalidParameters, match="nothing to evaluate"):
                 scan.check_state(rho, nothing)
+
+
+class TestMalformedCriteria:
+    """so3_region and check_state check their criteria once per call: an
+    entry that is not a RegionCriterion or PPT, or whose label is not a
+    str, raises InvalidParameters naming its index in criteria."""
+
+    @pytest.mark.parametrize("bad, match", [
+        (None, r"^criteria\[1\] is a NoneType, not a RegionCriterion or PPT$"),
+        ("red", r"^criteria\[1\] is a str, "),
+        (scan.RegionCriterion(["x"], None, 2.0),
+         r"^criteria\[1\] has the label \['x'\], not a str$"),
+    ], ids=["None", "str", "list label"])
+    def test_the_call_names_the_entry(self, bad, match):
+        crit = [scan.RegionCriterion(
+            "red", maps.reduction_decomposition(4), 2.0), bad]
+        with pytest.raises(InvalidParameters, match=match):
+            scan.so3_region(0.2, iter(crit), 4)  # before any row is pulled
+        rho = states.so3_state(0.2, 0.3, 0.1)
+        for include_ppt in (False, True):
+            with pytest.raises(InvalidParameters, match=match):
+                scan.check_state(rho, iter(crit), include_ppt=include_ppt)
+
+    def test_ppt_is_a_criterion(self):
+        rho = states.so3_state(0.2, 0.3, 0.1)
+        assert scan.check_state(rho, [criteria.PPT()]) == scan.check_state(
+            rho, [], include_ppt=True)
+        rows = list(scan.so3_region(0.2, [criteria.PPT()], 4))
+        assert [row.results["ppt"].violated for row in rows] == [
+            not row.ppt for row in rows]
 
 
 class TestCheckState:

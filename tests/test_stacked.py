@@ -746,16 +746,17 @@ class TestFill:
         huge = maps.CPDecomposition(
             maps.MatrixMap(3, 1e153 * np.ones((9, 9))),
             maps.MatrixMap(3, -1e153 * np.ones((9, 9))), "huge")
-        mixed = maps.CPDecomposition(red.lambda1, maps.identity_map(4),
-                                     "mixed")
+        # a str half, or halves of two d, is refused when the
+        # decomposition is built, so no criterion can hold one
+        with pytest.raises(InvalidParameters, match="lambda2 must be a "
+                           "MatrixMap, got a str"):
+            maps.CPDecomposition(red.lambda1, "identity", "bad")
+        with pytest.raises(DimensionMismatch, match="d=3.*d=4"):
+            maps.CPDecomposition(red.lambda1, maps.identity_map(4), "mixed")
         # alpha = inf names lambda1 and lambda2, as finite alpha does
         cases = [
             (scan.RegionCriterion("ent", None, 2.0), ()),
             (scan.RegionCriterion("map", red.map, 1.0), ()),
-            (scan.RegionCriterion("str", maps.CPDecomposition(
-                red.lambda1, "identity", "bad"), 1.0), ()),
-            (scan.RegionCriterion("mixed", mixed, math.inf),
-             (mixed.lambda1, mixed.lambda2)),
             # L1 - L2's Choi norm overflows: refused when first built
             (scan.RegionCriterion("huge", huge, math.inf, 2.0),
              (huge.lambda1, huge.lambda2)),

@@ -37,7 +37,15 @@ Sections, each line starting with its name:
 - `one`: SO(3) and Horodecki states one at a time through
   `structural_criterion`, `limit_witness`, `ppt_check` and
   `entropic_inequality(..., "B")`, with SHA-256s of each state's matrix
-  and eigenvectors.
+  and eigenvectors;
+- `bad`: the outcome of each malformed input: `CPDecomposition`s with a
+  half that is a str, None or a decomposition, or halves of d 3 and 4
+  (each with and without `positivity_unverified`), or with an array as
+  `positivity_unverified`, built and read
+  through `.d`, `.map`, `lambda2_is_identity`, `RegionCriterion.maps`,
+  `alpha_beta_inequality` and `check_state`; `parse_map_spec` of specs
+  that are not a str; and `so3_region` and `check_state` with a
+  criteria entry that is None or has a list as its label.
 
 Uses only the standard library and numpy.
 """
@@ -315,6 +323,53 @@ def one_state(sc, resolution, points):
               f"{digest(rho.eig.eigenvectors)}")
 
 
+def bad(sc):
+    """The outcome of each malformed input, one line each, so that a
+    change to how one is refused shows in the diff of two dumps."""
+    maps, scan, criteria = sc.maps, sc.scan, sc.criteria
+    red = maps.reduction_decomposition(3)
+    halves = {"str": (red.lambda1, "identity"),
+              "None": (None, maps.identity_map(3)),
+              "dec": (red, maps.identity_map(3)),
+              "mixed": (red.lambda1, maps.identity_map(4))}
+    rho = sc.states.horodecki_state(3.5)
+    reads = {
+        "d": (lambda dec: dec.d, str),
+        "map": (lambda dec: dec.map, lambda m: digest(m.choi)),
+        "lambda2_is_identity": (lambda dec: dec.lambda2_is_identity, str),
+        "maps": (lambda dec: scan.RegionCriterion("x", dec, 2.0).maps,
+                 lambda ms: str(len(ms))),
+        "alpha_beta": (lambda dec: criteria.alpha_beta_inequality(
+            rho, dec, 2.0, 1.0), result_text),
+        "check_state": (lambda dec: scan.check_state(
+            rho, [scan.RegionCriterion("x", dec, 2.0)])[0][1], result_text),
+    }
+    # each malformed pair of halves with either flag, and sound halves
+    # with an array as positivity_unverified
+    cases = [(f"{name} {flag}", l1, l2, flag)
+             for name, (l1, l2) in halves.items() for flag in (False, True)]
+    cases.append(("flag array", red.lambda1, red.lambda2,
+                  np.array([True, False])))
+    for head, l1, l2, flag in cases:
+        for read, (call, show) in reads.items():
+            print(f"bad dec {head} {read}", outcome(
+                lambda: call(maps.CPDecomposition(
+                    l1, l2, "bad", positivity_unverified=flag)), show))
+    for spec in (3, None, ["reduction d=3"]):
+        print(f"bad spec {spec!r}",
+              outcome(lambda: maps.parse_map_spec(spec), lambda d: d.name))
+    ent = scan.RegionCriterion("ent", None, 2.0)
+    lists = {"None": [None], "ent None": [ent, None],
+             "list label": [scan.RegionCriterion(["x"], None, 2.0)]}
+    for name, crit in lists.items():
+        print(f"bad so3_region {name}", outcome(
+            lambda: list(scan.so3_region(0.2, crit, 4)),
+            lambda rows: str(len(rows))))
+        print(f"bad check_state {name}", outcome(
+            lambda: scan.check_state(rho, crit), lambda rows: " ".join(
+                f"{label} {result_text(res)}" for label, res in rows)))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src", type=Path, help="the src directory of a checkout")
@@ -330,6 +385,7 @@ def main(argv=None):
         check(sc, files=4, files4=2)
         family(sc, resolution=4, points=7)
         one_state(sc, resolution=2, points=4)
+        bad(sc)
     else:
         soundness(sc, seeds=(1, 2, 3), pairs=30)
         kind_one(sc, resolution=20)
@@ -338,6 +394,7 @@ def main(argv=None):
         check(sc, files=100, files4=20)
         family(sc, resolution=20, points=31)
         one_state(sc, resolution=20, points=31)
+        bad(sc)
 
 
 if __name__ == "__main__":
